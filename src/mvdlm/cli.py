@@ -273,9 +273,14 @@ def parse_csv(path: str | Path) -> list[MaskedObservation]:
                 try:
                     value = float(text)
                 except ValueError:
+                    value = np.nan
+                if not np.isfinite(value):
                     raise ParseError(
-                        f"cannot parse {text!r} as a number", row=i, column=f"y{j}_{k}" if r > 1 else f"y{j}"
-                    ) from None
+                        f"cannot parse {text!r} as a finite number (leave the cell empty or "
+                        "write NA for a missing value)",
+                        row=i,
+                        column=f"y{j}_{k}" if r > 1 else f"y{j}",
+                    )
                 y[k - 1, j - 1] = value
             observations.append(MaskedObservation.from_values(y))
     if not observations:
@@ -320,7 +325,7 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for idx in range(T):
-            miw = output.states[idx].miw
+            S = output.S[idx]
             row = [str(idx + 1)]
             row += [
                 _format(output.f[idx, k, j]) for j in range(p) for k in range(r)
@@ -331,38 +336,22 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
                 for j in range(p)
                 for k in range(r)
             ]
-            row += [_format(miw.S[i, j]) for i in range(p) for j in range(i, p)]
-            row += [_format(x) for x in miw.n]
+            row += [_format(S[i, j]) for i in range(p) for j in range(i, p)]
+            row += [_format(x) for x in output.n[idx]]
             row += [_format(output.corr[idx, i, j]) for i in range(p) for j in range(i + 1, p)]
             writer.writerow(row)
-
-
-def _partial_missing_times(output: dlm.FilterOutput) -> list[int]:
-    times = []
-    for idx in range(output.observed.shape[0]):
-        mask = output.observed[idx]
-        if (~mask).any() and mask.any():
-            times.append(idx)
-    return times
 
 
 def _summary_rows(outputs: dict[str, dlm.FilterOutput]) -> list[list[str]]:
     rows = []
     for mode, output in outputs.items():
         p = output.f.shape[2]
-        msse = output.msse
-        partial = _partial_missing_times(output)
-        if partial:
-            vals = []
-            for idx in partial:
-                S = output.states[idx].miw.S
-                dd = np.sqrt(np.diag(S))
-                corr = S / np.outer(dd, dd)
-                vals.extend(corr[i, j] for i in range(p) for j in range(i + 1, p))
-            mean_corr = float(np.mean(vals)) if vals else float("nan")
-        else:
-            mean_corr = float("nan")
-        rows.append([mode] + [_format(x) for x in msse] + [_format(mean_corr)])
+        observed = output.observed
+        partial = observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2))
+        upper = np.triu_indices(p, 1)
+        vals = output.corr[partial][:, upper[0], upper[1]].ravel()
+        mean_corr = float(np.mean(vals)) if vals.size else float("nan")
+        rows.append([mode] + [_format(x) for x in output.msse] + [_format(mean_corr)])
     return rows
 
 

@@ -10,16 +10,21 @@ Sigma carrying the per-variable degrees-of-freedom covariance law from
 :mod:`mvdlm.distributions`. Conjugacy gives closed-form one-step priors,
 matrix-t forecasts, and posterior updates.
 
-Missing data are handled through diagonal 0/1 masks: each observed variable
-updates its own degrees-of-freedom entry while fully missing variables keep
-their prior moments. The classical alternative (``mode="classical"``) discards
-the entire observation whenever any entry is missing.
+Missing data are handled by one masked update: each observed variable
+updates its own degrees-of-freedom entry, while a variable missing from the
+observation keeps its column of the mean and its dof entry. The state scale P
+is shared by all variables, so it shrinks by the fraction u of a full update
+for the missing ones too. The classical alternative (``mode="classical"``) is
+the same update with an all-or-nothing mask: it discards the entire
+observation whenever any entry is missing.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,19 +41,15 @@ from .linalg import SpdMatrix, symmetrize
 __all__ = [
     "FilterOutput",
     "ForecastResult",
-    "MaskSet",
     "MaskedObservation",
     "ModelSpec",
     "NmiwState",
-    "build_masks",
     "correlation_estimate",
     "discount_noise",
     "evolve",
     "filter",
     "forecast",
     "msse",
-    "update_classical",
-    "update_full",
     "update_missing",
 ]
 
@@ -173,14 +174,13 @@ class MaskedObservation:
 
     @classmethod
     def from_values(cls, values) -> "MaskedObservation":
-        """Build from an r x p array in which missing entries are NaN."""
-        values = np.asarray(values, dtype=float)
-        return cls(y=values, observed=np.isfinite(values))
+        """Build from an r x p array in which missing entries are NaN.
 
-    @classmethod
-    def fully_observed(cls, values) -> "MaskedObservation":
+        Only NaN means missing; an infinite entry counts as observed and is
+        rejected by the finiteness check.
+        """
         values = np.asarray(values, dtype=float)
-        return cls(y=values, observed=np.ones(values.shape, dtype=bool))
+        return cls(y=values, observed=~np.isnan(values))
 
     @property
     def r(self) -> int:
@@ -192,42 +192,12 @@ class MaskedObservation:
 
 
 @dataclass(frozen=True, eq=False)
-class MaskSet:
-    """Diagonal masks derived from one observation.
-
-    uk[k] is the 0/1 diagonal for replicate k; uprod and usum are the
-    elementwise product and sum over replicates; u = mean(uprod) is the
-    fraction of variables observed in every replicate. The state scale P is
-    shared by all variables, so it takes that fraction of a full update,
-    P = R - u A Q A'.
-    """
-
-    uk: np.ndarray
-    uprod: np.ndarray
-    usum: np.ndarray
-    u: float
-
-
-def build_masks(obs: MaskedObservation) -> MaskSet:
-    uk = obs.observed.astype(float)
-    uprod = uk.prod(axis=0)
-    usum = uk.sum(axis=0)
-    u = float(uprod.sum()) / obs.p
-    return MaskSet(uk=uk, uprod=uprod, usum=usum, u=u)
-
-
-@dataclass(eq=False)
 class ForecastResult:
-    """One-step forecast: location f (r x p), row scale Q, gain A (d x r), and
-    the matrix-t forecast law whose (S, n, v) come from the time-(t-1)
-    posterior. ``e`` is filled in by the filter once the observation arrives
-    (residual with missing entries set to 0)."""
+    """One-step forecast: location f (r x p), row scale Q and gain A (d x r)."""
 
     f: np.ndarray
     Q: SpdMatrix
     A: np.ndarray
-    marginal: MtParams
-    e: np.ndarray | None = None
 
 
 def evolve(state: NmiwState, G, W) -> tuple[np.ndarray, np.ndarray]:
@@ -254,11 +224,11 @@ def discount_noise(P, G, delta: float) -> np.ndarray:
     return ((1.0 - delta) / delta) * symmetrize(G @ P @ G.T)
 
 
-def forecast(a, R, F, V, miw: MiwParams) -> ForecastResult:
+def forecast(a, R, F, V) -> ForecastResult:
     """One-step forecast from prior moments (a, R) and design (F, V).
 
-    f = F'a, Q = F'RF + V, gain A = R F Q^{-1}; the forecast law is matrix-t
-    with (S, n, v) inherited from the covariance law.
+    f = F'a, Q = F'RF + V, gain A = R F Q^{-1}. The matrix-t forecast law adds
+    (S, n, v) of the time-(t-1) posterior; see ``FilterOutput.marginals``.
     """
     a = np.asarray(a, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -276,21 +246,33 @@ def forecast(a, R, F, V, miw: MiwParams) -> ForecastResult:
     RF = R @ F
     Q = SpdMatrix(F.T @ RF + V)
     A = Q.solve(RF.T).T
-    marginal = MtParams(f=f, Q=Q.mat, S=miw.S, n=miw.n, v=miw.v)
-    return ForecastResult(f=f, Q=Q, A=A, marginal=marginal)
+    return ForecastResult(f=f, Q=Q, A=A)
 
 
-def _masked_update(
-    prior: NmiwState,
-    fc: ForecastResult,
-    e: np.ndarray,
-    wprod: np.ndarray,
-    wsum: np.ndarray,
-    u: float,
-) -> NmiwState:
-    # Shared core for full and masked updates. With all-ones masks every mask
-    # multiplication is exact, so the fully observed path is bit-identical to
-    # the unmasked recursion.
+def update_missing(prior: NmiwState, fc: ForecastResult, obs: MaskedObservation) -> NmiwState:
+    """Posterior update that uses every observed entry of a (partly missing)
+    observation.
+
+    The mean and covariance-scale updates are masked by the product mask
+    ``wprod`` over replicates: a variable must be observed in every replicate
+    to move its column of the mean or to add its residuals to S. The state
+    scale is shared by all variables and takes the fraction u = mean(wprod) of
+    a full update, P = R - u A Q A', so it shrinks for the missing variables
+    too. Degrees of freedom advance by the per-variable observed counts
+    ``usum``, and a fully missing observation returns the prior unchanged.
+    With nothing missing every mask multiplication is exact, so the update is
+    bit-identical to the unmasked recursion.
+    """
+    r, p = fc.f.shape
+    if obs.y.shape != (r, p):
+        raise DimensionMismatch(f"observation must have shape ({r}, {p}), got {obs.y.shape}")
+    observed = obs.observed
+    if not observed.any():
+        return prior
+    wprod = observed.all(axis=0).astype(float)
+    usum = observed.sum(axis=0).astype(float)
+    u = float(wprod.sum()) / p
+    e = np.where(observed, obs.y - fc.f, 0.0)
     A = fc.A
     Q = fc.Q
     m = prior.m + (A @ e) * wprod
@@ -299,51 +281,10 @@ def _masked_update(
     C = symmetrize(Z.T @ Z) * np.outer(wprod, wprod)
     miw = prior.miw
     R0, _ = miw_to_iw(miw)
-    n_new = miw.n + wsum
+    n_new = miw.n + usum
     sn = np.sqrt(n_new)
     S_new = symmetrize((R0 + C) / np.outer(sn, sn))
     return NmiwState(m=m, P=P, miw=MiwParams(S=S_new, n=n_new, v=miw.v))
-
-
-def update_full(prior: NmiwState, fc: ForecastResult, y) -> NmiwState:
-    """Posterior after a fully observed r x p observation."""
-    y = np.asarray(y, dtype=float)
-    r, p = fc.f.shape
-    if y.shape != (r, p):
-        raise DimensionMismatch(f"observation must have shape ({r}, {p}), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("update_full requires a fully observed, finite observation")
-    e = y - fc.f
-    ones = np.ones(p)
-    return _masked_update(prior, fc, e, ones, float(r) * ones, 1.0)
-
-
-def update_missing(prior: NmiwState, fc: ForecastResult, obs: MaskedObservation) -> NmiwState:
-    """Posterior update that uses every observed entry of a partially missing
-    observation.
-
-    The mean and covariance-scale updates are masked by the product mask (a
-    variable must be observed in every replicate to move its column of the
-    mean or to add its residuals to S). The state scale is shared by all
-    variables and takes the fraction u of a full update (see ``MaskSet``),
-    P = R - u A Q A', so it shrinks for the missing variables too. Degrees of freedom advance by the per-variable observed
-    counts, and a fully missing observation returns the prior unchanged.
-    """
-    r, p = fc.f.shape
-    if obs.y.shape != (r, p):
-        raise DimensionMismatch(f"observation must have shape ({r}, {p}), got {obs.y.shape}")
-    if not obs.observed.any():
-        return prior
-    masks = build_masks(obs)
-    e = np.where(obs.observed, obs.y - fc.f, 0.0)
-    return _masked_update(prior, fc, e, masks.uprod, masks.usum, masks.u)
-
-
-def update_classical(prior: NmiwState, fc: ForecastResult, obs: MaskedObservation) -> NmiwState:
-    """Classical handling: discard the whole observation if anything is missing."""
-    if obs.observed.all():
-        return update_full(prior, fc, obs.y)
-    return prior
 
 
 def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
@@ -360,23 +301,38 @@ def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
     return float(S[i, j] / np.sqrt(sii * sjj))
 
 
-def _corr_matrix(S: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.diag(S))
-    return S / np.outer(d, d)
+class _StepView(Sequence):
+    """Read-only sequence over time steps that builds each item on access."""
+
+    def __init__(self, T: int, build: Callable[[int], object]):
+        self._T = T
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._T
+
+    def __getitem__(self, t):
+        t = operator.index(t)
+        if t < 0:
+            t += self._T
+        if not 0 <= t < self._T:
+            raise IndexError(f"time index out of range for {self._T} steps")
+        return self._build(t)
 
 
 @dataclass(eq=False)
 class FilterOutput:
-    """Per-time filter records plus summary hooks.
+    """Filter records stacked over time (leading axis T).
 
-    Arrays are stacked over time: priors (a, R), forecasts (f, Q, A), masked
-    residuals e (missing entries 0), standardized errors (NaN where missing),
-    observation masks, posterior states, matrix-t forecast laws, and the
-    correlation matrices implied by each posterior scale.
+    Priors (a, R), forecasts (f, Q, A), masked residuals e (missing entries
+    0), standardized errors (NaN where missing), observation masks, the
+    posterior moments m (T x d x p), P (T x d x d), S (T x p x p) and n
+    (T x p), and the correlation matrices implied by each posterior S.
+    ``states`` and ``marginals`` are read-only per-step views of these arrays.
     """
 
     mode: str
-    times: np.ndarray
+    prior: NmiwState
     a: np.ndarray
     R: np.ndarray
     f: np.ndarray
@@ -385,15 +341,39 @@ class FilterOutput:
     e: np.ndarray
     std_err: np.ndarray
     observed: np.ndarray
-    states: list[NmiwState]
-    marginals: list[MtParams]
-    masks: list[MaskSet]
+    m: np.ndarray
+    P: np.ndarray
+    S: np.ndarray
+    n: np.ndarray
     corr: np.ndarray
     _msse: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def T(self) -> int:
-        return len(self.times)
+        return self.f.shape[0]
+
+    @property
+    def states(self) -> Sequence[NmiwState]:
+        """Posterior state after each step."""
+        v = self.prior.miw.v
+        return _StepView(
+            self.T,
+            lambda t: NmiwState(
+                m=self.m[t], P=self.P[t], miw=MiwParams(S=self.S[t], n=self.n[t], v=v)
+            ),
+        )
+
+    @property
+    def marginals(self) -> Sequence[MtParams]:
+        """Matrix-t forecast law of each step; (S, n) come from the previous
+        posterior, or from the prior at the first step."""
+        miw = self.prior.miw
+
+        def build(t: int) -> MtParams:
+            S, n = (miw.S, miw.n) if t == 0 else (self.S[t - 1], self.n[t - 1])
+            return MtParams(f=self.f[t], Q=self.Q[t], S=S, n=n, v=miw.v)
+
+        return _StepView(self.T, build)
 
     @property
     def msse(self) -> np.ndarray:
@@ -416,25 +396,33 @@ def filter(
     """
     if mode not in ("new", "classical"):
         raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
-    if len(data) == 0:
+    T = len(data)
+    if T == 0:
         raise DomainError("data must contain at least one observation")
     if prior.d != model.d or prior.p != model.p:
         raise DimensionMismatch(
             f"prior has shape ({prior.d}, {prior.p}), model declares ({model.d}, {model.p})"
         )
 
-    state = prior
-    a_l, R_l, f_l, Q_l, A_l, e_l, se_l, obs_l, corr_l = [], [], [], [], [], [], [], [], []
-    states: list[NmiwState] = []
-    marginals: list[MtParams] = []
-    mask_l: list[MaskSet] = []
+    d, p, r = model.d, model.p, model.r
+    shapes = {
+        "a": (d, p), "R": (d, d), "f": (r, p), "Q": (r, r), "A": (d, r), "e": (r, p),
+        "std_err": (r, p), "m": (d, p), "P": (d, d), "S": (p, p), "n": (p,), "corr": (p, p),
+    }
+    out = FilterOutput(
+        mode=mode,
+        prior=prior,
+        observed=np.empty((T, r, p), dtype=bool),
+        **{name: np.empty((T,) + shape) for name, shape in shapes.items()},
+    )
 
+    state = prior
     for t, obs in enumerate(data, start=1):
         if not isinstance(obs, MaskedObservation):
             obs = MaskedObservation.from_values(obs)
-        if obs.y.shape != (model.r, model.p):
+        if obs.y.shape != (r, p):
             raise DimensionMismatch(
-                f"observation at t={t} must have shape ({model.r}, {model.p}), got {obs.y.shape}"
+                f"observation at t={t} must have shape ({r}, {p}), got {obs.y.shape}"
             )
         try:
             G = model.G_at(t)
@@ -443,49 +431,36 @@ def filter(
                 W = discount_noise(state.P, G, model.discount)
             a, R = evolve(state, G, W)
             prior_t = NmiwState(m=a, P=R, miw=state.miw)
-            fc = forecast(a, R, model.F_at(t), model.V_at(t), state.miw)
-            if mode == "new":
+            fc = forecast(a, R, model.F_at(t), model.V_at(t))
+            if mode == "new" or obs.observed.all():
                 post = update_missing(prior_t, fc, obs)
             else:
-                post = update_classical(prior_t, fc, obs)
+                post = prior_t
         except MvdlmError as exc:
             raise FilterError(str(exc), t=t) from exc
 
         e = np.where(obs.observed, obs.y - fc.f, 0.0)
-        fc.e = e
         denom = np.sqrt(np.outer(np.diag(fc.Q.mat), np.diag(state.miw.S)))
-        std = np.where(obs.observed, e / denom, np.nan)
-
-        a_l.append(a)
-        R_l.append(R)
-        f_l.append(fc.f)
-        Q_l.append(fc.Q.mat)
-        A_l.append(fc.A)
-        e_l.append(e)
-        se_l.append(std)
-        obs_l.append(obs.observed)
-        corr_l.append(_corr_matrix(post.miw.S))
-        states.append(post)
-        marginals.append(fc.marginal)
-        mask_l.append(build_masks(obs))
+        k = t - 1
+        out.a[k] = a
+        out.R[k] = R
+        out.f[k] = fc.f
+        out.Q[k] = fc.Q.mat
+        out.A[k] = fc.A
+        out.e[k] = e
+        out.std_err[k] = np.where(obs.observed, e / denom, np.nan)
+        out.observed[k] = obs.observed
+        out.m[k] = post.m
+        out.P[k] = post.P
+        out.S[k] = post.miw.S
+        out.n[k] = post.miw.n
         state = post
 
-    return FilterOutput(
-        mode=mode,
-        times=np.arange(1, len(data) + 1),
-        a=np.stack(a_l),
-        R=np.stack(R_l),
-        f=np.stack(f_l),
-        Q=np.stack(Q_l),
-        A=np.stack(A_l),
-        e=np.stack(e_l),
-        std_err=np.stack(se_l),
-        observed=np.stack(obs_l),
-        states=states,
-        marginals=marginals,
-        masks=mask_l,
-        corr=np.stack(corr_l),
-    )
+    # corr = S / outer(sd, sd) per step, computed in place over the stack.
+    sd = np.sqrt(np.diagonal(out.S, axis1=1, axis2=2))
+    np.multiply(sd[:, :, None], sd[:, None, :], out=out.corr)
+    np.divide(out.S, out.corr, out=out.corr)
+    return out
 
 
 def msse(output: FilterOutput) -> np.ndarray:

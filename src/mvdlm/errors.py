@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ConfigError",
+    "DimensionMismatch",
+    "DomainError",
+    "FilterError",
+    "MeanUndefined",
+    "MvdlmError",
+    "NotPositiveDefinite",
+    "ParseError",
+]
+
 
 class MvdlmError(Exception):
     """Base class for package-specific errors."""

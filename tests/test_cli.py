@@ -130,6 +130,19 @@ def test_parse_csv_bad_cell_reports_row_and_column(tmp_path):
     assert "y1" in str(exc.value)
 
 
+@pytest.mark.parametrize("header,first,row,column", [
+    ("y1,y2", "1.0,2.0", "1.0,{}", "y2"),
+    ("y1_1,y1_2,y2_1,y2_2", "1,2,3,4", "5,6,{},8", "y2_1"),
+])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
+def test_parse_csv_rejects_non_finite_cell(tmp_path, cell, header, first, row, column):
+    # Only an empty cell or NA means missing; a non-finite number is an error.
+    path = write_data(tmp_path, [first, row.format(cell)], header=header)
+    with pytest.raises(mv.ParseError) as exc:
+        parse_csv(path)
+    assert (exc.value.row, exc.value.column) == (3, column)
+
+
 def test_csv_round_trip_preserves_masks_and_values(tmp_path):
     rng = np.random.default_rng(50)
     obs = []

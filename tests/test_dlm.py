@@ -116,14 +116,12 @@ def test_discount_scales_evolved_covariance():
 
 
 def test_forecast_scalars():
-    miw = mv.MiwParams(S=np.array([[1.5]]), n=np.array([4.0]), v=1.0)
     a = np.array([[2.0]])
     R = np.array([[3.0]])
-    fc = mv.forecast(a, R, np.array([[1.0]]), np.array([[0.5]]), miw)
+    fc = mv.forecast(a, R, np.array([[1.0]]), np.array([[0.5]]))
     assert fc.f[0, 0] == pytest.approx(2.0)
     assert np.asarray(fc.Q)[0, 0] == pytest.approx(3.5)
     assert fc.A[0, 0] == pytest.approx(3.0 / 3.5)
-    assert isinstance(fc.marginal, mv.MtParams)
 
 
 def test_update_full_matches_standard_formulas():
@@ -133,9 +131,9 @@ def test_update_full_matches_standard_formulas():
     F = rng.standard_normal((d, r))
     V = np.eye(r) * 0.5
     a, R = state.m, state.P
-    fc = mv.forecast(a, R, F, V, state.miw)
+    fc = mv.forecast(a, R, F, V)
     y = rng.standard_normal((r, p))
-    post = mv.update_full(state, fc, y)
+    post = mv.update_missing(state, fc, mv.MaskedObservation.from_values(y))
     Q = np.asarray(fc.Q)
     A = R @ F @ np.linalg.inv(Q)
     e = y - F.T @ a
@@ -145,6 +143,14 @@ def test_update_full_matches_standard_formulas():
     ref = mv.miw_conditional_update(fc.f, Q, state.miw, y)
     assert np.allclose(post.miw.S, ref.S, atol=1e-12)
     assert np.allclose(post.miw.n, ref.n)
+
+
+def test_from_values_treats_only_nan_as_missing():
+    obs = mv.MaskedObservation.from_values(np.array([[1.0, np.nan]]))
+    assert obs.observed.tolist() == [[True, False]]
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(mv.DomainError):
+            mv.MaskedObservation.from_values(np.array([[1.0, bad]]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +355,47 @@ def test_all_observed_filter_equals_chained_full_updates():
         if W is None:
             W = mv.discount_noise(state.P, G, model.discount)
         a, R = mv.evolve(state, G, W)
-        fc = mv.forecast(a, R, model.F_at(t), model.V_at(t), state.miw)
-        state = mv.update_full(mv.NmiwState(m=a, P=R, miw=state.miw), fc,
-                               np.asarray(data[t - 1].y))
+        fc = mv.forecast(a, R, model.F_at(t), model.V_at(t))
+        assert data[t - 1].observed.all()
+        state = mv.update_missing(mv.NmiwState(m=a, P=R, miw=state.miw), fc,
+                                  data[t - 1])
         assert states_bit_identical(out.states[t - 1], state)
+
+
+def test_states_and_marginals_views_follow_the_stacked_arrays():
+    rng = np.random.default_rng(43)
+    model = random_model(rng, d=2, p=3, r=2)
+    prior = random_prior(rng, 2, 3)
+    data = random_data(rng, 8, 2, 3)
+    y = np.asarray(data[2].y).copy()
+    y[0, 1] = np.nan
+    data[2] = mv.MaskedObservation.from_values(y)  # partly missing
+    data[5] = mv.MaskedObservation.from_values(np.full((2, 3), np.nan))  # fully missing
+    out = mv.filter(model, data, prior, mode="new")
+
+    assert len(out.states) == len(out.marginals) == out.T == 8
+    assert states_bit_identical(out.states[-1], out.states[out.T - 1])
+    with pytest.raises(IndexError):
+        out.states[out.T]
+    states = list(out.states)
+    assert len(states) == out.T
+    for t, st in enumerate(states):
+        assert np.array_equal(st.m, out.m[t]) and np.array_equal(st.P, out.P[t])
+        assert np.array_equal(st.miw.S, out.S[t]) and np.array_equal(st.miw.n, out.n[t])
+        assert st.miw.v == prior.miw.v
+    assert np.array_equal(out.n[2], out.n[1] + [2.0, 1.0, 2.0])
+    assert np.array_equal(out.S[5], out.S[4]) and np.array_equal(out.n[5], out.n[4])
+
+    marginals = list(out.marginals)
+    assert all(isinstance(mt, mv.MtParams) for mt in marginals)
+    assert np.array_equal(marginals[0].S, prior.miw.S)
+    assert np.array_equal(marginals[0].n, prior.miw.n)
+    for t in range(1, out.T):
+        assert np.array_equal(marginals[t].S, states[t - 1].miw.S), t
+        assert np.array_equal(marginals[t].n, states[t - 1].miw.n), t
+    for t, mt in enumerate(marginals):
+        assert np.array_equal(mt.f, out.f[t]) and np.array_equal(mt.Q, out.Q[t])
+        assert mt.v == prior.miw.v
 
 
 def test_positive_semidefinite_states_under_long_random_run():
