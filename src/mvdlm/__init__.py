@@ -37,17 +37,12 @@ from .distributions import (
 )
 from .dlm import (
     FilterOutput,
-    ForecastResult,
     MaskedObservation,
     ModelSpec,
     NmiwState,
     correlation_estimate,
-    discount_noise,
-    evolve,
     filter,
-    forecast,
     msse,
-    update_missing,
 )
 from .simulate import (
     DEFAULT_MISSING_PATTERN,
@@ -71,7 +66,6 @@ __all__ = [
     "ExperimentSummary",
     "FilterError",
     "FilterOutput",
-    "ForecastResult",
     "IgParams",
     "LocalLevelConfig",
     "MaskedObservation",
@@ -92,10 +86,7 @@ __all__ = [
     "correlation_estimate",
     "default_prior",
     "diag_marginal_ig",
-    "discount_noise",
-    "evolve",
     "filter",
-    "forecast",
     "gen_local_level",
     "iw_log_density",
     "iw_to_miw",
@@ -115,5 +106,4 @@ __all__ = [
     "sample_miw",
     "spd_solve",
     "symmetrize",
-    "update_missing",
 ]

@@ -46,7 +46,7 @@ import numpy as np
 from . import dlm
 from .dlm import MaskedObservation, ModelSpec, NmiwState
 from .distributions import MiwParams
-from .errors import ConfigError, FilterError, MvdlmError, ParseError
+from .errors import ConfigError, MvdlmError, ParseError
 from .simulate import (
     LocalLevelConfig,
     MissingPattern,
@@ -87,6 +87,24 @@ def _literal(text: str, section: str, key: str):
         raise ConfigError(f"cannot parse value {text!r}", section, key) from exc
 
 
+def _numeric(text: str, section: str, key: str) -> np.ndarray:
+    value = _literal(text, section, key)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse value {text!r} as numbers", section, key) from exc
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"values must be finite, got {text!r}", section, key)
+    return arr
+
+
+def _parse_scalar(text: str, section: str, key: str) -> float:
+    arr = _numeric(text, section, key)
+    if arr.ndim != 0:
+        raise ConfigError(f"expected a single number, got {text!r}", section, key)
+    return float(arr)
+
+
 def _parse_matrix(text: str, shape: tuple[int, int], section: str, key: str) -> np.ndarray:
     text = text.strip()
     rows, cols = shape
@@ -98,8 +116,7 @@ def _parse_matrix(text: str, shape: tuple[int, int], section: str, key: str) -> 
         return np.zeros(shape)
     if text == "ones":
         return np.ones(shape)
-    value = _literal(text, section, key)
-    arr = np.asarray(value, dtype=float)
+    arr = _numeric(text, section, key)
     if arr.ndim == 0:
         if shape == (1, 1):
             return arr.reshape(1, 1)
@@ -115,8 +132,7 @@ def _parse_vector(text: str, length: int, section: str, key: str) -> np.ndarray:
     text = text.strip()
     if text == "ones":
         return np.ones(length)
-    value = _literal(text, section, key)
-    arr = np.asarray(value, dtype=float)
+    arr = _numeric(text, section, key)
     if arr.ndim == 0:
         return float(arr) * np.ones(length)
     if arr.shape != (length,):
@@ -168,10 +184,7 @@ def load_config(path: str | Path) -> RunConfig:
     W = None if w_text is None else _parse_matrix(w_text, (d, d), sec, "W")
     discount = None
     if discount_text is not None:
-        try:
-            discount = float(discount_text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse value {discount_text!r}", sec, "discount") from exc
+        discount = _parse_scalar(discount_text, sec, "discount")
         if not 0.0 < discount <= 1.0:
             raise ConfigError(f"discount must lie in (0, 1], got {discount}", sec, "discount")
     try:
@@ -187,7 +200,7 @@ def load_config(path: str | Path) -> RunConfig:
     S0 = _parse_matrix(_get(parser, sec, "s0", required=True), (p, p), sec, "S0")
     N0 = _parse_vector(_get(parser, sec, "n0", required=True), p, sec, "N0")
     v_text = _get(parser, sec, "v")
-    v = float(p) if v_text is None else float(_literal(v_text, sec, "v"))
+    v = float(p) if v_text is None else _parse_scalar(v_text, sec, "v")
     try:
         prior = NmiwState(m=m0, P=P0, miw=MiwParams(S=S0, n=N0, v=v))
     except MvdlmError as exc:
@@ -206,7 +219,7 @@ def load_config(path: str | Path) -> RunConfig:
             T = parser.getint(sec, "t")
         except (configparser.Error, ValueError) as exc:
             raise ConfigError(f"T must be an integer: {exc}", sec, "T") from exc
-        corr = float(_get(parser, sec, "corr", "0.8"))
+        corr = _parse_scalar(_get(parser, sec, "corr", "0.8"), sec, "corr")
         obs_var = tuple(_parse_vector(_get(parser, sec, "obs_var", "[1.0, 1.0]"), 2, sec, "obs_var"))
         level_var = tuple(
             _parse_vector(_get(parser, sec, "level_var", "[0.05, 0.05]"), 2, sec, "level_var")
@@ -401,11 +414,9 @@ def cmd_simulate(args) -> int:
     )
 
     _, data = gen_local_level(block.cfg)
-    observations = apply_missing(data, block.pattern)
-    write_csv(out_dir / "data.csv", observations)
+    write_csv(out_dir / "data.csv", apply_missing(data, block.pattern))
 
-    out_new = dlm.filter(config.model, observations, config.prior, mode="new")
-    out_cls = dlm.filter(config.model, observations, config.prior, mode="classical")
+    out_new, out_cls = summary.first_new, summary.first_classical
     p = out_new.f.shape[2]
     with open(out_dir / "forecasts.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -478,9 +489,6 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FilterError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except MvdlmError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

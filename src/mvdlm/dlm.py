@@ -7,8 +7,11 @@ The model at each time t is
 
 with E_t matrix normal (0, V_t, Sigma), O_t matrix normal (0, W_t, Sigma), and
 Sigma carrying the per-variable degrees-of-freedom covariance law from
-:mod:`mvdlm.distributions`. Conjugacy gives closed-form one-step priors,
-matrix-t forecasts, and posterior updates.
+:mod:`mvdlm.distributions`. Conjugacy gives one closed-form recursion over
+(m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
+the posterior update. :func:`filter` runs that recursion on raw arrays and
+records every intermediate quantity; the model inputs are validated when
+they are read and the prior once at entry.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -27,8 +30,9 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
-from .distributions import MiwParams, MtParams, miw_to_iw
+from .distributions import MiwParams, MtParams
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -36,21 +40,16 @@ from .errors import (
     FilterError,
     MvdlmError,
 )
-from .linalg import SpdMatrix, symmetrize
+from .linalg import symmetrize
 
 __all__ = [
     "FilterOutput",
-    "ForecastResult",
     "MaskedObservation",
     "ModelSpec",
     "NmiwState",
     "correlation_estimate",
-    "discount_noise",
-    "evolve",
     "filter",
-    "forecast",
     "msse",
-    "update_missing",
 ]
 
 MatrixProvider = Union[np.ndarray, Callable[[int], np.ndarray]]
@@ -61,6 +60,8 @@ def _materialize(entry: MatrixProvider, t: int, shape: tuple[int, int], name: st
     m = np.asarray(m, dtype=float)
     if m.shape != shape:
         raise DimensionMismatch(f"{name} at t={t} must have shape {shape}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError(f"{name} at t={t} must be finite")
     return m
 
 
@@ -191,102 +192,6 @@ class MaskedObservation:
         return self.y.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ForecastResult:
-    """One-step forecast: location f (r x p), row scale Q and gain A (d x r)."""
-
-    f: np.ndarray
-    Q: SpdMatrix
-    A: np.ndarray
-
-
-def evolve(state: NmiwState, G, W) -> tuple[np.ndarray, np.ndarray]:
-    """One-step prior moments: a = G m, R = G P G' + W (symmetrized)."""
-    G = np.asarray(G, dtype=float)
-    W = np.asarray(W, dtype=float)
-    d = state.d
-    if G.shape != (d, d):
-        raise DimensionMismatch(f"G must have shape ({d}, {d}), got {G.shape}")
-    if W.shape != (d, d):
-        raise DimensionMismatch(f"W must have shape ({d}, {d}), got {W.shape}")
-    a = G @ state.m
-    R = symmetrize(G @ state.P @ G.T + W)
-    return a, R
-
-
-def discount_noise(P, G, delta: float) -> np.ndarray:
-    """Evolution scale implied by a discount factor: W = (1 - delta)/delta * G P G'."""
-    delta = float(delta)
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"discount factor must lie in (0, 1], got {delta}")
-    P = np.asarray(P, dtype=float)
-    G = np.asarray(G, dtype=float)
-    return ((1.0 - delta) / delta) * symmetrize(G @ P @ G.T)
-
-
-def forecast(a, R, F, V) -> ForecastResult:
-    """One-step forecast from prior moments (a, R) and design (F, V).
-
-    f = F'a, Q = F'RF + V, gain A = R F Q^{-1}. The matrix-t forecast law adds
-    (S, n, v) of the time-(t-1) posterior; see ``FilterOutput.marginals``.
-    """
-    a = np.asarray(a, dtype=float)
-    R = np.asarray(R, dtype=float)
-    F = np.asarray(F, dtype=float)
-    V = np.asarray(V, dtype=float)
-    d, p = a.shape
-    if F.ndim != 2 or F.shape[0] != d:
-        raise DimensionMismatch(f"F must have {d} rows, got shape {F.shape}")
-    r = F.shape[1]
-    if V.shape != (r, r):
-        raise DimensionMismatch(f"V must have shape ({r}, {r}), got {V.shape}")
-    if R.shape != (d, d):
-        raise DimensionMismatch(f"R must have shape ({d}, {d}), got {R.shape}")
-    f = F.T @ a
-    RF = R @ F
-    Q = SpdMatrix(F.T @ RF + V)
-    A = Q.solve(RF.T).T
-    return ForecastResult(f=f, Q=Q, A=A)
-
-
-def update_missing(prior: NmiwState, fc: ForecastResult, obs: MaskedObservation) -> NmiwState:
-    """Posterior update that uses every observed entry of a (partly missing)
-    observation.
-
-    The mean and covariance-scale updates are masked by the product mask
-    ``wprod`` over replicates: a variable must be observed in every replicate
-    to move its column of the mean or to add its residuals to S. The state
-    scale is shared by all variables and takes the fraction u = mean(wprod) of
-    a full update, P = R - u A Q A', so it shrinks for the missing variables
-    too. Degrees of freedom advance by the per-variable observed counts
-    ``usum``, and a fully missing observation returns the prior unchanged.
-    With nothing missing every mask multiplication is exact, so the update is
-    bit-identical to the unmasked recursion.
-    """
-    r, p = fc.f.shape
-    if obs.y.shape != (r, p):
-        raise DimensionMismatch(f"observation must have shape ({r}, {p}), got {obs.y.shape}")
-    observed = obs.observed
-    if not observed.any():
-        return prior
-    wprod = observed.all(axis=0).astype(float)
-    usum = observed.sum(axis=0).astype(float)
-    u = float(wprod.sum()) / p
-    e = np.where(observed, obs.y - fc.f, 0.0)
-    A = fc.A
-    Q = fc.Q
-    m = prior.m + (A @ e) * wprod
-    P = symmetrize(prior.P - (A @ Q.mat @ A.T) * u)
-    Z = Q.solve_half(e)
-    C = symmetrize(Z.T @ Z) * np.outer(wprod, wprod)
-    miw = prior.miw
-    R0, _ = miw_to_iw(miw)
-    n_new = miw.n + usum
-    sn = np.sqrt(n_new)
-    S_new = symmetrize((R0 + C) / np.outer(sn, sn))
-    return NmiwState(m=m, P=P, miw=MiwParams(S=S_new, n=n_new, v=miw.v))
-
-
 def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
     """Correlation implied by the posterior scale: S_ij / sqrt(S_ii S_jj)."""
     S = state.miw.S
@@ -390,9 +295,13 @@ def filter(
 ) -> FilterOutput:
     """Run the forward filter over a sequence of (possibly masked) observations.
 
+    Each step computes the one-step prior a = G m, R = sym(G P G')/delta (or
+    sym(G P G' + W) with an explicit W), the forecast f = F'a with scale
+    Q = sym(F'RF + V) and gain A = R F Q^{-1}, and the masked update.
     ``mode="new"`` applies the per-variable masked update; ``mode="classical"``
-    discards any observation with a missing entry. Numerical failures are
-    re-raised with the failing 1-based time index attached.
+    discards any observation with a missing entry. Model inputs that are
+    malformed or not finite and a forecast scale Q that cannot be factored
+    are raised as :class:`FilterError` with the failing 1-based time index.
     """
     if mode not in ("new", "classical"):
         raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
@@ -403,6 +312,9 @@ def filter(
         raise DimensionMismatch(
             f"prior has shape ({prior.d}, {prior.p}), model declares ({model.d}, {model.p})"
         )
+    m, P, S, n = prior.m, prior.P, prior.miw.S, prior.miw.n
+    if not all(np.isfinite(x).all() for x in (m, P, S, n, prior.miw.v)):
+        raise DomainError("prior m, P, S, n and v must be finite")
 
     d, p, r = model.d, model.p, model.r
     shapes = {
@@ -416,8 +328,8 @@ def filter(
         **{name: np.empty((T,) + shape) for name, shape in shapes.items()},
     )
 
-    state = prior
-    for t, obs in enumerate(data, start=1):
+    for k, obs in enumerate(data):
+        t = k + 1
         if not isinstance(obs, MaskedObservation):
             obs = MaskedObservation.from_values(obs)
         if obs.y.shape != (r, p):
@@ -425,36 +337,63 @@ def filter(
                 f"observation at t={t} must have shape ({r}, {p}), got {obs.y.shape}"
             )
         try:
-            G = model.G_at(t)
-            W = model.W_at(t)
-            if W is None:
-                W = discount_noise(state.P, G, model.discount)
-            a, R = evolve(state, G, W)
-            prior_t = NmiwState(m=a, P=R, miw=state.miw)
-            fc = forecast(a, R, model.F_at(t), model.V_at(t))
-            if mode == "new" or obs.observed.all():
-                post = update_missing(prior_t, fc, obs)
-            else:
-                post = prior_t
+            F, G, V, W = model.F_at(t), model.G_at(t), model.V_at(t), model.W_at(t)
         except MvdlmError as exc:
             raise FilterError(str(exc), t=t) from exc
 
-        e = np.where(obs.observed, obs.y - fc.f, 0.0)
-        denom = np.sqrt(np.outer(np.diag(fc.Q.mat), np.diag(state.miw.S)))
-        k = t - 1
+        a = G @ m
+        GPG = G @ P @ G.T
+        R = symmetrize(GPG) / model.discount if W is None else symmetrize(GPG + W)
+        f = F.T @ a
+        RF = R @ F
+        Q = symmetrize(F.T @ RF + V)
+        # np.linalg.cholesky returns NaN for a non-finite Q; scipy's finite
+        # checks in the triangular solves are what reject it.
+        try:
+            L = np.linalg.cholesky(Q)
+            A = cho_solve((L, True), RF.T).T
+        except np.linalg.LinAlgError as exc:
+            raise FilterError("forecast scale Q is not positive definite", t=t) from exc
+        except ValueError as exc:
+            raise FilterError("forecast scale Q is not finite", t=t) from exc
+        observed = obs.observed
+        e = np.where(observed, obs.y - f, 0.0)
+
         out.a[k] = a
         out.R[k] = R
-        out.f[k] = fc.f
-        out.Q[k] = fc.Q.mat
-        out.A[k] = fc.A
+        out.f[k] = f
+        out.Q[k] = Q
+        out.A[k] = A
         out.e[k] = e
-        out.std_err[k] = np.where(obs.observed, e / denom, np.nan)
-        out.observed[k] = obs.observed
-        out.m[k] = post.m
-        out.P[k] = post.P
-        out.S[k] = post.miw.S
-        out.n[k] = post.miw.n
-        state = post
+        out.std_err[k] = np.where(
+            observed, e / np.sqrt(np.outer(np.diag(Q), np.diag(S))), np.nan
+        )
+        out.observed[k] = observed
+
+        if observed.any() and (mode == "new" or observed.all()):
+            # A variable moves its mean column and adds to S only when it is
+            # observed in every replicate (wprod); its dof grows by its observed
+            # count, and the shared P takes the fraction u of a full update.
+            wprod = observed.all(axis=0).astype(float)
+            u = float(wprod.sum()) / p
+            try:
+                Z = solve_triangular(L, e, lower=True)
+            except ValueError as exc:
+                raise FilterError("forecast residual e is not finite", t=t) from exc
+            C = symmetrize(Z.T @ Z) * np.outer(wprod, wprod)
+            sn = np.sqrt(n)
+            n = n + observed.sum(axis=0)
+            sn_new = np.sqrt(n)
+            # S * outer(sn, sn) and C are exactly symmetric, so S stays so.
+            S = (S * np.outer(sn, sn) + C) / np.outer(sn_new, sn_new)
+            m = a + (A @ e) * wprod
+            P = symmetrize(R - (A @ Q @ A.T) * u)
+        else:
+            m, P = a, R
+        out.m[k] = m
+        out.P[k] = P
+        out.S[k] = S
+        out.n[k] = n
 
     # corr = S / outer(sd, sd) per step, computed in place over the stack.
     sd = np.sqrt(np.diagonal(out.S, axis1=1, axis2=2))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = [
     "SpdMatrix",
@@ -46,19 +46,12 @@ class SpdMatrix:
 
     Construction symmetrizes the input and factorizes eagerly, so definiteness
     is checked up front and the factor is computed exactly once per matrix.
-    ``ridge`` adds a caller-chosen non-negative multiple of the identity to the
-    diagonal before factorization (default 0: no regularization is ever applied
-    silently).
     """
 
     __slots__ = ("mat", "chol")
 
-    def __init__(self, a, ridge: float = 0.0):
+    def __init__(self, a):
         mat = symmetrize(a)
-        if ridge < 0.0:
-            raise DomainError(f"ridge must be non-negative, got {ridge}")
-        if ridge > 0.0:
-            mat = mat + ridge * np.eye(mat.shape[0])
         try:
             chol = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError as exc:
@@ -108,18 +101,16 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
-def as_spd(a, ridge: float = 0.0) -> SpdMatrix:
+def as_spd(a) -> SpdMatrix:
     """Wrap ``a`` as an SpdMatrix, reusing an existing wrapper when possible."""
-    if isinstance(a, SpdMatrix) and ridge == 0.0:
+    if isinstance(a, SpdMatrix):
         return a
-    return SpdMatrix(a, ridge=ridge)
+    return SpdMatrix(a)
 
 
-def cholesky_lower(a, ridge: float = 0.0) -> np.ndarray:
-    """Lower-triangular L with L L' = A (plus the optional diagonal ridge)."""
-    if isinstance(a, SpdMatrix) and ridge == 0.0:
-        return a.chol
-    return SpdMatrix(a, ridge=ridge).chol
+def cholesky_lower(a) -> np.ndarray:
+    """Lower-triangular L with L L' = A."""
+    return as_spd(a).chol
 
 
 def spd_solve(a, b) -> np.ndarray:

@@ -184,6 +184,7 @@ class ExperimentSummary:
     replications in which the masked-update filter has componentwise MSSE no
     larger than the classical filter; partial_corr holds the masked-update
     posterior correlation estimates at each partially missing time.
+    first_new / first_classical are the two filter runs of replication 0.
     """
 
     n_replications: int
@@ -195,6 +196,8 @@ class ExperimentSummary:
     win_fraction: float
     partial_corr: np.ndarray
     mean_partial_corr: float
+    first_new: dlm.FilterOutput
+    first_classical: dlm.FilterOutput
 
 
 def replicate_experiment(
@@ -230,6 +233,8 @@ def replicate_experiment(
         observations = apply_missing(data, pattern)
         out_new = dlm.filter(model, observations, prior, mode="new")
         out_cls = dlm.filter(model, observations, prior, mode="classical")
+        if i == 0:
+            first = out_new, out_cls
         msse_new[i] = msse(out_new)
         msse_classical[i] = msse(out_cls)
         for col, t in enumerate(partial_times):
@@ -249,4 +254,6 @@ def replicate_experiment(
         win_fraction=float(np.mean(wins)),
         partial_corr=partial_corr,
         mean_partial_corr=float(partial_corr.mean()) if partial_corr.size else float("nan"),
+        first_new=first[0],
+        first_classical=first[1],
     )

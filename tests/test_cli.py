@@ -81,6 +81,32 @@ def test_config_rejects_bad_discount(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize("old,new", [
+    ("V = identity", "V = [[1e400]]"),
+    ("F = [[1.0]]", "F = [[-1e400]]"),
+    ("P0 = 1e6", "P0 = 1e400"),
+    ("S0 = identity", "S0 = [[1.0, 0.0], [0.0, 1e400]]"),
+    ("N0 = 1.0", "N0 = [1.0, 1e400]"),
+    ("N0 = 1.0", "N0 = 1.0\nv = 1e400"),
+])
+def test_config_rejects_non_finite_values(tmp_path, capsys, old, new):
+    config = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+    with pytest.raises(mv.ConfigError, match="finite"):
+        load_config(config)
+    data = make_series(tmp_path)
+    assert main(["filter", "--config", str(config), "--data", str(data)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("F = [[1.0]]", "F = 'one'"),
+    ("N0 = 1.0", "N0 = 1.0\nv = [2, 3]"),
+])
+def test_config_rejects_non_numeric_values(tmp_path, old, new):
+    with pytest.raises(mv.ConfigError):
+        load_config(write_config(tmp_path, GOOD_CONFIG.replace(old, new)))
+
+
 def test_config_missing_file_is_config_error(tmp_path):
     with pytest.raises(mv.ConfigError):
         load_config(tmp_path / "nope.ini")

@@ -76,15 +76,23 @@ def states_bit_identical(s1, s2):
 
 
 # ---------------------------------------------------------------------------
-# evolution and forecasting
+# one step of the recursion, read from the records of a T = 1 run
 # ---------------------------------------------------------------------------
+
+def one_step(state, G, F, V, y, W=None, discount=None):
+    """Run ``filter`` for one step from ``state`` and return its output."""
+    (d, p), r = state.m.shape, np.shape(F)[1]
+    model = mv.ModelSpec(d=d, p=p, r=r, F=F, G=G, V=V, W=W, discount=discount)
+    return mv.filter(model, [mv.MaskedObservation.from_values(y)], state)
+
 
 def test_evolve_identity_is_exact():
     rng = np.random.default_rng(30)
     state = random_prior(rng, 3, 2)
-    a, R = mv.evolve(state, np.eye(3), np.zeros((3, 3)))
-    assert np.array_equal(a, state.m)
-    assert np.array_equal(R, state.P)
+    out = one_step(state, np.eye(3), np.ones((3, 1)), np.eye(1), np.ones((1, 2)),
+                   W=np.zeros((3, 3)))
+    assert np.array_equal(out.a[0], state.m)
+    assert np.array_equal(out.R[0], state.P)
 
 
 def test_evolve_literal():
@@ -93,7 +101,8 @@ def test_evolve_literal():
                          miw=mv.MiwParams(S=np.eye(1), n=np.array([3.0]), v=1.0))
     G = np.array([[1.0, 1.0], [0.0, 1.0]])
     W = 0.1 * np.eye(2)
-    a, R = mv.evolve(state, G, W)
+    out = one_step(state, G, np.array([[1.0], [0.0]]), np.eye(1), np.ones((1, 1)), W=W)
+    a, R = out.a[0], out.R[0]
     assert np.allclose(a, G @ state.m)
     assert np.allclose(R, G @ state.P @ G.T + W)
     assert np.array_equal(R, R.T)
@@ -101,8 +110,11 @@ def test_evolve_literal():
 
 def test_discount_noise_unit_discount_is_zero():
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
-    W = mv.discount_noise(P, np.eye(2), 1.0)
-    assert np.array_equal(W, np.zeros((2, 2)))
+    state = mv.NmiwState(m=np.zeros((2, 1)), P=P,
+                         miw=mv.MiwParams(S=np.eye(1), n=np.array([3.0]), v=1.0))
+    out = one_step(state, np.eye(2), np.ones((2, 1)), np.eye(1), np.ones((1, 1)),
+                   discount=1.0)
+    assert np.array_equal(out.R[0], P)
 
 
 def test_discount_scales_evolved_covariance():
@@ -110,18 +122,16 @@ def test_discount_scales_evolved_covariance():
     state = random_prior(rng, 2, 2)
     G = np.array([[0.9, 0.2], [0.0, 1.1]])
     delta = 0.8
-    W = mv.discount_noise(state.P, G, delta)
-    _, R = mv.evolve(state, G, W)
-    assert np.allclose(R, (G @ state.P @ G.T) / delta, atol=1e-12)
+    out = one_step(state, G, np.ones((2, 1)), np.eye(1), np.ones((1, 2)), discount=delta)
+    assert np.allclose(out.R[0], (G @ state.P @ G.T) / delta, atol=1e-12)
 
 
 def test_forecast_scalars():
-    a = np.array([[2.0]])
-    R = np.array([[3.0]])
-    fc = mv.forecast(a, R, np.array([[1.0]]), np.array([[0.5]]))
-    assert fc.f[0, 0] == pytest.approx(2.0)
-    assert np.asarray(fc.Q)[0, 0] == pytest.approx(3.5)
-    assert fc.A[0, 0] == pytest.approx(3.0 / 3.5)
+    out = mv.filter(scalar_model(v=0.5, w=0.0), [np.array([[1.0]])],
+                    scalar_prior(m0=2.0, p0=3.0))
+    assert out.f[0][0, 0] == pytest.approx(2.0)
+    assert out.Q[0][0, 0] == pytest.approx(3.5)
+    assert out.A[0][0, 0] == pytest.approx(3.0 / 3.5)
 
 
 def test_update_full_matches_standard_formulas():
@@ -130,19 +140,18 @@ def test_update_full_matches_standard_formulas():
     state = random_prior(rng, d, p)
     F = rng.standard_normal((d, r))
     V = np.eye(r) * 0.5
-    a, R = state.m, state.P
-    fc = mv.forecast(a, R, F, V)
     y = rng.standard_normal((r, p))
-    post = mv.update_missing(state, fc, mv.MaskedObservation.from_values(y))
-    Q = np.asarray(fc.Q)
+    out = one_step(state, np.eye(d), F, V, y, W=np.zeros((d, d)))
+    a, R, Q = out.a[0], out.R[0], out.Q[0]
+    assert np.array_equal(a, state.m) and np.array_equal(R, state.P)
     A = R @ F @ np.linalg.inv(Q)
     e = y - F.T @ a
-    assert np.allclose(post.m, a + A @ e, atol=1e-12)
-    assert np.allclose(post.P, R - A @ Q @ A.T, atol=1e-12)
+    assert np.allclose(out.m[0], a + A @ e, atol=1e-12)
+    assert np.allclose(out.P[0], R - A @ Q @ A.T, atol=1e-12)
     # scale update matches the distribution-layer conditional update
-    ref = mv.miw_conditional_update(fc.f, Q, state.miw, y)
-    assert np.allclose(post.miw.S, ref.S, atol=1e-12)
-    assert np.allclose(post.miw.n, ref.n)
+    ref = mv.miw_conditional_update(out.f[0], Q, state.miw, y)
+    assert np.allclose(out.S[0], ref.S, atol=1e-12)
+    assert np.allclose(out.n[0], ref.n)
 
 
 def test_from_values_treats_only_nan_as_missing():
@@ -348,18 +357,20 @@ def test_all_observed_filter_equals_chained_full_updates():
     prior = random_prior(rng, d, p)
     data = random_data(rng, 25, r, p)
     out = mv.filter(model, data, prior, mode="new")
-    state = prior
-    for t in range(1, 26):
-        G = model.G_at(t)
-        W = model.W_at(t)
-        if W is None:
-            W = mv.discount_noise(state.P, G, model.discount)
-        a, R = mv.evolve(state, G, W)
-        fc = mv.forecast(a, R, model.F_at(t), model.V_at(t))
-        assert data[t - 1].observed.all()
-        state = mv.update_missing(mv.NmiwState(m=a, P=R, miw=state.miw), fc,
-                                  data[t - 1])
-        assert states_bit_identical(out.states[t - 1], state)
+    S, n = prior.miw.S, prior.miw.n
+    for k in range(25):
+        assert data[k].observed.all()
+        a, R, Q, A = out.a[k], out.R[k], out.Q[k], out.A[k]
+        e = data[k].y - model.F_at(k + 1).T @ a
+        assert np.allclose(out.m[k], a + A @ e, atol=1e-12), k
+        assert np.allclose(out.P[k], R - A @ Q @ A.T, atol=1e-12), k
+        n_new = n + r
+        S = (S * np.sqrt(np.outer(n, n)) + e.T @ np.linalg.solve(Q, e)) / np.sqrt(
+            np.outer(n_new, n_new))
+        n = n_new
+        assert np.allclose(out.S[k], S, atol=1e-12), k
+        assert np.array_equal(out.n[k], n), k
+        S = out.S[k]
 
 
 def test_states_and_marginals_views_follow_the_stacked_arrays():
@@ -480,6 +491,51 @@ def test_filter_error_carries_time_index():
         mv.filter(model, data, mv.default_prior())
     assert exc.value.t == 3
     assert "t=3" in str(exc.value)
+    assert "forecast scale Q" in str(exc.value)
+
+
+@pytest.mark.parametrize("m0,p0,message", [
+    (0.0, 1e308, "forecast scale Q is not finite"),
+    (1e308, 1.0, "forecast residual e is not finite"),
+])
+def test_overflow_is_filter_error_naming_the_quantity(m0, p0, message):
+    model = mv.ModelSpec(d=1, p=1, r=1, F=np.eye(1), G=10.0 * np.eye(1), V=np.eye(1),
+                         W=0.1 * np.eye(1))
+    with np.errstate(all="ignore"), pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, [np.array([[0.0]])] * 2, scalar_prior(m0=m0, p0=p0))
+    assert exc.value.t == 1
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["F", "G", "V", "W"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_model_input_is_filter_error_at_its_time(name, bad):
+    kw = dict(F=np.array([[1.0]]), G=np.array([[1.0]]), V=np.array([[1.0]]),
+              W=np.array([[0.1]]))
+    good = kw[name]
+    kw[name] = lambda t: np.full((1, 1), bad) if t == 3 else good
+    model = mv.ModelSpec(d=1, p=2, r=1, **kw)
+    data = [np.array([[0.1, 0.2]]) for _ in range(5)]
+    with pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, data, mv.default_prior())
+    assert exc.value.t == 3
+    assert f"{name} at t=3 must be finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("field", ["m", "P", "S", "n", "v"])
+def test_non_finite_prior_is_rejected(field):
+    prior = mv.default_prior()
+    parts = dict(m=prior.m.copy(), P=prior.P.copy(), S=prior.miw.S.copy(),
+                 n=prior.miw.n.copy(), v=prior.miw.v)
+    if field == "v":
+        parts["v"] = np.inf
+    else:
+        parts[field].flat[0] = np.inf
+    bad = mv.NmiwState(m=parts["m"], P=parts["P"],
+                       miw=mv.MiwParams(S=parts["S"], n=parts["n"], v=parts["v"]))
+    data = [np.array([[0.1, 0.2]]) for _ in range(3)]
+    with pytest.raises(mv.DomainError, match="prior"):
+        mv.filter(mv.local_level_model(), data, bad)
 
 
 def test_model_spec_requires_exactly_one_noise_specification():

@@ -92,18 +92,6 @@ def test_spd_matrix_properties_and_array_protocol():
     assert np.array_equal(np.asarray(spd), A3)
 
 
-def test_ridge_adds_scaled_identity():
-    a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    spd = SpdMatrix(a, ridge=0.5)
-    assert np.allclose(np.asarray(spd), a + 0.5 * np.eye(2))
-
-
-def test_ridge_rescues_semidefinite_matrix():
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1, plain Cholesky may fail
-    spd = SpdMatrix(a, ridge=1e-9)
-    assert np.isfinite(spd.log_det)
-
-
 def test_not_positive_definite_raised():
     indef = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(NotPositiveDefinite):
