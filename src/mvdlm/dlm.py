@@ -9,9 +9,13 @@ with E_t matrix normal (0, V_t, Sigma), O_t matrix normal (0, W_t, Sigma), and
 Sigma carrying the per-variable degrees-of-freedom covariance law from
 :mod:`mvdlm.distributions`. Conjugacy gives one closed-form recursion over
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
-the posterior update. :func:`filter` runs that recursion on raw arrays and
-records every intermediate quantity; the model inputs are validated when
-they are read and the prior once at entry.
+the posterior update. One loop runs that recursion on raw arrays for M
+series that share a missing-data mask: the row scales (R, Q, A, P) and the
+dof n depend only on the model and the mask, so only m and S carry the
+series. :func:`filter` is the case M = 1 and records every intermediate
+quantity; the replication study runs all its replications in one pass.
+Constant model inputs are validated once, callables when they are read, and
+the prior once at entry.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -55,13 +59,12 @@ __all__ = [
 MatrixProvider = Union[np.ndarray, Callable[[int], np.ndarray]]
 
 
-def _materialize(entry: MatrixProvider, t: int, shape: tuple[int, int], name: str) -> np.ndarray:
-    m = entry(t) if callable(entry) else entry
-    m = np.asarray(m, dtype=float)
+def _checked(value, shape: tuple[int, int], name: str) -> np.ndarray:
+    m = np.asarray(value, dtype=float)
     if m.shape != shape:
-        raise DimensionMismatch(f"{name} at t={t} must have shape {shape}, got {m.shape}")
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {m.shape}")
     if not np.isfinite(m).all():
-        raise DomainError(f"{name} at t={t} must be finite")
+        raise DomainError(f"{name} must be finite")
     return m
 
 
@@ -70,10 +73,11 @@ class ModelSpec:
     """Model dimensions and per-time design inputs.
 
     F, G, V (and W, when explicit) may be constant arrays or callables mapping
-    the 1-based time index to an array. Exactly one of ``W`` and ``discount``
-    must be given: an explicit evolution scale, or a discount factor delta in
-    (0, 1] that sets W_t = (1 - delta)/delta * G P_{t-1} G', i.e. R_t =
-    G P_{t-1} G' / delta.
+    the 1-based time index to an array. A constant is converted, shape-checked
+    and finite-checked here, once; a callable's value is checked at every
+    step. Exactly one of ``W`` and ``discount`` must be given: an explicit
+    evolution scale, or a discount factor delta in (0, 1] that sets
+    W_t = (1 - delta)/delta * G P_{t-1} G', i.e. R_t = G P_{t-1} G' / delta.
     """
 
     d: int
@@ -100,20 +104,32 @@ class ModelSpec:
             if not 0.0 < delta <= 1.0:
                 raise DomainError(f"discount factor must lie in (0, 1], got {delta}")
             self.discount = delta
+        for name in ("F", "G", "V", "W"):
+            value = getattr(self, name)
+            if value is not None and not callable(value):
+                setattr(self, name, _checked(value, self._shape(name), name))
+
+    def _shape(self, name: str) -> tuple[int, int]:
+        d, r = self.d, self.r
+        return {"F": (d, r), "G": (d, d), "V": (r, r), "W": (d, d)}[name]
+
+    def _at(self, name: str, t: int) -> np.ndarray | None:
+        value = getattr(self, name)
+        if not callable(value):
+            return value
+        return _checked(value(t), self._shape(name), f"{name} at t={t}")
 
     def F_at(self, t: int) -> np.ndarray:
-        return _materialize(self.F, t, (self.d, self.r), "F")
+        return self._at("F", t)
 
     def G_at(self, t: int) -> np.ndarray:
-        return _materialize(self.G, t, (self.d, self.d), "G")
+        return self._at("G", t)
 
     def V_at(self, t: int) -> np.ndarray:
-        return _materialize(self.V, t, (self.r, self.r), "V")
+        return self._at("V", t)
 
     def W_at(self, t: int) -> np.ndarray | None:
-        if self.W is None:
-            return None
-        return _materialize(self.W, t, (self.d, self.d), "W")
+        return self._at("W", t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,39 +319,77 @@ def filter(
     malformed or not finite and a forecast scale Q that cannot be factored
     are raised as :class:`FilterError` with the failing 1-based time index.
     """
-    if mode not in ("new", "classical"):
-        raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
     T = len(data)
     if T == 0:
         raise DomainError("data must contain at least one observation")
-    if prior.d != model.d or prior.p != model.p:
-        raise DimensionMismatch(
-            f"prior has shape ({prior.d}, {prior.p}), model declares ({model.d}, {model.p})"
-        )
-    m, P, S, n = prior.m, prior.P, prior.miw.S, prior.miw.n
-    if not all(np.isfinite(x).all() for x in (m, P, S, n, prior.miw.v)):
-        raise DomainError("prior m, P, S, n and v must be finite")
-
-    d, p, r = model.d, model.p, model.r
-    shapes = {
-        "a": (d, p), "R": (d, d), "f": (r, p), "Q": (r, r), "A": (d, r), "e": (r, p),
-        "std_err": (r, p), "m": (d, p), "P": (d, d), "S": (p, p), "n": (p,), "corr": (p, p),
-    }
-    out = FilterOutput(
-        mode=mode,
-        prior=prior,
-        observed=np.empty((T, r, p), dtype=bool),
-        **{name: np.empty((T,) + shape) for name, shape in shapes.items()},
-    )
-
+    r, p = model.r, model.p
+    y = np.empty((1, T, r, p))
+    observed = np.empty((T, r, p), dtype=bool)
     for k, obs in enumerate(data):
-        t = k + 1
         if not isinstance(obs, MaskedObservation):
             obs = MaskedObservation.from_values(obs)
         if obs.y.shape != (r, p):
             raise DimensionMismatch(
-                f"observation at t={t} must have shape ({r}, {p}), got {obs.y.shape}"
+                f"observation at t={k + 1} must have shape ({r}, {p}), got {obs.y.shape}"
             )
+        y[0, k] = obs.y
+        observed[k] = obs.observed
+    return _series_output(_run(model, prior, y, observed, mode), 0)
+
+
+def _run(
+    model: ModelSpec, prior: NmiwState, y: np.ndarray, observed: np.ndarray, mode: str
+) -> dict:
+    """Filter M series that share one missing-data mask in one loop over t.
+
+    ``y`` is M x T x r x p (entries where ``observed`` is False are ignored)
+    and ``observed`` the shared T x r x p mask. The row-scale schedule R, Q, A,
+    P and the dof n depend only on the model and the mask, so they are carried
+    once; the series sit side by side as column blocks, so m and a are
+    d x (M p), f and e are r x (M p), and only S (M x p x p) has a batch axis.
+    Returns the records stacked over time (leading axis T) in that layout.
+    """
+    if mode not in ("new", "classical"):
+        raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
+    d, p, r = model.d, model.p, model.r
+    if prior.d != d or prior.p != p:
+        raise DimensionMismatch(
+            f"prior has shape ({prior.d}, {prior.p}), model declares ({d}, {p})"
+        )
+    m, P, S0, n0 = prior.m, prior.P, prior.miw.S, prior.miw.n
+    if not all(np.isfinite(x).all() for x in (m, P, S0, n0, prior.miw.v)):
+        raise DomainError("prior m, P, S, n and v must be finite")
+    M, T = y.shape[:2]
+    if y.shape[2:] != (r, p):
+        raise DimensionMismatch(f"observations have shape {y.shape[2:]}, model declares ({r}, {p})")
+    y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
+
+    # The mask schedule for all steps. A variable moves its mean column and
+    # adds to S only when it is observed in every replicate (wprod); its dof
+    # grows by its observed count, and the shared P takes the fraction u of a
+    # full update. A step with nothing observed, or with any missing entry in
+    # classical mode, updates nothing.
+    update = observed.any(axis=(1, 2)) if mode == "new" else observed.all(axis=(1, 2))
+    wprod = observed.all(axis=1).astype(float)
+    u = (wprod.sum(axis=1) / p).tolist()
+    wcols = np.tile(wprod, (1, M))
+    obs_cols = np.tile(observed, (1, 1, M))
+    counts = np.where(update[:, None], observed.sum(axis=1), 0)
+    n_all = np.cumsum(np.vstack([n0, counts]), axis=0)
+    sn = np.sqrt(n_all)
+    update = update.tolist()
+
+    rec = {
+        "a": np.empty((T, d, M * p)), "R": np.empty((T, d, d)), "f": np.empty((T, r, M * p)),
+        "Q": np.empty((T, r, r)), "A": np.empty((T, d, r)), "e": np.empty((T, r, M * p)),
+        "m": np.empty((T, d, M * p)), "P": np.empty((T, d, d)), "S": np.empty((T, M, p, p)),
+        "n": n_all[1:], "observed": observed, "mode": mode, "prior": prior,
+    }
+    m = np.tile(m, (1, M))
+    S = np.broadcast_to(S0, (M, p, p))
+    nn = np.outer(sn[0], sn[0])
+    for k in range(T):
+        t = k + 1
         try:
             F, G, V, W = model.F_at(t), model.G_at(t), model.V_at(t), model.W_at(t)
         except MvdlmError as exc:
@@ -356,49 +410,80 @@ def filter(
             raise FilterError("forecast scale Q is not positive definite", t=t) from exc
         except ValueError as exc:
             raise FilterError("forecast scale Q is not finite", t=t) from exc
-        observed = obs.observed
-        e = np.where(observed, obs.y - f, 0.0)
+        e = np.where(obs_cols[k], y[k] - f, 0.0)
 
-        out.a[k] = a
-        out.R[k] = R
-        out.f[k] = f
-        out.Q[k] = Q
-        out.A[k] = A
-        out.e[k] = e
-        out.std_err[k] = np.where(
-            observed, e / np.sqrt(np.outer(np.diag(Q), np.diag(S))), np.nan
-        )
-        out.observed[k] = observed
-
-        if observed.any() and (mode == "new" or observed.all()):
-            # A variable moves its mean column and adds to S only when it is
-            # observed in every replicate (wprod); its dof grows by its observed
-            # count, and the shared P takes the fraction u of a full update.
-            wprod = observed.all(axis=0).astype(float)
-            u = float(wprod.sum()) / p
+        if update[k]:
             try:
                 Z = solve_triangular(L, e, lower=True)
             except ValueError as exc:
                 raise FilterError("forecast residual e is not finite", t=t) from exc
-            C = symmetrize(Z.T @ Z) * np.outer(wprod, wprod)
-            sn = np.sqrt(n)
-            n = n + observed.sum(axis=0)
-            sn_new = np.sqrt(n)
+            Z = Z.reshape(r, M, p).transpose(1, 0, 2)
+            C = symmetrize(Z.transpose(0, 2, 1) @ Z) * np.outer(wprod[k], wprod[k])
             # S * outer(sn, sn) and C are exactly symmetric, so S stays so.
-            S = (S * np.outer(sn, sn) + C) / np.outer(sn_new, sn_new)
-            m = a + (A @ e) * wprod
-            P = symmetrize(R - (A @ Q @ A.T) * u)
+            nn_new = np.outer(sn[k + 1], sn[k + 1])
+            S = (S * nn + C) / nn_new
+            nn = nn_new
+            m = a + (A @ e) * wcols[k]
+            P = symmetrize(R - (A @ Q @ A.T) * u[k])
         else:
             m, P = a, R
-        out.m[k] = m
-        out.P[k] = P
-        out.S[k] = S
-        out.n[k] = n
+        rec["a"][k] = a
+        rec["R"][k] = R
+        rec["f"][k] = f
+        rec["Q"][k] = Q
+        rec["A"][k] = A
+        rec["e"][k] = e
+        rec["m"][k] = m
+        rec["P"][k] = P
+        rec["S"][k] = S
 
+    # Errors standardized by sqrt(Q_kk S_jj), S from the previous posterior.
+    s_diag = np.empty((T, 1, M, p))
+    s_diag[0] = np.diag(S0)
+    s_diag[1:, 0] = np.diagonal(rec["S"][:-1], axis1=2, axis2=3)
+    s_diag = s_diag.reshape(T, 1, M * p)
+    q_diag = np.diagonal(rec["Q"], axis1=1, axis2=2)[:, :, None]
+    rec["std_err"] = np.where(obs_cols, rec["e"] / np.sqrt(q_diag * s_diag), np.nan)
+    return rec
+
+
+def _series_output(rec: dict, i: int) -> FilterOutput:
+    """The :class:`FilterOutput` of series i of a :func:`_run` result."""
+    p = rec["n"].shape[1]
+    cols = slice(i * p, (i + 1) * p)
+    S = np.ascontiguousarray(rec["S"][:, i])
     # corr = S / outer(sd, sd) per step, computed in place over the stack.
-    sd = np.sqrt(np.diagonal(out.S, axis1=1, axis2=2))
-    np.multiply(sd[:, :, None], sd[:, None, :], out=out.corr)
-    np.divide(out.S, out.corr, out=out.corr)
+    sd = np.sqrt(np.diagonal(S, axis1=1, axis2=2))
+    corr = sd[:, :, None] * sd[:, None, :]
+    np.divide(S, corr, out=corr)
+    series = ("a", "f", "e", "std_err", "m")
+    shared = ("mode", "prior", "R", "Q", "A", "observed", "P", "n")
+    return FilterOutput(
+        **{name: np.ascontiguousarray(rec[name][:, :, cols]) for name in series},
+        **{name: rec[name] for name in shared},
+        S=S,
+        corr=corr,
+    )
+
+
+def _msse(std_err: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Per-variable MSSE of M series that share one mask.
+
+    ``std_err`` holds the series as column blocks (T x r x M p), as
+    :func:`_run` records them, and ``observed`` is the T x r x p mask; returns
+    M x p. The mean for variable j runs over the observed entries of column j.
+    """
+    T, r, p = observed.shape
+    std_err = std_err.reshape(T, r, -1, p)
+    out = np.empty(std_err.shape[2:])
+    for j in range(p):
+        keep = observed[:, :, j]
+        if not keep.any():
+            raise DomainError(f"variable {j} is never observed; its MSSE is undefined")
+        # one contiguous row per series keeps np.mean's pairwise summation, so
+        # each series gets the bits a single-series run gets
+        vals = np.ascontiguousarray(std_err[:, :, :, j][keep].T)
+        out[:, j] = np.mean(vals**2, axis=1)
     return out
 
 
@@ -410,11 +495,4 @@ def msse(output: FilterOutput) -> np.ndarray:
     variable j runs over all observed entries of that variable. Raises if some
     variable is never observed.
     """
-    p = output.std_err.shape[2]
-    out = np.empty(p)
-    for j in range(p):
-        vals = output.std_err[:, :, j][output.observed[:, :, j]]
-        if vals.size == 0:
-            raise DomainError(f"variable {j} is never observed; its MSSE is undefined")
-        out[j] = np.mean(vals**2)
-    return out
+    return _msse(output.std_err, output.observed)[0]

@@ -24,21 +24,16 @@ __all__ = [
 ]
 
 
-def _require_square(a, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{what} requires a square matrix, got shape {a.shape}")
-    return a
-
-
 def symmetrize(a) -> np.ndarray:
-    """Return (A + A') / 2.
+    """Return (A + A') / 2, for one square matrix or a stack of them.
 
     Exact fixed point for already-symmetric input; used after every composite
     product that is symmetric in exact arithmetic but not in floating point.
     """
-    a = _require_square(a, "symmetrize")
-    return 0.5 * (a + a.T)
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"symmetrize requires square matrices, got shape {a.shape}")
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 class SpdMatrix:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dlm
 from .distributions import MiwParams
-from .dlm import MaskedObservation, ModelSpec, NmiwState, correlation_estimate, msse
+from .dlm import MaskedObservation, ModelSpec, NmiwState
 from .errors import DomainError
 
 __all__ = [
@@ -96,9 +96,6 @@ class MissingPattern:
                 clean[t] = vs
         object.__setattr__(self, "missing", clean)
 
-    def missing_at(self, t: int) -> frozenset[int]:
-        return self.missing.get(t, frozenset())
-
     def partial_times(self, p: int) -> tuple[int, ...]:
         """Times where some but not all of the p variables are missing."""
         return tuple(sorted(t for t, vs in self.missing.items() if 0 < len(vs) < p))
@@ -109,24 +106,25 @@ DEFAULT_MISSING_PATTERN = MissingPattern(
 )
 
 
-def apply_missing(data: np.ndarray, pattern: MissingPattern) -> list[MaskedObservation]:
-    """Mask a T x p data matrix into per-time observations (r = 1 rows)."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise DomainError(f"data must be a T x p matrix, got shape {data.shape}")
-    T, p = data.shape
+def _missing_mask(pattern: MissingPattern, T: int, p: int) -> np.ndarray:
+    """T x p observed mask of a pattern over a series of length T."""
+    observed = np.ones((T, p), dtype=bool)
     for t, vs in pattern.missing.items():
         if t > T:
             raise DomainError(f"pattern time {t} exceeds series length {T}")
         if any(j > p for j in vs):
             raise DomainError(f"pattern at t={t} names variables beyond p={p}: {sorted(vs)}")
-    out = []
-    for t in range(1, T + 1):
-        row = data[t - 1].astype(float).copy()
-        for j in pattern.missing_at(t):
-            row[j - 1] = np.nan
-        out.append(MaskedObservation.from_values(row.reshape(1, p)))
-    return out
+        observed[t - 1, [j - 1 for j in vs]] = False
+    return observed
+
+
+def apply_missing(data: np.ndarray, pattern: MissingPattern) -> list[MaskedObservation]:
+    """Mask a T x p data matrix into per-time observations (r = 1 rows)."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise DomainError(f"data must be a T x p matrix, got shape {data.shape}")
+    values = np.where(_missing_mask(pattern, *data.shape), data, np.nan)
+    return [MaskedObservation.from_values(row[None]) for row in values]
 
 
 def local_level_model(
@@ -209,9 +207,11 @@ def replicate_experiment(
 ) -> ExperimentSummary:
     """Run both filter modes over many seeded replications and aggregate.
 
-    Replication i reuses ``cfg`` with seed ``cfg.seed + i``. The correlation
-    estimates come from the masked-update posterior at each partially missing
-    time (the classical filter has not updated at those times at all).
+    Replication i reuses ``cfg`` with seed ``cfg.seed + i``. All replications
+    share the missing pattern, so each mode filters them together in one
+    batched pass. The correlation estimates come from the masked-update
+    posterior at each partially missing time (the classical filter has not
+    updated at those times at all).
     """
     M = int(n_replications)
     if M < 1:
@@ -223,25 +223,13 @@ def replicate_experiment(
         prior = default_prior(p=p, d=model.d)
     partial_times = pattern.partial_times(p)
 
-    msse_new = np.empty((M, p))
-    msse_classical = np.empty((M, p))
-    partial_corr = np.empty((M, len(partial_times)))
-    off_pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-
-    for i in range(M):
-        _, data = gen_local_level(replace(cfg, seed=cfg.seed + i))
-        observations = apply_missing(data, pattern)
-        out_new = dlm.filter(model, observations, prior, mode="new")
-        out_cls = dlm.filter(model, observations, prior, mode="classical")
-        if i == 0:
-            first = out_new, out_cls
-        msse_new[i] = msse(out_new)
-        msse_classical[i] = msse(out_cls)
-        for col, t in enumerate(partial_times):
-            state = out_new.states[t - 1]
-            partial_corr[i, col] = np.mean(
-                [correlation_estimate(state, a, b) for a, b in off_pairs]
-            )
+    observed = _missing_mask(pattern, cfg.T, p)[:, None, :]
+    y = np.stack([gen_local_level(replace(cfg, seed=cfg.seed + i))[1] for i in range(M)])
+    runs = {mode: dlm._run(model, prior, y[:, :, None, :], observed, mode)
+            for mode in ("new", "classical")}
+    msse_new, msse_classical = (dlm._msse(rec["std_err"], observed) for rec in runs.values())
+    S = runs["new"]["S"][[t - 1 for t in partial_times]]
+    partial_corr = (S[..., 0, 1] / np.sqrt(S[..., 0, 0] * S[..., 1, 1])).T
 
     wins = np.all(msse_new <= msse_classical, axis=1)
     return ExperimentSummary(
@@ -254,6 +242,6 @@ def replicate_experiment(
         win_fraction=float(np.mean(wins)),
         partial_corr=partial_corr,
         mean_partial_corr=float(partial_corr.mean()) if partial_corr.size else float("nan"),
-        first_new=first[0],
-        first_classical=first[1],
+        first_new=dlm._series_output(runs["new"], 0),
+        first_classical=dlm._series_output(runs["classical"], 0),
     )

@@ -548,3 +548,14 @@ def test_model_spec_requires_exactly_one_noise_specification():
         mv.ModelSpec(discount=1.5, **kw)
     with pytest.raises(mv.DomainError):
         mv.ModelSpec(discount=0.0, **kw)
+
+
+def test_model_spec_checks_constant_inputs_once_at_construction():
+    kw = dict(d=1, p=2, r=1, F=np.eye(1), G=np.eye(1), V=np.eye(1), discount=0.9)
+    with pytest.raises(mv.DomainError, match="V must be finite"):
+        mv.ModelSpec(**{**kw, "V": np.array([[np.nan]])})
+    with pytest.raises(mv.DimensionMismatch, match=r"F must have shape \(1, 1\)"):
+        mv.ModelSpec(**{**kw, "F": np.ones((2, 1))})
+    model = mv.ModelSpec(**{**kw, "F": [[2.0]]})
+    assert model.F_at(1) is model.F_at(7)
+    assert model.F.dtype == float

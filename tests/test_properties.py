@@ -111,3 +111,33 @@ def test_dof_grow_by_the_observed_counts(system):
     out = mv.filter(model, observations(values, mask), prior, mode="new")
     counts = np.cumsum(mask.sum(axis=1), axis=0)
     assert np.array_equal(out.n - prior.miw.n, counts)
+
+
+def _rel_close(got, want, tol=1e-10):
+    scale = float(np.nanmax(np.abs(want))) if np.isfinite(want).any() else 0.0
+    return np.allclose(got, want, rtol=tol, atol=tol * scale, equal_nan=True)
+
+
+@SETTINGS
+@given(systems(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["new", "classical"]))
+def test_batched_series_match_single_series_runs(system, M, seed, mode):
+    model, prior, values, mask = system
+    # M series sharing one mask; their values under the mask are ignored
+    ys = np.random.default_rng(seed).standard_normal((M,) + values.shape)
+    records = mv.dlm._run(model, prior, ys, mask, mode)
+    for i in range(M):
+        batched = mv.dlm._series_output(records, i)
+        single = mv.filter(model, observations(ys[i], mask), prior, mode=mode)
+        for name in STACKS + ("std_err",):
+            assert _rel_close(getattr(batched, name), getattr(single, name)), (i, name)
+
+
+@SETTINGS
+@given(systems(), st.sampled_from(["new", "classical"]))
+def test_posterior_scales_stay_positive_semidefinite(system, mode):
+    model, prior, values, mask = system
+    out = mv.filter(model, observations(values, mask), prior, mode=mode)
+    for name in ("P", "S"):
+        eig = np.linalg.eigvalsh(getattr(out, name))
+        assert np.all(eig[:, 0] >= -1e-12 * eig[:, -1]), name

@@ -1,4 +1,6 @@
 """Data generation and the two-mode replication study."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,33 @@ def test_hundred_replications_recover_noise_correlation():
     assert np.allclose(summary.mean_msse_new, summary.msse_new.mean(axis=0))
     assert np.allclose(summary.mean_msse_classical,
                        summary.msse_classical.mean(axis=0))
+
+
+def _rel_close(got, want, tol=1e-10):
+    got, want = np.asarray(got), np.asarray(want)
+    scale = float(np.nanmax(np.abs(want))) if want.size else 0.0
+    return got.shape == want.shape and np.allclose(
+        got, want, rtol=tol, atol=tol * scale, equal_nan=True)
+
+
+def test_batched_study_matches_separate_filter_runs():
+    M = 20
+    cfg = mv.LocalLevelConfig(T=100, corr=0.8, seed=3)
+    pattern = mv.DEFAULT_MISSING_PATTERN
+    summary = mv.replicate_experiment(M, cfg, pattern)
+    model, prior = mv.local_level_model(p=2), mv.default_prior(p=2)
+    studies = {"new": (summary.msse_new, summary.first_new),
+               "classical": (summary.msse_classical, summary.first_classical)}
+    for i in range(M):
+        _, data = mv.gen_local_level(replace(cfg, seed=cfg.seed + i))
+        observations = mv.apply_missing(data, pattern)
+        for mode, (study_msse, first) in studies.items():
+            out = mv.filter(model, observations, prior, mode=mode)
+            assert _rel_close(study_msse[i], mv.msse(out)), (i, mode)
+            if mode == "new":
+                corr = [mv.correlation_estimate(out.states[t - 1], 0, 1)
+                        for t in summary.partial_times]
+                assert _rel_close(summary.partial_corr[i], corr), i
+            if i == 0:
+                for name in ("f", "m", "S", "n"):
+                    assert _rel_close(getattr(first, name), getattr(out, name)), (mode, name)
