@@ -31,8 +31,7 @@ def main():
     print("\nstate estimates around the partial gap at t=75 (variable 1 missing):")
     print(f"{'t':>4} {'y1':>8} {'y2':>8} {'masked m1':>10} {'classic m1':>11} {'true level1':>12}")
     for t in range(73, 79):
-        y1 = data[t - 1, 0] if not np.isnan(observations[t - 1].y[0, 0]) else float("nan")
-        y2 = data[t - 1, 1] if not np.isnan(observations[t - 1].y[0, 1]) else float("nan")
+        y1, y2 = observations[t - 1, 0]
         print(f"{t:4d} {y1:8.3f} {y2:8.3f} "
               f"{out_new.states[t - 1].m[0, 0]:10.3f} "
               f"{out_cls.states[t - 1].m[0, 0]:11.3f} "

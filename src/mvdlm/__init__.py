@@ -15,7 +15,7 @@ from .errors import (
     NotPositiveDefinite,
     ParseError,
 )
-from .linalg import SpdMatrix, as_spd, cholesky_lower, log_det_spd, spd_solve, symmetrize
+from .linalg import SpdMatrix, as_spd, cholesky_lower, symmetrize
 from .distributions import (
     IgParams,
     MatrixNormalParams,
@@ -91,7 +91,6 @@ __all__ = [
     "iw_log_density",
     "iw_to_miw",
     "local_level_model",
-    "log_det_spd",
     "log_multigamma",
     "matrix_normal_log_density",
     "miw_conditional_update",
@@ -104,6 +103,5 @@ __all__ = [
     "replicate_experiment",
     "sample_matrix_normal",
     "sample_miw",
-    "spd_solve",
     "symmetrize",
 ]

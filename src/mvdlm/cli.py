@@ -36,6 +36,7 @@ import argparse
 import ast
 import configparser
 import csv
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dlm
-from .dlm import MaskedObservation, ModelSpec, NmiwState
+from .dlm import ModelSpec, NmiwState
 from .distributions import MiwParams
 from .errors import ConfigError, MvdlmError, ParseError
 from .simulate import (
@@ -247,8 +248,9 @@ _RK_NAME = re.compile(r"^y(\d+)_(\d+)$")
 _MISSING = {"", "na"}
 
 
-def parse_csv(path: str | Path) -> list[MaskedObservation]:
-    """Read observations from CSV; header names determine p and r."""
+def parse_csv(path: str | Path) -> np.ndarray:
+    """Read observations from CSV into a T x r x p array, NaN where missing;
+    header names determine p and r."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"data file not found: {path}")
@@ -274,31 +276,34 @@ def parse_csv(path: str | Path) -> list[MaskedObservation]:
             raise ParseError(
                 f"header must cover every variable/replicate pair once for p={p}, r={r}", row=1
             )
-        observations = []
+        rows = []
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=i)
-            y = np.full((r, p), np.nan)
+            cells = []
             for cell, (j, k) in zip(row, pairs):
                 text = cell.strip()
                 if text.lower() in _MISSING:
+                    cells.append(math.nan)
                     continue
                 try:
                     value = float(text)
                 except ValueError:
-                    value = np.nan
-                if not np.isfinite(value):
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ParseError(
                         f"cannot parse {text!r} as a finite number (leave the cell empty or "
                         "write NA for a missing value)",
                         row=i,
                         column=f"y{j}_{k}" if r > 1 else f"y{j}",
                     )
-                y[k - 1, j - 1] = value
-            observations.append(MaskedObservation.from_values(y))
-    if not observations:
+                cells.append(value)
+            rows.append(cells)
+    if not rows:
         raise ParseError("no data rows", row=2)
-    return observations
+    values = np.empty((len(rows), r, p))
+    values[:, [k - 1 for _, k in pairs], [j - 1 for j, _ in pairs]] = rows
+    return values
 
 
 def _column_names(p: int, r: int, prefix: str) -> list[str]:
@@ -307,22 +312,26 @@ def _column_names(p: int, r: int, prefix: str) -> list[str]:
     return [f"{prefix}{j}_{k}" for j in range(1, p + 1) for k in range(1, r + 1)]
 
 
-def write_csv(path: str | Path, observations: list[MaskedObservation]) -> None:
-    """Write observations in the format :func:`parse_csv` reads back."""
-    r, p = observations[0].y.shape
+def write_csv(path: str | Path, values: np.ndarray) -> None:
+    """Write a T x r x p array (NaN where missing) in the format
+    :func:`parse_csv` reads back."""
+    T, r, p = values.shape
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_column_names(p, r, "y"))
-        for obs in observations:
-            row = []
-            for j in range(p):
-                for k in range(r):
-                    row.append(repr(float(obs.y[k, j])) if obs.observed[k, j] else "NA")
-            writer.writerow(row)
+        for row in values.transpose(0, 2, 1).reshape(T, p * r).tolist():
+            writer.writerow(["NA" if math.isnan(x) else repr(x) for x in row])
 
 
 def _format(x: float) -> str:
     return "NA" if not np.isfinite(x) else f"{x:.10g}"
+
+
+def _corr_upper(S: np.ndarray) -> np.ndarray:
+    """S_ij / (sd_i sd_j) over the strict upper triangle of each S in a stack."""
+    i, j = np.triu_indices(S.shape[-1], 1)
+    sd = np.sqrt(np.diagonal(S, axis1=1, axis2=2))
+    return S[:, i, j] / (sd[:, i] * sd[:, j])
 
 
 def _write_records(path: Path, output: dlm.FilterOutput) -> None:
@@ -334,35 +343,31 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
     header += [f"s{i}_{j}" for i in range(1, p + 1) for j in range(i, p + 1)]
     header += [f"n{j}" for j in range(1, p + 1)]
     header += [f"corr{i}_{j}" for i in range(1, p + 1) for j in range(i + 1, p + 1)]
+    upper = np.triu_indices(p)
+    # Columns in header order: variable j outer, replicate k inner.
+    table = np.hstack([
+        np.arange(1.0, T + 1)[:, None],
+        output.f.transpose(0, 2, 1).reshape(T, p * r),
+        np.diagonal(output.Q, axis1=1, axis2=2),
+        np.where(output.observed, output.e, np.nan).transpose(0, 2, 1).reshape(T, p * r),
+        output.S[:, upper[0], upper[1]],
+        output.n,
+        _corr_upper(output.S),
+    ])
+    fmt = ",".join(["%.10g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx in range(T):
-            S = output.S[idx]
-            row = [str(idx + 1)]
-            row += [
-                _format(output.f[idx, k, j]) for j in range(p) for k in range(r)
-            ]
-            row += [_format(output.Q[idx, k, k]) for k in range(r)]
-            row += [
-                _format(output.e[idx, k, j]) if output.observed[idx, k, j] else "NA"
-                for j in range(p)
-                for k in range(r)
-            ]
-            row += [_format(S[i, j]) for i in range(p) for j in range(i, p)]
-            row += [_format(x) for x in output.n[idx]]
-            row += [_format(output.corr[idx, i, j]) for i in range(p) for j in range(i + 1, p)]
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for row in table:
+            line = fmt % tuple(row)
+            fh.write(line.replace("-inf", "NA").replace("inf", "NA").replace("nan", "NA"))
 
 
 def _summary_rows(outputs: dict[str, dlm.FilterOutput]) -> list[list[str]]:
     rows = []
     for mode, output in outputs.items():
-        p = output.f.shape[2]
         observed = output.observed
         partial = observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2))
-        upper = np.triu_indices(p, 1)
-        vals = output.corr[partial][:, upper[0], upper[1]].ravel()
+        vals = _corr_upper(output.S[partial]).ravel()
         mean_corr = float(np.mean(vals)) if vals.size else float("nan")
         rows.append([mode] + [_format(x) for x in output.msse] + [_format(mean_corr)])
     return rows
@@ -378,8 +383,8 @@ def _print_summary(outputs: dict[str, dlm.FilterOutput], stream) -> None:
 
 def cmd_filter(args) -> int:
     config = load_config(args.config)
-    observations = parse_csv(args.data)
-    r, p = observations[0].y.shape
+    values = parse_csv(args.data)
+    r, p = values.shape[1:]
     if (r, p) != (config.model.r, config.model.p):
         raise ConfigError(
             f"data has r={r}, p={p} but the model declares r={config.model.r}, p={config.model.p}"
@@ -393,7 +398,7 @@ def cmd_filter(args) -> int:
     base = Path(out) if out else Path(args.data).with_suffix(".filtered.csv")
     outputs: dict[str, dlm.FilterOutput] = {}
     for m in modes:
-        outputs[m] = dlm.filter(config.model, observations, config.prior, mode=m)
+        outputs[m] = dlm.filter(config.model, values, config.prior, mode=m)
     for m, output in outputs.items():
         path = base if len(modes) == 1 else base.with_name(f"{base.stem}.{m}{base.suffix}")
         _write_records(path, output)

@@ -170,6 +170,8 @@ class MaskedObservation:
 
     ``y`` holds the observed values; entries where ``observed`` is False are
     undefined and stored as NaN. Row k is replicate k, column j is variable j.
+    As an array it is ``y`` with NaN at every unobserved entry, so a list of
+    them is a T x r x p input to :func:`filter`.
     """
 
     y: np.ndarray
@@ -199,13 +201,9 @@ class MaskedObservation:
         values = np.asarray(values, dtype=float)
         return cls(y=values, observed=~np.isnan(values))
 
-    @property
-    def r(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.y.shape[1]
+    def __array__(self, dtype=None, copy=None):
+        values = np.where(self.observed, self.y, np.nan)
+        return values if dtype is None else values.astype(dtype)
 
 
 def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
@@ -248,8 +246,8 @@ class FilterOutput:
     Priors (a, R), forecasts (f, Q, A), masked residuals e (missing entries
     0), standardized errors (NaN where missing), observation masks, the
     posterior moments m (T x d x p), P (T x d x d), S (T x p x p) and n
-    (T x p), and the correlation matrices implied by each posterior S.
-    ``states`` and ``marginals`` are read-only per-step views of these arrays.
+    (T x p). ``states`` and ``marginals`` are read-only per-step views of
+    these arrays.
     """
 
     mode: str
@@ -266,7 +264,6 @@ class FilterOutput:
     P: np.ndarray
     S: np.ndarray
     n: np.ndarray
-    corr: np.ndarray
     _msse: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -305,36 +302,35 @@ class FilterOutput:
 
 def filter(
     model: ModelSpec,
-    data: Sequence[MaskedObservation],
+    data: np.ndarray | Sequence,
     prior: NmiwState,
     mode: str = "new",
 ) -> FilterOutput:
-    """Run the forward filter over a sequence of (possibly masked) observations.
+    """Run the forward filter over a T x r x p observation array.
 
-    Each step computes the one-step prior a = G m, R = sym(G P G')/delta (or
-    sym(G P G' + W) with an explicit W), the forecast f = F'a with scale
-    Q = sym(F'RF + V) and gain A = R F Q^{-1}, and the masked update.
-    ``mode="new"`` applies the per-variable masked update; ``mode="classical"``
-    discards any observation with a missing entry. Model inputs that are
-    malformed or not finite and a forecast scale Q that cannot be factored
-    are raised as :class:`FilterError` with the failing 1-based time index.
+    ``data`` is anything :func:`numpy.asarray` turns into a T x r x p float
+    array with NaN at the missing entries: such an array, or a list of r x p
+    arrays or of :class:`MaskedObservation`. Each step computes the one-step
+    prior a = G m, R = sym(G P G')/delta (or sym(G P G' + W) with an explicit
+    W), the forecast f = F'a with scale Q = sym(F'RF + V) and gain
+    A = R F Q^{-1}, and the masked update. ``mode="new"`` applies the
+    per-variable masked update; ``mode="classical"`` discards any observation
+    with a missing entry. Model inputs that are malformed or not finite and a
+    forecast scale Q that cannot be factored are raised as
+    :class:`FilterError` with the failing 1-based time index.
     """
-    T = len(data)
-    if T == 0:
-        raise DomainError("data must contain at least one observation")
     r, p = model.r, model.p
-    y = np.empty((1, T, r, p))
-    observed = np.empty((T, r, p), dtype=bool)
-    for k, obs in enumerate(data):
-        if not isinstance(obs, MaskedObservation):
-            obs = MaskedObservation.from_values(obs)
-        if obs.y.shape != (r, p):
-            raise DimensionMismatch(
-                f"observation at t={k + 1} must have shape ({r}, {p}), got {obs.y.shape}"
-            )
-        y[0, k] = obs.y
-        observed[k] = obs.observed
-    return _series_output(_run(model, prior, y, observed, mode), 0)
+    try:
+        y = np.asarray(data, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"observations do not form a T x {r} x {p} array: {exc}") from exc
+    if y.shape[:1] == (0,):
+        raise DomainError("data must contain at least one observation")
+    if y.ndim != 3 or y.shape[1:] != (r, p):
+        raise DimensionMismatch(f"observations must have shape (T, {r}, {p}), got {y.shape}")
+    if np.isinf(y).any():
+        raise DomainError("observed entries must be finite")
+    return _series_output(_run(model, prior, y[None], ~np.isnan(y), mode), 0)
 
 
 def _run(
@@ -451,18 +447,12 @@ def _series_output(rec: dict, i: int) -> FilterOutput:
     """The :class:`FilterOutput` of series i of a :func:`_run` result."""
     p = rec["n"].shape[1]
     cols = slice(i * p, (i + 1) * p)
-    S = np.ascontiguousarray(rec["S"][:, i])
-    # corr = S / outer(sd, sd) per step, computed in place over the stack.
-    sd = np.sqrt(np.diagonal(S, axis1=1, axis2=2))
-    corr = sd[:, :, None] * sd[:, None, :]
-    np.divide(S, corr, out=corr)
     series = ("a", "f", "e", "std_err", "m")
     shared = ("mode", "prior", "R", "Q", "A", "observed", "P", "n")
     return FilterOutput(
         **{name: np.ascontiguousarray(rec[name][:, :, cols]) for name in series},
         **{name: rec[name] for name in shared},
-        S=S,
-        corr=corr,
+        S=np.ascontiguousarray(rec["S"][:, i]),
     )
 
 

@@ -18,8 +18,6 @@ __all__ = [
     "SpdMatrix",
     "as_spd",
     "cholesky_lower",
-    "log_det_spd",
-    "spd_solve",
     "symmetrize",
 ]
 
@@ -107,12 +105,3 @@ def cholesky_lower(a) -> np.ndarray:
     """Lower-triangular L with L L' = A."""
     return as_spd(a).chol
 
-
-def spd_solve(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A."""
-    return as_spd(a).solve(b)
-
-
-def log_det_spd(a) -> float:
-    """log |A| for symmetric positive definite A."""
-    return as_spd(a).log_det

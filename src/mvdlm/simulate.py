@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dlm
 from .distributions import MiwParams
-from .dlm import MaskedObservation, ModelSpec, NmiwState
+from .dlm import ModelSpec, NmiwState
 from .errors import DomainError
 
 __all__ = [
@@ -118,13 +118,13 @@ def _missing_mask(pattern: MissingPattern, T: int, p: int) -> np.ndarray:
     return observed
 
 
-def apply_missing(data: np.ndarray, pattern: MissingPattern) -> list[MaskedObservation]:
-    """Mask a T x p data matrix into per-time observations (r = 1 rows)."""
+def apply_missing(data: np.ndarray, pattern: MissingPattern) -> np.ndarray:
+    """Mask a T x p data matrix into a T x 1 x p observation array (r = 1),
+    NaN where the pattern marks a value missing."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DomainError(f"data must be a T x p matrix, got shape {data.shape}")
-    values = np.where(_missing_mask(pattern, *data.shape), data, np.nan)
-    return [MaskedObservation.from_values(row[None]) for row in values]
+    return np.where(_missing_mask(pattern, *data.shape), data, np.nan)[:, None, :]
 
 
 def local_level_model(

@@ -118,22 +118,21 @@ def test_config_missing_file_is_config_error(tmp_path):
 
 def test_parse_csv_missing_markers(tmp_path):
     path = write_data(tmp_path, ["1.2,", "0.5,na", "0.1,0.2"])
-    obs = parse_csv(path)
-    assert len(obs) == 3
-    assert obs[0].observed[0, 0] and not obs[0].observed[0, 1]
-    assert obs[0].y[0, 0] == 1.2
-    assert not obs[1].observed[0, 1]  # literal NA, any case
-    assert obs[2].observed.all()
+    values = parse_csv(path)
+    assert values.shape == (3, 1, 2)
+    assert values[0, 0, 0] == 1.2 and np.isnan(values[0, 0, 1])
+    assert np.isnan(values[1, 0, 1])  # literal NA, any case
+    assert not np.isnan(values[2]).any()
 
 
 def test_parse_csv_replicate_headers(tmp_path):
     path = write_data(tmp_path, ["1,2,3,4", "5,,7,NA"],
                       header="y1_1,y1_2,y2_1,y2_2")
-    obs = parse_csv(path)
-    assert obs[0].y.shape == (2, 2)  # r = 2 replicates, p = 2 variables
-    assert obs[0].y[0, 0] == 1.0 and obs[0].y[1, 0] == 2.0
-    assert obs[0].y[0, 1] == 3.0 and obs[0].y[1, 1] == 4.0
-    assert not obs[1].observed[1, 0] and not obs[1].observed[1, 1]
+    values = parse_csv(path)
+    assert values.shape == (2, 2, 2)  # T = 2, r = 2 replicates, p = 2 variables
+    assert values[0, 0, 0] == 1.0 and values[0, 1, 0] == 2.0
+    assert values[0, 0, 1] == 3.0 and values[0, 1, 1] == 4.0
+    assert np.isnan(values[1, 1, 0]) and np.isnan(values[1, 1, 1])
 
 
 def test_parse_csv_bad_header(tmp_path):
@@ -171,19 +170,12 @@ def test_parse_csv_rejects_non_finite_cell(tmp_path, cell, header, first, row, c
 
 def test_csv_round_trip_preserves_masks_and_values(tmp_path):
     rng = np.random.default_rng(50)
-    obs = []
-    for _ in range(25):
-        y = rng.standard_normal((2, 3))
-        mask = rng.random((2, 3)) < 0.3
-        obs.append(mv.MaskedObservation.from_values(np.where(mask, np.nan, y)))
+    y = rng.standard_normal((25, 2, 3))
+    values = np.where(rng.random((25, 2, 3)) < 0.3, np.nan, y)
     path = tmp_path / "round.csv"
-    write_csv(path, obs)
+    write_csv(path, values)
     back = parse_csv(path)
-    assert len(back) == len(obs)
-    for a, b in zip(obs, back):
-        assert np.array_equal(a.observed, b.observed)
-        assert np.array_equal(np.asarray(a.y)[a.observed],
-                              np.asarray(b.y)[b.observed])
+    assert np.array_equal(back, values, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +219,47 @@ def test_filter_end_to_end_both_modes(tmp_path, capsys):
         # residual echoed as NA at a missing cell (t=6 var 1 in the fixture)
         e1 = header.index("e1")
         assert records[6][e1] == "NA"
+
+
+def test_records_file_matches_filter_output(tmp_path):
+    from mvdlm.cli import _format
+    rng = np.random.default_rng(62)
+    T, r, p = 30, 2, 3
+    values = np.where(rng.random((T, r, p)) < 0.2, np.nan, rng.standard_normal((T, r, p)))
+    values[9] = np.nan  # one fully missing row
+    data = tmp_path / "data.csv"
+    write_csv(data, values)
+    config = write_config(
+        tmp_path, GOOD_CONFIG.replace("p = 2\nr = 1\nF = [[1.0]]", "p = 3\nr = 2\nF = [[1.0, 1.0]]"))
+    assert main(["filter", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "records.csv")]) == 0
+    cfg = load_config(config)
+    out = mv.filter(cfg.model, values, cfg.prior, mode="new")
+    with open(tmp_path / "records.new.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+
+    cells = [(j, k) for j in range(p) for k in range(r)]  # variable outer, replicate inner
+    upper = [(i, j) for i in range(p) for j in range(i, p)]
+    strict = [(i, j) for i, j in upper if i < j]
+    assert header == (
+        ["t"] + [f"f{j + 1}_{k + 1}" for j, k in cells] + [f"q{k + 1}" for k in range(r)]
+        + [f"e{j + 1}_{k + 1}" for j, k in cells] + [f"s{i + 1}_{j + 1}" for i, j in upper]
+        + [f"n{j + 1}" for j in range(p)] + [f"corr{i + 1}_{j + 1}" for i, j in strict])
+    assert len(rows) == T
+    for t, row in enumerate(rows):
+        S = out.S[t]
+        assert row == (
+            [str(t + 1)]
+            + [_format(out.f[t, k, j]) for j, k in cells]
+            + [_format(out.Q[t, k, k]) for k in range(r)]
+            + ["NA" if np.isnan(values[t, k, j]) else _format(out.e[t, k, j]) for j, k in cells]
+            + [_format(S[i, j]) for i, j in upper]
+            + [_format(x) for x in out.n[t]]
+            + [_format(S[i, j] / (math.sqrt(S[i, i]) * math.sqrt(S[j, j]))) for i, j in strict]
+        ), t
+    e_na = np.array([[row[header.index(f"e{j + 1}_{k + 1}")] == "NA" for j, k in cells]
+                     for row in rows])
+    assert np.array_equal(e_na, np.isnan(values).transpose(0, 2, 1).reshape(T, p * r))
 
 
 def test_filter_summary_rows_identical_without_missing(tmp_path, capsys):

@@ -7,8 +7,6 @@ from mvdlm import (
     SpdMatrix,
     as_spd,
     cholesky_lower,
-    log_det_spd,
-    spd_solve,
     symmetrize,
 )
 
@@ -52,8 +50,8 @@ def test_cholesky_reconstruction():
 
 
 def test_log_det_matches_cofactor_expansion():
-    assert log_det_spd(A3) == pytest.approx(A3_LOGDET, abs=1e-12)
-    assert log_det_spd(A3) == pytest.approx(np.log(det_cofactor(A3)), abs=1e-12)
+    assert SpdMatrix(A3).log_det == pytest.approx(A3_LOGDET, abs=1e-12)
+    assert SpdMatrix(A3).log_det == pytest.approx(np.log(det_cofactor(A3)), abs=1e-12)
 
 
 def test_log_det_matches_slogdet_on_random_instances():
@@ -62,14 +60,14 @@ def test_log_det_matches_slogdet_on_random_instances():
         a = random_spd(rng, n)
         sign, ref = np.linalg.slogdet(a)
         assert sign > 0
-        assert log_det_spd(a) == pytest.approx(ref, abs=1e-10)
+        assert SpdMatrix(a).log_det == pytest.approx(ref, abs=1e-10)
 
 
 def test_solve_residual_small():
     rng = np.random.default_rng(3)
     a = random_spd(rng, 6)
     b = rng.standard_normal((6, 4))
-    x = spd_solve(a, b)
+    x = SpdMatrix(a).solve(b)
     assert np.allclose(a @ x, b, atol=1e-9)
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
 

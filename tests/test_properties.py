@@ -52,7 +52,7 @@ def previous(out, name, k):
     return {"S": out.prior.miw.S, "n": out.prior.miw.n}[name]
 
 
-STACKS = ("a", "R", "f", "Q", "A", "e", "observed", "m", "P", "S", "n", "corr")
+STACKS = ("a", "R", "f", "Q", "A", "e", "observed", "m", "P", "S", "n")
 
 
 @SETTINGS

@@ -68,11 +68,9 @@ def test_config_validation():
 def test_empty_pattern_all_observed_and_values_preserved():
     cfg = mv.LocalLevelConfig(T=20, seed=15)
     _, data = mv.gen_local_level(cfg)
-    obs = mv.apply_missing(data, mv.MissingPattern({}))
-    assert len(obs) == 20
-    for t, o in enumerate(obs):
-        assert o.observed.all()
-        assert np.array_equal(np.asarray(o.y)[0], data[t])
+    values = mv.apply_missing(data, mv.MissingPattern({}))
+    assert values.shape == (20, 1, 2)
+    assert np.array_equal(values[:, 0], data)  # nothing is NaN
 
 
 def test_default_pattern_classification():
@@ -81,21 +79,18 @@ def test_default_pattern_classification():
     pat = mv.DEFAULT_MISSING_PATTERN
     cfg = mv.LocalLevelConfig(T=100, seed=16)
     _, data = mv.gen_local_level(cfg)
-    obs = mv.apply_missing(data, pat)
-    assert len(obs) == 100
-    masked_total = sum(int((~o.observed).sum()) for o in obs)
-    assert masked_total == 6
-    assert not obs[59].observed.any()              # t=60: nothing observed
+    values = mv.apply_missing(data, pat)
+    assert values.shape == (100, 1, 2)
+    observed = ~np.isnan(values)
+    assert int((~observed).sum()) == 6
+    assert not observed[59].any()              # t=60: nothing observed
     for t, j_missing in ((24, 1), (43, 1), (86, 1), (75, 0)):
-        row = obs[t - 1].observed[0]
+        row = observed[t - 1, 0]
         assert not row[j_missing]
         assert row[1 - j_missing]
     assert pat.partial_times(2) == (24, 43, 75, 86)
     # all unmasked entries preserved bit-exactly
-    for t, o in enumerate(obs):
-        for j in range(2):
-            if o.observed[0, j]:
-                assert np.asarray(o.y)[0, j] == data[t, j]
+    assert np.array_equal(values[:, 0][observed[:, 0]], data[observed[:, 0]])
 
 
 def test_pattern_validation():
