@@ -51,6 +51,7 @@ from .errors import ConfigError, MvdlmError, ParseError
 from .simulate import (
     LocalLevelConfig,
     MissingPattern,
+    _missing_mask,
     apply_missing,
     default_prior,
     gen_local_level,
@@ -216,26 +217,34 @@ def load_config(path: str | Path) -> RunConfig:
     simulate = None
     if parser.has_section("simulate"):
         sec = "simulate"
-        try:
-            T = parser.getint(sec, "t")
-        except (configparser.Error, ValueError) as exc:
-            raise ConfigError(f"T must be an integer: {exc}", sec, "T") from exc
+        if (p, r) != (2, 1):
+            raise ConfigError("the study's bivariate local level needs p = 2, r = 1", "model")
+        ints = []
+        for key, default in (("T", None), ("seed", "0"), ("replications", "1")):
+            text = _get(parser, sec, key, default, required=default is None)
+            try:
+                ints.append(int(text))
+            except ValueError as exc:
+                raise ConfigError(f"must be an integer, got {text!r}", sec, key) from exc
+        T, seed, replications = ints
         corr = _parse_scalar(_get(parser, sec, "corr", "0.8"), sec, "corr")
         obs_var = tuple(_parse_vector(_get(parser, sec, "obs_var", "[1.0, 1.0]"), 2, sec, "obs_var"))
         level_var = tuple(
             _parse_vector(_get(parser, sec, "level_var", "[0.05, 0.05]"), 2, sec, "level_var")
         )
-        seed = int(_get(parser, sec, "seed", "0"))
-        replications = int(_get(parser, sec, "replications", "1"))
         if replications < 1:
             raise ConfigError("replications must be a positive integer", sec, "replications")
         pattern_text = _get(parser, sec, "pattern", "{}")
         raw = _literal(pattern_text, sec, "pattern")
-        if not isinstance(raw, dict):
+        if not isinstance(raw, dict) or not all(
+            isinstance(t, int) and isinstance(vs, list) and all(isinstance(j, int) for j in vs)
+            for t, vs in raw.items()
+        ):
             raise ConfigError("pattern must be a dict like {24: [2], 60: [1, 2]}", sec, "pattern")
         try:
-            pattern = MissingPattern({int(t): frozenset(vs) for t, vs in raw.items()})
+            pattern = MissingPattern({t: frozenset(vs) for t, vs in raw.items()})
             cfg = LocalLevelConfig(T=T, corr=corr, obs_var=obs_var, level_var=level_var, seed=seed)
+            _missing_mask(pattern, T, p)
         except MvdlmError as exc:
             raise ConfigError(str(exc), sec) from exc
         simulate = SimulateBlock(cfg=cfg, pattern=pattern, replications=replications)

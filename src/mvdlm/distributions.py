@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import invwishart
 
 from .errors import DimensionMismatch, DomainError, MeanUndefined
 from .linalg import SpdMatrix, as_spd, cholesky_lower, symmetrize
@@ -71,8 +69,8 @@ def log_multigamma(a: float, p: int) -> float:
         raise DomainError(f"dimension must be a positive integer, got {p}")
     if a <= 0.5 * (p - 1):
         raise DomainError(f"log_multigamma requires a > (p - 1)/2, got a={a}, p={p}")
-    j = np.arange(1, p + 1)
-    return float(0.25 * p * (p - 1) * _LOG_PI + gammaln(a + 0.5 * (1.0 - j)).sum())
+    gammas = sum(math.lgamma(a + 0.5 * (1.0 - j)) for j in range(1, p + 1))
+    return float(0.25 * p * (p - 1) * _LOG_PI + gammas)
 
 
 def _sqrt_outer(n: np.ndarray) -> np.ndarray:
@@ -80,6 +78,22 @@ def _sqrt_outer(n: np.ndarray) -> np.ndarray:
     # stays exactly symmetric whenever S is.
     s = np.sqrt(n)
     return np.outer(s, s)
+
+
+def _checked_dof(n, v, p: int) -> tuple[np.ndarray, float]:
+    """The dof vector n and scalar v of a p-variate law as a float array and a float,
+    checked for n_j > 0 and normalizability, 2 v + mean(n) > 2 p."""
+    n = np.asarray(n, dtype=float)
+    if n.shape != (p,):
+        raise DimensionMismatch(f"dof vector must have shape ({p},), got {n.shape}")
+    if not np.all(n > 0.0):
+        raise DomainError("all degrees-of-freedom entries must be strictly positive")
+    v = float(v)
+    if 2.0 * v + n.sum() / p <= 2.0 * p:
+        raise DomainError(
+            f"normalizability requires 2v + mean(n) > 2p, got v={v}, mean(n)={n.mean()}, p={p}"
+        )
+    return n, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,21 +110,9 @@ class MiwParams:
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
-        n = np.asarray(self.n, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise DimensionMismatch(f"scale must be square, got shape {S.shape}")
-        p = S.shape[0]
-        if n.shape != (p,):
-            raise DimensionMismatch(
-                f"degrees-of-freedom vector must have shape ({p},), got {n.shape}"
-            )
-        if not np.all(n > 0.0):
-            raise DomainError("all degrees-of-freedom entries must be strictly positive")
-        v = float(self.v)
-        if 2.0 * v + n.sum() / p <= 2.0 * p:
-            raise DomainError(
-                f"normalizability requires 2v + mean(n) > 2p, got v={v}, mean(n)={n.mean()}, p={p}"
-            )
+        n, v = _checked_dof(self.n, self.v, S.shape[0])
         object.__setattr__(self, "S", symmetrize(S))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "v", v)
@@ -138,13 +140,8 @@ def iw_to_miw(R: np.ndarray, k: float, n: np.ndarray) -> MiwParams:
     R = np.asarray(R, dtype=float)
     n = np.asarray(n, dtype=float)
     p = R.shape[0]
-    if n.shape != (p,):
-        raise DimensionMismatch(f"dof vector must have shape ({p},), got {n.shape}")
-    if not np.all(n > 0.0):
-        raise DomainError("all degrees-of-freedom entries must be strictly positive")
-    S = R / _sqrt_outer(n)
-    v = 0.5 * (float(k) - n.sum() / p)
-    return MiwParams(S=S, n=n, v=v)
+    n, v = _checked_dof(n, 0.5 * (float(k) - n.sum() / p), p)
+    return MiwParams(S=R / _sqrt_outer(n), n=n, v=v)
 
 
 def iw_log_density(Sigma, R, k: float) -> float:
@@ -284,7 +281,6 @@ class MtParams:
         f = np.asarray(self.f, dtype=float)
         Q = np.asarray(self.Q, dtype=float)
         S = np.asarray(self.S, dtype=float)
-        n = np.asarray(self.n, dtype=float)
         if f.ndim != 2:
             raise DimensionMismatch(f"location must be a 2-d matrix, got shape {f.shape}")
         r, p = f.shape
@@ -292,15 +288,7 @@ class MtParams:
             raise DimensionMismatch(f"row scale must have shape ({r}, {r}), got {Q.shape}")
         if S.shape != (p, p):
             raise DimensionMismatch(f"scale must have shape ({p}, {p}), got {S.shape}")
-        if n.shape != (p,):
-            raise DimensionMismatch(f"dof vector must have shape ({p},), got {n.shape}")
-        if not np.all(n > 0.0):
-            raise DomainError("all degrees-of-freedom entries must be strictly positive")
-        v = float(self.v)
-        if 2.0 * v + n.sum() / p <= 2.0 * p:
-            raise DomainError(
-                f"normalizability requires 2v + mean(n) > 2p, got v={v}, mean(n)={n.mean()}, p={p}"
-            )
+        n, v = _checked_dof(self.n, self.v, p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "Q", symmetrize(Q))
         object.__setattr__(self, "S", symmetrize(S))
@@ -399,8 +387,12 @@ def sample_miw(params: MiwParams, rng: np.random.Generator, size: int | None = N
     """Draw Sigma from the per-variable-dof law.
 
     Uses the classical inverted Wishart at the mapped parameters (R, k), with
-    effective Wishart degrees of freedom k - p - 1. Deterministic for a fixed
-    generator state. Returns (p, p) for size=None, else (size, p, p).
+    Wishart degrees of freedom df = k - p - 1, by the Bartlett decomposition
+    (Smith & Hocking, Applied Statistics 1972): B is lower triangular with
+    standard normals below the diagonal and B_ii^2 ~ chi-square(df - p + i)
+    for 1-based i, and Sigma = (C B^{-1})(C B^{-1})' with C = chol(R). All the
+    normals are drawn first, then all the chi-squares. Returns (p, p) for
+    size=None, else (size, p, p).
     """
     R, k = miw_to_iw(params)
     p = params.p
@@ -408,9 +400,14 @@ def sample_miw(params: MiwParams, rng: np.random.Generator, size: int | None = N
     m = 1 if size is None else int(size)
     if m < 1:
         raise DomainError(f"size must be a positive integer, got {size}")
-    draws = invwishart.rvs(df=df, scale=R, size=m, random_state=rng)
-    draws = np.asarray(draws, dtype=float).reshape(m, p, p)
-    draws = 0.5 * (draws + np.transpose(draws, (0, 2, 1)))
+    B = np.zeros((m, p, p))
+    rows, cols = np.tril_indices(p, -1)
+    B[:, rows, cols] = rng.normal(size=(m, rows.size))
+    diag = np.arange(p)
+    B[:, diag, diag] = rng.chisquare(df - p + 1.0 + diag, size=(m, p)) ** 0.5
+    # X' = (C B^{-1})' solves B' X' = C'
+    Xt = np.linalg.solve(B.transpose(0, 2, 1), np.broadcast_to(cholesky_lower(R).T, B.shape))
+    draws = symmetrize(Xt.transpose(0, 2, 1) @ Xt)
     return draws[0] if size is None else draws
 
 

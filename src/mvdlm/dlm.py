@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .distributions import MiwParams, MtParams
 from .errors import (
@@ -315,8 +314,9 @@ def filter(
     W), the forecast f = F'a with scale Q = sym(F'RF + V) and gain
     A = R F Q^{-1}, and the masked update. ``mode="new"`` applies the
     per-variable masked update; ``mode="classical"`` discards any observation
-    with a missing entry. Model inputs that are malformed or not finite and a
-    forecast scale Q that cannot be factored are raised as
+    with a missing entry. Model inputs that are malformed or not finite, a
+    forecast scale Q that is not finite or cannot be factored, and a residual
+    e that is not finite at an updating step are raised as
     :class:`FilterError` with the failing 1-based time index.
     """
     r, p = model.r, model.p
@@ -397,23 +397,19 @@ def _run(
         f = F.T @ a
         RF = R @ F
         Q = symmetrize(F.T @ RF + V)
-        # np.linalg.cholesky returns NaN for a non-finite Q; scipy's finite
-        # checks in the triangular solves are what reject it.
+        if not np.isfinite(Q).all():
+            raise FilterError("forecast scale Q is not finite", t=t)
         try:
             L = np.linalg.cholesky(Q)
-            A = cho_solve((L, True), RF.T).T
         except np.linalg.LinAlgError as exc:
             raise FilterError("forecast scale Q is not positive definite", t=t) from exc
-        except ValueError as exc:
-            raise FilterError("forecast scale Q is not finite", t=t) from exc
+        A = np.linalg.solve(L.T, np.linalg.solve(L, RF.T)).T
         e = np.where(obs_cols[k], y[k] - f, 0.0)
 
         if update[k]:
-            try:
-                Z = solve_triangular(L, e, lower=True)
-            except ValueError as exc:
-                raise FilterError("forecast residual e is not finite", t=t) from exc
-            Z = Z.reshape(r, M, p).transpose(1, 0, 2)
+            if not np.isfinite(e).all():
+                raise FilterError("forecast residual e is not finite", t=t)
+            Z = np.linalg.solve(L, e).reshape(r, M, p).transpose(1, 0, 2)
             C = symmetrize(Z.transpose(0, 2, 1) @ Z) * np.outer(wprod[k], wprod[k])
             # S * outer(sn, sn) and C are exactly symmetric, so S stays so.
             nn_new = np.outer(sn[k + 1], sn[k + 1])

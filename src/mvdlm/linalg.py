@@ -1,16 +1,16 @@
 """Dense kernel for small symmetric positive definite matrices.
 
-Everything is Cholesky based: solves go through the cached factor, log
-determinants are twice the log of the factor diagonal, and inverses are never
-formed explicitly. Diagonal matrices (degrees-of-freedom counts, observation
-masks) are carried as 1-d arrays of their diagonal entries throughout the
-package; only full symmetric matrices get a 2-d representation.
+Everything is Cholesky based: a solve is two triangular solves against the
+cached factor with :func:`numpy.linalg.solve`, log determinants are twice the
+log of the factor diagonal, and inverses are never formed explicitly.
+Diagonal matrices (degrees-of-freedom counts, observation masks) are carried
+as 1-d arrays of their diagonal entries throughout the package; only full
+symmetric matrices get a 2-d representation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -63,13 +63,8 @@ class SpdMatrix:
         return float(2.0 * np.sum(np.log(np.diag(self.chol))))
 
     def solve(self, b) -> np.ndarray:
-        """Solve A x = b via the cached factor."""
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"cannot solve: matrix dim {self.dim}, right-hand side shape {b.shape}"
-            )
-        return cho_solve((self.chol, True), b)
+        """Solve A x = b via the cached factor: L' x = L^{-1} b."""
+        return np.linalg.solve(self.chol.T, self.solve_half(b))
 
     def solve_half(self, b) -> np.ndarray:
         """Solve L y = b for the lower factor L.
@@ -81,9 +76,9 @@ class SpdMatrix:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.dim:
             raise DimensionMismatch(
-                f"cannot half-solve: matrix dim {self.dim}, right-hand side shape {b.shape}"
+                f"cannot solve: matrix dim {self.dim}, right-hand side shape {b.shape}"
             )
-        return solve_triangular(self.chol, b, lower=True)
+        return np.linalg.solve(self.chol, b)
 
     def __array__(self, dtype=None, copy=None):
         if dtype is None:

@@ -44,6 +44,8 @@ class LocalLevelConfig:
     def __post_init__(self):
         if int(self.T) < 1:
             raise DomainError(f"T must be a positive integer, got {self.T}")
+        if int(self.seed) < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         if not -1.0 < self.corr < 1.0:
             raise DomainError(f"correlation must lie in (-1, 1), got {self.corr}")
         for name, pair in (("obs_var", self.obs_var), ("level_var", self.level_var)):

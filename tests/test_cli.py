@@ -385,6 +385,27 @@ def test_simulate_requires_simulate_section(tmp_path, capsys):
     assert "simulate" in capsys.readouterr().err
 
 
+SIM_PATTERN = "pattern = {24: [2], 43: [2], 60: [1, 2], 75: [1], 86: [2]}"
+
+
+@pytest.mark.parametrize("old,new", [
+    ("seed = 0", "seed = abc"),
+    ("seed = 0", "seed = -1"),
+    ("replications = 8", "replications = 2.5"),
+    (SIM_PATTERN, "pattern = {24: 2}"),
+    (SIM_PATTERN, "pattern = {24: ['x']}"),
+    (SIM_PATTERN, "pattern = {200: [1]}"),  # beyond T = 100
+    (SIM_PATTERN, "pattern = {24: [3]}"),  # beyond p = 2
+    ("p = 2", "p = 3"),
+], ids=["seed", "seed-negative", "replications", "pattern-value", "pattern-entry", "pattern-time",
+        "pattern-variable", "model-p"])
+def test_simulate_bad_input_is_config_error(tmp_path, capsys, old, new):
+    assert old in SIM_CONFIG
+    config = write_config(tmp_path, SIM_CONFIG.replace(old, new))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_simulate_single_step_boundary(tmp_path):
     text = SIM_CONFIG.replace("T = 100", "T = 1").replace(
         "pattern = {24: [2], 43: [2], 60: [1, 2], 75: [1], 86: [2]}", "pattern = {}")

@@ -267,6 +267,22 @@ def test_sampler_determinism():
     assert np.array_equal(c, d)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("size", [None, 5])
+def test_sample_miw_matches_scipy_invwishart_stream(p, size):
+    params = random_miw(np.random.default_rng(40 + p), p)
+    # classical parameters computed here, not through miw_to_iw
+    R = params.S * np.sqrt(np.outer(params.n, params.n))
+    k = 2.0 * params.v + params.n.sum() / p
+    ours, theirs = np.random.default_rng(41), np.random.default_rng(41)
+    got = sample_miw(params, ours, size=size)
+    ref = stats.invwishart.rvs(df=k - p - 1, scale=R, size=1 if size is None else size,
+                               random_state=theirs)
+    ref = np.reshape(ref, got.shape)
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+    assert ours.random() == theirs.random()
+
+
 # ---------------------------------------------------------------------------
 # conditional conjugacy and the matrix-t marginal
 # ---------------------------------------------------------------------------
