@@ -11,9 +11,12 @@ Sigma carrying the per-variable degrees-of-freedom covariance law from
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
 the posterior update. One loop runs that recursion on raw arrays for M
 series that share a missing-data mask: the row scales (R, Q, A, P) and the
-dof n depend only on the model and the mask, so only m and S carry the
-series. :func:`filter` is the case M = 1 and records every intermediate
-quantity; the replication study runs all its replications in one pass.
+dof n depend only on the model and the mask, so they are carried once for all
+series. The covariance scale is additive in N^{1/2} S N^{1/2}, so the loop
+does not carry S either: it is one cumulative sum of the steps' Gram matrices,
+computed after the loop. :func:`filter` is the case M = 1 and records every
+intermediate quantity; the replication study runs all its replications in one
+pass.
 Constant model inputs are validated once, callables when they are read, and
 the prior once at entry.
 
@@ -28,9 +31,10 @@ observation whenever any entry is missing.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -263,7 +267,6 @@ class FilterOutput:
     P: np.ndarray
     S: np.ndarray
     n: np.ndarray
-    _msse: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def T(self) -> int:
@@ -292,11 +295,9 @@ class FilterOutput:
 
         return _StepView(self.T, build)
 
-    @property
+    @functools.cached_property
     def msse(self) -> np.ndarray:
-        if self._msse is None:
-            self._msse = msse(self)
-        return self._msse
+        return msse(self)
 
 
 def filter(
@@ -343,7 +344,14 @@ def _run(
     P and the dof n depend only on the model and the mask, so they are carried
     once; the series sit side by side as column blocks, so m and a are
     d x (M p), f and e are r x (M p), and only S (M x p x p) has a batch axis.
-    Returns the records stacked over time (leading axis T) in that layout.
+
+    The loop over t carries a, R, f, Q with its Cholesky factor L, A, e, m and
+    P, and raises :class:`FilterError` at the failing step. S is computed after
+    the loop: with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the Gram matrix
+    C_t = (L^{-1} e)'(L^{-1} e) on the variables observed in every replicate
+    (zero at a step that does not update), S_t = (S0 * nn_0 + C_1 + ... + C_t)
+    / nn_t. Returns the records stacked over time (leading axis T) in that
+    layout.
     """
     if mode not in ("new", "classical"):
         raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
@@ -372,8 +380,7 @@ def _run(
     obs_cols = np.tile(observed, (1, 1, M))
     counts = np.where(update[:, None], observed.sum(axis=1), 0)
     n_all = np.cumsum(np.vstack([n0, counts]), axis=0)
-    sn = np.sqrt(n_all)
-    update = update.tolist()
+    update_at = update.tolist()
 
     rec = {
         "a": np.empty((T, d, M * p)), "R": np.empty((T, d, d)), "f": np.empty((T, r, M * p)),
@@ -381,9 +388,8 @@ def _run(
         "m": np.empty((T, d, M * p)), "P": np.empty((T, d, d)), "S": np.empty((T, M, p, p)),
         "n": n_all[1:], "observed": observed, "mode": mode, "prior": prior,
     }
+    chol = np.empty((T, r, r))
     m = np.tile(m, (1, M))
-    S = np.broadcast_to(S0, (M, p, p))
-    nn = np.outer(sn[0], sn[0])
     for k in range(T):
         t = k + 1
         try:
@@ -406,15 +412,9 @@ def _run(
         A = np.linalg.solve(L.T, np.linalg.solve(L, RF.T)).T
         e = np.where(obs_cols[k], y[k] - f, 0.0)
 
-        if update[k]:
+        if update_at[k]:
             if not np.isfinite(e).all():
                 raise FilterError("forecast residual e is not finite", t=t)
-            Z = np.linalg.solve(L, e).reshape(r, M, p).transpose(1, 0, 2)
-            C = symmetrize(Z.transpose(0, 2, 1) @ Z) * np.outer(wprod[k], wprod[k])
-            # S * outer(sn, sn) and C are exactly symmetric, so S stays so.
-            nn_new = np.outer(sn[k + 1], sn[k + 1])
-            S = (S * nn + C) / nn_new
-            nn = nn_new
             m = a + (A @ e) * wcols[k]
             P = symmetrize(R - (A @ Q @ A.T) * u[k])
         else:
@@ -427,7 +427,25 @@ def _run(
         rec["e"][k] = e
         rec["m"][k] = m
         rec["P"][k] = P
-        rec["S"][k] = S
+        chol[k] = L
+
+    # S as the cumulative sum of C = Z'Z, Z = L^{-1} e on the wprod columns. Z is
+    # solved at the updating steps only and is exactly 0 elsewhere, whatever e
+    # holds there.
+    S, sn = rec["S"], np.sqrt(n_all)
+    Z = np.zeros((T, r, M * p))
+    Z[update] = np.linalg.solve(chol[update], rec["e"][update]) * wcols[update, None]
+    Z = Z.reshape(T, r, M, p)
+    np.einsum("tkmi,tkmj->tmij", Z, Z, out=S)
+    S[0] += S0 * np.outer(sn[0], sn[0])
+    np.cumsum(S, axis=0, out=S)
+    # Steps before the first update keep the prior bit for bit; after it, each
+    # row is divided by sqrt(n_i) * sqrt(n_j), the same product for S_ij and
+    # S_ji, so S stays exactly symmetric.
+    k0 = int(update.argmax()) if update.any() else T
+    S[:k0] = S0
+    for i in range(p):
+        S[k0:, :, i] /= (sn[k0 + 1:, i, None] * sn[k0 + 1:])[:, None]
 
     # Errors standardized by sqrt(Q_kk S_jj), S from the previous posterior.
     s_diag = np.empty((T, 1, M, p))

@@ -394,26 +394,54 @@ def test_filter_is_deterministic():
 
 
 def test_all_observed_filter_equals_chained_full_updates():
+    # Each step's m, P, S and n against the one-step formulas of the masked
+    # update, chained from the filter's previous posterior: once with every
+    # entry observed, and once with one replicate of variable 1 missing at
+    # some steps and a fully missing first and middle step.
     rng = np.random.default_rng(41)
     d, p, r = 2, 2, 2
     model = random_model(rng, d, p, r)
     prior = random_prior(rng, d, p)
-    data = random_data(rng, 25, r, p)
-    out = mv.filter(model, data, prior, mode="new")
-    S, n = prior.miw.S, prior.miw.n
-    for k in range(25):
-        assert data[k].observed.all()
-        a, R, Q, A = out.a[k], out.R[k], out.Q[k], out.A[k]
-        e = data[k].y - model.F_at(k + 1).T @ a
-        assert np.allclose(out.m[k], a + A @ e, atol=1e-12), k
-        assert np.allclose(out.P[k], R - A @ Q @ A.T, atol=1e-12), k
-        n_new = n + r
-        S = (S * np.sqrt(np.outer(n, n)) + e.T @ np.linalg.solve(Q, e)) / np.sqrt(
-            np.outer(n_new, n_new))
-        n = n_new
-        assert np.allclose(out.S[k], S, atol=1e-12), k
-        assert np.array_equal(out.n[k], n), k
-        S = out.S[k]
+    full = np.array([obs.y for obs in random_data(rng, 25, r, p)])
+    masked = full.copy()
+    masked[[3, 7, 8, 15, 21], 0, 1] = np.nan
+    masked[[0, 12]] = np.nan
+    for values in (full, masked):
+        out = mv.filter(model, values, prior, mode="new")
+        S, n = prior.miw.S, prior.miw.n
+        for k, y in enumerate(values):
+            observed = ~np.isnan(y)
+            a, R, Q, A = out.a[k], out.R[k], out.Q[k], out.A[k]
+            w = observed.all(axis=0).astype(float)
+            e = np.where(observed, y - model.F_at(k + 1).T @ a, 0.0)
+            assert np.allclose(out.m[k], a + (A @ e) * w, atol=1e-12), k
+            assert np.allclose(out.P[k], R - (A @ Q @ A.T) * w.mean(), atol=1e-12), k
+            if observed.any():
+                n_new = n + observed.sum(axis=0)
+                S = (S * np.sqrt(np.outer(n, n)) + e.T @ np.linalg.solve(Q, e) * np.outer(w, w)
+                     ) / np.sqrt(np.outer(n_new, n_new))
+                n = n_new
+            assert np.allclose(out.S[k], S, atol=1e-12), k
+            assert np.array_equal(out.n[k], n), k
+            S = out.S[k]
+    assert np.array_equal(out.S[0], prior.miw.S)
+
+
+def test_non_updating_step_with_non_finite_residual_leaves_s_unchanged():
+    # G = 1e10 at t = 3 only: a = G m overflows there, and so does e at the
+    # observed entry of the partly missing y_3, which classical mode skips.
+    model = mv.ModelSpec(d=1, p=2, r=1, F=np.eye(1), V=np.eye(1), discount=0.9,
+                         G=lambda t: np.array([[1e10 if t == 3 else 1.0]]))
+    prior = mv.NmiwState(m=np.full((1, 2), 1e300), P=np.array([[1e-6]]),
+                         miw=mv.MiwParams(S=np.array([[1.0, 0.3], [0.3, 2.0]]),
+                                          n=np.array([2.0, 3.0]), v=2.0))
+    data = np.array([[[1e300, 1e300]], [[1e300, 1e300]], [[1e300, np.nan]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = mv.filter(model, data, prior, mode="classical")
+    assert not np.isfinite(out.e[2]).all()
+    assert np.isfinite(out.S[1]).all()
+    assert np.array_equal(out.S[2], out.S[1])
+    assert np.array_equal(out.n[2], out.n[1])
 
 
 def test_states_and_marginals_views_follow_the_stacked_arrays():
