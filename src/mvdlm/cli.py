@@ -378,7 +378,12 @@ def _summary_rows(outputs: dict[str, dlm.FilterOutput]) -> list[list[str]]:
         partial = observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2))
         vals = _corr_upper(output.S[partial]).ravel()
         mean_corr = float(np.mean(vals)) if vals.size else float("nan")
-        rows.append([mode] + [_format(x) for x in output.msse] + [_format(mean_corr)])
+        # a variable that is never observed has no MSSE: NA
+        seen = observed.any(axis=(0, 1))
+        msse = np.full(seen.shape, np.nan)
+        if seen.any():
+            msse[seen] = dlm._msse(output.std_err[:, :, seen], observed[:, :, seen])[0]
+        rows.append([mode] + [_format(x) for x in msse] + [_format(mean_corr)])
     return rows
 
 
@@ -401,13 +406,11 @@ def cmd_filter(args) -> int:
     mode = args.mode or config.mode
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}", "io", "mode")
-    modes = ["new", "classical"] if mode == "both" else [mode]
+    modes = ("new", "classical") if mode == "both" else (mode,)
 
     out = args.out or config.out
     base = Path(out) if out else Path(args.data).with_suffix(".filtered.csv")
-    outputs: dict[str, dlm.FilterOutput] = {}
-    for m in modes:
-        outputs[m] = dlm.filter(config.model, values, config.prior, mode=m)
+    outputs = dict(zip(modes, dlm._filter(config.model, values, config.prior, modes)))
     for m, output in outputs.items():
         path = base if len(modes) == 1 else base.with_name(f"{base.stem}.{m}{base.suffix}")
         _write_records(path, output)

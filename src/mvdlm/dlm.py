@@ -10,15 +10,16 @@ Sigma carrying the per-variable degrees-of-freedom covariance law from
 :mod:`mvdlm.distributions`. Conjugacy gives one closed-form recursion over
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
 the posterior update. One loop runs that recursion on raw arrays for M
-series that share a missing-data mask: the row scales (R, Q, A, P) and the
-dof n depend only on the model and the mask, so they are carried once for all
-series. The covariance scale is additive in N^{1/2} S N^{1/2}, so the loop
-does not carry S either: it is one cumulative sum of the steps' Gram matrices,
-computed after the loop. :func:`filter` is the case M = 1 and records every
-intermediate quantity; the replication study runs all its replications in one
-pass.
-Constant model inputs are validated once, callables when they are read, and
-the prior once at entry.
+series that share a missing-data mask, in one or both update modes at once:
+the row scales (R, Q, A, P) and the dof n depend only on the model, the mask
+and the mode, so they are carried once for all series, with the modes as a
+leading stack axis. The covariance scale is additive in N^{1/2} S N^{1/2}, so
+the loop does not carry S either: it is one cumulative sum of the steps' Gram
+matrices, computed after the loop. :func:`filter` is the case of one series
+in one mode and records every intermediate quantity; the replication study
+runs all its replications in both modes in one pass.
+Constant model inputs are validated once, callables once for all steps
+before the loop, and the prior once at entry.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -77,8 +78,9 @@ class ModelSpec:
 
     F, G, V (and W, when explicit) may be constant arrays or callables mapping
     the 1-based time index to an array. A constant is converted, shape-checked
-    and finite-checked here, once; a callable's value is checked at every
-    step. Exactly one of ``W`` and ``discount`` must be given: an explicit
+    and finite-checked here, once; a callable is evaluated for every step of a
+    filter run and its values are checked once, as a T-stack, before the
+    loop. Exactly one of ``W`` and ``discount`` must be given: an explicit
     evolution scale, or a discount factor delta in (0, 1] that sets
     W_t = (1 - delta)/delta * G P_{t-1} G', i.e. R_t = G P_{t-1} G' / delta.
     """
@@ -121,6 +123,37 @@ class ModelSpec:
         if not callable(value):
             return value
         return _checked(value(t), self._shape(name), f"{name} at t={t}")
+
+    def _stack(self, name: str, T: int) -> tuple[np.ndarray | None, tuple | None]:
+        """Input ``name`` for t = 1..T as one T-stack, and its first failure
+        ``(t, error)`` or None; after a failure the stack ends at step t - 1.
+
+        A callable is evaluated for every t and its values are checked
+        together; only if that check fails are they checked one by one.
+        """
+        value, shape = getattr(self, name), self._shape(name)
+        if not callable(value):
+            return (None if value is None else np.broadcast_to(value, (T,) + shape)), None
+        values, failure = [], None
+        for t in range(1, T + 1):
+            try:
+                values.append(value(t))
+            except MvdlmError as exc:
+                failure = (t, exc)
+                break
+        try:
+            stack = np.asarray(values, dtype=float)
+            if stack.shape == (len(values),) + shape and np.isfinite(stack).all():
+                return stack, failure
+        except (TypeError, ValueError):
+            pass
+        stack = np.empty((len(values),) + shape)
+        for t, v in enumerate(values, start=1):
+            try:
+                stack[t - 1] = _checked(v, shape, f"{name} at t={t}")
+            except MvdlmError as exc:
+                return stack[: t - 1], (t, exc)
+        return stack, failure
 
     def F_at(self, t: int) -> np.ndarray:
         return self._at("F", t)
@@ -320,6 +353,13 @@ def filter(
     e that is not finite at an updating step are raised as
     :class:`FilterError` with the failing 1-based time index.
     """
+    return _filter(model, data, prior, (mode,))[0]
+
+
+def _filter(
+    model: ModelSpec, data: np.ndarray | Sequence, prior: NmiwState, modes: tuple[str, ...]
+) -> list[FilterOutput]:
+    """:func:`filter` in each of ``modes``, all in one loop over t."""
     r, p = model.r, model.p
     try:
         y = np.asarray(data, dtype=float)
@@ -331,30 +371,39 @@ def filter(
         raise DimensionMismatch(f"observations must have shape (T, {r}, {p}), got {y.shape}")
     if np.isinf(y).any():
         raise DomainError("observed entries must be finite")
-    return _series_output(_run(model, prior, y[None], ~np.isnan(y), mode), 0)
+    return [_series_output(rec, 0) for rec in _run(model, prior, y[None], ~np.isnan(y), modes)]
 
 
 def _run(
-    model: ModelSpec, prior: NmiwState, y: np.ndarray, observed: np.ndarray, mode: str
-) -> dict:
-    """Filter M series that share one missing-data mask in one loop over t.
+    model: ModelSpec,
+    prior: NmiwState,
+    y: np.ndarray,
+    observed: np.ndarray,
+    modes: tuple[str, ...],
+) -> list[dict]:
+    """Filter M series that share one missing-data mask in K modes, all in
+    one loop over t.
 
     ``y`` is M x T x r x p (entries where ``observed`` is False are ignored)
     and ``observed`` the shared T x r x p mask. The row-scale schedule R, Q, A,
-    P and the dof n depend only on the model and the mask, so they are carried
-    once; the series sit side by side as column blocks, so m and a are
-    d x (M p), f and e are r x (M p), and only S (M x p x p) has a batch axis.
+    P and the dof n depend only on the model, the mask and the mode, so they
+    are carried once per mode, the modes as a leading stack axis (K x d x d);
+    the series sit side by side as column blocks, so m and a are K x d x (M p)
+    and f and e are K x r x (M p). The model inputs for all t, and each mode's
+    update schedule, are computed before the loop.
 
     The loop over t carries a, R, f, Q with its Cholesky factor L, A, e, m and
-    P, and raises :class:`FilterError` at the failing step. S is computed after
-    the loop: with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the Gram matrix
+    P, and raises :class:`FilterError` at the earliest failing step (the first
+    mode in ``modes`` at a tie). S is computed after the loop, once per mode:
+    with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the Gram matrix
     C_t = (L^{-1} e)'(L^{-1} e) on the variables observed in every replicate
     (zero at a step that does not update), S_t = (S0 * nn_0 + C_1 + ... + C_t)
-    / nn_t. Returns the records stacked over time (leading axis T) in that
-    layout.
+    / nn_t. Returns one record dict per mode, stacked over time (leading axis
+    T) in that layout, with only S (T x M x p x p) carrying a series axis.
     """
-    if mode not in ("new", "classical"):
-        raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
+    for mode in modes:
+        if mode not in ("new", "classical"):
+            raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
     d, p, r = model.d, model.p, model.r
     if prior.d != d or prior.p != p:
         raise DimensionMismatch(
@@ -367,39 +416,41 @@ def _run(
     if y.shape[2:] != (r, p):
         raise DimensionMismatch(f"observations have shape {y.shape[2:]}, model declares ({r}, {p})")
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
+    K = len(modes)
+    (Fs, Gs, Vs, Ws), failures = zip(*(model._stack(name, T) for name in "FGVW"))
+    # the earliest bad model input, F before G before V before W at the same t
+    failure = min((f for f in failures if f), key=lambda f: f[0], default=None)
 
-    # The mask schedule for all steps. A variable moves its mean column and
-    # adds to S only when it is observed in every replicate (wprod); its dof
-    # grows by its observed count, and the shared P takes the fraction u of a
-    # full update. A step with nothing observed, or with any missing entry in
-    # classical mode, updates nothing.
-    update = observed.any(axis=(1, 2)) if mode == "new" else observed.all(axis=(1, 2))
-    wprod = observed.all(axis=1).astype(float)
-    u = (wprod.sum(axis=1) / p).tolist()
+    # The mask schedule for all steps and modes (T x K). A variable moves its
+    # mean column (gain) and adds to S only when it is observed in every
+    # replicate (wprod); its dof grows by its observed count, and the shared P
+    # takes the fraction u of a full update. A step with nothing observed, or
+    # with any missing entry in classical mode, updates nothing (u = 0).
+    update = np.stack(
+        [observed.any(axis=(1, 2)) if mode == "new" else observed.all(axis=(1, 2))
+         for mode in modes], axis=1,
+    )
+    wprod = observed.all(axis=1)
     wcols = np.tile(wprod, (1, M))
+    gain = update[:, :, None, None] & wcols[:, None, None, :]
+    u = np.where(update, wprod.sum(axis=1, keepdims=True) / p, 0.0)[:, :, None, None]
     obs_cols = np.tile(observed, (1, 1, M))
-    counts = np.where(update[:, None], observed.sum(axis=1), 0)
-    n_all = np.cumsum(np.vstack([n0, counts]), axis=0)
-    update_at = update.tolist()
 
-    rec = {
-        "a": np.empty((T, d, M * p)), "R": np.empty((T, d, d)), "f": np.empty((T, r, M * p)),
-        "Q": np.empty((T, r, r)), "A": np.empty((T, d, r)), "e": np.empty((T, r, M * p)),
-        "m": np.empty((T, d, M * p)), "P": np.empty((T, d, d)), "S": np.empty((T, M, p, p)),
-        "n": n_all[1:], "observed": observed, "mode": mode, "prior": prior,
-    }
-    chol = np.empty((T, r, r))
-    m = np.tile(m, (1, M))
-    for k in range(T):
+    # Records are stored mode-major (K x T x ...), so each mode's are contiguous;
+    # the loop writes step k through time-major views.
+    shapes = {"a": (d, M * p), "R": (d, d), "f": (r, M * p), "Q": (r, r), "A": (d, r),
+              "e": (r, M * p), "m": (d, M * p), "P": (d, d)}
+    rec = {name: np.empty((K, T) + shape) for name, shape in shapes.items()}
+    chol = np.empty((K, T, r, r))
+    stores = [rec[name].swapaxes(0, 1) for name in shapes] + [chol.swapaxes(0, 1)]
+    m = np.tile(m, (K, 1, M))
+    P = np.tile(P, (K, 1, 1))
+    for k in range(T if failure is None else failure[0] - 1):
         t = k + 1
-        try:
-            F, G, V, W = model.F_at(t), model.G_at(t), model.V_at(t), model.W_at(t)
-        except MvdlmError as exc:
-            raise FilterError(str(exc), t=t) from exc
-
+        F, G, V = Fs[k], Gs[k], Vs[k]
         a = G @ m
         GPG = G @ P @ G.T
-        R = symmetrize(GPG) / model.discount if W is None else symmetrize(GPG + W)
+        R = symmetrize(GPG) / model.discount if Ws is None else symmetrize(GPG + Ws[k])
         f = F.T @ a
         RF = R @ F
         Q = symmetrize(F.T @ RF + V)
@@ -409,52 +460,57 @@ def _run(
             L = np.linalg.cholesky(Q)
         except np.linalg.LinAlgError as exc:
             raise FilterError("forecast scale Q is not positive definite", t=t) from exc
-        A = np.linalg.solve(L.T, np.linalg.solve(L, RF.T)).T
+        A = np.linalg.solve(L.swapaxes(1, 2), np.linalg.solve(L, RF.swapaxes(1, 2))).swapaxes(1, 2)
         e = np.where(obs_cols[k], y[k] - f, 0.0)
+        # A residual that is not finite fails only a mode that updates with it;
+        # where(gain, e, 0) keeps it out of every other mean.
+        if not np.isfinite(e).all() and (update[k] & ~np.isfinite(e).all(axis=(1, 2))).any():
+            raise FilterError("forecast residual e is not finite", t=t)
+        m = a + A @ np.where(gain[k], e, 0.0)
+        P = symmetrize(R - A @ Q @ A.swapaxes(1, 2) * u[k])
+        for store, value in zip(stores, (a, R, f, Q, A, e, m, P, L)):
+            store[k] = value
+    if failure is not None:
+        t, exc = failure
+        raise FilterError(str(exc), t=t) from exc
 
-        if update_at[k]:
-            if not np.isfinite(e).all():
-                raise FilterError("forecast residual e is not finite", t=t)
-            m = a + (A @ e) * wcols[k]
-            P = symmetrize(R - (A @ Q @ A.T) * u[k])
-        else:
-            m, P = a, R
-        rec["a"][k] = a
-        rec["R"][k] = R
-        rec["f"][k] = f
-        rec["Q"][k] = Q
-        rec["A"][k] = A
-        rec["e"][k] = e
-        rec["m"][k] = m
-        rec["P"][k] = P
-        chol[k] = L
+    obs_counts = observed.sum(axis=1)
+    runs = []
+    for i, mode in enumerate(modes):
+        run = {name: stack[i] for name, stack in rec.items()}
+        upd = update[:, i]
+        n_all = np.cumsum(np.vstack([n0, np.where(upd[:, None], obs_counts, 0)]), axis=0)
 
-    # S as the cumulative sum of C = Z'Z, Z = L^{-1} e on the wprod columns. Z is
-    # solved at the updating steps only and is exactly 0 elsewhere, whatever e
-    # holds there.
-    S, sn = rec["S"], np.sqrt(n_all)
-    Z = np.zeros((T, r, M * p))
-    Z[update] = np.linalg.solve(chol[update], rec["e"][update]) * wcols[update, None]
-    Z = Z.reshape(T, r, M, p)
-    np.einsum("tkmi,tkmj->tmij", Z, Z, out=S)
-    S[0] += S0 * np.outer(sn[0], sn[0])
-    np.cumsum(S, axis=0, out=S)
-    # Steps before the first update keep the prior bit for bit; after it, each
-    # row is divided by sqrt(n_i) * sqrt(n_j), the same product for S_ij and
-    # S_ji, so S stays exactly symmetric.
-    k0 = int(update.argmax()) if update.any() else T
-    S[:k0] = S0
-    for i in range(p):
-        S[k0:, :, i] /= (sn[k0 + 1:, i, None] * sn[k0 + 1:])[:, None]
+        # S as the cumulative sum of C = Z'Z, Z = L^{-1} e on the wprod columns.
+        # Z is solved at the updating steps only and is exactly 0 elsewhere,
+        # whatever e holds there.
+        S, sn = np.empty((T, M, p, p)), np.sqrt(n_all)
+        Z = np.zeros((T, r, M * p))
+        Z[upd] = np.linalg.solve(chol[i][upd], run["e"][upd]) * wcols[upd, None]
+        Z = Z.reshape(T, r, M, p)
+        np.einsum("tkmi,tkmj->tmij", Z, Z, out=S)
+        S[0] += S0 * np.outer(sn[0], sn[0])
+        np.cumsum(S, axis=0, out=S)
+        # Steps before the first update keep the prior bit for bit; after it,
+        # each row is divided by sqrt(n_i) * sqrt(n_j), the same product for
+        # S_ij and S_ji, so S stays exactly symmetric.
+        k0 = int(upd.argmax()) if upd.any() else T
+        S[:k0] = S0
+        for j in range(p):
+            S[k0:, :, j] /= (sn[k0 + 1:, j, None] * sn[k0 + 1:])[:, None]
 
-    # Errors standardized by sqrt(Q_kk S_jj), S from the previous posterior.
-    s_diag = np.empty((T, 1, M, p))
-    s_diag[0] = np.diag(S0)
-    s_diag[1:, 0] = np.diagonal(rec["S"][:-1], axis1=2, axis2=3)
-    s_diag = s_diag.reshape(T, 1, M * p)
-    q_diag = np.diagonal(rec["Q"], axis1=1, axis2=2)[:, :, None]
-    rec["std_err"] = np.where(obs_cols, rec["e"] / np.sqrt(q_diag * s_diag), np.nan)
-    return rec
+        # Errors standardized by sqrt(Q_kk S_jj), S from the previous posterior.
+        s_diag = np.empty((T, 1, M, p))
+        s_diag[0] = np.diag(S0)
+        s_diag[1:, 0] = np.diagonal(S[:-1], axis1=2, axis2=3)
+        s_diag = s_diag.reshape(T, 1, M * p)
+        q_diag = np.diagonal(run["Q"], axis1=1, axis2=2)[:, :, None]
+        run.update(
+            S=S, n=n_all[1:], observed=observed, mode=mode, prior=prior,
+            std_err=np.where(obs_cols, run["e"] / np.sqrt(q_diag * s_diag), np.nan),
+        )
+        runs.append(run)
+    return runs
 
 
 def _series_output(rec: dict, i: int) -> FilterOutput:

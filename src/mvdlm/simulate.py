@@ -210,7 +210,7 @@ def replicate_experiment(
     """Run both filter modes over many seeded replications and aggregate.
 
     Replication i reuses ``cfg`` with seed ``cfg.seed + i``. All replications
-    share the missing pattern, so each mode filters them together in one
+    share the missing pattern, so both modes filter them all together in one
     batched pass. The correlation estimates come from the masked-update
     posterior at each partially missing time (the classical filter has not
     updated at those times at all).
@@ -227,8 +227,8 @@ def replicate_experiment(
 
     observed = _missing_mask(pattern, cfg.T, p)[:, None, :]
     y = np.stack([gen_local_level(replace(cfg, seed=cfg.seed + i))[1] for i in range(M)])
-    runs = {mode: dlm._run(model, prior, y[:, :, None, :], observed, mode)
-            for mode in ("new", "classical")}
+    modes = ("new", "classical")
+    runs = dict(zip(modes, dlm._run(model, prior, y[:, :, None, :], observed, modes)))
     msse_new, msse_classical = (dlm._msse(rec["std_err"], observed) for rec in runs.values())
     S = runs["new"]["S"][[t - 1 for t in partial_times]]
     partial_corr = (S[..., 0, 1] / np.sqrt(S[..., 0, 0] * S[..., 1, 1])).T

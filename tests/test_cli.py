@@ -308,6 +308,43 @@ def test_numerical_failure_exits_3_with_time_index(tmp_path, capsys):
     assert "numerical failure" in err and "t=2" in err
 
 
+def test_both_modes_fail_as_the_updating_mode_does(tmp_path, capsys):
+    # The residual of variable 1 overflows at t = 2, where variable 2 is
+    # missing: only the new mode updates there.
+    config = write_config(tmp_path, GOOD_CONFIG.replace("m0 = zeros", "m0 = [[-1e308, 0.0]]")
+                          .replace("P0 = 1e6", "P0 = 1e-6"))
+    data = write_data(tmp_path, ["NA,NA", "1e308,NA", "1.0,2.0"])
+    runs = {}
+    with np.errstate(all="ignore"):
+        for mode in ("new", "both", "classical"):
+            code = main(["filter", "--config", str(config), "--data", str(data), "--mode", mode,
+                         "--out", str(tmp_path / f"{mode}.csv")])
+            runs[mode] = (code, capsys.readouterr().err)
+    assert runs["both"] == runs["new"]
+    assert runs["new"][0] == 3 and "t=2: forecast residual e is not finite" in runs["new"][1]
+    assert runs["classical"] == (0, "")
+
+
+def test_never_observed_variable_has_na_msse(tmp_path, capsys):
+    config = write_config(tmp_path, GOOD_CONFIG)
+    data = write_data(tmp_path, ["0.1,NA", "0.3,NA", "-0.2,na", "0.4,"])
+    out = tmp_path / "records.csv"
+    assert main(["filter", "--config", str(config), "--data", str(data),
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    cfg = load_config(config)
+    for line in lines[1:]:
+        mode, msse_1, msse_2, _ = line.split(",")
+        output = mv.filter(cfg.model, parse_csv(data), cfg.prior, mode=mode)
+        assert float(msse_1) > 0.0
+        assert msse_2 == "NA"
+        assert out.with_name(f"records.{mode}.csv").exists()
+        # the library still has no MSSE for such a variable
+        with pytest.raises(mv.DomainError, match="variable 1 is never observed"):
+            mv.msse(output)
+    assert [line.split(",")[0] for line in lines[1:]] == ["new", "classical"]
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 # ---------------------------------------------------------------------------

@@ -565,6 +565,31 @@ def test_filter_error_carries_time_index():
     assert "forecast scale Q" in str(exc.value)
 
 
+def test_forecast_failure_before_a_later_bad_input_wins():
+    # V makes Q non-positive-definite at t = 3; F is NaN at t = 4
+    model = mv.ModelSpec(d=1, p=2, r=1, G=np.eye(1), discount=0.9,
+                         F=lambda t: np.array([[np.nan if t == 4 else 1.0]]),
+                         V=lambda t: np.array([[-1e9 if t == 3 else 1.0]]))
+    data = np.full((6, 1, 2), 0.5)
+    with pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, data, mv.default_prior())
+    assert exc.value.t == 3
+    assert "forecast scale Q" in str(exc.value)
+
+
+def test_input_callable_raising_a_domain_error_fails_at_its_step():
+    def V(t):
+        if t == 4:
+            raise mv.DomainError("no observation scale this late")
+        return np.eye(1)
+
+    model = mv.ModelSpec(d=1, p=2, r=1, F=np.eye(1), G=np.eye(1), V=V, discount=0.9)
+    with pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, np.full((6, 1, 2), 0.5), mv.default_prior())
+    assert exc.value.t == 4
+    assert str(exc.value) == "t=4: no observation scale this late"
+
+
 @pytest.mark.parametrize("m0,p0,message", [
     (0.0, 1e308, "forecast scale Q is not finite"),
     (1e308, 1.0, "forecast residual e is not finite"),
@@ -591,6 +616,28 @@ def test_non_finite_model_input_is_filter_error_at_its_time(name, bad):
         mv.filter(model, data, mv.default_prior())
     assert exc.value.t == 3
     assert f"{name} at t=3 must be finite" in str(exc.value)
+
+
+def test_malformed_callable_value_is_filter_error_at_its_time():
+    model = mv.ModelSpec(d=1, p=2, r=1, F=np.eye(1), V=np.eye(1), discount=0.9,
+                         G=lambda t: np.eye(2 if t in (3, 5) else 1))
+    with pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, np.full((6, 1, 2), 0.5), mv.default_prior())
+    assert str(exc.value) == "t=3: G at t=3 must have shape (1, 1), got (2, 2)"
+
+
+def test_other_exception_from_a_callable_propagates_before_the_loop():
+    # every callable is evaluated for all t before the first step, so this
+    # error wins over the non-positive-definite Q at t = 2
+    def F(t):
+        if t == 5:
+            raise ZeroDivisionError("F")
+        return np.eye(1)
+
+    model = mv.ModelSpec(d=1, p=2, r=1, F=F, G=np.eye(1), V=np.array([[-1.0]]),
+                         discount=0.9)
+    with pytest.raises(ZeroDivisionError):
+        mv.filter(model, np.full((6, 1, 2), 0.5), mv.default_prior())
 
 
 @pytest.mark.parametrize("field", ["m", "P", "S", "n", "v"])

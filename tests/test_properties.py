@@ -120,17 +120,24 @@ def _rel_close(got, want, tol=1e-10):
 
 @SETTINGS
 @given(systems(), st.integers(1, 4), st.integers(0, 2**32 - 1),
-       st.sampled_from(["new", "classical"]))
-def test_batched_series_match_single_series_runs(system, M, seed, mode):
+       st.sampled_from([("new",), ("classical",), ("new", "classical")]))
+def test_batched_series_match_single_series_runs(system, M, seed, modes):
     model, prior, values, mask = system
     # M series sharing one mask; their values under the mask are ignored
     ys = np.random.default_rng(seed).standard_normal((M,) + values.shape)
-    records = mv.dlm._run(model, prior, ys, mask, mode)
-    for i in range(M):
-        batched = mv.dlm._series_output(records, i)
-        single = mv.filter(model, observations(ys[i], mask), prior, mode=mode)
-        for name in STACKS + ("std_err",):
-            assert _rel_close(getattr(batched, name), getattr(single, name)), (i, name)
+    runs = mv.dlm._run(model, prior, ys, mask, modes)
+    for mode, records in zip(modes, runs):
+        # a mode filtered beside another gets the bits it gets alone
+        alone = mv.dlm._run(model, prior, ys, mask, (mode,))[0] if len(modes) > 1 else records
+        for i in range(M):
+            batched = mv.dlm._series_output(records, i)
+            single = mv.filter(model, observations(ys[i], mask), prior, mode=mode)
+            exact = mv.dlm._series_output(alone, i)
+            assert batched.mode == mode
+            for name in STACKS + ("std_err",):
+                got = getattr(batched, name)
+                assert np.array_equal(got, getattr(exact, name), equal_nan=True), (i, name)
+                assert _rel_close(got, getattr(single, name)), (i, name)
 
 
 @SETTINGS
