@@ -244,9 +244,15 @@ def load_config(path: str | Path) -> RunConfig:
         try:
             pattern = MissingPattern({t: frozenset(vs) for t, vs in raw.items()})
             cfg = LocalLevelConfig(T=T, corr=corr, obs_var=obs_var, level_var=level_var, seed=seed)
-            _missing_mask(pattern, T, p)
+            observed = _missing_mask(pattern, T, p)
         except MvdlmError as exc:
             raise ConfigError(str(exc), sec) from exc
+        never = np.flatnonzero(~observed.any(axis=0))
+        if never.size:
+            raise ConfigError(
+                f"pattern leaves variable {never[0] + 1} missing at every t, "
+                "so the study cannot score it", sec, "pattern",
+            )
         simulate = SimulateBlock(cfg=cfg, pattern=pattern, replications=replications)
 
     return RunConfig(model=model, prior=prior, mode=mode, out=out, simulate=simulate)
@@ -336,8 +342,10 @@ def _format(x: float) -> str:
     return "NA" if not np.isfinite(x) else f"{x:.10g}"
 
 
+@np.errstate(all="ignore")
 def _corr_upper(S: np.ndarray) -> np.ndarray:
-    """S_ij / (sd_i sd_j) over the strict upper triangle of each S in a stack."""
+    """S_ij / (sd_i sd_j) over the strict upper triangle of each S in a stack;
+    NaN or inf where S has overflowed, written as NA."""
     i, j = np.triu_indices(S.shape[-1], 1)
     sd = np.sqrt(np.diagonal(S, axis1=1, axis2=2))
     return S[:, i, j] / (sd[:, i] * sd[:, j])
@@ -382,7 +390,9 @@ def _summary_rows(outputs: dict[str, dlm.FilterOutput]) -> list[list[str]]:
         seen = observed.any(axis=(0, 1))
         msse = np.full(seen.shape, np.nan)
         if seen.any():
-            msse[seen] = dlm._msse(output.std_err[:, :, seen], observed[:, :, seen])[0]
+            # an overflowed residual gives an infinite MSSE, written as NA
+            with np.errstate(all="ignore"):
+                msse[seen] = dlm._msse(output.std_err[:, :, seen], observed[:, :, seen])[0]
         rows.append([mode] + [_format(x) for x in msse] + [_format(mean_corr)])
     return rows
 

@@ -15,9 +15,12 @@ the row scales (R, Q, A, P) and the dof n depend only on the model, the mask
 and the mode, so they are carried once for all series, with the modes as a
 leading stack axis. The covariance scale is additive in N^{1/2} S N^{1/2}, so
 the loop does not carry S either: it is one cumulative sum of the steps' Gram
-matrices, computed after the loop. :func:`filter` is the case of one series
-in one mode and records every intermediate quantity; the replication study
-runs all its replications in both modes in one pass.
+matrices, computed after the loop. The loop makes one linear solve per
+step, for the gain; the Cholesky factor of Q and the checks that raise
+:class:`FilterError` also run after it, on the stacked records.
+:func:`filter` is the case of one series in one mode and records every
+intermediate quantity; the replication study runs all its replications in
+both modes in one pass.
 Constant model inputs are validated once, callables once for all steps
 before the loop, and the prior once at entry.
 
@@ -374,6 +377,16 @@ def _filter(
     return [_series_output(rec, 0) for rec in _run(model, prior, y[None], ~np.isnan(y), modes)]
 
 
+_STEP_FAILURES = (
+    "forecast scale Q is not finite",
+    "forecast scale Q is not positive definite",
+    "forecast residual e is not finite",
+)
+
+
+# The steps after a failure compute on values that may overflow and are never
+# returned; the checks after the step loop report the failure, not a warning.
+@np.errstate(all="ignore")
 def _run(
     model: ModelSpec,
     prior: NmiwState,
@@ -392,10 +405,14 @@ def _run(
     and f and e are K x r x (M p). The model inputs for all t, and each mode's
     update schedule, are computed before the loop.
 
-    The loop over t carries a, R, f, Q with its Cholesky factor L, A, e, m and
-    P, and raises :class:`FilterError` at the earliest failing step (the first
-    mode in ``modes`` at a tie). S is computed after the loop, once per mode:
-    with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the Gram matrix
+    The loop over t carries a, R, f, Q, A, e, m and P and makes one linear
+    solve per step, for the gain A = R F Q^{-1}. The checks run after it, on
+    the record stacks: Q finite, one stacked Cholesky factorization L of Q
+    (the positive-definite check), and e finite at the steps where a mode
+    updates. :class:`FilterError` names the earliest failing step, and at one
+    step Q's finiteness before its definiteness before e; a bad model input is
+    raised only if no earlier step failed. S is computed after the checks,
+    once per mode: with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the Gram matrix
     C_t = (L^{-1} e)'(L^{-1} e) on the variables observed in every replicate
     (zero at a step that does not update), S_t = (S0 * nn_0 + C_1 + ... + C_t)
     / nn_t. Returns one record dict per mode, stacked over time (leading axis
@@ -441,12 +458,14 @@ def _run(
     shapes = {"a": (d, M * p), "R": (d, d), "f": (r, M * p), "Q": (r, r), "A": (d, r),
               "e": (r, M * p), "m": (d, M * p), "P": (d, d)}
     rec = {name: np.empty((K, T) + shape) for name, shape in shapes.items()}
-    chol = np.empty((K, T, r, r))
-    stores = [rec[name].swapaxes(0, 1) for name in shapes] + [chol.swapaxes(0, 1)]
+    stores = [rec[name].swapaxes(0, 1) for name in shapes]
     m = np.tile(m, (K, 1, M))
     P = np.tile(P, (K, 1, 1))
-    for k in range(T if failure is None else failure[0] - 1):
-        t = k + 1
+    # Per step, in the order they are raised: Q not finite, Q not positive
+    # definite, e not finite where a mode updates with it.
+    checks = np.zeros((T, 3), dtype=bool)
+    done = stored = T if failure is None else failure[0] - 1
+    for k in range(done):
         F, G, V = Fs[k], Gs[k], Vs[k]
         a = G @ m
         GPG = G @ P @ G.T
@@ -454,22 +473,37 @@ def _run(
         f = F.T @ a
         RF = R @ F
         Q = symmetrize(F.T @ RF + V)
-        if not np.isfinite(Q).all():
-            raise FilterError("forecast scale Q is not finite", t=t)
         try:
-            L = np.linalg.cholesky(Q)
-        except np.linalg.LinAlgError as exc:
-            raise FilterError("forecast scale Q is not positive definite", t=t) from exc
-        A = np.linalg.solve(L.swapaxes(1, 2), np.linalg.solve(L, RF.swapaxes(1, 2))).swapaxes(1, 2)
+            A = np.linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
+        except np.linalg.LinAlgError:
+            # an exactly singular Q is not positive definite
+            rec["Q"][:, k] = Q
+            checks[k, 1] = True
+            done, stored = k, k + 1
+            break
         e = np.where(obs_cols[k], y[k] - f, 0.0)
-        # A residual that is not finite fails only a mode that updates with it;
-        # where(gain, e, 0) keeps it out of every other mean.
-        if not np.isfinite(e).all() and (update[k] & ~np.isfinite(e).all(axis=(1, 2))).any():
-            raise FilterError("forecast residual e is not finite", t=t)
+        # where(gain, e, 0) keeps a residual out of every mean that does not
+        # update with it, so it fails only a mode that does.
         m = a + A @ np.where(gain[k], e, 0.0)
         P = symmetrize(R - A @ Q @ A.swapaxes(1, 2) * u[k])
-        for store, value in zip(stores, (a, R, f, Q, A, e, m, P, L)):
+        for store, value in zip(stores, (a, R, f, Q, A, e, m, P)):
             store[k] = value
+
+    Qs = rec["Q"]
+    checks[:stored, 0] = ~np.isfinite(Qs[:, :stored]).all(axis=(0, 2, 3))
+    try:
+        chol = np.linalg.cholesky(Qs[:, :done])
+    except np.linalg.LinAlgError:
+        for k in range(done):
+            try:
+                np.linalg.cholesky(Qs[:, k])
+            except np.linalg.LinAlgError:
+                checks[k, 1] = True
+                break
+    checks[:done, 2] = (update[:done] & ~np.isfinite(rec["e"][:, :done]).all(axis=(2, 3)).T).any(1)
+    if checks.any():
+        k, check = np.argwhere(checks)[0]
+        raise FilterError(_STEP_FAILURES[check], t=int(k) + 1)
     if failure is not None:
         t, exc = failure
         raise FilterError(str(exc), t=t) from exc

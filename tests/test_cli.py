@@ -1,6 +1,10 @@
 """Command-line front end: config parsing, CSV round-trips, end-to-end runs."""
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,13 +319,39 @@ def test_both_modes_fail_as_the_updating_mode_does(tmp_path, capsys):
                           .replace("P0 = 1e6", "P0 = 1e-6"))
     data = write_data(tmp_path, ["NA,NA", "1e308,NA", "1.0,2.0"])
     runs = {}
-    with np.errstate(all="ignore"):
-        for mode in ("new", "both", "classical"):
-            code = main(["filter", "--config", str(config), "--data", str(data), "--mode", mode,
-                         "--out", str(tmp_path / f"{mode}.csv")])
-            runs[mode] = (code, capsys.readouterr().err)
+    for mode in ("new", "both", "classical"):
+        code = main(["filter", "--config", str(config), "--data", str(data), "--mode", mode,
+                     "--out", str(tmp_path / f"{mode}.csv")])
+        runs[mode] = (code, capsys.readouterr().err)
     assert runs["both"] == runs["new"]
     assert runs["new"][0] == 3 and "t=2: forecast residual e is not finite" in runs["new"][1]
+    assert runs["classical"] == (0, "")
+
+
+def run_cli(*args):
+    """Run ``mvdlm`` in a fresh interpreter, with Python's default warning
+    filters; returns the exit code and standard error."""
+    src = str(Path(mv.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    script = "import sys; from mvdlm.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)), capture_output=True, text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_overflowing_input_prints_no_numpy_warning(tmp_path):
+    # y1 - f overflows at t = 2 (new mode fails there) and at t = 4, where
+    # the classical run goes on: its records and MSSE hold NA instead.
+    config = write_config(tmp_path, GOOD_CONFIG.replace("m0 = zeros", "m0 = [[-1e308, 0.0]]")
+                          .replace("P0 = 1e6", "P0 = 1e-6"))
+    data = write_data(tmp_path, ["NA,NA", "1e308,NA", "1.0,2.0", "-1e308,1.0"])
+    runs = {mode: run_cli("filter", "--config", str(config), "--data", str(data), "--mode", mode,
+                          "--out", str(tmp_path / f"{mode}.csv"))
+            for mode in ("new", "classical")}
+    assert runs["new"] == (3, "numerical failure: t=2: forecast residual e is not finite\n")
     assert runs["classical"] == (0, "")
 
 
@@ -433,9 +463,10 @@ SIM_PATTERN = "pattern = {24: [2], 43: [2], 60: [1, 2], 75: [1], 86: [2]}"
     (SIM_PATTERN, "pattern = {24: ['x']}"),
     (SIM_PATTERN, "pattern = {200: [1]}"),  # beyond T = 100
     (SIM_PATTERN, "pattern = {24: [3]}"),  # beyond p = 2
+    (SIM_PATTERN, "pattern = {%s}" % ", ".join(f"{t}: [2]" for t in range(1, 101))),
     ("p = 2", "p = 3"),
 ], ids=["seed", "seed-negative", "replications", "pattern-value", "pattern-entry", "pattern-time",
-        "pattern-variable", "model-p"])
+        "pattern-variable", "pattern-never-observed", "model-p"])
 def test_simulate_bad_input_is_config_error(tmp_path, capsys, old, new):
     assert old in SIM_CONFIG
     config = write_config(tmp_path, SIM_CONFIG.replace(old, new))

@@ -6,6 +6,7 @@ against bookkeeping identities that must hold exactly (not just to
 floating-point tolerance).
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -436,8 +437,7 @@ def test_non_updating_step_with_non_finite_residual_leaves_s_unchanged():
                          miw=mv.MiwParams(S=np.array([[1.0, 0.3], [0.3, 2.0]]),
                                           n=np.array([2.0, 3.0]), v=2.0))
     data = np.array([[[1e300, 1e300]], [[1e300, 1e300]], [[1e300, np.nan]]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = mv.filter(model, data, prior, mode="classical")
+    out = mv.filter(model, data, prior, mode="classical")
     assert not np.isfinite(out.e[2]).all()
     assert np.isfinite(out.S[1]).all()
     assert np.array_equal(out.S[2], out.S[1])
@@ -597,10 +597,61 @@ def test_input_callable_raising_a_domain_error_fails_at_its_step():
 def test_overflow_is_filter_error_naming_the_quantity(m0, p0, message):
     model = mv.ModelSpec(d=1, p=1, r=1, F=np.eye(1), G=10.0 * np.eye(1), V=np.eye(1),
                          W=0.1 * np.eye(1))
-    with np.errstate(all="ignore"), pytest.raises(mv.FilterError) as exc:
-        mv.filter(model, [np.array([[0.0]])] * 2, scalar_prior(m0=m0, p0=p0))
-    assert exc.value.t == 1
-    assert message in str(exc.value)
+    exc = filter_error(model, [np.array([[0.0]])] * 2, scalar_prior(m0=m0, p0=p0))
+    assert exc.t == 1
+    assert message in str(exc)
+
+
+def filter_error(model, data, prior, modes=("new",)):
+    """The FilterError of a run in ``modes``, checking that no warning escapes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(mv.FilterError) as exc:
+            mv.dlm._filter(model, data, prior, modes)
+    assert [str(w.message) for w in caught] == []
+    return exc.value
+
+
+def test_exactly_singular_q_is_not_positive_definite():
+    # P = 0 and V = 0 make Q = 0, which the gain solve cannot invert
+    model = scalar_model(v=0.0, delta=1.0)
+    exc = filter_error(model, np.ones((3, 1, 1)), scalar_prior(p0=0.0))
+    assert str(exc) == "t=1: forecast scale Q is not positive definite"
+
+
+def test_earlier_residual_failure_wins_over_a_later_indefinite_q():
+    # y - f overflows at t = 2 (nothing is observed at t = 1); V makes Q
+    # negative at t = 4, a step the loop still computes
+    model = mv.ModelSpec(d=1, p=1, r=1, F=np.eye(1), G=np.eye(1), W=0.1 * np.eye(1),
+                         V=lambda t: np.array([[-10.0 if t == 4 else 1.0]]))
+    data = np.array([np.nan, 1e308, 0.0, 0.0, 0.0]).reshape(5, 1, 1)
+    exc = filter_error(model, data, scalar_prior(m0=-1e308, p0=1e-6))
+    assert str(exc) == "t=2: forecast residual e is not finite"
+
+
+def test_non_finite_q_wins_over_a_non_finite_residual_at_the_same_step():
+    # G = 1e200 at t = 2 overflows both the prior mean and R
+    model = mv.ModelSpec(d=1, p=1, r=1, F=np.eye(1), V=np.eye(1), W=0.1 * np.eye(1),
+                         G=lambda t: np.array([[1e200 if t == 2 else 1.0]]))
+    exc = filter_error(model, np.zeros((3, 1, 1)), scalar_prior(m0=1e200, p0=1.0))
+    assert str(exc) == "t=2: forecast scale Q is not finite"
+
+
+@pytest.mark.parametrize("modes", [("new", "classical"), ("classical", "new")])
+def test_two_mode_run_fails_only_where_a_mode_updates(modes):
+    # y1 - f overflows at t = 2, where y2 is missing: the new mode updates
+    # with that residual and fails, the classical mode skips the step
+    model = mv.ModelSpec(d=1, p=2, r=1, F=np.eye(1), G=np.eye(1), V=np.eye(1), discount=0.9)
+    prior = mv.NmiwState(m=np.array([[-1e308, 0.0]]), P=np.array([[1e-6]]),
+                         miw=mv.MiwParams(S=np.eye(2), n=np.ones(2), v=2.0))
+    data = np.array([[np.nan, np.nan], [1e308, np.nan], [1.0, 2.0]])[:, None, :]
+    exc = filter_error(model, data, prior, modes)
+    assert str(exc) == "t=2: forecast residual e is not finite"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = mv.filter(model, data, prior, mode="classical")
+    assert caught == []
+    assert np.isinf(out.e[1, 0, 0]) and np.array_equal(out.m[1], out.a[1])
 
 
 @pytest.mark.parametrize("name", ["F", "G", "V", "W"])
