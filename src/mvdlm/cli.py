@@ -181,16 +181,12 @@ def load_config(path: str | Path) -> RunConfig:
 
     w_text = _get(parser, sec, "w")
     discount_text = _get(parser, sec, "discount")
-    if (w_text is None) == (discount_text is None):
-        raise ConfigError("exactly one of 'W' and 'discount' must be given", sec)
     W = None if w_text is None else _parse_matrix(w_text, (d, d), sec, "W")
-    discount = None
-    if discount_text is not None:
-        discount = _parse_scalar(discount_text, sec, "discount")
-        if not 0.0 < discount <= 1.0:
-            raise ConfigError(f"discount must lie in (0, 1], got {discount}", sec, "discount")
+    discount = None if discount_text is None else _parse_scalar(discount_text, sec, "discount")
     try:
         model = ModelSpec(d=d, p=p, r=r, F=F, G=G, V=V, W=W, discount=discount)
+    except ConfigError:
+        raise
     except MvdlmError as exc:
         raise ConfigError(str(exc), sec) from exc
 
@@ -342,15 +338,6 @@ def _format(x: float) -> str:
     return "NA" if not np.isfinite(x) else f"{x:.10g}"
 
 
-@np.errstate(all="ignore")
-def _corr_upper(S: np.ndarray) -> np.ndarray:
-    """S_ij / (sd_i sd_j) over the strict upper triangle of each S in a stack;
-    NaN or inf where S has overflowed, written as NA."""
-    i, j = np.triu_indices(S.shape[-1], 1)
-    sd = np.sqrt(np.diagonal(S, axis1=1, axis2=2))
-    return S[:, i, j] / (sd[:, i] * sd[:, j])
-
-
 def _write_records(path: Path, output: dlm.FilterOutput) -> None:
     T, r, p = output.f.shape
     header = ["t"]
@@ -369,8 +356,13 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
         np.where(output.observed, output.e, np.nan).transpose(0, 2, 1).reshape(T, p * r),
         output.S[:, upper[0], upper[1]],
         output.n,
-        _corr_upper(output.S),
+        dlm._corr(output.S, *np.triu_indices(p, 1)),
     ])
+    _write_table(path, header, table)
+
+
+def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write a float table as CSV, each cell as %.10g and NA where not finite."""
     fmt = ",".join(["%.10g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
@@ -379,12 +371,14 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
             fh.write(line.replace("-inf", "NA").replace("inf", "NA").replace("nan", "NA"))
 
 
-def _summary_rows(outputs: dict[str, dlm.FilterOutput]) -> list[list[str]]:
-    rows = []
+def _print_summary(outputs: dict[str, dlm.FilterOutput], stream) -> None:
+    p = next(iter(outputs.values())).f.shape[2]
+    header = ["mode"] + [f"msse_{j}" for j in range(1, p + 1)] + ["mean_missing_corr"]
+    print(",".join(header), file=stream)
     for mode, output in outputs.items():
         observed = output.observed
         partial = observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2))
-        vals = _corr_upper(output.S[partial]).ravel()
+        vals = dlm._corr(output.S[partial], *np.triu_indices(p, 1)).ravel()
         mean_corr = float(np.mean(vals)) if vals.size else float("nan")
         # a variable that is never observed has no MSSE: NA
         seen = observed.any(axis=(0, 1))
@@ -393,16 +387,7 @@ def _summary_rows(outputs: dict[str, dlm.FilterOutput]) -> list[list[str]]:
             # an overflowed residual gives an infinite MSSE, written as NA
             with np.errstate(all="ignore"):
                 msse[seen] = dlm._msse(output.std_err[:, :, seen], observed[:, :, seen])[0]
-        rows.append([mode] + [_format(x) for x in msse] + [_format(mean_corr)])
-    return rows
-
-
-def _print_summary(outputs: dict[str, dlm.FilterOutput], stream) -> None:
-    p = next(iter(outputs.values())).f.shape[2]
-    header = ["mode"] + [f"msse_{j}" for j in range(1, p + 1)] + ["mean_missing_corr"]
-    print(",".join(header), file=stream)
-    for row in _summary_rows(outputs):
-        print(",".join(row), file=stream)
+        print(",".join([mode] + [_format(x) for x in msse] + [_format(mean_corr)]), file=stream)
 
 
 def cmd_filter(args) -> int:
@@ -414,8 +399,6 @@ def cmd_filter(args) -> int:
             f"data has r={r}, p={p} but the model declares r={config.model.r}, p={config.model.p}"
         )
     mode = args.mode or config.mode
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}", "io", "mode")
     modes = ("new", "classical") if mode == "both" else (mode,)
 
     out = args.out or config.out
@@ -443,21 +426,13 @@ def cmd_simulate(args) -> int:
     _, data = gen_local_level(block.cfg)
     write_csv(out_dir / "data.csv", apply_missing(data, block.pattern))
 
-    out_new, out_cls = summary.first_new, summary.first_classical
-    p = out_new.f.shape[2]
-    with open(out_dir / "forecasts.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"]
-            + [f"f{j}_new" for j in range(1, p + 1)]
-            + [f"f{j}_classical" for j in range(1, p + 1)]
-        )
-        for idx in range(out_new.f.shape[0]):
-            writer.writerow(
-                [str(idx + 1)]
-                + [_format(x) for x in out_new.f[idx, 0]]
-                + [_format(x) for x in out_cls.f[idx, 0]]
-            )
+    f_new, f_cls = summary.first_new.f[:, 0], summary.first_classical.f[:, 0]
+    T, p = f_new.shape
+    _write_table(
+        out_dir / "forecasts.csv",
+        ["t"] + [f"f{j}_{m}" for m in ("new", "classical") for j in range(1, p + 1)],
+        np.hstack([np.arange(1.0, T + 1)[:, None], f_new, f_cls]),
+    )
 
     with open(out_dir / "replications.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

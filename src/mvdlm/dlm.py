@@ -121,12 +121,6 @@ class ModelSpec:
         d, r = self.d, self.r
         return {"F": (d, r), "G": (d, d), "V": (r, r), "W": (d, d)}[name]
 
-    def _at(self, name: str, t: int) -> np.ndarray | None:
-        value = getattr(self, name)
-        if not callable(value):
-            return value
-        return _checked(value(t), self._shape(name), f"{name} at t={t}")
-
     def _stack(self, name: str, T: int) -> tuple[np.ndarray | None, tuple | None]:
         """Input ``name`` for t = 1..T as one T-stack, and its first failure
         ``(t, error)`` or None; after a failure the stack ends at step t - 1.
@@ -157,18 +151,6 @@ class ModelSpec:
             except MvdlmError as exc:
                 return stack[: t - 1], (t, exc)
         return stack, failure
-
-    def F_at(self, t: int) -> np.ndarray:
-        return self._at("F", t)
-
-    def G_at(self, t: int) -> np.ndarray:
-        return self._at("G", t)
-
-    def V_at(self, t: int) -> np.ndarray:
-        return self._at("V", t)
-
-    def W_at(self, t: int) -> np.ndarray | None:
-        return self._at("W", t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,10 +235,17 @@ def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
         raise DomainError(f"indices must lie in [0, {p}), got i={i}, j={j}")
     if i == j:
         raise DomainError("correlation_estimate requires two distinct variables")
-    sii, sjj = S[i, i], S[j, j]
-    if sii <= 0.0 or sjj <= 0.0:
+    if S[i, i] <= 0.0 or S[j, j] <= 0.0:
         raise DomainError("scale diagonal must be strictly positive")
-    return float(S[i, j] / np.sqrt(sii * sjj))
+    return float(_corr(S, i, j))
+
+
+@np.errstate(all="ignore")
+def _corr(S: np.ndarray, i, j) -> np.ndarray:
+    """S_ij / (sd_i sd_j), sd = sqrt(diag S), for a stack of scales S (... x p
+    x p); i and j may be index arrays. NaN or inf where S has overflowed."""
+    sd = np.sqrt(np.diagonal(S, axis1=-2, axis2=-1))
+    return S[..., i, j] / (sd[..., i] * sd[..., j])
 
 
 class _StepView(Sequence):

@@ -231,7 +231,7 @@ def replicate_experiment(
     runs = dict(zip(modes, dlm._run(model, prior, y[:, :, None, :], observed, modes)))
     msse_new, msse_classical = (dlm._msse(rec["std_err"], observed) for rec in runs.values())
     S = runs["new"]["S"][[t - 1 for t in partial_times]]
-    partial_corr = (S[..., 0, 1] / np.sqrt(S[..., 0, 0] * S[..., 1, 1])).T
+    partial_corr = dlm._corr(S, 0, 1).T
 
     wins = np.all(msse_new <= msse_classical, axis=1)
     return ExperimentSummary(

@@ -303,6 +303,23 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "discount" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,words", [
+    ("discount = 0.9", "discount = 1.7", ("discount",)),
+    ("discount = 0.9", "discount = 0", ("discount",)),
+    ("discount = 0.9", "discount = 0.9\nW = [[0.1]]", ("W", "discount")),
+    ("discount = 0.9\n", "", ("W", "discount")),
+])
+def test_model_rule_errors_exit_2_with_one_section_prefix(tmp_path, capsys, old, new, words):
+    # ModelSpec enforces these rules; the CLI reports them as config errors
+    config = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+    data = make_series(tmp_path)
+    assert main(["filter", "--config", str(config), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [model]"), err
+    assert all(word in err for word in words), err
+    assert err.count("[model]") == 1, err
+
+
 def test_numerical_failure_exits_3_with_time_index(tmp_path, capsys):
     bad = GOOD_CONFIG.replace("V = identity", "V = [[-1.0]]")
     config = write_config(tmp_path, bad)
@@ -424,6 +441,25 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert any(line == "partial_missing_times,24 43 75 86" for line in summary)
     stdout = capsys.readouterr().out
     assert "mode,msse_1,msse_2,mean_missing_corr" in stdout
+
+
+def test_simulate_forecasts_file_holds_replication_zero_forecasts(tmp_path):
+    from mvdlm.cli import _format
+
+    config = write_config(tmp_path, SIM_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0
+    with open(out_dir / "forecasts.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "f1_new", "f2_new", "f1_classical", "f2_classical"]
+    assert len(rows) - 1 == 100
+    summary = mv.replicate_experiment(
+        8, mv.LocalLevelConfig(T=100, corr=0.8, seed=0), mv.DEFAULT_MISSING_PATTERN,
+        model=mv.local_level_model(discount=0.5),
+    )
+    for t, row in enumerate(rows[1:]):
+        f = np.concatenate([summary.first_new.f[t, 0], summary.first_classical.f[t, 0]])
+        assert row == [str(t + 1)] + [_format(x) for x in f], t
 
 
 def test_simulate_single_replication_matches_direct_run(tmp_path):

@@ -414,7 +414,7 @@ def test_all_observed_filter_equals_chained_full_updates():
             observed = ~np.isnan(y)
             a, R, Q, A = out.a[k], out.R[k], out.Q[k], out.A[k]
             w = observed.all(axis=0).astype(float)
-            e = np.where(observed, y - model.F_at(k + 1).T @ a, 0.0)
+            e = np.where(observed, y - model.F(k + 1).T @ a, 0.0)
             assert np.allclose(out.m[k], a + (A @ e) * w, atol=1e-12), k
             assert np.allclose(out.P[k], R - (A @ Q @ A.T) * w.mean(), atol=1e-12), k
             if observed.any():
@@ -726,5 +726,8 @@ def test_model_spec_checks_constant_inputs_once_at_construction():
     with pytest.raises(mv.DimensionMismatch, match=r"F must have shape \(1, 1\)"):
         mv.ModelSpec(**{**kw, "F": np.ones((2, 1))})
     model = mv.ModelSpec(**{**kw, "F": [[2.0]]})
-    assert model.F_at(1) is model.F_at(7)
-    assert model.F.dtype == float
+    # converted once: the filter's T-stack is a view of the stored array
+    assert isinstance(model.F, np.ndarray) and model.F.dtype == float
+    assert model.F.shape == (1, 1)
+    Fs, failure = model._stack("F", 7)
+    assert failure is None and np.shares_memory(Fs[0], model.F)
