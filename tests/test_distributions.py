@@ -12,12 +12,14 @@ from scipy import stats
 from scipy.special import multigammaln
 
 from mvdlm import (
+    DimensionMismatch,
     DomainError,
     IgParams,
     MatrixNormalParams,
     MeanUndefined,
     MiwParams,
     MtParams,
+    NotPositiveDefinite,
     diag_marginal_ig,
     iw_log_density,
     iw_to_miw,
@@ -439,3 +441,48 @@ def test_diag_marginal_index_validation():
     params = MiwParams(S=np.eye(2), n=np.array([5.0, 5.0]), v=2.0)
     with pytest.raises(Exception):
         diag_marginal_ig(params, 2)
+
+
+# ---------------------------------------------------------------------------
+# errors on a bad scale matrix
+# ---------------------------------------------------------------------------
+
+_INDEF = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+_I2, _Y2 = np.eye(2), np.array([[0.3, -0.2], [0.1, 0.4]])
+_N2 = np.array([5.0, 6.0])
+
+_BAD_SCALE_CASES = {
+    "iw Sigma": lambda: iw_log_density(_INDEF, _I2, 10.0),
+    "iw R": lambda: iw_log_density(_I2, _INDEF, 10.0),
+    "miw Sigma": lambda: miw_log_density(_INDEF, MiwParams(S=_I2, n=_N2, v=3.0)),
+    "matrix normal P": lambda: matrix_normal_log_density(
+        _Y2, MatrixNormalParams(M=np.zeros((2, 2)), P=_INDEF, Sigma=_I2)),
+    "matrix normal Sigma": lambda: matrix_normal_log_density(
+        _Y2, MatrixNormalParams(M=np.zeros((2, 2)), P=_I2, Sigma=_INDEF)),
+    "conditional update P": lambda: miw_conditional_update(
+        np.zeros((2, 2)), _INDEF, MiwParams(S=_I2, n=_N2, v=3.0), _Y2),
+    "mt Q": lambda: mt_log_density(
+        _Y2, MtParams(f=np.zeros((2, 2)), Q=_INDEF, S=_I2, n=_N2, v=3.0)),
+    "mt S": lambda: mt_log_density(
+        _Y2, MtParams(f=np.zeros((2, 2)), Q=_I2, S=_INDEF, n=_N2, v=3.0)),
+    "sample_miw S": lambda: sample_miw(
+        MiwParams(S=_INDEF, n=_N2, v=3.0), np.random.default_rng(0)),
+    "iw R dim": lambda: iw_log_density(_I2, np.eye(3), 10.0),
+    "conditional update P dim": lambda: miw_conditional_update(
+        np.zeros((2, 2)), np.eye(3), MiwParams(S=_I2, n=_N2, v=3.0), _Y2),
+}
+
+_BAD_SCALE_ERRORS = {
+    "iw R dim": (DimensionMismatch, "scale dim 3 does not match argument dim 2"),
+    "conditional update P dim": (DimensionMismatch, "row scale dim 3 does not match 2 data rows"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SCALE_CASES))
+def test_bad_scale_raises_typed_error(case):
+    error, message = _BAD_SCALE_ERRORS.get(
+        case, (NotPositiveDefinite, "matrix of shape (2, 2) is not positive definite"))
+    with pytest.raises(error) as info:
+        _BAD_SCALE_CASES[case]()
+    assert type(info.value) is error
+    assert str(info.value) == message
