@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, MeanUndefined
-from .linalg import SpdMatrix, as_spd, cholesky_lower, symmetrize
+from .linalg import _log_det, cholesky_lower, symmetrize
 
 __all__ = [
     "IgParams",
@@ -101,7 +101,7 @@ class MiwParams:
     """Covariance law parameters: scale S, per-variable dof n, scalar v.
 
     Normalizability requires every n_j > 0 and 2 v + sum(n)/p > 2 p, which the
-    constructor enforces. ``v`` is kept general here; the filter fixes v = p.
+    constructor enforces. ``v`` is kept general here; the filter carries the prior's v.
     """
 
     S: np.ndarray
@@ -150,18 +150,19 @@ def iw_log_density(Sigma, R, k: float) -> float:
     Density: c |R|^{(k-p-1)/2} |Sigma|^{-k/2} etr(-R Sigma^{-1} / 2), with
     1/c = 2^{(k-p-1)p/2} Gamma_p{(k-p-1)/2}; proper only for k > 2p.
     """
-    Sig = as_spd(Sigma)
-    Rm = as_spd(R)
-    p = Sig.dim
-    if Rm.dim != p:
-        raise DimensionMismatch(f"scale dim {Rm.dim} does not match argument dim {p}")
+    Ls = cholesky_lower(Sigma)
+    R = symmetrize(R)
+    Lr = cholesky_lower(R)
+    p = Ls.shape[0]
+    if Lr.shape[0] != p:
+        raise DimensionMismatch(f"scale dim {Lr.shape[0]} does not match argument dim {p}")
     k = float(k)
     if k <= 2.0 * p:
         raise DomainError(f"inverted Wishart requires k > 2p, got k={k}, p={p}")
     a = 0.5 * (k - p - 1.0)
     log_c = -(a * p * _LOG_2 + log_multigamma(a, p))
-    trace_term = float(np.trace(Sig.solve(Rm.mat)))
-    return log_c + a * Rm.log_det - 0.5 * k * Sig.log_det - 0.5 * trace_term
+    trace_term = float(np.trace(np.linalg.solve(Ls.T, np.linalg.solve(Ls, R))))
+    return log_c + a * _log_det(Lr) - 0.5 * k * _log_det(Ls) - 0.5 * trace_term
 
 
 def miw_log_density(Sigma, params: MiwParams) -> float:
@@ -214,14 +215,6 @@ class MatrixNormalParams:
         object.__setattr__(self, "P", symmetrize(P))
         object.__setattr__(self, "Sigma", symmetrize(Sigma))
 
-    @property
-    def r(self) -> int:
-        return self.M.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.M.shape[1]
-
 
 def matrix_normal_log_density(Y, params: MatrixNormalParams) -> float:
     """Log density of the r x p matrix normal; vec(Y) ~ N(vec(M), kron(Sigma, P))."""
@@ -229,12 +222,11 @@ def matrix_normal_log_density(Y, params: MatrixNormalParams) -> float:
     if Y.shape != params.M.shape:
         raise DimensionMismatch(f"argument shape {Y.shape} does not match mean {params.M.shape}")
     r, p = params.M.shape
-    Pc = as_spd(params.P)
-    Sc = as_spd(params.Sigma)
-    Z = Pc.solve_half(Y - params.M)
-    W = Sc.solve_half(Z.T)
+    Lp = cholesky_lower(params.P)
+    Ls = cholesky_lower(params.Sigma)
+    W = np.linalg.solve(Ls, np.linalg.solve(Lp, Y - params.M).T)
     quad = float(np.sum(W * W))
-    return -0.5 * (r * p * _LOG_2PI + p * Pc.log_det + r * Sc.log_det + quad)
+    return -0.5 * (r * p * _LOG_2PI + p * _log_det(Lp) + r * _log_det(Ls) + quad)
 
 
 def miw_conditional_update(m, P, params: MiwParams, Y) -> MiwParams:
@@ -251,10 +243,10 @@ def miw_conditional_update(m, P, params: MiwParams, Y) -> MiwParams:
     r, p = Y.shape
     if p != params.p:
         raise DimensionMismatch(f"data has {p} columns but the law has dimension {params.p}")
-    Pc = as_spd(P)
-    if Pc.dim != r:
-        raise DimensionMismatch(f"row scale dim {Pc.dim} does not match {r} data rows")
-    Z = Pc.solve_half(Y - m)
+    L = cholesky_lower(P)
+    if L.shape[0] != r:
+        raise DimensionMismatch(f"row scale dim {L.shape[0]} does not match {r} data rows")
+    Z = np.linalg.solve(L, Y - m)
     C = symmetrize(Z.T @ Z)
     R0, _ = miw_to_iw(params)
     n_new = params.n + float(r)
@@ -295,14 +287,6 @@ class MtParams:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "v", v)
 
-    @property
-    def r(self) -> int:
-        return self.f.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.f.shape[1]
-
 
 def mt_log_density(Y, params: MtParams) -> float:
     """Log density of the matrix-t law above, with kernel exponent built from r.
@@ -323,19 +307,18 @@ def mt_log_density(Y, params: MtParams) -> float:
     k = 2.0 * params.v - 2.0 * p + float(params.n.sum()) / p
     a1 = 0.5 * (k + r + p - 1.0)
     a0 = 0.5 * (k + p - 1.0)
-    Qc = as_spd(params.Q)
-    Sc = as_spd(params.S)
-    Z = Qc.solve_half(Y - params.f)
+    Lq = cholesky_lower(params.Q)
+    Z = np.linalg.solve(Lq, Y - params.f)
     inner = params.S * _sqrt_outer(params.n) + symmetrize(Z.T @ Z)
-    log_det_r0 = Sc.log_det + float(np.log(params.n).sum())
+    log_det_r0 = _log_det(cholesky_lower(params.S)) + float(np.log(params.n).sum())
     log_c = (
         log_multigamma(a1, p)
         - log_multigamma(a0, p)
         - 0.5 * r * p * _LOG_PI
         + a0 * log_det_r0
-        - 0.5 * p * Qc.log_det
+        - 0.5 * p * _log_det(Lq)
     )
-    return log_c - a1 * as_spd(inner).log_det
+    return log_c - a1 * _log_det(cholesky_lower(inner))
 
 
 def miw_marginal_block(params: MiwParams, q: int) -> MiwParams:

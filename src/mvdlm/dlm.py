@@ -99,7 +99,7 @@ class ModelSpec:
 
     def __post_init__(self):
         for name, value in (("d", self.d), ("p", self.p), ("r", self.r)):
-            if int(value) < 1:
+            if int(value) != value or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value}")
         self.d, self.p, self.r = int(self.d), int(self.p), int(self.r)
         if (self.W is None) == (self.discount is None):
@@ -228,7 +228,7 @@ class MaskedObservation:
 
 
 def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
-    """Correlation implied by the posterior scale: S_ij / sqrt(S_ii S_jj)."""
+    """Correlation implied by the posterior scale: S_ij / (sd_i sd_j), sd = sqrt(diag S)."""
     S = state.miw.S
     p = S.shape[0]
     if not (0 <= i < p and 0 <= j < p):

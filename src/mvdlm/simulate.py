@@ -42,9 +42,9 @@ class LocalLevelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.T) < 1:
+        if int(self.T) != self.T or self.T < 1:
             raise DomainError(f"T must be a positive integer, got {self.T}")
-        if int(self.seed) < 0:
+        if int(self.seed) != self.seed or self.seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         if not -1.0 < self.corr < 1.0:
             raise DomainError(f"correlation must lie in (-1, 1), got {self.corr}")
@@ -52,6 +52,7 @@ class LocalLevelConfig:
             if len(pair) != 2 or any(x <= 0.0 for x in pair):
                 raise DomainError(f"{name} must be two positive variances, got {pair}")
         object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "obs_var", tuple(float(x) for x in self.obs_var))
         object.__setattr__(self, "level_var", tuple(float(x) for x in self.level_var))
 

@@ -200,11 +200,11 @@ def test_miw_mean_undefined_for_low_dof():
 
 
 def test_miw_params_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         MiwParams(S=np.eye(2), n=np.array([1.0, -1.0]), v=2.0)  # n > 0
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         MiwParams(S=np.eye(2), n=np.array([0.5, 0.5]), v=1.0)  # k <= 2p
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch):
         MiwParams(S=np.eye(3)[:2], n=np.array([3.0, 3.0]), v=2.0)  # not square
 
 
@@ -439,7 +439,7 @@ def test_diag_marginal_matches_density_and_mean():
 
 def test_diag_marginal_index_validation():
     params = MiwParams(S=np.eye(2), n=np.array([5.0, 5.0]), v=2.0)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         diag_marginal_ig(params, 2)
 
 

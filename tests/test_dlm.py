@@ -719,6 +719,15 @@ def test_model_spec_requires_exactly_one_noise_specification():
         mv.ModelSpec(discount=0.0, **kw)
 
 
+def test_model_spec_rejects_non_integral_dimensions():
+    kw = dict(d=1, p=1, r=1, F=np.eye(1), G=np.eye(1), V=np.eye(1), discount=0.9)
+    for name in ("d", "p", "r"):
+        with pytest.raises(mv.DomainError, match=f"{name} must be a positive integer"):
+            mv.ModelSpec(**{**kw, name: 1.5})
+    model = mv.ModelSpec(**{**kw, "d": 1.0, "p": 1.0, "r": 1.0})
+    assert all(type(x) is int for x in (model.d, model.p, model.r))
+
+
 def test_model_spec_checks_constant_inputs_once_at_construction():
     kw = dict(d=1, p=2, r=1, F=np.eye(1), G=np.eye(1), V=np.eye(1), discount=0.9)
     with pytest.raises(mv.DomainError, match="V must be finite"):

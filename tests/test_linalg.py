@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from mvdlm import (
+    DimensionMismatch,
     NotPositiveDefinite,
-    SpdMatrix,
-    as_spd,
     cholesky_lower,
     symmetrize,
 )
+from mvdlm.linalg import _log_det
 
 from oracles import det_cofactor
 
@@ -36,7 +36,7 @@ def test_symmetrize_preserves_symmetric_input_exactly():
 
 
 def test_symmetrize_rejects_nonsquare():
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch):
         symmetrize(np.zeros((2, 3)))
 
 
@@ -50,8 +50,8 @@ def test_cholesky_reconstruction():
 
 
 def test_log_det_matches_cofactor_expansion():
-    assert SpdMatrix(A3).log_det == pytest.approx(A3_LOGDET, abs=1e-12)
-    assert SpdMatrix(A3).log_det == pytest.approx(np.log(det_cofactor(A3)), abs=1e-12)
+    assert _log_det(cholesky_lower(A3)) == pytest.approx(A3_LOGDET, abs=1e-12)
+    assert _log_det(cholesky_lower(A3)) == pytest.approx(np.log(det_cofactor(A3)), abs=1e-12)
 
 
 def test_log_det_matches_slogdet_on_random_instances():
@@ -60,45 +60,30 @@ def test_log_det_matches_slogdet_on_random_instances():
         a = random_spd(rng, n)
         sign, ref = np.linalg.slogdet(a)
         assert sign > 0
-        assert SpdMatrix(a).log_det == pytest.approx(ref, abs=1e-10)
+        assert _log_det(cholesky_lower(a)) == pytest.approx(ref, abs=1e-10)
 
 
 def test_solve_residual_small():
     rng = np.random.default_rng(3)
     a = random_spd(rng, 6)
     b = rng.standard_normal((6, 4))
-    x = SpdMatrix(a).solve(b)
+    L = cholesky_lower(a)
+    x = np.linalg.solve(L.T, np.linalg.solve(L, b))
     assert np.allclose(a @ x, b, atol=1e-9)
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
 
 
 def test_spd_matrix_solve_half_gram_identity():
-    # solve_half(B) returns Z with Z'Z == B' A^{-1} B, the quadratic-form
-    # building block used throughout the densities.
+    # Z = solve(L, B) has Z'Z == B' A^{-1} B, the quadratic-form building
+    # block used throughout the densities.
     rng = np.random.default_rng(4)
     a = random_spd(rng, 5)
     b = rng.standard_normal((5, 3))
-    spd = SpdMatrix(a)
-    z = spd.solve_half(b)
+    z = np.linalg.solve(cholesky_lower(a), b)
     assert np.allclose(z.T @ z, b.T @ np.linalg.solve(a, b), atol=1e-10)
-
-
-def test_spd_matrix_properties_and_array_protocol():
-    spd = SpdMatrix(A3)
-    assert spd.dim == 3
-    assert spd.log_det == pytest.approx(A3_LOGDET, abs=1e-12)
-    assert np.array_equal(np.asarray(spd), A3)
 
 
 def test_not_positive_definite_raised():
     indef = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    with pytest.raises(NotPositiveDefinite):
-        SpdMatrix(indef)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match=r"matrix of shape \(2, 2\) is not positive definite"):
         cholesky_lower(indef)
-
-
-def test_as_spd_accepts_spd_passthrough():
-    spd = SpdMatrix(A3)
-    assert as_spd(spd) is spd
-    assert isinstance(as_spd(A3), SpdMatrix)

@@ -61,6 +61,16 @@ def test_config_validation():
         mv.LocalLevelConfig(T=10, level_var=(0.0, 0.1))
 
 
+def test_config_rejects_non_integral_length_and_seed():
+    for bad in (dict(T=10.7), dict(T=10, seed=2.5), dict(T=10, seed=-0.5)):
+        with pytest.raises(mv.DomainError):
+            mv.LocalLevelConfig(**bad)
+    cfg = mv.LocalLevelConfig(T=10.0, seed=3.0)
+    assert (type(cfg.T), type(cfg.seed)) == (int, int)
+    _, data = mv.gen_local_level(cfg)
+    assert np.array_equal(data, mv.gen_local_level(mv.LocalLevelConfig(T=10, seed=3))[1])
+
+
 # ---------------------------------------------------------------------------
 # missing-value pattern application
 # ---------------------------------------------------------------------------
