@@ -362,13 +362,18 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
 
 
 def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Write a float table as CSV, each cell as %.10g and NA where not finite."""
+    """Write a float table as CSV, each cell as %.10g and NA where not finite.
+
+    Rows are formatted 256 at a time, in one ``%`` pass per block; a pass over
+    the whole table would hold all of its text at once.
+    """
     fmt = ",".join(["%.10g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for row in table:
-            line = fmt % tuple(row)
-            fh.write(line.replace("-inf", "NA").replace("inf", "NA").replace("nan", "NA"))
+        for start in range(0, len(table), 256):
+            rows = table[start:start + 256]
+            text = (fmt * len(rows)) % tuple(rows.ravel().tolist())
+            fh.write(text.replace("-inf", "NA").replace("inf", "NA").replace("nan", "NA"))
 
 
 def _print_summary(outputs: dict[str, dlm.FilterOutput], stream) -> None:

@@ -190,9 +190,10 @@ class MaskedObservation:
     """r x p observation with an entrywise observed/missing mask.
 
     ``y`` holds the observed values; entries where ``observed`` is False are
-    undefined and stored as NaN. Row k is replicate k, column j is variable j.
-    As an array it is ``y`` with NaN at every unobserved entry, so a list of
-    them is a T x r x p input to :func:`filter`.
+    ignored and kept as given (NaN when built by :meth:`from_values`). Row k
+    is replicate k, column j is variable j. As an array it is ``y`` with NaN
+    at every unobserved entry, whatever ``y`` holds there, so a list of them
+    is a T x r x p input to :func:`filter`.
     """
 
     y: np.ndarray
@@ -404,8 +405,11 @@ def _run(
     once per mode: with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the Gram matrix
     C_t = (L^{-1} e)'(L^{-1} e) on the variables observed in every replicate
     (zero at a step that does not update), S_t = (S0 * nn_0 + C_1 + ... + C_t)
-    / nn_t. Returns one record dict per mode, stacked over time (leading axis
-    T) in that layout, with only S (T x M x p x p) carrying a series axis.
+    / nn_t. The running sum adds one step's row of Gram matrices at a time
+    (numpy's accumulate along the time axis is not vectorized across a row),
+    and the division runs over blocks of steps. Returns one record dict per
+    mode, stacked over time (leading axis T) in that layout, with only S
+    (T x M x p x p) carrying a series axis.
     """
     for mode in modes:
         if mode not in ("new", "classical"):
@@ -513,14 +517,21 @@ def _run(
         Z = Z.reshape(T, r, M, p)
         np.einsum("tkmi,tkmj->tmij", Z, Z, out=S)
         S[0] += S0 * np.outer(sn[0], sn[0])
-        np.cumsum(S, axis=0, out=S)
+        # The running sum adds whole rows, one step at a time: numpy's
+        # accumulate along the time axis is not vectorized across a row, and
+        # these are the additions np.cumsum makes, in the same order.
+        for prev, row in zip(S, S[1:]):
+            row += prev
         # Steps before the first update keep the prior bit for bit; after it,
-        # each row is divided by sqrt(n_i) * sqrt(n_j), the same product for
-        # S_ij and S_ji, so S stays exactly symmetric.
+        # each block of steps is divided by sqrt(n_i) * sqrt(n_j), the same
+        # product for S_ij and S_ji, so S stays exactly symmetric. A block's
+        # product stack holds at most T x p entries (one p x p product if T < p).
         k0 = int(upd.argmax()) if upd.any() else T
         S[:k0] = S0
-        for j in range(p):
-            S[k0:, :, j] /= (sn[k0 + 1:, j, None] * sn[k0 + 1:])[:, None]
+        block = max(1, T // p)
+        for k in range(k0, T, block):
+            s = sn[k + 1:k + 1 + block]
+            S[k:k + block] /= (s[:, :, None] * s[:, None, :])[:, None]
 
         # Errors standardized by sqrt(Q_kk S_jj), S from the previous posterior.
         s_diag = np.empty((T, 1, M, p))

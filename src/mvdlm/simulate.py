@@ -49,8 +49,9 @@ class LocalLevelConfig:
         if not -1.0 < self.corr < 1.0:
             raise DomainError(f"correlation must lie in (-1, 1), got {self.corr}")
         for name, pair in (("obs_var", self.obs_var), ("level_var", self.level_var)):
-            if len(pair) != 2 or any(x <= 0.0 for x in pair):
-                raise DomainError(f"{name} must be two positive variances, got {pair}")
+            # written so that NaN fails too
+            if len(pair) != 2 or not all(0.0 < x < np.inf for x in pair):
+                raise DomainError(f"{name} must be two positive finite variances, got {pair}")
         object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "obs_var", tuple(float(x) for x in self.obs_var))

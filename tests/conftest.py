@@ -1,6 +1,16 @@
-"""Shared test plumbing: oracle imports and the acceptance-criteria report."""
+"""Shared test plumbing: BLAS threads, oracle imports and the
+acceptance-criteria report."""
+import os
 import pathlib
 import sys
+
+# One BLAS thread unless the environment says otherwise, set before numpy is
+# imported, as perfbench/run.py does. The filter's products are tiny, and
+# OpenBLAS threads competing for the cores with another numpy process can slow
+# them down several times over. The library itself leaves BLAS threads alone.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 

@@ -141,3 +141,36 @@ def scalar_dlm_filter(y, observed, v, m0, p0, s0, n0,
 def scalar_msse(result: ScalarDlmResult) -> float:
     vals = [z * z for z in result.std_err if not math.isnan(z)]
     return float(np.mean(vals))
+
+
+# ---------------------------------------------------------------------------
+# Posterior scale stack of a filter run, from its records
+# ---------------------------------------------------------------------------
+
+def s_stack(e, Q, observed, n, S0, n0) -> np.ndarray:
+    """Posterior scales S_t (T x p x p) of a one-series run, rebuilt from its
+    residuals e (T x r x p), forecast scales Q, mask, dof n and prior (S0, n0).
+
+    With nn_t = outer(sqrt(n_t), sqrt(n_t)) and C_t = Z'Z, Z = L^{-1} e on the
+    variables observed in every replicate (L the Cholesky factor of Q_t, Z = 0
+    at a step that does not update), S_t = (S0 nn_0 + C_1 + ... + C_t) / nn_t,
+    and S_t = S0 before the first update. A step updates exactly when it moves
+    n. This is the cumulative-sum form, one np.cumsum and one division per
+    variable, with the same operations in the same order as the filter, so it
+    must agree bit for bit.
+    """
+    T, r, p = e.shape
+    n_all = np.vstack([n0, n])
+    sn = np.sqrt(n_all)
+    upd = (n_all[1:] != n_all[:-1]).any(axis=1)
+    wprod = observed.all(axis=1)
+    Z = np.zeros((T, r, p))
+    Z[upd] = np.linalg.solve(np.linalg.cholesky(Q[upd]), e[upd]) * wprod[upd, None]
+    S = np.einsum("tki,tkj->tij", Z, Z)
+    S[0] += S0 * np.outer(sn[0], sn[0])
+    S = np.cumsum(S, axis=0)
+    k0 = int(upd.argmax()) if upd.any() else T
+    S[:k0] = S0
+    for j in range(p):
+        S[k0:, j] /= sn[k0 + 1:, j, None] * sn[k0 + 1:]
+    return S

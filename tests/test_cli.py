@@ -392,6 +392,22 @@ def test_never_observed_variable_has_na_msse(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["new", "classical"]
 
 
+def test_table_writer_matches_row_by_row_formatting(tmp_path):
+    from mvdlm.cli import _write_table
+    rng = np.random.default_rng(63)
+    # 600 rows span three blocks of the writer; the special rows sit at the
+    # first and last row of the table and on both sides of a block edge
+    table = rng.standard_normal((600, 4)) * 10.0 ** rng.integers(-15, 15, (600, 4))
+    table[[0, 255, 256, 599]] = [np.nan, np.inf, -np.inf, -0.0]
+    path = tmp_path / "table.csv"
+    _write_table(path, ["a", "b", "c", "d"], table)
+    want = "a,b,c,d\r\n" + "".join(
+        ",".join("%.10g" % x if math.isfinite(x) else "NA" for x in row) + "\r\n"
+        for row in table)
+    assert path.read_bytes() == want.encode()
+    assert "NA,NA,NA,-0\r\n" in want
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 # ---------------------------------------------------------------------------
@@ -501,8 +517,10 @@ SIM_PATTERN = "pattern = {24: [2], 43: [2], 60: [1, 2], 75: [1], 86: [2]}"
     (SIM_PATTERN, "pattern = {24: [3]}"),  # beyond p = 2
     (SIM_PATTERN, "pattern = {%s}" % ", ".join(f"{t}: [2]" for t in range(1, 101))),
     ("p = 2", "p = 3"),
+    ("corr = 0.8", "corr = 0.8\nobs_var = [nan, 1.0]"),
+    ("corr = 0.8", "corr = 0.8\nlevel_var = [1e999, 0.1]"),
 ], ids=["seed", "seed-negative", "replications", "pattern-value", "pattern-entry", "pattern-time",
-        "pattern-variable", "pattern-never-observed", "model-p"])
+        "pattern-variable", "pattern-never-observed", "model-p", "obs-var-nan", "level-var-inf"])
 def test_simulate_bad_input_is_config_error(tmp_path, capsys, old, new):
     assert old in SIM_CONFIG
     config = write_config(tmp_path, SIM_CONFIG.replace(old, new))

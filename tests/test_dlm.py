@@ -163,6 +163,14 @@ def test_from_values_treats_only_nan_as_missing():
             mv.MaskedObservation.from_values(np.array([[1.0, bad]]))
 
 
+@pytest.mark.parametrize("hidden", [2.0, -0.0, np.inf, np.nan])
+def test_masked_observation_array_has_nan_at_unobserved_entries(hidden):
+    obs = mv.MaskedObservation(y=[[1.0, hidden]], observed=[[True, False]])
+    assert np.array_equal(obs.y, [[1.0, hidden]], equal_nan=True)  # kept as given
+    values = np.asarray(obs)
+    assert values[0, 0] == 1.0 and np.isnan(values[0, 1])
+
+
 # ---------------------------------------------------------------------------
 # the T x r x p observation array that filter takes
 # ---------------------------------------------------------------------------
@@ -442,6 +450,39 @@ def test_non_updating_step_with_non_finite_residual_leaves_s_unchanged():
     assert np.isfinite(out.S[1]).all()
     assert np.array_equal(out.S[2], out.S[1])
     assert np.array_equal(out.n[2], out.n[1])
+
+
+def s_oracle_inputs(case):
+    """Model, prior and T x r x p data of one case of the S oracle test."""
+    T, p, r = {"p40-r1": (120, 40, 1), "r2": (60, 3, 2), "late-first-update": (40, 3, 2),
+               "classical-never-updates": (30, 3, 2), "T1": (1, 3, 2),
+               "T-not-block-multiple": (100, 3, 1)}[case]
+    rng = np.random.default_rng(80)
+    model, prior = random_model(rng, 2, p, r, use_discount=True), random_prior(rng, 2, p)
+    y = rng.standard_normal((T, r, p))
+    y[rng.random(y.shape) < 0.1] = np.nan
+    if case == "late-first-update":
+        y[:4] = np.nan
+    if case == "classical-never-updates":
+        y[np.arange(T), 0, np.arange(T) % p] = np.nan
+    return model, prior, y
+
+
+@pytest.mark.parametrize("case", ["p40-r1", "r2", "late-first-update",
+                                  "classical-never-updates", "T1", "T-not-block-multiple"])
+def test_s_matches_the_cumulative_sum_oracle_exactly(case):
+    model, prior, y = s_oracle_inputs(case)
+    both = mv.dlm._filter(model, y, prior, ("new", "classical"))
+    for mode, joint in zip(("new", "classical"), both):
+        single = mv.filter(model, y, prior, mode=mode)
+        want = oracles.s_stack(single.e, single.Q, single.observed, single.n,
+                               prior.miw.S, prior.miw.n)
+        assert np.array_equal(single.S, want), mode
+        assert np.array_equal(joint.S, want), mode
+    if case == "late-first-update":
+        assert np.array_equal(both[0].S[:4], np.broadcast_to(prior.miw.S, (4, 3, 3)))
+    if case == "classical-never-updates":
+        assert np.array_equal(both[1].n, np.broadcast_to(prior.miw.n, (30, 3)))
 
 
 def test_states_and_marginals_views_follow_the_stacked_arrays():

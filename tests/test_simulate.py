@@ -50,6 +50,17 @@ def test_observation_variances_match_config():
     assert np.var(eps[:, 1]) == pytest.approx(2.5, rel=0.1)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(obs_var=(np.nan, 1.0), level_var=(np.inf, 0.1)),
+    dict(obs_var=(1.0, np.inf)),
+    dict(level_var=(0.05, np.nan)),
+    dict(obs_var=(-np.inf, 1.0)),
+], ids=["nan-and-inf", "obs-inf", "level-nan", "obs-minus-inf"])
+def test_config_rejects_non_finite_variances(kw):
+    with pytest.raises(mv.DomainError, match="positive finite variances"):
+        mv.LocalLevelConfig(T=5, **kw)
+
+
 def test_config_validation():
     with pytest.raises(mv.DomainError):
         mv.LocalLevelConfig(T=0)
