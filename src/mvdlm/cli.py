@@ -1,8 +1,10 @@
 """Command line interface: ``mvdlm filter`` and ``mvdlm simulate``.
 
 Configuration is a single INI-style file with named blocks. Matrices are
-written as bracketed row lists, with ``identity`` accepted for square blocks
-and scalars accepted where the target is 1 x 1 (or a constant diagonal):
+written as bracketed row lists, with ``identity``, ``zeros`` and ``ones``
+accepted for vector and matrix values, and a scalar accepted for a vector or
+a square matrix (a constant diagonal). These are all the sections and keys
+(case-insensitive); any other is an error:
 
     [model]
     d = 1
@@ -11,23 +13,33 @@ and scalars accepted where the target is 1 x 1 (or a constant diagonal):
     F = [[1.0]]
     G = identity
     V = identity
-    discount = 0.8          ; exactly one of discount / W
+    discount = 0.8          ; exactly one of discount / W, e.g. W = [[0.1]]
 
     [prior]
-    m0 = zeros
+    m0 = zeros              ; optional, default zeros
     P0 = 1e6
     S0 = identity
     N0 = 1.0
-    v = 2
+    v = 2                   ; optional, default p
 
     [io]
-    mode = both             ; new | classical | both
+    mode = both             ; new | classical | both (default new)
+
+    [simulate]              ; for mvdlm simulate; needs p = 2, r = 1
+    T = 100
+    corr = 0.8              ; optional from here on; defaults as LocalLevelConfig
+    obs_var = [1.0, 1.0]
+    level_var = [0.05, 0.05]
+    seed = 0
+    replications = 1
+    pattern = {24: [2], 60: [1, 2]}
 
 Data CSV: one row per time, header ``y<j>`` for r = 1 or ``y<j>_<k>`` for
 r >= 2 (variable j, replicate k, both 1-based). Empty cells or ``NA`` (any
 case) are missing.
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or input error (an unreadable file
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -45,23 +57,30 @@ from pathlib import Path
 import numpy as np
 
 from . import dlm
+from .distributions import MiwParams, _count
 from .dlm import ModelSpec, NmiwState
-from .distributions import MiwParams
-from .errors import ConfigError, MvdlmError, ParseError
+from .errors import ConfigError, DomainError, MvdlmError, ParseError
 from .simulate import (
     LocalLevelConfig,
     MissingPattern,
     _missing_mask,
     apply_missing,
-    default_prior,
     gen_local_level,
-    local_level_model,
     replicate_experiment,
 )
 
 __all__ = ["RunConfig", "cmd_filter", "cmd_simulate", "load_config", "main", "parse_csv", "write_csv"]
 
 _MODES = ("new", "classical", "both")
+# [simulate] keys that are LocalLevelConfig fields, with their shapes
+_LOCAL_LEVEL = {"T": (), "corr": (), "obs_var": (2,), "level_var": (2,), "seed": ()}
+# every key each section may set, as configparser lower-cases them
+_KEYS = {
+    "model": ("d", "p", "r", "f", "g", "v", "w", "discount"),
+    "prior": ("m0", "p0", "s0", "n0", "v"),
+    "io": ("mode",),
+    "simulate": (*(key.lower() for key in _LOCAL_LEVEL), "replications", "pattern"),
+}
 
 
 @dataclass(eq=False)
@@ -78,7 +97,6 @@ class RunConfig:
     model: ModelSpec
     prior: NmiwState
     mode: str
-    out: str | None
     simulate: SimulateBlock | None
 
 
@@ -89,100 +107,74 @@ def _literal(text: str, section: str, key: str):
         raise ConfigError(f"cannot parse value {text!r}", section, key) from exc
 
 
-def _numeric(text: str, section: str, key: str) -> np.ndarray:
+def _parse(text: str, shape: tuple[int, ...], section: str, key: str):
+    """A config value of ``shape``: a number for ``()`` (an int literal stays
+    an exact int), else an array. A scalar fills a vector or a square
+    matrix's diagonal; ``zeros``, ``ones`` and ``identity`` name arrays."""
+    text = text.strip()
+    if shape and text in ("zeros", "ones"):
+        return np.full(shape, float(text == "ones"))
+    if shape and text == "identity":
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ConfigError(f"identity requires a square target, need shape {shape}", section, key)
+        return np.eye(shape[0])
     value = _literal(text, section, key)
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse value {text!r} as numbers", section, key) from exc
     if not np.isfinite(arr).all():
         raise ConfigError(f"values must be finite, got {text!r}", section, key)
-    return arr
-
-
-def _parse_scalar(text: str, section: str, key: str) -> float:
-    arr = _numeric(text, section, key)
-    if arr.ndim != 0:
-        raise ConfigError(f"expected a single number, got {text!r}", section, key)
-    return float(arr)
-
-
-def _parse_matrix(text: str, shape: tuple[int, int], section: str, key: str) -> np.ndarray:
-    text = text.strip()
-    rows, cols = shape
-    if text == "identity":
-        if rows != cols:
-            raise ConfigError(f"identity requires a square target, need shape {shape}", section, key)
-        return np.eye(rows)
-    if text == "zeros":
-        return np.zeros(shape)
-    if text == "ones":
-        return np.ones(shape)
-    arr = _numeric(text, section, key)
-    if arr.ndim == 0:
-        if shape == (1, 1):
-            return arr.reshape(1, 1)
-        if rows == cols:
-            return float(arr) * np.eye(rows)
-        raise ConfigError(f"scalar given but target shape is {shape}", section, key)
+    if arr.ndim == 0 and len(shape) == 1:
+        return arr * np.ones(shape)
+    if arr.ndim == 0 and len(shape) == 2 and shape[0] == shape[1]:
+        return arr * np.eye(shape[0])
     if arr.shape != shape:
         raise ConfigError(f"expected shape {shape}, got {arr.shape}", section, key)
-    return arr
+    if shape:
+        return arr
+    return value if type(value) is int else float(arr)
 
 
-def _parse_vector(text: str, length: int, section: str, key: str) -> np.ndarray:
-    text = text.strip()
-    if text == "ones":
-        return np.ones(length)
-    arr = _numeric(text, section, key)
-    if arr.ndim == 0:
-        return float(arr) * np.ones(length)
-    if arr.shape != (length,):
-        raise ConfigError(f"expected {length} entries, got shape {arr.shape}", section, key)
-    return arr
-
-
-def _get(parser: configparser.ConfigParser, section: str, key: str, default=None, required=False):
+def _get(parser: configparser.ConfigParser, section: str, key: str, shape: tuple, required=False):
+    """``key`` of ``section`` parsed to ``shape``, or None if the file omits it."""
     if parser.has_option(section, key):
-        return parser.get(section, key)
+        return _parse(parser.get(section, key), shape, section, key)
     if required:
         raise ConfigError("required key missing", section, key)
-    return default
+    return None
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Load and validate a run configuration file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
             parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError("a [DEFAULT] section is not allowed")
+    for sec in parser.sections():
+        if sec not in _KEYS:
+            raise ConfigError(f"unknown section [{sec}]; the sections are {', '.join(_KEYS)}")
+        unknown = [key for key in parser.options(sec) if key not in _KEYS[sec]]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r}; the keys are {', '.join(_KEYS[sec])}", sec)
 
     if not parser.has_section("model"):
         raise ConfigError("missing [model] section")
     sec = "model"
     try:
-        d = parser.getint(sec, "d")
-        p = parser.getint(sec, "p")
-        r = parser.getint(sec, "r")
+        d, p, r = (_count(parser.getint(sec, key), key) for key in "dpr")
     except (configparser.Error, ValueError) as exc:
-        raise ConfigError(f"d, p, r must be integers: {exc}", sec) from exc
-    for name, value in (("d", d), ("p", p), ("r", r)):
-        if value < 1:
-            raise ConfigError("must be a positive integer", sec, name)
-
-    F = _parse_matrix(_get(parser, sec, "f", required=True), (d, r), sec, "F")
-    G = _parse_matrix(_get(parser, sec, "g", required=True), (d, d), sec, "G")
-    V = _parse_matrix(_get(parser, sec, "v", required=True), (r, r), sec, "V")
-
-    w_text = _get(parser, sec, "w")
-    discount_text = _get(parser, sec, "discount")
-    W = None if w_text is None else _parse_matrix(w_text, (d, d), sec, "W")
-    discount = None if discount_text is None else _parse_scalar(discount_text, sec, "discount")
+        raise ConfigError(f"d, p, r must be positive integers: {exc}", sec) from exc
+    F = _get(parser, sec, "F", (d, r), required=True)
+    G = _get(parser, sec, "G", (d, d), required=True)
+    V = _get(parser, sec, "V", (r, r), required=True)
+    W, discount = _get(parser, sec, "W", (d, d)), _get(parser, sec, "discount", ())
     try:
         model = ModelSpec(d=d, p=p, r=r, F=F, G=G, V=V, W=W, discount=discount)
     except ConfigError:
@@ -193,54 +185,47 @@ def load_config(path: str | Path) -> RunConfig:
     sec = "prior"
     if not parser.has_section(sec):
         raise ConfigError("missing [prior] section")
-    m0 = _parse_matrix(_get(parser, sec, "m0", "zeros"), (d, p), sec, "m0")
-    P0 = _parse_matrix(_get(parser, sec, "p0", required=True), (d, d), sec, "P0")
-    S0 = _parse_matrix(_get(parser, sec, "s0", required=True), (p, p), sec, "S0")
-    N0 = _parse_vector(_get(parser, sec, "n0", required=True), p, sec, "N0")
-    v_text = _get(parser, sec, "v")
-    v = float(p) if v_text is None else _parse_scalar(v_text, sec, "v")
+    m0 = _get(parser, sec, "m0", (d, p))
+    P0 = _get(parser, sec, "P0", (d, d), required=True)
+    S0 = _get(parser, sec, "S0", (p, p), required=True)
+    N0 = _get(parser, sec, "N0", (p,), required=True)
+    v = _get(parser, sec, "v", ())
     try:
-        prior = NmiwState(m=m0, P=P0, miw=MiwParams(S=S0, n=N0, v=v))
+        prior = NmiwState(
+            m=np.zeros((d, p)) if m0 is None else m0,
+            P=P0,
+            miw=MiwParams(S=S0, n=N0, v=float(p) if v is None else v),
+        )
     except MvdlmError as exc:
         raise ConfigError(str(exc), sec) from exc
 
-    mode = _get(parser, "io", "mode", "new") if parser.has_section("io") else "new"
-    mode = mode.strip().lower()
+    mode = parser.get("io", "mode", fallback="new").strip().lower()
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}", "io", "mode")
-    out = _get(parser, "io", "out") if parser.has_section("io") else None
 
     simulate = None
     if parser.has_section("simulate"):
         sec = "simulate"
         if (p, r) != (2, 1):
             raise ConfigError("the study's bivariate local level needs p = 2, r = 1", "model")
-        ints = []
-        for key, default in (("T", None), ("seed", "0"), ("replications", "1")):
-            text = _get(parser, sec, key, default, required=default is None)
-            try:
-                ints.append(int(text))
-            except ValueError as exc:
-                raise ConfigError(f"must be an integer, got {text!r}", sec, key) from exc
-        T, seed, replications = ints
-        corr = _parse_scalar(_get(parser, sec, "corr", "0.8"), sec, "corr")
-        obs_var = tuple(_parse_vector(_get(parser, sec, "obs_var", "[1.0, 1.0]"), 2, sec, "obs_var"))
-        level_var = tuple(
-            _parse_vector(_get(parser, sec, "level_var", "[0.05, 0.05]"), 2, sec, "level_var")
-        )
-        if replications < 1:
-            raise ConfigError("replications must be a positive integer", sec, "replications")
-        pattern_text = _get(parser, sec, "pattern", "{}")
-        raw = _literal(pattern_text, sec, "pattern")
+        if not parser.has_option(sec, "T"):
+            raise ConfigError("required key missing", sec, "T")
+        kwargs = {
+            key: _parse(parser.get(sec, key), shape, sec, key)
+            for key, shape in _LOCAL_LEVEL.items() if parser.has_option(sec, key)
+        }
+        replications = _get(parser, sec, "replications", ())
+        raw = _literal(parser.get(sec, "pattern", fallback="{}"), sec, "pattern")
         if not isinstance(raw, dict) or not all(
             isinstance(t, int) and isinstance(vs, list) and all(isinstance(j, int) for j in vs)
             for t, vs in raw.items()
         ):
             raise ConfigError("pattern must be a dict like {24: [2], 60: [1, 2]}", sec, "pattern")
         try:
+            cfg = LocalLevelConfig(**kwargs)
+            replications = _count(1 if replications is None else replications, "replications")
             pattern = MissingPattern({t: frozenset(vs) for t, vs in raw.items()})
-            cfg = LocalLevelConfig(T=T, corr=corr, obs_var=obs_var, level_var=level_var, seed=seed)
-            observed = _missing_mask(pattern, T, p)
+            observed = _missing_mask(pattern, cfg.T, p)
         except MvdlmError as exc:
             raise ConfigError(str(exc), sec) from exc
         never = np.flatnonzero(~observed.any(axis=0))
@@ -251,7 +236,7 @@ def load_config(path: str | Path) -> RunConfig:
             )
         simulate = SimulateBlock(cfg=cfg, pattern=pattern, replications=replications)
 
-    return RunConfig(model=model, prior=prior, mode=mode, out=out, simulate=simulate)
+    return RunConfig(model=model, prior=prior, mode=mode, simulate=simulate)
 
 
 _R1_NAME = re.compile(r"^y(\d+)$")
@@ -262,10 +247,11 @@ _MISSING = {"", "na"}
 def parse_csv(path: str | Path) -> np.ndarray:
     """Read observations from CSV into a T x r x p array, NaN where missing;
     header names determine p and r."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"data file not found: {path}")
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read data file {path}: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -325,13 +311,11 @@ def _column_names(p: int, r: int, prefix: str) -> list[str]:
 
 def write_csv(path: str | Path, values: np.ndarray) -> None:
     """Write a T x r x p array (NaN where missing) in the format
-    :func:`parse_csv` reads back."""
+    :func:`parse_csv` reads back; it cannot read ±inf, so that is an error."""
     T, r, p = values.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_column_names(p, r, "y"))
-        for row in values.transpose(0, 2, 1).reshape(T, p * r).tolist():
-            writer.writerow(["NA" if math.isnan(x) else repr(x) for x in row])
+    if np.isinf(values).any():
+        raise DomainError("values must be finite or NaN (missing), got ±inf")
+    _write_table(path, _column_names(p, r, "y"), values.transpose(0, 2, 1).reshape(T, p * r), "%r")
 
 
 def _format(x: float) -> str:
@@ -361,13 +345,14 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
     _write_table(path, header, table)
 
 
-def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Write a float table as CSV, each cell as %.10g and NA where not finite.
+def _write_table(path: Path, header: list[str], table: np.ndarray, cell: str = "%.10g") -> None:
+    """Write a float table as CSV, each cell as ``cell % x`` (``%.10g`` for
+    records, ``%r`` to round-trip) and NA where not finite.
 
     Rows are formatted 256 at a time, in one ``%`` pass per block; a pass over
     the whole table would hold all of its text at once.
     """
-    fmt = ",".join(["%.10g"] * len(header)) + "\r\n"
+    fmt = ",".join([cell] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(table), 256):
@@ -406,8 +391,7 @@ def cmd_filter(args) -> int:
     mode = args.mode or config.mode
     modes = ("new", "classical") if mode == "both" else (mode,)
 
-    out = args.out or config.out
-    base = Path(out) if out else Path(args.data).with_suffix(".filtered.csv")
+    base = Path(args.out) if args.out else Path(args.data).with_suffix(".filtered.csv")
     outputs = dict(zip(modes, dlm._filter(config.model, values, config.prior, modes)))
     for m, output in outputs.items():
         path = base if len(modes) == 1 else base.with_name(f"{base.stem}.{m}{base.suffix}")
@@ -493,7 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MvdlmError as exc:

@@ -80,6 +80,14 @@ def _sqrt_outer(n: np.ndarray) -> np.ndarray:
     return np.outer(s, s)
 
 
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int, if it is an integral number >= ``least`` (0 or 1)."""
+    if not (float(value).is_integer() and value >= least):
+        kind = "positive" if least else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value}")
+    return int(value)
+
+
 def _checked_dof(n, v, p: int) -> tuple[np.ndarray, float]:
     """The dof vector n and scalar v of a p-variate law as a float array and a float,
     checked for n_j > 0 and normalizability, 2 v + mean(n) > 2 p."""
@@ -380,9 +388,7 @@ def sample_miw(params: MiwParams, rng: np.random.Generator, size: int | None = N
     R, k = miw_to_iw(params)
     p = params.p
     df = k - p - 1.0
-    m = 1 if size is None else int(size)
-    if m < 1:
-        raise DomainError(f"size must be a positive integer, got {size}")
+    m = 1 if size is None else _count(size, "size")
     B = np.zeros((m, p, p))
     rows, cols = np.tril_indices(p, -1)
     B[:, rows, cols] = rng.normal(size=(m, rows.size))
@@ -407,8 +413,5 @@ def sample_matrix_normal(
     if size is None:
         Z = rng.standard_normal((r, p))
     else:
-        m = int(size)
-        if m < 1:
-            raise DomainError(f"size must be a positive integer, got {size}")
-        Z = rng.standard_normal((m, r, p))
+        Z = rng.standard_normal((_count(size, "size"), r, p))
     return params.M + Lp @ Z @ Ls.T

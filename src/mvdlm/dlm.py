@@ -35,7 +35,6 @@ observation whenever any entry is missing.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from .distributions import MiwParams, MtParams
+from .distributions import MiwParams, MtParams, _count
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -98,10 +97,7 @@ class ModelSpec:
     discount: float | None = None
 
     def __post_init__(self):
-        for name, value in (("d", self.d), ("p", self.p), ("r", self.r)):
-            if int(value) != value or value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value}")
-        self.d, self.p, self.r = int(self.d), int(self.p), int(self.r)
+        self.d, self.p, self.r = (_count(getattr(self, name), name) for name in "dpr")
         if (self.W is None) == (self.discount is None):
             raise ConfigError(
                 "exactly one of an explicit evolution scale W and a discount factor must be given",
@@ -320,10 +316,6 @@ class FilterOutput:
             return MtParams(f=self.f[t], Q=self.Q[t], S=S, n=n, v=miw.v)
 
         return _StepView(self.T, build)
-
-    @functools.cached_property
-    def msse(self) -> np.ndarray:
-        return msse(self)
 
 
 def filter(

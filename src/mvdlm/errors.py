@@ -35,15 +35,11 @@ class MeanUndefined(DomainError):
 
 
 class ConfigError(MvdlmError, ValueError):
-    """Invalid run configuration. Carries section/key diagnostics when known."""
+    """Invalid run configuration; the message names the section and key when known."""
 
     def __init__(self, message: str, section: str | None = None, key: str | None = None):
-        self.section = section
-        self.key = key
-        where = ""
         if section is not None:
-            where = f"[{section}]" + (f" {key}" if key else "")
-            message = f"{where}: {message}"
+            message = f"[{section}]" + (f" {key}" if key else "") + f": {message}"
         super().__init__(message)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dlm
-from .distributions import MiwParams
+from .distributions import MiwParams, _count
 from .dlm import ModelSpec, NmiwState
 from .errors import DomainError
 
@@ -42,18 +42,14 @@ class LocalLevelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.T) != self.T or self.T < 1:
-            raise DomainError(f"T must be a positive integer, got {self.T}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
+        object.__setattr__(self, "T", _count(self.T, "T"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
         if not -1.0 < self.corr < 1.0:
             raise DomainError(f"correlation must lie in (-1, 1), got {self.corr}")
         for name, pair in (("obs_var", self.obs_var), ("level_var", self.level_var)):
             # written so that NaN fails too
             if len(pair) != 2 or not all(0.0 < x < np.inf for x in pair):
                 raise DomainError(f"{name} must be two positive finite variances, got {pair}")
-        object.__setattr__(self, "T", int(self.T))
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "obs_var", tuple(float(x) for x in self.obs_var))
         object.__setattr__(self, "level_var", tuple(float(x) for x in self.level_var))
 
@@ -158,23 +154,11 @@ def local_level_model(
     )
 
 
-def default_prior(
-    p: int = 2,
-    d: int = 1,
-    p0_scale: float = 1e6,
-    s0: np.ndarray | None = None,
-    n0: np.ndarray | None = None,
-    v: float | None = None,
-) -> NmiwState:
-    """Vague default prior: zero mean, large state scale, identity covariance
+def default_prior(p: int = 2, d: int = 1) -> NmiwState:
+    """Vague default prior: zero mean, state scale 1e6 I, identity covariance
     scale with one degree of freedom per variable, v = p."""
-    S0 = np.eye(p) if s0 is None else np.asarray(s0, dtype=float)
-    N0 = np.ones(p) if n0 is None else np.asarray(n0, dtype=float)
-    v = float(p) if v is None else float(v)
     return NmiwState(
-        m=np.zeros((d, p)),
-        P=p0_scale * np.eye(d),
-        miw=MiwParams(S=S0, n=N0, v=v),
+        m=np.zeros((d, p)), P=1e6 * np.eye(d), miw=MiwParams(S=np.eye(p), n=np.ones(p), v=float(p))
     )
 
 
@@ -217,9 +201,7 @@ def replicate_experiment(
     posterior at each partially missing time (the classical filter has not
     updated at those times at all).
     """
-    M = int(n_replications)
-    if M < 1:
-        raise DomainError(f"n_replications must be a positive integer, got {n_replications}")
+    M = _count(n_replications, "n_replications")
     p = 2
     if model is None:
         model = local_level_model(p=p)

@@ -116,6 +116,56 @@ def test_config_missing_file_is_config_error(tmp_path):
         load_config(tmp_path / "nope.ini")
 
 
+@pytest.mark.parametrize("extra,words", [
+    ("[simulate]\nreplication = 200", "unknown key 'replication'"),
+    ("[simulate]\nsed = 5", "unknown key 'sed'"),
+    ("[io]\nmod = both", "unknown key 'mod'"),
+    ("[io]\nout = records.csv", "unknown key 'out'"),  # the output path is --out
+    ("[DEFAULT]\nreplications = 200", r"\[DEFAULT\]"),
+    ("[simulat]\nreplications = 200", r"unknown section \[simulat\]"),
+], ids=["replication", "sed", "io-mod", "io-out", "default-section", "unknown-section"])
+def test_unknown_section_or_key_is_config_error(tmp_path, capsys, extra, words):
+    # each used to be ignored: the study ran 1 replication, seed 0, mode new
+    header = extra.split("\n")[0]
+    text = SIM_CONFIG.replace(header, extra) if header in SIM_CONFIG else f"{SIM_CONFIG}\n{extra}\n"
+    config = write_config(tmp_path, text)
+    with pytest.raises(mv.ConfigError, match=words):
+        load_config(config)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_counts_accept_integral_numbers(tmp_path):
+    outputs = []
+    for name, text in (("ints", SIM_CONFIG), ("floats", SIM_CONFIG.replace(
+            "T = 100", "T = 100.0").replace("seed = 0", "seed = 0.0").replace(
+            "replications = 8", "replications = 8.0"))):
+        out_dir = tmp_path / name
+        config = write_config(tmp_path, text, name=f"{name}.ini")
+        assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0
+        outputs.append([(out_dir / f).read_bytes() for f in
+                        ("data.csv", "forecasts.csv", "replications.csv", "summary.txt")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("option", ["--config", "--data", "--out"])
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, option):
+    # a directory as --config or --data, or --out under a missing directory,
+    # used to end in a traceback and exit code 1
+    args = {"--config": write_config(tmp_path, GOOD_CONFIG), "--data": make_series(tmp_path),
+            "--out": tmp_path / "records.csv"}
+    if option == "--out":
+        args[option] = tmp_path / "no-such-dir" / "records.csv"
+        named = args[option].parent
+    else:
+        args[option] = named = tmp_path / "a-directory"
+        named.mkdir()
+    assert main(["filter"] + [str(x) for item in args.items() for x in item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err, err
+
+
 # ---------------------------------------------------------------------------
 # CSV parsing and writing
 # ---------------------------------------------------------------------------
@@ -170,6 +220,16 @@ def test_parse_csv_rejects_non_finite_cell(tmp_path, cell, header, first, row, c
     with pytest.raises(mv.ParseError) as exc:
         parse_csv(path)
     assert (exc.value.row, exc.value.column) == (3, column)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_write_csv_rejects_infinity(tmp_path, value):
+    # parse_csv cannot read an infinite cell back, so none is written
+    values = np.zeros((3, 1, 2))
+    values[1, 0, 1] = value
+    with pytest.raises(mv.DomainError, match="inf"):
+        write_csv(tmp_path / "data.csv", values)
+    assert not (tmp_path / "data.csv").exists()
 
 
 def test_csv_round_trip_preserves_masks_and_values(tmp_path):

@@ -82,6 +82,20 @@ def test_config_rejects_non_integral_length_and_seed():
     assert np.array_equal(data, mv.gen_local_level(mv.LocalLevelConfig(T=10, seed=3))[1])
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: mv.replicate_experiment(2.5, mv.LocalLevelConfig(T=10), mv.MissingPattern({})),
+    lambda: mv.sample_miw(mv.MiwParams(S=np.eye(2), n=np.ones(2), v=2.0),
+                          np.random.default_rng(0), size=2.5),
+    lambda: mv.sample_matrix_normal(
+        mv.MatrixNormalParams(M=np.zeros((1, 2)), P=np.eye(1), Sigma=np.eye(2)),
+        np.random.default_rng(0), size=2.5),
+], ids=["replicate_experiment", "sample_miw", "sample_matrix_normal"])
+def test_counts_must_be_integral(draw):
+    # a count of 2.5 used to run or draw 2
+    with pytest.raises(mv.DomainError, match="must be a positive integer, got 2.5"):
+        draw()
+
+
 # ---------------------------------------------------------------------------
 # missing-value pattern application
 # ---------------------------------------------------------------------------
