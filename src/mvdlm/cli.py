@@ -119,6 +119,8 @@ def _parse(text: str, shape: tuple[int, ...], section: str, key: str):
             raise ConfigError(f"identity requires a square target, need shape {shape}", section, key)
         return np.eye(shape[0])
     value = _literal(text, section, key)
+    if isinstance(value, bool):
+        raise ConfigError(f"cannot parse value {text!r} as a number", section, key)
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -147,12 +149,14 @@ def _get(parser: configparser.ConfigParser, section: str, key: str, shape: tuple
 
 def load_config(path: str | Path) -> RunConfig:
     """Load and validate a run configuration file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     if parser.defaults():
@@ -168,9 +172,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("missing [model] section")
     sec = "model"
     try:
-        d, p, r = (_count(parser.getint(sec, key), key) for key in "dpr")
-    except (configparser.Error, ValueError) as exc:
-        raise ConfigError(f"d, p, r must be positive integers: {exc}", sec) from exc
+        d, p, r = (_count(_get(parser, sec, key, (), required=True), key) for key in "dpr")
+    except DomainError as exc:
+        raise ConfigError(str(exc), sec) from exc
     F = _get(parser, sec, "F", (d, r), required=True)
     G = _get(parser, sec, "G", (d, d), required=True)
     V = _get(parser, sec, "V", (r, r), required=True)
@@ -248,54 +252,55 @@ def parse_csv(path: str | Path) -> np.ndarray:
     """Read observations from CSV into a T x r x p array, NaN where missing;
     header names determine p and r."""
     try:
-        fh = open(path, newline="")
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty file", row=1) from None
+            header = [h.strip() for h in header]
+            if all(_R1_NAME.match(h) for h in header):
+                pairs = [(int(_R1_NAME.match(h).group(1)), 1) for h in header]
+            elif all(_RK_NAME.match(h) for h in header):
+                pairs = [tuple(int(g) for g in _RK_NAME.match(h).groups()) for h in header]
+            else:
+                raise ParseError(
+                    "header must name columns y<j> (r = 1) or y<j>_<k> (r >= 2)", row=1
+                )
+            p = max(j for j, _ in pairs)
+            r = max(k for _, k in pairs)
+            expected = {(j, k) for j in range(1, p + 1) for k in range(1, r + 1)}
+            if set(pairs) != expected or len(pairs) != len(expected):
+                raise ParseError(
+                    f"header must cover every variable/replicate pair once for p={p}, r={r}", row=1
+                )
+            rows = []
+            for i, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=i)
+                cells = []
+                for cell, (j, k) in zip(row, pairs):
+                    text = cell.strip()
+                    if text.lower() in _MISSING:
+                        cells.append(math.nan)
+                        continue
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"cannot parse {text!r} as a finite number (leave the cell empty or "
+                            "write NA for a missing value)",
+                            row=i,
+                            column=f"y{j}_{k}" if r > 1 else f"y{j}",
+                        )
+                    cells.append(value)
+                rows.append(cells)
     except OSError as exc:
         raise ParseError(f"cannot read data file {path}: {exc.strerror}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", row=1) from None
-        header = [h.strip() for h in header]
-        if all(_R1_NAME.match(h) for h in header):
-            pairs = [(int(_R1_NAME.match(h).group(1)), 1) for h in header]
-        elif all(_RK_NAME.match(h) for h in header):
-            pairs = [tuple(int(g) for g in _RK_NAME.match(h).groups()) for h in header]
-        else:
-            raise ParseError(
-                "header must name columns y<j> (r = 1) or y<j>_<k> (r >= 2)", row=1
-            )
-        p = max(j for j, _ in pairs)
-        r = max(k for _, k in pairs)
-        expected = {(j, k) for j in range(1, p + 1) for k in range(1, r + 1)}
-        if set(pairs) != expected or len(pairs) != len(expected):
-            raise ParseError(
-                f"header must cover every variable/replicate pair once for p={p}, r={r}", row=1
-            )
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=i)
-            cells = []
-            for cell, (j, k) in zip(row, pairs):
-                text = cell.strip()
-                if text.lower() in _MISSING:
-                    cells.append(math.nan)
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"cannot parse {text!r} as a finite number (leave the cell empty or "
-                        "write NA for a missing value)",
-                        row=i,
-                        column=f"y{j}_{k}" if r > 1 else f"y{j}",
-                    )
-                cells.append(value)
-            rows.append(cells)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode data file {path}: {exc}") from exc
     if not rows:
         raise ParseError("no data rows", row=2)
     values = np.empty((len(rows), r, p))
@@ -392,7 +397,8 @@ def cmd_filter(args) -> int:
     modes = ("new", "classical") if mode == "both" else (mode,)
 
     base = Path(args.out) if args.out else Path(args.data).with_suffix(".filtered.csv")
-    outputs = dict(zip(modes, dlm._filter(config.model, values, config.prior, modes)))
+    rec = dlm._run(config.model, config.prior, values[None], modes)
+    outputs = {mode: dlm._series_output(rec, k, 0) for k, mode in enumerate(modes)}
     for m, output in outputs.items():
         path = base if len(modes) == 1 else base.with_name(f"{base.stem}.{m}{base.suffix}")
         _write_records(path, output)

@@ -9,18 +9,18 @@ with E_t matrix normal (0, V_t, Sigma), O_t matrix normal (0, W_t, Sigma), and
 Sigma carrying the per-variable degrees-of-freedom covariance law from
 :mod:`mvdlm.distributions`. Conjugacy gives one closed-form recursion over
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
-the posterior update. One loop runs that recursion on raw arrays for M
-series that share a missing-data mask, in one or both update modes at once:
-the row scales (R, Q, A, P) and the dof n depend only on the model, the mask
-and the mode, so they are carried once for all series, with the modes as a
-leading stack axis. The covariance scale is additive in N^{1/2} S N^{1/2}, so
-the loop does not carry S either: it is one cumulative sum of the steps' Gram
-matrices, computed after the loop. The loop makes one linear solve per
-step, for the gain; the Cholesky factor of Q and the checks that raise
-:class:`FilterError` also run after it, on the stacked records.
-:func:`filter` is the case of one series in one mode and records every
-intermediate quantity; the replication study runs all its replications in
-both modes in one pass.
+the posterior update. One loop, entered only through the private ``_run``,
+runs that recursion on raw arrays for M series that share a missing-data
+mask (an M x T x r x p array, NaN where missing) in one or both update
+modes, and returns one record with the modes as a leading stack axis: the
+row scales (R, Q, A, P) and the dof n depend only on the model, the mask and
+the mode, so they are carried once for all series. The covariance scale is
+additive in N^{1/2} S N^{1/2}, so S is one cumulative sum of the steps' Gram
+matrices, computed after the loop for all modes at once. The loop makes one
+linear solve per step, for the gain; the Cholesky factor of Q and the checks
+that raise :class:`FilterError` also run after it, on the stacked records.
+:func:`filter` is the case of one series in one mode; the replication study
+runs all its replications in both modes in one pass.
 Constant model inputs are validated once, callables once for all steps
 before the loop, and the prior once at entry.
 
@@ -338,25 +338,15 @@ def filter(
     e that is not finite at an updating step are raised as
     :class:`FilterError` with the failing 1-based time index.
     """
-    return _filter(model, data, prior, (mode,))[0]
-
-
-def _filter(
-    model: ModelSpec, data: np.ndarray | Sequence, prior: NmiwState, modes: tuple[str, ...]
-) -> list[FilterOutput]:
-    """:func:`filter` in each of ``modes``, all in one loop over t."""
-    r, p = model.r, model.p
     try:
         y = np.asarray(data, dtype=float)
     except ValueError as exc:
-        raise DimensionMismatch(f"observations do not form a T x {r} x {p} array: {exc}") from exc
+        raise DimensionMismatch(
+            f"observations do not form a T x {model.r} x {model.p} array: {exc}"
+        ) from exc
     if y.shape[:1] == (0,):
         raise DomainError("data must contain at least one observation")
-    if y.ndim != 3 or y.shape[1:] != (r, p):
-        raise DimensionMismatch(f"observations must have shape (T, {r}, {p}), got {y.shape}")
-    if np.isinf(y).any():
-        raise DomainError("observed entries must be finite")
-    return [_series_output(rec, 0) for rec in _run(model, prior, y[None], ~np.isnan(y), modes)]
+    return _series_output(_run(model, prior, y[None], (mode,)), 0, 0)
 
 
 _STEP_FAILURES = (
@@ -369,23 +359,17 @@ _STEP_FAILURES = (
 # The steps after a failure compute on values that may overflow and are never
 # returned; the checks after the step loop report the failure, not a warning.
 @np.errstate(all="ignore")
-def _run(
-    model: ModelSpec,
-    prior: NmiwState,
-    y: np.ndarray,
-    observed: np.ndarray,
-    modes: tuple[str, ...],
-) -> list[dict]:
+def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ...]) -> dict:
     """Filter M series that share one missing-data mask in K modes, all in
-    one loop over t.
+    one loop over t; :func:`filter` is the case M = 1, K = 1.
 
-    ``y`` is M x T x r x p (entries where ``observed`` is False are ignored)
-    and ``observed`` the shared T x r x p mask. The row-scale schedule R, Q, A,
-    P and the dof n depend only on the model, the mask and the mode, so they
-    are carried once per mode, the modes as a leading stack axis (K x d x d);
-    the series sit side by side as column blocks, so m and a are K x d x (M p)
-    and f and e are K x r x (M p). The model inputs for all t, and each mode's
-    update schedule, are computed before the loop.
+    ``y`` is M x T x r x p with NaN at the missing entries, the same in every
+    series (the mask is read from the first). The row-scale schedule R, Q,
+    A, P and the dof n depend only on the model, the mask and the mode, so
+    they are carried once per mode; the series sit side by side as column
+    blocks, so m and a are d x (M p) and f and e are r x (M p) per mode. The
+    model inputs for all t, and each mode's update schedule, are computed
+    before the loop.
 
     The loop over t carries a, R, f, Q, A, e, m and P and makes one linear
     solve per step, for the gain A = R F Q^{-1}. The checks run after it, on
@@ -394,19 +378,26 @@ def _run(
     updates. :class:`FilterError` names the earliest failing step, and at one
     step Q's finiteness before its definiteness before e; a bad model input is
     raised only if no earlier step failed. S is computed after the checks,
-    once per mode: with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the Gram matrix
-    C_t = (L^{-1} e)'(L^{-1} e) on the variables observed in every replicate
-    (zero at a step that does not update), S_t = (S0 * nn_0 + C_1 + ... + C_t)
-    / nn_t. The running sum adds one step's row of Gram matrices at a time
-    (numpy's accumulate along the time axis is not vectorized across a row),
-    and the division runs over blocks of steps. Returns one record dict per
-    mode, stacked over time (leading axis T) in that layout, with only S
-    (T x M x p x p) carrying a series axis.
+    for all modes at once: with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the
+    Gram matrix C_t = (L^{-1} e)'(L^{-1} e) on the variables observed in every
+    replicate (zero at a step that does not update), S_t = (S0 * nn_0 + C_1 +
+    ... + C_t) / nn_t. The running sum adds one step's row of Gram matrices at
+    a time (numpy's accumulate along the time axis is not vectorized across a
+    row), and the division runs over blocks of steps.
+
+    Returns one record dict whose arrays carry the modes as their leading
+    K axis, then time: a, R, f, Q, A, e, std_err, m, P, n, and S
+    (K x T x M x p x p); beside them the shared mask ``observed`` (T x r x p),
+    ``modes`` and ``prior``. :func:`_series_output` takes one run out of it.
     """
+    d, p, r = model.d, model.p, model.r
+    if y.ndim != 4 or y.shape[2:] != (r, p):
+        raise DimensionMismatch(f"observations must have shape (T, {r}, {p}), got {y.shape[1:]}")
+    if np.isinf(y).any():
+        raise DomainError("observed entries must be finite")
     for mode in modes:
         if mode not in ("new", "classical"):
             raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
-    d, p, r = model.d, model.p, model.r
     if prior.d != d or prior.p != p:
         raise DimensionMismatch(
             f"prior has shape ({prior.d}, {prior.p}), model declares ({d}, {p})"
@@ -414,9 +405,8 @@ def _run(
     m, P, S0, n0 = prior.m, prior.P, prior.miw.S, prior.miw.n
     if not all(np.isfinite(x).all() for x in (m, P, S0, n0, prior.miw.v)):
         raise DomainError("prior m, P, S, n and v must be finite")
+    observed = ~np.isnan(y[0])
     M, T = y.shape[:2]
-    if y.shape[2:] != (r, p):
-        raise DimensionMismatch(f"observations have shape {y.shape[2:]}, model declares ({r}, {p})")
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
     K = len(modes)
     (Fs, Gs, Vs, Ws), failures = zip(*(model._stack(name, T) for name in "FGVW"))
@@ -493,83 +483,83 @@ def _run(
         t, exc = failure
         raise FilterError(str(exc), t=t) from exc
 
-    obs_counts = observed.sum(axis=1)
-    runs = []
-    for i, mode in enumerate(modes):
-        run = {name: stack[i] for name, stack in rec.items()}
-        upd = update[:, i]
-        n_all = np.cumsum(np.vstack([n0, np.where(upd[:, None], obs_counts, 0)]), axis=0)
+    # From here on every stack is mode-major: K x T x ...
+    update = update.T
+    counts = np.where(update[:, :, None], observed.sum(axis=1), 0)
+    n = np.cumsum(np.concatenate([np.broadcast_to(n0, (K, 1, p)), counts], axis=1), axis=1)
+    sn = np.sqrt(n)
 
-        # S as the cumulative sum of C = Z'Z, Z = L^{-1} e on the wprod columns.
-        # Z is solved at the updating steps only and is exactly 0 elsewhere,
-        # whatever e holds there.
-        S, sn = np.empty((T, M, p, p)), np.sqrt(n_all)
-        Z = np.zeros((T, r, M * p))
-        Z[upd] = np.linalg.solve(chol[i][upd], run["e"][upd]) * wcols[upd, None]
-        Z = Z.reshape(T, r, M, p)
-        np.einsum("tkmi,tkmj->tmij", Z, Z, out=S)
-        S[0] += S0 * np.outer(sn[0], sn[0])
-        # The running sum adds whole rows, one step at a time: numpy's
-        # accumulate along the time axis is not vectorized across a row, and
-        # these are the additions np.cumsum makes, in the same order.
-        for prev, row in zip(S, S[1:]):
-            row += prev
-        # Steps before the first update keep the prior bit for bit; after it,
-        # each block of steps is divided by sqrt(n_i) * sqrt(n_j), the same
-        # product for S_ij and S_ji, so S stays exactly symmetric. A block's
-        # product stack holds at most T x p entries (one p x p product if T < p).
-        k0 = int(upd.argmax()) if upd.any() else T
-        S[:k0] = S0
-        block = max(1, T // p)
-        for k in range(k0, T, block):
-            s = sn[k + 1:k + 1 + block]
-            S[k:k + block] /= (s[:, :, None] * s[:, None, :])[:, None]
+    # S as the cumulative sum of C = Z'Z, Z = L^{-1} e on the wprod columns.
+    # Z is solved at the updating steps only and is exactly 0 elsewhere,
+    # whatever e holds there.
+    Z = np.zeros((K, T, r, M * p))
+    Z[update] = np.linalg.solve(chol[update], rec["e"][update])
+    Z *= wcols[:, None]
+    Z = Z.reshape(K, T, r, M, p)
+    S = np.einsum("ktrmi,ktrmj->ktmij", Z, Z)
+    S[:, 0] += S0 * (sn[:, 0, :, None] * sn[:, 0, None, :])[:, None]
+    # The running sum adds whole rows, one step at a time: numpy's
+    # accumulate along the time axis is not vectorized across a row, and
+    # these are the additions np.cumsum makes, in the same order.
+    rows = S.swapaxes(0, 1)
+    for prev, row in zip(rows, rows[1:]):
+        row += prev
+    # Each block of steps is divided by sqrt(n_i) * sqrt(n_j), the same
+    # product for S_ij and S_ji, so S stays exactly symmetric. A block's
+    # product stack holds at most K x T x p entries (K p x p products if T < p).
+    block = max(1, T // p)
+    for k in range(0, T, block):
+        s = sn[:, k + 1:k + 1 + block]
+        S[:, k:k + block] /= (s[..., :, None] * s[..., None, :])[:, :, None]
+    # Steps before a mode's first update keep the prior bit for bit.
+    S[~np.logical_or.accumulate(update, axis=1)] = S0
 
-        # Errors standardized by sqrt(Q_kk S_jj), S from the previous posterior.
-        s_diag = np.empty((T, 1, M, p))
-        s_diag[0] = np.diag(S0)
-        s_diag[1:, 0] = np.diagonal(S[:-1], axis1=2, axis2=3)
-        s_diag = s_diag.reshape(T, 1, M * p)
-        q_diag = np.diagonal(run["Q"], axis1=1, axis2=2)[:, :, None]
-        run.update(
-            S=S, n=n_all[1:], observed=observed, mode=mode, prior=prior,
-            std_err=np.where(obs_cols, run["e"] / np.sqrt(q_diag * s_diag), np.nan),
-        )
-        runs.append(run)
-    return runs
+    # Errors standardized by sqrt(Q_kk S_jj), S from the previous posterior.
+    s_diag = np.empty((K, T, 1, M, p))
+    s_diag[:, 0] = np.diag(S0)
+    s_diag[:, 1:, 0] = np.diagonal(S[:, :-1], axis1=-2, axis2=-1)
+    s_diag = s_diag.reshape(K, T, 1, M * p)
+    q_diag = np.diagonal(Qs, axis1=-2, axis2=-1)[..., None]
+    rec.update(
+        S=S, n=n[:, 1:], observed=observed, modes=modes, prior=prior,
+        std_err=np.where(obs_cols, rec["e"] / np.sqrt(q_diag * s_diag), np.nan),
+    )
+    return rec
 
 
-def _series_output(rec: dict, i: int) -> FilterOutput:
-    """The :class:`FilterOutput` of series i of a :func:`_run` result."""
-    p = rec["n"].shape[1]
+def _series_output(rec: dict, k: int, i: int) -> FilterOutput:
+    """The :class:`FilterOutput` of mode k, series i of a :func:`_run` record."""
+    p = rec["observed"].shape[2]
     cols = slice(i * p, (i + 1) * p)
     series = ("a", "f", "e", "std_err", "m")
-    shared = ("mode", "prior", "R", "Q", "A", "observed", "P", "n")
     return FilterOutput(
-        **{name: np.ascontiguousarray(rec[name][:, :, cols]) for name in series},
-        **{name: rec[name] for name in shared},
-        S=np.ascontiguousarray(rec["S"][:, i]),
+        mode=rec["modes"][k], prior=rec["prior"], observed=rec["observed"],
+        **{name: np.ascontiguousarray(rec[name][k, :, :, cols]) for name in series},
+        **{name: rec[name][k] for name in ("R", "Q", "A", "P", "n")},
+        S=np.ascontiguousarray(rec["S"][k, :, i]),
     )
 
 
 def _msse(std_err: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Per-variable MSSE of M series that share one mask.
+    """Per-variable MSSE of M series that share one mask, for every run of a
+    leading stack.
 
-    ``std_err`` holds the series as column blocks (T x r x M p), as
+    ``std_err`` holds the series as column blocks (... x T x r x M p), as
     :func:`_run` records them, and ``observed`` is the T x r x p mask; returns
-    M x p. The mean for variable j runs over the observed entries of column j.
+    ... x M x p. The mean for variable j runs over the observed entries of
+    column j.
     """
-    T, r, p = observed.shape
-    std_err = std_err.reshape(T, r, -1, p)
-    out = np.empty(std_err.shape[2:])
+    p = observed.shape[2]
+    std_err = std_err.reshape(std_err.shape[:-1] + (-1, p))
+    out = np.empty(std_err.shape[:-4] + std_err.shape[-2:])
     for j in range(p):
         keep = observed[:, :, j]
         if not keep.any():
             raise DomainError(f"variable {j} is never observed; its MSSE is undefined")
         # one contiguous row per series keeps np.mean's pairwise summation, so
         # each series gets the bits a single-series run gets
-        vals = np.ascontiguousarray(std_err[:, :, :, j][keep].T)
-        out[:, j] = np.mean(vals**2, axis=1)
+        vals = np.ascontiguousarray(np.moveaxis(std_err[..., j][..., keep, :], -2, -1))
+        out[..., j] = np.mean(vals**2, axis=-1)
     return out
 
 

@@ -211,11 +211,9 @@ def replicate_experiment(
 
     observed = _missing_mask(pattern, cfg.T, p)[:, None, :]
     y = np.stack([gen_local_level(replace(cfg, seed=cfg.seed + i))[1] for i in range(M)])
-    modes = ("new", "classical")
-    runs = dict(zip(modes, dlm._run(model, prior, y[:, :, None, :], observed, modes)))
-    msse_new, msse_classical = (dlm._msse(rec["std_err"], observed) for rec in runs.values())
-    S = runs["new"]["S"][[t - 1 for t in partial_times]]
-    partial_corr = dlm._corr(S, 0, 1).T
+    rec = dlm._run(model, prior, np.where(observed, y[:, :, None, :], np.nan), ("new", "classical"))
+    msse_new, msse_classical = dlm._msse(rec["std_err"], observed)
+    partial_corr = dlm._corr(rec["S"][0, [t - 1 for t in partial_times]], 0, 1).T
 
     wins = np.all(msse_new <= msse_classical, axis=1)
     return ExperimentSummary(
@@ -228,6 +226,6 @@ def replicate_experiment(
         win_fraction=float(np.mean(wins)),
         partial_corr=partial_corr,
         mean_partial_corr=float(partial_corr.mean()) if partial_corr.size else float("nan"),
-        first_new=dlm._series_output(runs["new"], 0),
-        first_classical=dlm._series_output(runs["classical"], 0),
+        first_new=dlm._series_output(rec, 0, 0),
+        first_classical=dlm._series_output(rec, 1, 0),
     )

@@ -105,6 +105,9 @@ def test_config_rejects_non_finite_values(tmp_path, capsys, old, new):
 @pytest.mark.parametrize("old,new", [
     ("F = [[1.0]]", "F = 'one'"),
     ("N0 = 1.0", "N0 = 1.0\nv = [2, 3]"),
+    ("discount = 0.9", "discount = 50%"),
+    ("discount = 0.9", "discount = True"),
+    ("d = 1", "d = True"),
 ])
 def test_config_rejects_non_numeric_values(tmp_path, old, new):
     with pytest.raises(mv.ConfigError):
@@ -140,7 +143,8 @@ def test_study_counts_accept_integral_numbers(tmp_path):
     outputs = []
     for name, text in (("ints", SIM_CONFIG), ("floats", SIM_CONFIG.replace(
             "T = 100", "T = 100.0").replace("seed = 0", "seed = 0.0").replace(
-            "replications = 8", "replications = 8.0"))):
+            "replications = 8", "replications = 8.0").replace(
+            "d = 1\np = 2\nr = 1", "d = 1.0\np = 2.0\nr = 1.0"))):
         out_dir = tmp_path / name
         config = write_config(tmp_path, text, name=f"{name}.ini")
         assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0
@@ -164,6 +168,18 @@ def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, option):
     assert main(["filter"] + [str(x) for item in args.items() for x in item]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(named) in err, err
+
+
+@pytest.mark.parametrize("option", ["--config", "--data"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, option):
+    # each used to end in a UnicodeDecodeError traceback and exit code 1
+    args = {"--config": write_config(tmp_path, GOOD_CONFIG), "--data": make_series(tmp_path)}
+    bad = args[option]
+    bad.write_bytes(b"\xff\xfe" + GOOD_CONFIG.encode() if option == "--config"
+                    else bad.read_bytes().replace(b"NA", b"\xff", 1))
+    assert main(["filter"] + [str(x) for item in args.items() for x in item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err, err
 
 
 # ---------------------------------------------------------------------------

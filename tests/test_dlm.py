@@ -472,7 +472,8 @@ def s_oracle_inputs(case):
                                   "classical-never-updates", "T1", "T-not-block-multiple"])
 def test_s_matches_the_cumulative_sum_oracle_exactly(case):
     model, prior, y = s_oracle_inputs(case)
-    both = mv.dlm._filter(model, y, prior, ("new", "classical"))
+    rec = mv.dlm._run(model, prior, y[None], ("new", "classical"))
+    both = [mv.dlm._series_output(rec, k, 0) for k in range(2)]
     for mode, joint in zip(("new", "classical"), both):
         single = mv.filter(model, y, prior, mode=mode)
         want = oracles.s_stack(single.e, single.Q, single.observed, single.n,
@@ -648,7 +649,7 @@ def filter_error(model, data, prior, modes=("new",)):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(mv.FilterError) as exc:
-            mv.dlm._filter(model, data, prior, modes)
+            mv.dlm._run(model, prior, np.asarray(data, dtype=float)[None], modes)
     assert [str(w.message) for w in caught] == []
     return exc.value
 

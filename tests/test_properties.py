@@ -123,16 +123,17 @@ def _rel_close(got, want, tol=1e-10):
        st.sampled_from([("new",), ("classical",), ("new", "classical")]))
 def test_batched_series_match_single_series_runs(system, M, seed, modes):
     model, prior, values, mask = system
-    # M series sharing one mask; their values under the mask are ignored
+    # M series sharing one mask, NaN where it is False
     ys = np.random.default_rng(seed).standard_normal((M,) + values.shape)
-    runs = mv.dlm._run(model, prior, ys, mask, modes)
-    for mode, records in zip(modes, runs):
+    y = np.where(mask, ys, np.nan)
+    records = mv.dlm._run(model, prior, y, modes)
+    for k, mode in enumerate(modes):
         # a mode filtered beside another gets the bits it gets alone
-        alone = mv.dlm._run(model, prior, ys, mask, (mode,))[0] if len(modes) > 1 else records
+        alone = mv.dlm._run(model, prior, y, (mode,))
         for i in range(M):
-            batched = mv.dlm._series_output(records, i)
+            batched = mv.dlm._series_output(records, k, i)
             single = mv.filter(model, observations(ys[i], mask), prior, mode=mode)
-            exact = mv.dlm._series_output(alone, i)
+            exact = mv.dlm._series_output(alone, 0, i)
             assert batched.mode == mode
             for name in STACKS + ("std_err",):
                 got = getattr(batched, name)
