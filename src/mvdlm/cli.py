@@ -103,7 +103,7 @@ class RunConfig:
 def _literal(text: str, section: str, key: str):
     try:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, SyntaxError, TypeError) as exc:
         raise ConfigError(f"cannot parse value {text!r}", section, key) from exc
 
 
@@ -119,12 +119,12 @@ def _parse(text: str, shape: tuple[int, ...], section: str, key: str):
             raise ConfigError(f"identity requires a square target, need shape {shape}", section, key)
         return np.eye(shape[0])
     value = _literal(text, section, key)
-    if isinstance(value, bool):
-        raise ConfigError(f"cannot parse value {text!r} as a number", section, key)
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse value {text!r} as numbers", section, key) from exc
+    if any(isinstance(x, bool) for x in np.asarray(value, dtype=object).ravel()):
+        raise ConfigError(f"cannot parse value {text!r} as a number", section, key)
     if not np.isfinite(arr).all():
         raise ConfigError(f"values must be finite, got {text!r}", section, key)
     if arr.ndim == 0 and len(shape) == 1:
@@ -220,15 +220,12 @@ def load_config(path: str | Path) -> RunConfig:
         }
         replications = _get(parser, sec, "replications", ())
         raw = _literal(parser.get(sec, "pattern", fallback="{}"), sec, "pattern")
-        if not isinstance(raw, dict) or not all(
-            isinstance(t, int) and isinstance(vs, list) and all(isinstance(j, int) for j in vs)
-            for t, vs in raw.items()
-        ):
+        if not isinstance(raw, dict) or not all(isinstance(vs, list) for vs in raw.values()):
             raise ConfigError("pattern must be a dict like {24: [2], 60: [1, 2]}", sec, "pattern")
         try:
             cfg = LocalLevelConfig(**kwargs)
             replications = _count(1 if replications is None else replications, "replications")
-            pattern = MissingPattern({t: frozenset(vs) for t, vs in raw.items()})
+            pattern = MissingPattern(raw)
             observed = _missing_mask(pattern, cfg.T, p)
         except MvdlmError as exc:
             raise ConfigError(str(exc), sec) from exc
@@ -366,23 +363,13 @@ def _write_table(path: Path, header: list[str], table: np.ndarray, cell: str = "
             fh.write(text.replace("-inf", "NA").replace("inf", "NA").replace("nan", "NA"))
 
 
-def _print_summary(outputs: dict[str, dlm.FilterOutput], stream) -> None:
-    p = next(iter(outputs.values())).f.shape[2]
-    header = ["mode"] + [f"msse_{j}" for j in range(1, p + 1)] + ["mean_missing_corr"]
-    print(",".join(header), file=stream)
-    for mode, output in outputs.items():
-        observed = output.observed
-        partial = observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2))
-        vals = dlm._corr(output.S[partial], *np.triu_indices(p, 1)).ravel()
-        mean_corr = float(np.mean(vals)) if vals.size else float("nan")
-        # a variable that is never observed has no MSSE: NA
-        seen = observed.any(axis=(0, 1))
-        msse = np.full(seen.shape, np.nan)
-        if seen.any():
-            # an overflowed residual gives an infinite MSSE, written as NA
-            with np.errstate(all="ignore"):
-                msse[seen] = dlm._msse(output.std_err[:, :, seen], observed[:, :, seen])[0]
-        print(",".join([mode] + [_format(x) for x in msse] + [_format(mean_corr)]), file=stream)
+def _summary_table(lead: list[str], rows, p: int) -> str:
+    """The summary table as text: a header of the ``lead`` labels,
+    ``msse_1..p`` and ``mean_missing_corr``, then one line per
+    ``(labels, msse, corr)`` row, NA where a value is not finite."""
+    lines = [[*lead, *(f"msse_{j}" for j in range(1, p + 1)), "mean_missing_corr"]]
+    lines += [[*labels, *map(_format, msse), _format(corr)] for labels, msse, corr in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def cmd_filter(args) -> int:
@@ -398,11 +385,22 @@ def cmd_filter(args) -> int:
 
     base = Path(args.out) if args.out else Path(args.data).with_suffix(".filtered.csv")
     rec = dlm._run(config.model, config.prior, values[None], modes)
-    outputs = {mode: dlm._series_output(rec, k, 0) for k, mode in enumerate(modes)}
-    for m, output in outputs.items():
+    for k, m in enumerate(modes):
         path = base if len(modes) == 1 else base.with_name(f"{base.stem}.{m}{base.suffix}")
-        _write_records(path, output)
-    _print_summary(outputs, sys.stdout)
+        _write_records(path, dlm._series_output(rec, k, 0))
+    obs = rec["observed"]
+    partial = obs.any(axis=(1, 2)) & ~obs.all(axis=(1, 2))
+    seen = obs.any(axis=(0, 1))  # a never-observed variable has no MSSE: NA
+    msse = np.full((len(modes), p), np.nan)
+    # an overflowed residual gives an infinite MSSE, and the mean of no
+    # correlations (no partly missing step, or p = 1) is 0/0: both are NA
+    with np.errstate(all="ignore"):
+        if seen.any():
+            msse[:, seen] = dlm._msse(rec["std_err"][..., seen], obs[..., seen])[:, 0]
+        corr = dlm._corr(rec["S"][:, partial, 0], *np.triu_indices(p, 1)).reshape(len(modes), -1)
+        corr = corr.sum(axis=1) / corr.shape[1]
+    rows = [((m,), msse[k], corr[k]) for k, m in enumerate(modes)]
+    sys.stdout.write(_summary_table(["mode"], rows, p))
     return 0
 
 
@@ -429,29 +427,17 @@ def cmd_simulate(args) -> int:
         np.hstack([np.arange(1.0, T + 1)[:, None], f_new, f_cls]),
     )
 
-    with open(out_dir / "replications.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["replication", "mode"] + [f"msse_{j}" for j in range(1, p + 1)] + ["mean_missing_corr"]
-        )
-        for i in range(summary.n_replications):
-            corr_i = summary.partial_corr[i].mean() if summary.partial_corr.size else float("nan")
-            writer.writerow(
-                [str(i), "new"] + [_format(x) for x in summary.msse_new[i]] + [_format(corr_i)]
-            )
-            writer.writerow(
-                [str(i), "classical"] + [_format(x) for x in summary.msse_classical[i]] + ["NA"]
-            )
-
-    lines = [
-        "mode," + ",".join(f"msse_{j}" for j in range(1, p + 1)) + ",mean_missing_corr",
-        "new," + ",".join(_format(x) for x in summary.mean_msse_new) + f",{_format(summary.mean_partial_corr)}",
-        "classical," + ",".join(_format(x) for x in summary.mean_msse_classical) + ",NA",
-        f"replications,{summary.n_replications}",
-        f"new_wins_componentwise_fraction,{_format(summary.win_fraction)}",
-        f"partial_missing_times,{' '.join(str(t) for t in summary.partial_times)}",
-    ]
-    text = "\n".join(lines) + "\n"
+    nan, rows = float("nan"), []
+    for i, corr in enumerate(summary.partial_corr):
+        rows += [((str(i), "new"), summary.msse_new[i], corr.mean() if corr.size else nan),
+                 ((str(i), "classical"), summary.msse_classical[i], nan)]
+    (out_dir / "replications.csv").write_text(
+        _summary_table(["replication", "mode"], rows, p), newline="\r\n")
+    text = _summary_table(["mode"], [(("new",), summary.mean_msse_new, summary.mean_partial_corr),
+                                     (("classical",), summary.mean_msse_classical, nan)], p)
+    text += (f"replications,{summary.n_replications}\n"
+             f"new_wins_componentwise_fraction,{_format(summary.win_fraction)}\n"
+             f"partial_missing_times,{' '.join(map(str, summary.partial_times))}\n")
     (out_dir / "summary.txt").write_text(text)
     sys.stdout.write(text)
     return 0

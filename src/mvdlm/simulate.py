@@ -9,6 +9,7 @@ discard-the-whole-vector filter over many seeds.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,13 @@ def gen_local_level(cfg: LocalLevelConfig) -> tuple[np.ndarray, np.ndarray]:
     return levels, data
 
 
+def _index(i, name: str) -> int:
+    """``i`` as a 1-based index: an integral number, not a truth value or a string."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Real) or i % 1 or i < 1:
+        raise DomainError(f"{name} indices must be 1-based integers, got {i!r}")
+    return int(i)
+
+
 @dataclass(frozen=True)
 class MissingPattern:
     """Map from 1-based time index to the set of 1-based missing variables."""
@@ -86,12 +94,8 @@ class MissingPattern:
     def __post_init__(self):
         clean: dict[int, frozenset[int]] = {}
         for t, variables in self.missing.items():
-            t = int(t)
-            if t < 1:
-                raise DomainError(f"time indices are 1-based, got {t}")
-            vs = frozenset(int(j) for j in variables)
-            if any(j < 1 for j in vs):
-                raise DomainError(f"variable indices are 1-based, got {sorted(vs)}")
+            t = _index(t, "time")
+            vs = frozenset(_index(j, "variable") for j in variables)
             if vs:
                 clean[t] = vs
         object.__setattr__(self, "missing", clean)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,8 @@ def test_config_rejects_non_finite_values(tmp_path, capsys, old, new):
     ("discount = 0.9", "discount = 50%"),
     ("discount = 0.9", "discount = True"),
     ("d = 1", "d = True"),
+    ("F = [[1.0]]", "F = [[True]]"),
+    ("N0 = 1.0", "N0 = [True, 1.0]"),
 ])
 def test_config_rejects_non_numeric_values(tmp_path, old, new):
     with pytest.raises(mv.ConfigError):
@@ -574,6 +577,59 @@ def test_simulate_single_replication_matches_direct_run(tmp_path):
         assert float(row["msse_2"]) == pytest.approx(ref[1], rel=1e-9)
 
 
+def test_summary_tables_pin_their_bytes(tmp_path, capsys):
+    # replications.csv (CRLF, NA for the classical correlation), summary.txt
+    # and both commands' stdout, rebuilt cell by cell with _format
+    from mvdlm.cli import _format
+
+    def line(*cells):
+        return ",".join(c if isinstance(c, str) else _format(c) for c in cells)
+
+    config = write_config(tmp_path, SIM_CONFIG)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    s = mv.replicate_experiment(
+        8, mv.LocalLevelConfig(T=100, corr=0.8, seed=0), mv.DEFAULT_MISSING_PATTERN,
+        model=mv.local_level_model(discount=0.5),
+    )
+    want = [line("replication", "mode", "msse_1", "msse_2", "mean_missing_corr")]
+    for i in range(8):
+        want += [line(str(i), "new", *s.msse_new[i], s.partial_corr[i].mean()),
+                 line(str(i), "classical", *s.msse_classical[i], "NA")]
+    assert (tmp_path / "out" / "replications.csv").read_bytes() == "".join(
+        row + "\r\n" for row in want).encode()
+    want = "".join(row + "\n" for row in [
+        "mode,msse_1,msse_2,mean_missing_corr",
+        line("new", *s.mean_msse_new, s.mean_partial_corr),
+        line("classical", *s.mean_msse_classical, "NA"),
+        "replications,8",
+        line("new_wins_componentwise_fraction", s.win_fraction),
+        "partial_missing_times,24 43 75 86",
+    ])
+    assert (tmp_path / "out" / "summary.txt").read_bytes() == want.encode()
+    assert capsys.readouterr().out == want
+
+    # filter: variable 3 is never observed, so every updating step is partial
+    rng = np.random.default_rng(64)
+    values = np.where(rng.random((30, 1, 3)) < 0.2, np.nan, rng.standard_normal((30, 1, 3)))
+    values[:, :, 2] = np.nan
+    values[7] = np.nan
+    write_csv(tmp_path / "data.csv", values)
+    config = write_config(tmp_path, GOOD_CONFIG.replace("p = 2", "p = 3"))
+    assert main(["filter", "--config", str(config), "--data", str(tmp_path / "data.csv"),
+                 "--out", str(tmp_path / "records.csv")]) == 0
+    cfg = load_config(config)
+    want = [line("mode", "msse_1", "msse_2", "msse_3", "mean_missing_corr")]
+    for mode in ("new", "classical"):
+        out = mv.filter(cfg.model, values, cfg.prior, mode=mode)
+        # the library has no MSSE for variable 3, so score variables 1 and 2 alone
+        msse = mv.msse(replace(out, std_err=out.std_err[..., :2], observed=out.observed[..., :2]))
+        partial = [t for t in range(30) if out.observed[t].any() and not out.observed[t].all()]
+        corr = [out.S[t, i, j] / (math.sqrt(out.S[t, i, i]) * math.sqrt(out.S[t, j, j]))
+                for t in partial for i, j in ((0, 1), (0, 2), (1, 2))]
+        want.append(line(mode, *msse, "NA", np.mean(corr)))
+    assert capsys.readouterr().out == "".join(row + "\n" for row in want)
+
+
 def test_simulate_requires_simulate_section(tmp_path, capsys):
     config = write_config(tmp_path, GOOD_CONFIG)
     assert main(["simulate", "--config", str(config)]) == 2
@@ -592,11 +648,14 @@ SIM_PATTERN = "pattern = {24: [2], 43: [2], 60: [1, 2], 75: [1], 86: [2]}"
     (SIM_PATTERN, "pattern = {200: [1]}"),  # beyond T = 100
     (SIM_PATTERN, "pattern = {24: [3]}"),  # beyond p = 2
     (SIM_PATTERN, "pattern = {%s}" % ", ".join(f"{t}: [2]" for t in range(1, 101))),
+    (SIM_PATTERN, "pattern = {24: [True], True: [2]}"),  # used to run as {24: [1], 1: [2]}
+    (SIM_PATTERN, "pattern = {[24]: [2]}"),  # an unhashable key used to end in a traceback
     ("p = 2", "p = 3"),
     ("corr = 0.8", "corr = 0.8\nobs_var = [nan, 1.0]"),
     ("corr = 0.8", "corr = 0.8\nlevel_var = [1e999, 0.1]"),
 ], ids=["seed", "seed-negative", "replications", "pattern-value", "pattern-entry", "pattern-time",
-        "pattern-variable", "pattern-never-observed", "model-p", "obs-var-nan", "level-var-inf"])
+        "pattern-variable", "pattern-never-observed", "pattern-bool", "pattern-list-key", "model-p",
+        "obs-var-nan", "level-var-inf"])
 def test_simulate_bad_input_is_config_error(tmp_path, capsys, old, new):
     assert old in SIM_CONFIG
     config = write_config(tmp_path, SIM_CONFIG.replace(old, new))

@@ -135,6 +135,13 @@ def test_pattern_validation():
         mv.apply_missing(data, mv.MissingPattern({11: frozenset({1})}))
     with pytest.raises(mv.DomainError):
         mv.apply_missing(data, mv.MissingPattern({3: frozenset({5})}))
+    # each used to be truncated or coerced: to {24: {2}}, {1: {1}} and {24: {2}}
+    for bad in ({24.5: [2.7]}, {24: [2.7]}, {True: [True]}, {24: [True]}, {"24": ["2"]},
+                {24: ["2"]}, {0: [1]}, {24: [0]}, {float("nan"): [1]}):
+        with pytest.raises(mv.DomainError):
+            mv.MissingPattern(bad)
+    assert mv.MissingPattern({24.0: [2.0], np.int64(3): [np.int64(1)]}).missing == {
+        24: frozenset({2}), 3: frozenset({1})}
 
 
 # ---------------------------------------------------------------------------
