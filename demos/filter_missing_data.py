@@ -50,7 +50,9 @@ def main():
     print(f"  classical     : {np.round(mv.msse(out_cls), 4)}")
 
     print("\nestimated observation-noise correlation at the partial gaps (true 0.8):")
-    for t in pattern.partial_times(2):
+    # a partial gap: some but not all entries of the step observed
+    observed = out_new.observed
+    for t in np.flatnonzero(observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2))) + 1:
         c = mv.correlation_estimate(out_new.states[t - 1], 0, 1)
         print(f"  t={t:3d}  corr = {c:.3f}")
 

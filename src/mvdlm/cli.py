@@ -60,10 +60,10 @@ from . import dlm
 from .distributions import MiwParams, _count
 from .dlm import ModelSpec, NmiwState
 from .errors import ConfigError, DomainError, MvdlmError, ParseError
+from .linalg import _corr
 from .simulate import (
     LocalLevelConfig,
     MissingPattern,
-    _missing_mask,
     apply_missing,
     gen_local_level,
     replicate_experiment,
@@ -226,10 +226,10 @@ def load_config(path: str | Path) -> RunConfig:
             cfg = LocalLevelConfig(**kwargs)
             replications = _count(1 if replications is None else replications, "replications")
             pattern = MissingPattern(raw)
-            observed = _missing_mask(pattern, cfg.T, p)
+            missing = np.isnan(apply_missing(np.zeros((cfg.T, p)), pattern))
         except MvdlmError as exc:
             raise ConfigError(str(exc), sec) from exc
-        never = np.flatnonzero(~observed.any(axis=0))
+        never = np.flatnonzero(missing.all(axis=(0, 1)))
         if never.size:
             raise ConfigError(
                 f"pattern leaves variable {never[0] + 1} missing at every t, "
@@ -342,7 +342,7 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
         np.where(output.observed, output.e, np.nan).transpose(0, 2, 1).reshape(T, p * r),
         output.S[:, upper[0], upper[1]],
         output.n,
-        dlm._corr(output.S, *np.triu_indices(p, 1)),
+        _corr(output.S, *np.triu_indices(p, 1)),
     ])
     _write_table(path, header, table)
 
@@ -388,18 +388,11 @@ def cmd_filter(args) -> int:
     for k, m in enumerate(modes):
         path = base if len(modes) == 1 else base.with_name(f"{base.stem}.{m}{base.suffix}")
         _write_records(path, dlm._series_output(rec, k, 0))
-    obs = rec["observed"]
-    partial = obs.any(axis=(1, 2)) & ~obs.all(axis=(1, 2))
-    seen = obs.any(axis=(0, 1))  # a never-observed variable has no MSSE: NA
-    msse = np.full((len(modes), p), np.nan)
-    # an overflowed residual gives an infinite MSSE, and the mean of no
-    # correlations (no partly missing step, or p = 1) is 0/0: both are NA
+    _, msse, corr = dlm._summarize(rec)
+    # the mean of no correlations (no partly missing step, or p = 1) is 0/0: NA
     with np.errstate(all="ignore"):
-        if seen.any():
-            msse[:, seen] = dlm._msse(rec["std_err"][..., seen], obs[..., seen])[:, 0]
-        corr = dlm._corr(rec["S"][:, partial, 0], *np.triu_indices(p, 1)).reshape(len(modes), -1)
-        corr = corr.sum(axis=1) / corr.shape[1]
-    rows = [((m,), msse[k], corr[k]) for k, m in enumerate(modes)]
+        corr = corr.sum(axis=(1, 2, 3)) / corr[0].size
+    rows = [((m,), msse[k, 0], corr[k]) for k, m in enumerate(modes)]
     sys.stdout.write(_summary_table(["mode"], rows, p))
     return 0
 

@@ -26,6 +26,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,11 @@ def _sqrt_outer(n: np.ndarray) -> np.ndarray:
 
 
 def _count(value, name: str, least: int = 1) -> int:
-    """``value`` as an int, if it is an integral number >= ``least`` (0 or 1)."""
-    if not (float(value).is_integer() and value >= least):
+    """``value`` as an int, if it is an integral real >= ``least`` (0 or 1), not a truth value."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value < least
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
         kind = "positive" if least else "non-negative"
-        raise DomainError(f"{name} must be a {kind} integer, got {value}")
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
 
 

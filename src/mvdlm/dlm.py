@@ -50,7 +50,7 @@ from .errors import (
     FilterError,
     MvdlmError,
 )
-from .linalg import symmetrize
+from .linalg import _corr, symmetrize
 
 __all__ = [
     "FilterOutput",
@@ -235,14 +235,6 @@ def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
     if S[i, i] <= 0.0 or S[j, j] <= 0.0:
         raise DomainError("scale diagonal must be strictly positive")
     return float(_corr(S, i, j))
-
-
-@np.errstate(all="ignore")
-def _corr(S: np.ndarray, i, j) -> np.ndarray:
-    """S_ij / (sd_i sd_j), sd = sqrt(diag S), for a stack of scales S (... x p
-    x p); i and j may be index arrays. NaN or inf where S has overflowed."""
-    sd = np.sqrt(np.diagonal(S, axis1=-2, axis2=-1))
-    return S[..., i, j] / (sd[..., i] * sd[..., j])
 
 
 class _StepView(Sequence):
@@ -540,6 +532,18 @@ def _series_output(rec: dict, k: int, i: int) -> FilterOutput:
     )
 
 
+@np.errstate(all="ignore")
+def _summarize(rec: dict) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """``(times, msse, corr)`` of a :func:`_run` record: the 1-based steps it
+    observes in part, read from its mask; the per-variable MSSE (K x M x p,
+    NaN for a variable never observed); and the correlation estimates at
+    those steps for each pair i < j (K x M x len(times) x p(p - 1)/2)."""
+    observed = rec["observed"]
+    partial = np.flatnonzero(observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2)))
+    corr = _corr(rec["S"][:, partial], *np.triu_indices(observed.shape[2], 1)).swapaxes(1, 2)
+    return tuple(int(k) + 1 for k in partial), _msse(rec["std_err"], observed), corr
+
+
 def _msse(std_err: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Per-variable MSSE of M series that share one mask, for every run of a
     leading stack.
@@ -547,19 +551,18 @@ def _msse(std_err: np.ndarray, observed: np.ndarray) -> np.ndarray:
     ``std_err`` holds the series as column blocks (... x T x r x M p), as
     :func:`_run` records them, and ``observed`` is the T x r x p mask; returns
     ... x M x p. The mean for variable j runs over the observed entries of
-    column j.
+    column j, and is NaN if there are none.
     """
     p = observed.shape[2]
     std_err = std_err.reshape(std_err.shape[:-1] + (-1, p))
-    out = np.empty(std_err.shape[:-4] + std_err.shape[-2:])
+    out = np.full(std_err.shape[:-4] + std_err.shape[-2:], np.nan)
     for j in range(p):
         keep = observed[:, :, j]
-        if not keep.any():
-            raise DomainError(f"variable {j} is never observed; its MSSE is undefined")
-        # one contiguous row per series keeps np.mean's pairwise summation, so
-        # each series gets the bits a single-series run gets
-        vals = np.ascontiguousarray(np.moveaxis(std_err[..., j][..., keep, :], -2, -1))
-        out[..., j] = np.mean(vals**2, axis=-1)
+        if keep.any():
+            # one contiguous row per series keeps np.mean's pairwise summation,
+            # so each series gets the bits a single-series run gets
+            vals = np.ascontiguousarray(np.moveaxis(std_err[..., j][..., keep, :], -2, -1))
+            out[..., j] = np.mean(vals**2, axis=-1)
     return out
 
 
@@ -571,4 +574,7 @@ def msse(output: FilterOutput) -> np.ndarray:
     variable j runs over all observed entries of that variable. Raises if some
     variable is never observed.
     """
+    never = np.flatnonzero(~output.observed.any(axis=(0, 1)))
+    if never.size:
+        raise DomainError(f"variable {never[0]} is never observed; its MSSE is undefined")
     return _msse(output.std_err, output.observed)[0]

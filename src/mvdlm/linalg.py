@@ -30,6 +30,14 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
+@np.errstate(all="ignore")
+def _corr(S: np.ndarray, i, j) -> np.ndarray:
+    """S_ij / (sd_i sd_j), sd = sqrt(diag S), for a stack of scales S (... x p
+    x p); i and j may be index arrays. NaN or inf where S has overflowed."""
+    sd = np.sqrt(np.diagonal(S, axis1=-2, axis2=-1))
+    return S[..., i, j] / (sd[..., i] * sd[..., j])
+
+
 def cholesky_lower(a) -> np.ndarray:
     """Lower-triangular L with L L' = (A + A') / 2.
 

@@ -9,7 +9,7 @@ discard-the-whole-vector filter over many seeds.
 
 from __future__ import annotations
 
-import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,13 +78,6 @@ def gen_local_level(cfg: LocalLevelConfig) -> tuple[np.ndarray, np.ndarray]:
     return levels, data
 
 
-def _index(i, name: str) -> int:
-    """``i`` as a 1-based index: an integral number, not a truth value or a string."""
-    if isinstance(i, bool) or not isinstance(i, numbers.Real) or i % 1 or i < 1:
-        raise DomainError(f"{name} indices must be 1-based integers, got {i!r}")
-    return int(i)
-
-
 @dataclass(frozen=True)
 class MissingPattern:
     """Map from 1-based time index to the set of 1-based missing variables."""
@@ -92,17 +85,17 @@ class MissingPattern:
     missing: dict[int, frozenset[int]]
 
     def __post_init__(self):
+        if not isinstance(self.missing, dict):
+            raise DomainError(f"a missing pattern must be a dict, got {self.missing!r}")
         clean: dict[int, frozenset[int]] = {}
         for t, variables in self.missing.items():
-            t = _index(t, "time")
-            vs = frozenset(_index(j, "variable") for j in variables)
+            t = _count(t, "pattern time")
+            if not isinstance(variables, Iterable):
+                raise DomainError(f"pattern at t={t} must list its variables, got {variables!r}")
+            vs = frozenset(_count(j, "pattern variable") for j in variables)
             if vs:
                 clean[t] = vs
         object.__setattr__(self, "missing", clean)
-
-    def partial_times(self, p: int) -> tuple[int, ...]:
-        """Times where some but not all of the p variables are missing."""
-        return tuple(sorted(t for t, vs in self.missing.items() if 0 < len(vs) < p))
 
 
 DEFAULT_MISSING_PATTERN = MissingPattern(
@@ -110,8 +103,14 @@ DEFAULT_MISSING_PATTERN = MissingPattern(
 )
 
 
-def _missing_mask(pattern: MissingPattern, T: int, p: int) -> np.ndarray:
-    """T x p observed mask of a pattern over a series of length T."""
+def apply_missing(data: np.ndarray, pattern: MissingPattern) -> np.ndarray:
+    """Mask ... x T x p data (a T x p matrix, or a stack of them) into a
+    ... x T x 1 x p observation array (r = 1), NaN where the pattern marks a
+    value missing."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim < 2:
+        raise DomainError(f"data must be T x p or a stack of T x p, got shape {data.shape}")
+    T, p = data.shape[-2:]
     observed = np.ones((T, p), dtype=bool)
     for t, vs in pattern.missing.items():
         if t > T:
@@ -119,16 +118,7 @@ def _missing_mask(pattern: MissingPattern, T: int, p: int) -> np.ndarray:
         if any(j > p for j in vs):
             raise DomainError(f"pattern at t={t} names variables beyond p={p}: {sorted(vs)}")
         observed[t - 1, [j - 1 for j in vs]] = False
-    return observed
-
-
-def apply_missing(data: np.ndarray, pattern: MissingPattern) -> np.ndarray:
-    """Mask a T x p data matrix into a T x 1 x p observation array (r = 1),
-    NaN where the pattern marks a value missing."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise DomainError(f"data must be a T x p matrix, got shape {data.shape}")
-    return np.where(_missing_mask(pattern, *data.shape), data, np.nan)[:, None, :]
+    return np.where(observed, data, np.nan)[..., None, :]
 
 
 def local_level_model(
@@ -206,18 +196,18 @@ def replicate_experiment(
     updated at those times at all).
     """
     M = _count(n_replications, "n_replications")
-    p = 2
     if model is None:
-        model = local_level_model(p=p)
+        model = local_level_model(p=2)
     if prior is None:
-        prior = default_prior(p=p, d=model.d)
-    partial_times = pattern.partial_times(p)
+        prior = default_prior(p=2, d=model.d)
 
-    observed = _missing_mask(pattern, cfg.T, p)[:, None, :]
     y = np.stack([gen_local_level(replace(cfg, seed=cfg.seed + i))[1] for i in range(M)])
-    rec = dlm._run(model, prior, np.where(observed, y[:, :, None, :], np.nan), ("new", "classical"))
-    msse_new, msse_classical = dlm._msse(rec["std_err"], observed)
-    partial_corr = dlm._corr(rec["S"][0, [t - 1 for t in partial_times]], 0, 1).T
+    rec = dlm._run(model, prior, apply_missing(y, pattern), ("new", "classical"))
+    partial_times, (msse_new, msse_classical), corr = dlm._summarize(rec)
+    never = np.flatnonzero(np.isnan(msse_new[0]))
+    if never.size:
+        raise DomainError(f"variable {never[0]} is never observed; its MSSE is undefined")
+    partial_corr = corr[0, :, :, 0]
 
     wins = np.all(msse_new <= msse_classical, axis=1)
     return ExperimentSummary(

@@ -96,6 +96,25 @@ def test_counts_must_be_integral(draw):
         draw()
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: mv.LocalLevelConfig(T=True),
+    lambda: mv.LocalLevelConfig(T=10, seed=False),
+    lambda: mv.LocalLevelConfig(T="3"),
+    lambda: mv.ModelSpec(d=True, p=2, r=1, F=np.eye(1), G=np.eye(1), V=np.eye(1), discount=0.9),
+    lambda: mv.replicate_experiment(True, mv.LocalLevelConfig(T=10), mv.MissingPattern({})),
+    lambda: mv.sample_miw(mv.MiwParams(S=np.eye(2), n=np.ones(2), v=2.0),
+                          np.random.default_rng(0), size=True),
+    lambda: mv.sample_matrix_normal(
+        mv.MatrixNormalParams(M=np.zeros((1, 2)), P=np.eye(1), Sigma=np.eye(2)),
+        np.random.default_rng(0), size=np.True_),
+], ids=["T-true", "seed-false", "T-string", "ModelSpec-d-true", "replicate_experiment-true",
+        "sample_miw-true", "sample_matrix_normal-numpy-true"])
+def test_counts_reject_truth_values_and_strings(draw):
+    # a truth value used to count as 1 (or 0), and a string raised a bare TypeError
+    with pytest.raises(mv.DomainError, match="must be a (positive|non-negative) integer, got"):
+        draw()
+
+
 # ---------------------------------------------------------------------------
 # missing-value pattern application
 # ---------------------------------------------------------------------------
@@ -123,7 +142,7 @@ def test_default_pattern_classification():
         row = observed[t - 1, 0]
         assert not row[j_missing]
         assert row[1 - j_missing]
-    assert pat.partial_times(2) == (24, 43, 75, 86)
+    assert mv.replicate_experiment(1, cfg, pat).partial_times == (24, 43, 75, 86)
     # all unmasked entries preserved bit-exactly
     assert np.array_equal(values[:, 0][observed[:, 0]], data[observed[:, 0]])
 
@@ -137,7 +156,9 @@ def test_pattern_validation():
         mv.apply_missing(data, mv.MissingPattern({3: frozenset({5})}))
     # each used to be truncated or coerced: to {24: {2}}, {1: {1}} and {24: {2}}
     for bad in ({24.5: [2.7]}, {24: [2.7]}, {True: [True]}, {24: [True]}, {"24": ["2"]},
-                {24: ["2"]}, {0: [1]}, {24: [0]}, {float("nan"): [1]}):
+                {24: ["2"]}, {0: [1]}, {24: [0]}, {float("nan"): [1]},
+                # a scalar entry and a list of pairs used to raise TypeError / AttributeError
+                {24: 2}, {24: 2.0}, [(1, [2])], None):
         with pytest.raises(mv.DomainError):
             mv.MissingPattern(bad)
     assert mv.MissingPattern({24.0: [2.0], np.int64(3): [np.int64(1)]}).missing == {
@@ -147,6 +168,22 @@ def test_pattern_validation():
 # ---------------------------------------------------------------------------
 # replication harness
 # ---------------------------------------------------------------------------
+
+def test_partial_times_are_sorted_and_skip_full_gaps():
+    # keys out of order, one fully missing step (t=10) and an empty entry
+    pattern = mv.MissingPattern({40: [1], 10: [1, 2], 5: [2], 33: [], 20: [2]})
+    s = mv.replicate_experiment(3, mv.LocalLevelConfig(T=50, seed=4), pattern)
+    assert s.partial_times == (5, 20, 40)
+    assert s.partial_corr.shape == (3, 3)
+
+
+def test_study_rejects_a_pattern_that_never_observes_a_variable():
+    # the library study has no MSSE for such a variable, so it raises rather
+    # than report NaN; load_config rejects the same pattern with exit 2
+    pattern = mv.MissingPattern({t: [2] for t in range(1, 21)})
+    with pytest.raises(mv.DomainError, match="variable 1 is never observed"):
+        mv.replicate_experiment(2, mv.LocalLevelConfig(T=20, seed=5), pattern)
+
 
 def test_single_replication_no_missing_modes_identical():
     cfg = mv.LocalLevelConfig(T=40, corr=0.8, seed=18)
