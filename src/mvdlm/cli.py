@@ -151,7 +151,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Load and validate a run configuration file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
@@ -246,10 +246,11 @@ _MISSING = {"", "na"}
 
 
 def parse_csv(path: str | Path) -> np.ndarray:
-    """Read observations from CSV into a T x r x p array, NaN where missing;
-    header names determine p and r."""
+    """Read observations from UTF-8 CSV (a leading byte-order mark is
+    skipped) into a T x r x p array, NaN where missing; header names determine
+    p and r."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -16,9 +16,11 @@ modes, and returns one record with the modes as a leading stack axis: the
 row scales (R, Q, A, P) and the dof n depend only on the model, the mask and
 the mode, so they are carried once for all series. The covariance scale is
 additive in N^{1/2} S N^{1/2}, so S is one cumulative sum of the steps' Gram
-matrices, computed after the loop for all modes at once. The loop makes one
-linear solve per step, for the gain; the Cholesky factor of Q and the checks
-that raise :class:`FilterError` also run after it, on the stacked records.
+matrices, computed after the loop for all modes at once. The loop writes
+each step into one time-major row of every record, and forms the gain with
+one linear solve per step when r >= 2 and from the reciprocal of the 1 x 1 Q
+when r = 1; the Cholesky factor of Q and the checks that raise
+:class:`FilterError` run after it, on the stacked records.
 :func:`filter` is the case of one series in one mode; the replication study
 runs all its replications in both modes in one pass.
 Constant model inputs are validated once, callables once for all steps
@@ -50,7 +52,7 @@ from .errors import (
     FilterError,
     MvdlmError,
 )
-from .linalg import _corr, symmetrize
+from .linalg import _corr
 
 __all__ = [
     "FilterOutput",
@@ -363,11 +365,15 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     model inputs for all t, and each mode's update schedule, are computed
     before the loop.
 
-    The loop over t carries a, R, f, Q, A, e, m and P and makes one linear
-    solve per step, for the gain A = R F Q^{-1}. The checks run after it, on
-    the record stacks: Q finite, one stacked Cholesky factorization L of Q
-    (the positive-definite check), and e finite at the steps where a mode
-    updates. :class:`FilterError` names the earliest failing step, and at one
+    The loop over t writes a, R, f, Q, A, e, m and P in place into their rows
+    of time-major (T x K x ...) records. The gain A = R F Q^{-1} is one linear
+    solve per step when r >= 2, which stops the loop at an exactly singular
+    Q; when r = 1 it takes the reciprocal of Q, with the bits of LAPACK's
+    1 x 1 solve, and the Cholesky factor after the loop reports a singular Q
+    at the same t. The checks run after the loop, on the record stacks: Q
+    finite, one stacked Cholesky factorization L of Q (the positive-definite
+    check), and e finite at the steps where a mode updates.
+    :class:`FilterError` names the earliest failing step, and at one
     step Q's finiteness before its definiteness before e; a bad model input is
     raised only if no earlier step failed. S is computed after the checks,
     for all modes at once: with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the
@@ -420,41 +426,65 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     u = np.where(update, wprod.sum(axis=1, keepdims=True) / p, 0.0)[:, :, None, None]
     obs_cols = np.tile(observed, (1, 1, M))
 
-    # Records are stored mode-major (K x T x ...), so each mode's are contiguous;
-    # the loop writes step k through time-major views.
+    # Records are allocated time-major (T x K x ...), so that each step writes
+    # one contiguous row of every record in place, and returned mode-major.
     shapes = {"a": (d, M * p), "R": (d, d), "f": (r, M * p), "Q": (r, r), "A": (d, r),
               "e": (r, M * p), "m": (d, M * p), "P": (d, d)}
-    rec = {name: np.empty((K, T) + shape) for name, shape in shapes.items()}
-    stores = [rec[name].swapaxes(0, 1) for name in shapes]
+    rows = {name: np.empty((T, K) + shape) for name, shape in shapes.items()}
+    a_t, R_t, f_t, Q_t, A_t, e_t, m_t, P_t = rows.values()
+    rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
     m = np.tile(m, (K, 1, M))
     P = np.tile(P, (K, 1, 1))
+    missing = ~obs_cols
     # Per step, in the order they are raised: Q not finite, Q not positive
     # definite, e not finite where a mode updates with it.
     checks = np.zeros((T, 3), dtype=bool)
     done = stored = T if failure is None else failure[0] - 1
     for k in range(done):
         F, G, V = Fs[k], Gs[k], Vs[k]
-        a = G @ m
+        a, R, f, Q, A, e = a_t[k], R_t[k], f_t[k], Q_t[k], A_t[k], e_t[k]
+        np.matmul(G, m, out=a)
         GPG = G @ P @ G.T
-        R = symmetrize(GPG) / model.discount if Ws is None else symmetrize(GPG + Ws[k])
-        f = F.T @ a
+        if Ws is not None:
+            GPG += Ws[k]
+        np.add(GPG, GPG.swapaxes(1, 2), out=R)
+        R *= 0.5
+        if Ws is None:
+            R /= model.discount
+        np.matmul(F.T, a, out=f)
         RF = R @ F
-        Q = symmetrize(F.T @ RF + V)
-        try:
-            A = np.linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
-        except np.linalg.LinAlgError:
-            # an exactly singular Q is not positive definite
-            rec["Q"][:, k] = Q
-            checks[k, 1] = True
-            done, stored = k, k + 1
-            break
-        e = np.where(obs_cols[k], y[k] - f, 0.0)
+        FRF = F.T @ RF
+        FRF += V
+        np.add(FRF, FRF.swapaxes(1, 2), out=Q)
+        Q *= 0.5
+        if r > 1:
+            try:
+                A = np.linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
+            except np.linalg.LinAlgError:
+                # an exactly singular Q is not positive definite
+                checks[k, 1] = True
+                done, stored = k, k + 1
+                break
+            # the products below read the solve's transposed layout, whose
+            # rounding a contiguous copy of A does not reproduce
+            A_t[k] = A
+        elif d > 1:
+            # LAPACK's 1 x 1 solve multiplies d > 1 right-hand sides by the
+            # reciprocal of Q and divides a single one by Q: these are its bits.
+            np.multiply(RF, 1.0 / Q, out=A)
+        else:
+            np.divide(RF, Q, out=A)
+        np.subtract(y[k], f, out=e)
+        np.copyto(e, 0.0, where=missing[k])
         # where(gain, e, 0) keeps a residual out of every mean that does not
         # update with it, so it fails only a mode that does.
-        m = a + A @ np.where(gain[k], e, 0.0)
-        P = symmetrize(R - A @ Q @ A.swapaxes(1, 2) * u[k])
-        for store, value in zip(stores, (a, R, f, Q, A, e, m, P)):
-            store[k] = value
+        m = np.matmul(A, np.where(gain[k], e, 0.0), out=m_t[k])
+        m += a
+        AQA = A @ Q @ A.swapaxes(1, 2)
+        AQA *= u[k]
+        np.subtract(R, AQA, out=AQA)
+        P = np.add(AQA, AQA.swapaxes(1, 2), out=P_t[k])
+        P *= 0.5
 
     Qs = rec["Q"]
     checks[:stored, 0] = ~np.isfinite(Qs[:, :stored]).all(axis=(0, 2, 3))

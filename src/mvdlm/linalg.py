@@ -21,8 +21,10 @@ __all__ = ["cholesky_lower", "symmetrize"]
 def symmetrize(a) -> np.ndarray:
     """Return (A + A') / 2, for one square matrix or a stack of them.
 
-    Exact fixed point for already-symmetric input; used after every composite
-    product that is symmetric in exact arithmetic but not in floating point.
+    Exact fixed point for already-symmetric input; the distributions and
+    :func:`cholesky_lower` apply it to matrices that are symmetric in exact
+    arithmetic but not in floating point. The filter's step loop writes the
+    same average into its records in place and does not call it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:

@@ -185,6 +185,36 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, option):
     assert err.startswith("error: ") and str(bad) in err, err
 
 
+def test_csv_with_a_utf8_byte_order_mark_reads_as_without_it(tmp_path, capsys):
+    # a spreadsheet's "CSV UTF-8" export starts with the mark; it used to fail
+    # the header check with exit 2
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"y1,y2\n1,2\n3,4\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(parse_csv(marked), parse_csv(plain))
+    series = make_series(tmp_path)
+    series.with_name("marked-series.csv").write_bytes(b"\xef\xbb\xbf" + series.read_bytes())
+    config = str(write_config(tmp_path, GOOD_CONFIG))
+    stdout = []
+    for data in (series, series.with_name("marked-series.csv")):
+        assert main(["filter", "--config", config, "--data", str(data)]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+
+
+def test_inputs_are_decoded_as_utf8(tmp_path, capsys):
+    # UTF-8 text outside ASCII reads whatever the locale; a byte that is not
+    # UTF-8 is still exit 2 after a byte-order mark
+    config = tmp_path / "run.ini"
+    config.write_bytes(("# σ, the covariance, starts at S0\n" + GOOD_CONFIG).encode("utf-8"))
+    assert load_config(config).model.p == 2
+    data = make_series(tmp_path)
+    data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes().replace(b"NA", b"\xff", 1))
+    assert main(["filter", "--config", str(config), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot decode data file") and str(data) in err, err
+
+
 # ---------------------------------------------------------------------------
 # CSV parsing and writing
 # ---------------------------------------------------------------------------

@@ -486,6 +486,21 @@ def test_s_matches_the_cumulative_sum_oracle_exactly(case):
         assert np.array_equal(both[1].n, np.broadcast_to(prior.miw.n, (30, 3)))
 
 
+@pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (3, 1), (2, 2)])
+def test_gain_has_the_bits_of_the_solve(d, r):
+    # at r = 1 the kernel forms A from the reciprocal of Q (a division when
+    # d = 1), which must give what numpy's solve gives, as it does at r >= 2
+    rng = np.random.default_rng(81)
+    model, prior = random_model(rng, d, 3, r, use_discount=True), random_prior(rng, d, 3)
+    y = rng.standard_normal((50, r, 3))
+    y[rng.random(y.shape) < 0.2] = np.nan
+    rec = mv.dlm._run(model, prior, y[None], ("new", "classical"))
+    for k in range(50):
+        RF = np.ascontiguousarray(rec["R"][:, k]) @ model.F(k + 1)
+        want = np.linalg.solve(rec["Q"][:, k], RF.swapaxes(1, 2)).swapaxes(1, 2)
+        assert np.array_equal(rec["A"][:, k], want), k
+
+
 def test_states_and_marginals_views_follow_the_stacked_arrays():
     rng = np.random.default_rng(43)
     model = random_model(rng, d=2, p=3, r=2)
@@ -659,6 +674,21 @@ def test_exactly_singular_q_is_not_positive_definite():
     model = scalar_model(v=0.0, delta=1.0)
     exc = filter_error(model, np.ones((3, 1, 1)), scalar_prior(p0=0.0))
     assert str(exc) == "t=1: forecast scale Q is not positive definite"
+
+
+@pytest.mark.parametrize("modes", [("new",), ("new", "classical")])
+@pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (1, 2)])
+def test_late_exactly_singular_q_is_not_positive_definite(d, r, modes):
+    # P = 0 with discount 1 keeps R = 0, so Q = V, which is 0 only at t = 3.
+    # At r = 1 the gain takes the reciprocal of Q and the loop runs on, so the
+    # Cholesky factor after it must find the singular Q; at r = 2 the solve
+    # stops the loop there.
+    model = mv.ModelSpec(d=d, p=1, r=r, F=np.ones((d, r)), G=np.eye(d), discount=1.0,
+                         V=lambda t: (0.0 if t == 3 else 1.0) * np.eye(r))
+    prior = mv.NmiwState(m=np.zeros((d, 1)), P=np.zeros((d, d)),
+                         miw=mv.MiwParams(S=np.eye(1), n=np.ones(1), v=1.0))
+    exc = filter_error(model, np.ones((5, r, 1)), prior, modes)
+    assert str(exc) == "t=3: forecast scale Q is not positive definite"
 
 
 def test_earlier_residual_failure_wins_over_a_later_indefinite_q():
