@@ -151,7 +151,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Load and validate a run configuration file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc

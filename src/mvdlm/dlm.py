@@ -17,10 +17,10 @@ row scales (R, Q, A, P) and the dof n depend only on the model, the mask and
 the mode, so they are carried once for all series. The covariance scale is
 additive in N^{1/2} S N^{1/2}, so S is one cumulative sum of the steps' Gram
 matrices, computed after the loop for all modes at once. The loop writes
-each step into one time-major row of every record, and forms the gain with
-one linear solve per step when r >= 2 and from the reciprocal of the 1 x 1 Q
-when r = 1; the Cholesky factor of Q and the checks that raise
-:class:`FilterError` run after it, on the stacked records.
+each step into one time-major row of every record, R = (X + X')/(2 delta) in
+one division and e = y - f under the mask, with the gain from LAPACK's solve
+gufunc (r >= 2) or the reciprocal of the 1 x 1 Q; a singular Q, like every
+:class:`FilterError`, is found after the loop on the stacked records.
 :func:`filter` is the case of one series in one mode; the replication study
 runs all its replications in both modes in one pass.
 Constant model inputs are validated once, callables once for all steps
@@ -43,6 +43,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+# the LAPACK gufunc behind np.linalg.solve, whose Python wrapper costs more than a small solve
+from numpy.linalg import _umath_linalg
 
 from .distributions import MiwParams, MtParams, _count
 from .errors import (
@@ -366,13 +368,15 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     before the loop.
 
     The loop over t writes a, R, f, Q, A, e, m and P in place into their rows
-    of time-major (T x K x ...) records. The gain A = R F Q^{-1} is one linear
-    solve per step when r >= 2, which stops the loop at an exactly singular
-    Q; when r = 1 it takes the reciprocal of Q, with the bits of LAPACK's
-    1 x 1 solve, and the Cholesky factor after the loop reports a singular Q
-    at the same t. The checks run after the loop, on the record stacks: Q
-    finite, one stacked Cholesky factorization L of Q (the positive-definite
-    check), and e finite at the steps where a mode updates.
+    of time-major (T x K x ...) records: R = (X + X')/c, X = G P G' (+ W), c =
+    2 delta under a discount (the bits of the average over delta unless
+    (X + X')/2 is subnormal) or 2, and e = y - f at the observed entries, 0
+    elsewhere. The gain A = R F Q^{-1} is one LAPACK solve gufunc call per
+    step when r >= 2, NaN at an exactly singular Q, and the reciprocal of Q
+    (the bits of LAPACK's 1 x 1 solve) when r = 1. The loop runs to the end;
+    the checks run after it on the record stacks: Q finite; Q positive
+    definite, failing where the gain is all NaN or one stacked Cholesky
+    factorization L of Q fails; and e finite where a mode updates.
     :class:`FilterError` names the earliest failing step, and at one
     step Q's finiteness before its definiteness before e; a bad model input is
     raised only if no earlier step failed. S is computed after the checks,
@@ -427,19 +431,17 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     obs_cols = np.tile(observed, (1, 1, M))
 
     # Records are allocated time-major (T x K x ...), so that each step writes
-    # one contiguous row of every record in place, and returned mode-major.
+    # one contiguous row of every record in place, and returned mode-major;
+    # they start at 0, the value e keeps at a missing entry.
     shapes = {"a": (d, M * p), "R": (d, d), "f": (r, M * p), "Q": (r, r), "A": (d, r),
               "e": (r, M * p), "m": (d, M * p), "P": (d, d)}
-    rows = {name: np.empty((T, K) + shape) for name, shape in shapes.items()}
+    rows = {name: np.zeros((T, K) + shape) for name, shape in shapes.items()}
     a_t, R_t, f_t, Q_t, A_t, e_t, m_t, P_t = rows.values()
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
     m = np.tile(m, (K, 1, M))
     P = np.tile(P, (K, 1, 1))
-    missing = ~obs_cols
-    # Per step, in the order they are raised: Q not finite, Q not positive
-    # definite, e not finite where a mode updates with it.
-    checks = np.zeros((T, 3), dtype=bool)
-    done = stored = T if failure is None else failure[0] - 1
+    c = 2.0 if Ws is not None else 2.0 * model.discount
+    done = T if failure is None else failure[0] - 1
     for k in range(done):
         F, G, V = Fs[k], Gs[k], Vs[k]
         a, R, f, Q, A, e = a_t[k], R_t[k], f_t[k], Q_t[k], A_t[k], e_t[k]
@@ -448,9 +450,7 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
         if Ws is not None:
             GPG += Ws[k]
         np.add(GPG, GPG.swapaxes(1, 2), out=R)
-        R *= 0.5
-        if Ws is None:
-            R /= model.discount
+        R /= c
         np.matmul(F.T, a, out=f)
         RF = R @ F
         FRF = F.T @ RF
@@ -458,15 +458,9 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
         np.add(FRF, FRF.swapaxes(1, 2), out=Q)
         Q *= 0.5
         if r > 1:
-            try:
-                A = np.linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
-            except np.linalg.LinAlgError:
-                # an exactly singular Q is not positive definite
-                checks[k, 1] = True
-                done, stored = k, k + 1
-                break
             # the products below read the solve's transposed layout, whose
             # rounding a contiguous copy of A does not reproduce
+            A = _umath_linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
             A_t[k] = A
         elif d > 1:
             # LAPACK's 1 x 1 solve multiplies d > 1 right-hand sides by the
@@ -474,8 +468,7 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
             np.multiply(RF, 1.0 / Q, out=A)
         else:
             np.divide(RF, Q, out=A)
-        np.subtract(y[k], f, out=e)
-        np.copyto(e, 0.0, where=missing[k])
+        np.subtract(y[k], f, out=e, where=obs_cols[k])
         # where(gain, e, 0) keeps a residual out of every mean that does not
         # update with it, so it fails only a mode that does.
         m = np.matmul(A, np.where(gain[k], e, 0.0), out=m_t[k])
@@ -486,8 +479,13 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
         P = np.add(AQA, AQA.swapaxes(1, 2), out=P_t[k])
         P *= 0.5
 
+    # Per step, in the order they are raised: Q not finite, Q not positive
+    # definite, e not finite where a mode updates with it.
+    checks = np.zeros((T, 3), dtype=bool)
     Qs = rec["Q"]
-    checks[:stored, 0] = ~np.isfinite(Qs[:, :stored]).all(axis=(0, 2, 3))
+    checks[:done, 0] = ~np.isfinite(Qs[:, :done]).all(axis=(0, 2, 3))
+    # the gain is NaN at a Q that LU finds singular, which Cholesky may pass
+    checks[:done, 1] = np.isnan(A_t[:done]).all(axis=(2, 3)).any(axis=1)
     try:
         chol = np.linalg.cholesky(Qs[:, :done])
     except np.linalg.LinAlgError:

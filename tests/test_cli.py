@@ -203,11 +203,15 @@ def test_csv_with_a_utf8_byte_order_mark_reads_as_without_it(tmp_path, capsys):
 
 
 def test_inputs_are_decoded_as_utf8(tmp_path, capsys):
-    # UTF-8 text outside ASCII reads whatever the locale; a byte that is not
-    # UTF-8 is still exit 2 after a byte-order mark
+    # UTF-8 text outside ASCII reads whatever the locale, a config may start
+    # with a byte-order mark, and a byte that is not UTF-8 is still exit 2
+    # after one
     config = tmp_path / "run.ini"
     config.write_bytes(("# σ, the covariance, starts at S0\n" + GOOD_CONFIG).encode("utf-8"))
     assert load_config(config).model.p == 2
+    marked = tmp_path / "marked.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + GOOD_CONFIG.encode("utf-8"))
+    assert load_config(marked).model.p == 2
     data = make_series(tmp_path)
     data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes().replace(b"NA", b"\xff", 1))
     assert main(["filter", "--config", str(config), "--data", str(data)]) == 2

@@ -486,10 +486,11 @@ def test_s_matches_the_cumulative_sum_oracle_exactly(case):
         assert np.array_equal(both[1].n, np.broadcast_to(prior.miw.n, (30, 3)))
 
 
-@pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 3)])
 def test_gain_has_the_bits_of_the_solve(d, r):
     # at r = 1 the kernel forms A from the reciprocal of Q (a division when
-    # d = 1), which must give what numpy's solve gives, as it does at r >= 2
+    # d = 1) and at r >= 2 it calls LAPACK's solve gufunc directly; both must
+    # give what numpy's solve gives
     rng = np.random.default_rng(81)
     model, prior = random_model(rng, d, 3, r, use_discount=True), random_prior(rng, d, 3)
     y = rng.standard_normal((50, r, 3))
@@ -676,15 +677,23 @@ def test_exactly_singular_q_is_not_positive_definite():
     assert str(exc) == "t=1: forecast scale Q is not positive definite"
 
 
+# Rank 1: LU finds it exactly singular, yet it passes the Cholesky factorization.
+V_LU_SINGULAR = np.array([[0.003305626623116044, -0.0049834247877285605],
+                          [-0.0049834247877285605, 0.007512803303700776]])
+
+
 @pytest.mark.parametrize("modes", [("new",), ("new", "classical")])
-@pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (1, 2)])
-def test_late_exactly_singular_q_is_not_positive_definite(d, r, modes):
-    # P = 0 with discount 1 keeps R = 0, so Q = V, which is 0 only at t = 3.
-    # At r = 1 the gain takes the reciprocal of Q and the loop runs on, so the
-    # Cholesky factor after it must find the singular Q; at r = 2 the solve
-    # stops the loop there.
+@pytest.mark.parametrize("d, r, V3", [(1, 1, 0.0), (2, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0),
+                                      (1, 2, V_LU_SINGULAR)],
+                         ids=["1-1", "2-1", "1-2", "2-3", "1-2-lu-singular"])
+def test_late_exactly_singular_q_is_not_positive_definite(d, r, V3, modes):
+    # P = 0 with discount 1 keeps R = 0, so Q = V, which is singular only at
+    # t = 3. The gain does not stop the loop at any r (the r >= 2 solve fills
+    # it with NaN), so the checks after the loop must report t = 3, not the
+    # non-finite Q of the steps after it; at V_LU_SINGULAR only the NaN gain
+    # shows it.
     model = mv.ModelSpec(d=d, p=1, r=r, F=np.ones((d, r)), G=np.eye(d), discount=1.0,
-                         V=lambda t: (0.0 if t == 3 else 1.0) * np.eye(r))
+                         V=lambda t: np.broadcast_to(V3, (r, r)) if t == 3 else np.eye(r))
     prior = mv.NmiwState(m=np.zeros((d, 1)), P=np.zeros((d, d)),
                          miw=mv.MiwParams(S=np.eye(1), n=np.ones(1), v=1.0))
     exc = filter_error(model, np.ones((5, r, 1)), prior, modes)
