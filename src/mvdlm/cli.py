@@ -59,7 +59,7 @@ import numpy as np
 from . import dlm
 from .distributions import MiwParams, _count
 from .dlm import ModelSpec, NmiwState
-from .errors import ConfigError, DomainError, MvdlmError, ParseError
+from .errors import ConfigError, DimensionMismatch, DomainError, MvdlmError, ParseError
 from .linalg import _corr
 from .simulate import (
     LocalLevelConfig,
@@ -315,6 +315,9 @@ def _column_names(p: int, r: int, prefix: str) -> list[str]:
 def write_csv(path: str | Path, values: np.ndarray) -> None:
     """Write a T x r x p array (NaN where missing) in the format
     :func:`parse_csv` reads back; it cannot read ±inf, so that is an error."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3:
+        raise DimensionMismatch(f"values must be a T x r x p array, got shape {values.shape}")
     T, r, p = values.shape
     if np.isinf(values).any():
         raise DomainError("values must be finite or NaN (missing), got ±inf")

@@ -412,8 +412,6 @@ def sample_matrix_normal(
     r, p = params.M.shape
     Lp = cholesky_lower(params.P)
     Ls = cholesky_lower(params.Sigma)
-    if size is None:
-        Z = rng.standard_normal((r, p))
-    else:
-        Z = rng.standard_normal((_count(size, "size"), r, p))
-    return params.M + Lp @ Z @ Ls.T
+    m = 1 if size is None else _count(size, "size")
+    draws = params.M + Lp @ rng.standard_normal((m, r, p)) @ Ls.T
+    return draws[0] if size is None else draws

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-# the LAPACK gufunc behind np.linalg.solve, whose Python wrapper costs more than a small solve
+# the LAPACK gufuncs behind np.linalg.solve and cholesky, without their Python wrappers
 from numpy.linalg import _umath_linalg
 
 from .distributions import MiwParams, MtParams, _count
@@ -232,7 +232,8 @@ def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
     """Correlation implied by the posterior scale: S_ij / (sd_i sd_j), sd = sqrt(diag S)."""
     S = state.miw.S
     p = S.shape[0]
-    if not (0 <= i < p and 0 <= j < p):
+    i, j = _count(i, "i", least=0), _count(j, "j", least=0)
+    if not (i < p and j < p):
         raise DomainError(f"indices must lie in [0, {p}), got i={i}, j={j}")
     if i == j:
         raise DomainError("correlation_estimate requires two distinct variables")
@@ -375,8 +376,9 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     step when r >= 2, NaN at an exactly singular Q, and the reciprocal of Q
     (the bits of LAPACK's 1 x 1 solve) when r = 1. The loop runs to the end;
     the checks run after it on the record stacks: Q finite; Q positive
-    definite, failing where the gain is all NaN or one stacked Cholesky
-    factorization L of Q fails; and e finite where a mode updates.
+    definite, failing where the gain is all NaN or the stacked Cholesky
+    factor L of Q is NaN (where Q cannot be factored); and e finite where a
+    mode updates.
     :class:`FilterError` names the earliest failing step, and at one
     step Q's finiteness before its definiteness before e; a bad model input is
     raised only if no earlier step failed. S is computed after the checks,
@@ -480,22 +482,17 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
         P *= 0.5
 
     # Per step, in the order they are raised: Q not finite, Q not positive
-    # definite, e not finite where a mode updates with it.
-    checks = np.zeros((T, 3), dtype=bool)
-    Qs = rec["Q"]
-    checks[:done, 0] = ~np.isfinite(Qs[:, :done]).all(axis=(0, 2, 3))
-    # the gain is NaN at a Q that LU finds singular, which Cholesky may pass
-    checks[:done, 1] = np.isnan(A_t[:done]).all(axis=(2, 3)).any(axis=1)
-    try:
-        chol = np.linalg.cholesky(Qs[:, :done])
-    except np.linalg.LinAlgError:
-        for k in range(done):
-            try:
-                np.linalg.cholesky(Qs[:, k])
-            except np.linalg.LinAlgError:
-                checks[k, 1] = True
-                break
-    checks[:done, 2] = (update[:done] & ~np.isfinite(rec["e"][:, :done]).all(axis=(2, 3)).T).any(1)
+    # definite, e not finite where a mode updates with it. Under this errstate
+    # the Cholesky gufunc behind np.linalg.cholesky leaves NaN in the factor
+    # of a Q it cannot factor instead of raising; the gain is NaN at a Q that
+    # LU finds singular, which Cholesky may pass.
+    Qs = rec["Q"][:, :done]
+    chol = _umath_linalg.cholesky_lo(Qs, signature="d->d")
+    checks = np.stack([
+        ~np.isfinite(Qs).all(axis=(0, 2, 3)),
+        np.isnan(chol).any(axis=(0, 2, 3)) | np.isnan(A_t[:done]).all(axis=(2, 3)).any(axis=1),
+        (update[:done] & ~np.isfinite(rec["e"][:, :done]).all(axis=(2, 3)).T).any(axis=1),
+    ], axis=1)
     if checks.any():
         k, check = np.argwhere(checks)[0]
         raise FilterError(_STEP_FAILURES[check], t=int(k) + 1)

@@ -285,6 +285,16 @@ def test_write_csv_rejects_infinity(tmp_path, value):
     assert not (tmp_path / "data.csv").exists()
 
 
+@pytest.mark.parametrize("values, shape", [(np.zeros((3, 2)), "(3, 2)"),
+                                           ([[0.0, 1.0], [2.0, 3.0]], "(2, 2)")],
+                         ids=["2-d-array", "nested-list"])
+def test_write_csv_requires_a_three_dimensional_array(tmp_path, values, shape):
+    with pytest.raises(mv.DimensionMismatch) as exc:
+        write_csv(tmp_path / "data.csv", values)
+    assert shape in str(exc.value)
+    assert not (tmp_path / "data.csv").exists()
+
+
 def test_csv_round_trip_preserves_masks_and_values(tmp_path):
     rng = np.random.default_rng(50)
     y = rng.standard_normal((25, 2, 3))

@@ -258,6 +258,16 @@ def test_matrix_normal_sampler_moments():
     assert np.allclose(cov, np.kron(P, Sigma), atol=0.03)
 
 
+def test_matrix_normal_single_draw_is_the_first_of_a_batch_of_one():
+    params = MatrixNormalParams(M=np.array([[0.5, -1.0, 2.0], [0.0, 1.0, 3.0]]),
+                                P=np.array([[1.0, 0.4], [0.4, 0.8]]),
+                                Sigma=np.diag([1.5, 0.6, 2.0]))
+    one = sample_matrix_normal(params, np.random.default_rng(9))
+    batch = sample_matrix_normal(params, np.random.default_rng(9), size=1)
+    assert one.shape == (2, 3) and batch.shape == (1, 2, 3)
+    assert one.tobytes() == batch[0].tobytes()
+
+
 def test_sampler_determinism():
     params = MatrixNormalParams(M=np.zeros((1, 2)), P=np.eye(1), Sigma=np.eye(2))
     a = sample_matrix_normal(params, np.random.default_rng(5), size=4)

@@ -608,6 +608,10 @@ def test_correlation_estimate_errors():
     state = mv.default_prior()
     with pytest.raises(mv.DomainError):
         mv.correlation_estimate(state, 1, 1)
+    # a bool, a fraction or a string is not an index
+    for i, j in [(True, 0), (0.5, 1), ("0", 1)]:
+        with pytest.raises(mv.DomainError):
+            mv.correlation_estimate(state, i, j)
 
 
 def test_filter_error_carries_time_index():
@@ -698,6 +702,25 @@ def test_late_exactly_singular_q_is_not_positive_definite(d, r, V3, modes):
                          miw=mv.MiwParams(S=np.eye(1), n=np.ones(1), v=1.0))
     exc = filter_error(model, np.ones((5, r, 1)), prior, modes)
     assert str(exc) == "t=3: forecast scale Q is not positive definite"
+
+
+@pytest.mark.parametrize("modes", [("new",), ("new", "classical"), ("classical", "new")])
+@pytest.mark.parametrize("r, V2, first", [
+    (1, [[-0.9]], [[0.5, np.nan]]),
+    (2, [[-0.6, -1.0], [-1.0, -0.6]], [[0.5, 0.4], [0.3, np.nan]]),
+], ids=["r1", "r2"])
+def test_q_that_only_the_new_mode_cannot_factor(r, V2, first, modes):
+    # The partly missing first step shrinks P in the new mode only, so at t = 2
+    # its Q is indefinite (not singular at r = 2) while the classical Q is
+    # positive definite; the classical mode fails only at t = 3.
+    model = mv.ModelSpec(d=1, p=2, r=r, F=np.ones((1, r)), G=np.eye(1), W=np.zeros((1, 1)),
+                         V=lambda t: np.array(V2) if t == 2 else np.eye(r))
+    prior = mv.NmiwState(m=np.zeros((1, 2)), P=np.eye(1),
+                         miw=mv.MiwParams(S=np.eye(2), n=np.ones(2), v=2.0))
+    data = np.array([first] + [[[0.1, 0.2], [0.3, 0.1]][:r]] * 2)
+    assert str(filter_error(model, data, prior, ("classical",))).startswith("t=3: ")
+    exc = filter_error(model, data, prior, modes)
+    assert str(exc) == "t=2: forecast scale Q is not positive definite"
 
 
 def test_earlier_residual_failure_wins_over_a_later_indefinite_q():
