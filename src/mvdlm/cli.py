@@ -314,11 +314,16 @@ def _column_names(p: int, r: int, prefix: str) -> list[str]:
 
 def write_csv(path: str | Path, values: np.ndarray) -> None:
     """Write a T x r x p array (NaN where missing) in the format
-    :func:`parse_csv` reads back; it cannot read ±inf, so that is an error."""
-    values = np.asarray(values, dtype=float)
+    :func:`parse_csv` reads back; it cannot read ±inf or T = 0, so those are errors."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"values do not form a T x r x p array: {exc}") from exc
     if values.ndim != 3:
         raise DimensionMismatch(f"values must be a T x r x p array, got shape {values.shape}")
     T, r, p = values.shape
+    if T == 0:
+        raise DomainError("values must contain at least one step")
     if np.isinf(values).any():
         raise DomainError("values must be finite or NaN (missing), got ±inf")
     _write_table(path, _column_names(p, r, "y"), values.transpose(0, 2, 1).reshape(T, p * r), "%r")

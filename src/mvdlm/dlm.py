@@ -9,22 +9,11 @@ with E_t matrix normal (0, V_t, Sigma), O_t matrix normal (0, W_t, Sigma), and
 Sigma carrying the per-variable degrees-of-freedom covariance law from
 :mod:`mvdlm.distributions`. Conjugacy gives one closed-form recursion over
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
-the posterior update. One loop, entered only through the private ``_run``,
-runs that recursion on raw arrays for M series that share a missing-data
-mask (an M x T x r x p array, NaN where missing) in one or both update
-modes, and returns one record with the modes as a leading stack axis: the
-row scales (R, Q, A, P) and the dof n depend only on the model, the mask and
-the mode, so they are carried once for all series. The covariance scale is
-additive in N^{1/2} S N^{1/2}, so S is one cumulative sum of the steps' Gram
-matrices, computed after the loop for all modes at once. The loop writes
-each step into one time-major row of every record, R = (X + X')/(2 delta) in
-one division and e = y - f under the mask, with the gain from LAPACK's solve
-gufunc (r >= 2) or the reciprocal of the 1 x 1 Q; a singular Q, like every
-:class:`FilterError`, is found after the loop on the stacked records.
-:func:`filter` is the case of one series in one mode; the replication study
-runs all its replications in both modes in one pass.
-Constant model inputs are validated once, callables once for all steps
-before the loop, and the prior once at entry.
+the posterior update. The private ``_run`` runs it for M series that share a
+missing-data mask, in one or both update modes, as five stages: the mask
+schedule, the step loop, the checks, the dof and covariance scale, and the
+standardized errors. :func:`filter` is the case of one series in one mode;
+the replication study runs all its replications in both modes in one pass.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -85,8 +74,8 @@ class ModelSpec:
     F, G, V (and W, when explicit) may be constant arrays or callables mapping
     the 1-based time index to an array. A constant is converted, shape-checked
     and finite-checked here, once; a callable is evaluated for every step of a
-    filter run and its values are checked once, as a T-stack, before the
-    loop. Exactly one of ``W`` and ``discount`` must be given: an explicit
+    filter run, and its values are checked at the run's entry, before the
+    first step. Exactly one of ``W`` and ``discount`` must be given: an explicit
     evolution scale, or a discount factor delta in (0, 1] that sets
     W_t = (1 - delta)/delta * G P_{t-1} G', i.e. R_t = G P_{t-1} G' / delta.
     """
@@ -121,16 +110,18 @@ class ModelSpec:
         d, r = self.d, self.r
         return {"F": (d, r), "G": (d, d), "V": (r, r), "W": (d, d)}[name]
 
-    def _stack(self, name: str, T: int) -> tuple[np.ndarray | None, tuple | None]:
-        """Input ``name`` for t = 1..T as one T-stack, and its first failure
-        ``(t, error)`` or None; after a failure the stack ends at step t - 1.
+    def _stack(self, name: str, T: int) -> np.ndarray | None:
+        """Input ``name`` for t = 1..T as one T-stack.
 
         A callable is evaluated for every t and its values are checked
-        together; only if that check fails are they checked one by one.
+        together; only if that check fails are they checked one by one. Its
+        first malformed or non-finite value, or the :class:`MvdlmError` it
+        raises, whichever comes at the earlier t, is raised as a
+        :class:`FilterError` at that t.
         """
         value, shape = getattr(self, name), self._shape(name)
         if not callable(value):
-            return (None if value is None else np.broadcast_to(value, (T,) + shape)), None
+            return None if value is None else np.broadcast_to(value, (T,) + shape)
         values, failure = [], None
         for t in range(1, T + 1):
             try:
@@ -140,17 +131,17 @@ class ModelSpec:
                 break
         try:
             stack = np.asarray(values, dtype=float)
-            if stack.shape == (len(values),) + shape and np.isfinite(stack).all():
-                return stack, failure
+            if stack.shape == (T,) + shape and np.isfinite(stack).all():
+                return stack
         except (TypeError, ValueError):
             pass
-        stack = np.empty((len(values),) + shape)
         for t, v in enumerate(values, start=1):
             try:
-                stack[t - 1] = _checked(v, shape, f"{name} at t={t}")
+                _checked(v, shape, f"{name} at t={t}")
             except MvdlmError as exc:
-                return stack[: t - 1], (t, exc)
-        return stack, failure
+                raise FilterError(str(exc), t=t) from exc
+        t, exc = failure
+        raise FilterError(str(exc), t=t) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,36 +349,12 @@ _STEP_FAILURES = (
 @np.errstate(all="ignore")
 def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ...]) -> dict:
     """Filter M series that share one missing-data mask in K modes, all in
-    one loop over t; :func:`filter` is the case M = 1, K = 1.
+    one pass; :func:`filter` is the case M = 1, K = 1.
 
     ``y`` is M x T x r x p with NaN at the missing entries, the same in every
-    series (the mask is read from the first). The row-scale schedule R, Q,
-    A, P and the dof n depend only on the model, the mask and the mode, so
-    they are carried once per mode; the series sit side by side as column
-    blocks, so m and a are d x (M p) and f and e are r x (M p) per mode. The
-    model inputs for all t, and each mode's update schedule, are computed
-    before the loop.
-
-    The loop over t writes a, R, f, Q, A, e, m and P in place into their rows
-    of time-major (T x K x ...) records: R = (X + X')/c, X = G P G' (+ W), c =
-    2 delta under a discount (the bits of the average over delta unless
-    (X + X')/2 is subnormal) or 2, and e = y - f at the observed entries, 0
-    elsewhere. The gain A = R F Q^{-1} is one LAPACK solve gufunc call per
-    step when r >= 2, NaN at an exactly singular Q, and the reciprocal of Q
-    (the bits of LAPACK's 1 x 1 solve) when r = 1. The loop runs to the end;
-    the checks run after it on the record stacks: Q finite; Q positive
-    definite, failing where the gain is all NaN or the stacked Cholesky
-    factor L of Q is NaN (where Q cannot be factored); and e finite where a
-    mode updates.
-    :class:`FilterError` names the earliest failing step, and at one
-    step Q's finiteness before its definiteness before e; a bad model input is
-    raised only if no earlier step failed. S is computed after the checks,
-    for all modes at once: with nn_t = outer(sqrt(n_t), sqrt(n_t)) and the
-    Gram matrix C_t = (L^{-1} e)'(L^{-1} e) on the variables observed in every
-    replicate (zero at a step that does not update), S_t = (S0 * nn_0 + C_1 +
-    ... + C_t) / nn_t. The running sum adds one step's row of Gram matrices at
-    a time (numpy's accumulate along the time axis is not vectorized across a
-    row), and the division runs over blocks of steps.
+    series (the mask is read from the first). After the checks on ``y``, the
+    modes and the prior, the model inputs are stacked, F before G before V
+    before W, and then the stages run.
 
     Returns one record dict whose arrays carry the modes as their leading
     K axis, then time: a, R, f, Q, A, e, std_err, m, P, n, and S
@@ -406,45 +373,64 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
         raise DimensionMismatch(
             f"prior has shape ({prior.d}, {prior.p}), model declares ({d}, {p})"
         )
-    m, P, S0, n0 = prior.m, prior.P, prior.miw.S, prior.miw.n
-    if not all(np.isfinite(x).all() for x in (m, P, S0, n0, prior.miw.v)):
+    S0, n0 = prior.miw.S, prior.miw.n
+    if not all(np.isfinite(x).all() for x in (prior.m, prior.P, S0, n0, prior.miw.v)):
         raise DomainError("prior m, P, S, n and v must be finite")
-    observed = ~np.isnan(y[0])
     M, T = y.shape[:2]
+    inputs = [model._stack(name, T) for name in "FGVW"]
+    observed = ~np.isnan(y[0])
+    update, u, gain, wcols, obs_cols = _schedule(observed, modes, M)
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
-    K = len(modes)
-    (Fs, Gs, Vs, Ws), failures = zip(*(model._stack(name, T) for name in "FGVW"))
-    # the earliest bad model input, F before G before V before W at the same t
-    failure = min((f for f in failures if f), key=lambda f: f[0], default=None)
+    rows = _loop(*inputs, 2.0 * (model.discount or 1.0), prior.m, prior.P, y, obs_cols, gain, u)
+    rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
+    chol = _check(rec["Q"], rec["A"], rec["e"], update.T)
+    n, S = _scale(chol, rec["e"], update.T, wcols, observed, S0, n0)
+    rec.update(n=n, S=S, std_err=_standardize(rec["e"], rec["Q"], S, S0, obs_cols),
+               observed=observed, modes=modes, prior=prior)
+    return rec
 
-    # The mask schedule for all steps and modes (T x K). A variable moves its
-    # mean column (gain) and adds to S only when it is observed in every
-    # replicate (wprod); its dof grows by its observed count, and the shared P
-    # takes the fraction u of a full update. A step with nothing observed, or
-    # with any missing entry in classical mode, updates nothing (u = 0).
-    update = np.stack(
-        [observed.any(axis=(1, 2)) if mode == "new" else observed.all(axis=(1, 2))
-         for mode in modes], axis=1,
-    )
+
+def _schedule(observed: np.ndarray, modes: tuple[str, ...], M: int) -> tuple[np.ndarray, ...]:
+    """``update, u, gain, wcols, obs_cols`` for every step and mode, read from
+    the T x r x p mask that M series share.
+
+    ``update`` (T x K) is False at a step with nothing observed, and in
+    classical mode at a step with any missing entry. A variable moves its
+    mean column and adds to S only when it is observed in every replicate:
+    ``wcols`` (T x M p) marks such columns in every series, and ``gain``
+    (T x K x 1 x M p) those that a mode moves. The shared P takes the fraction
+    ``u`` (T x K x 1 x 1) of a full update, 0 where a mode does not update;
+    ``obs_cols`` (T x r x M p) is the mask of every series.
+    """
+    some, every = observed.any(axis=(1, 2)), observed.all(axis=(1, 2))
+    update = np.stack([some if mode == "new" else every for mode in modes], axis=1)
     wprod = observed.all(axis=1)
     wcols = np.tile(wprod, (1, M))
+    u = np.where(update, wprod.mean(axis=1, keepdims=True), 0.0)[:, :, None, None]
     gain = update[:, :, None, None] & wcols[:, None, None, :]
-    u = np.where(update, wprod.sum(axis=1, keepdims=True) / p, 0.0)[:, :, None, None]
-    obs_cols = np.tile(observed, (1, 1, M))
+    return update, u, gain, wcols, np.tile(observed, (1, 1, M))
 
-    # Records are allocated time-major (T x K x ...), so that each step writes
-    # one contiguous row of every record in place, and returned mode-major;
-    # they start at 0, the value e keeps at a missing entry.
-    shapes = {"a": (d, M * p), "R": (d, d), "f": (r, M * p), "Q": (r, r), "A": (d, r),
-              "e": (r, M * p), "m": (d, M * p), "P": (d, d)}
+
+def _loop(Fs, Gs, Vs, Ws, c, m, P, y, obs_cols, gain, u) -> dict[str, np.ndarray]:
+    """The records a, R, f, Q, A, e, m and P of every step and mode, each
+    time-major (T x K x ...) so that a step writes one contiguous row of each.
+
+    Reads the model inputs as T-stacks (``Ws`` is None under a discount), the
+    prior moments m and P, the schedule, and the M series ``y`` side by side
+    as column blocks (T x r x M p): m and a are d x (M p) and f and e are
+    r x (M p) per mode, while R, Q, A and P depend only on the model, the mask
+    and the mode, and are carried once per mode. Each step runs the recursion
+    that :func:`filter` states to the last step, with e = 0 at a missing
+    entry and R = (X + X')/c, X = G P G' (+ W), c = 2 delta (2 with W: the
+    bits of the average over delta unless (X + X')/2 is subnormal).
+    """
+    (T, r, Mp), (d, p), K = y.shape, m.shape, u.shape[1]
+    shapes = {"a": (d, Mp), "R": (d, d), "f": (r, Mp), "Q": (r, r), "A": (d, r),
+              "e": (r, Mp), "m": (d, Mp), "P": (d, d)}
     rows = {name: np.zeros((T, K) + shape) for name, shape in shapes.items()}
     a_t, R_t, f_t, Q_t, A_t, e_t, m_t, P_t = rows.values()
-    rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
-    m = np.tile(m, (K, 1, M))
-    P = np.tile(P, (K, 1, 1))
-    c = 2.0 if Ws is not None else 2.0 * model.discount
-    done = T if failure is None else failure[0] - 1
-    for k in range(done):
+    m, P = np.tile(m, (K, 1, Mp // p)), np.tile(P, (K, 1, 1))
+    for k in range(T):
         F, G, V = Fs[k], Gs[k], Vs[k]
         a, R, f, Q, A, e = a_t[k], R_t[k], f_t[k], Q_t[k], A_t[k], e_t[k]
         np.matmul(G, m, out=a)
@@ -480,39 +466,52 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
         np.subtract(R, AQA, out=AQA)
         P = np.add(AQA, AQA.swapaxes(1, 2), out=P_t[k])
         P *= 0.5
+    return rows
 
-    # Per step, in the order they are raised: Q not finite, Q not positive
-    # definite, e not finite where a mode updates with it. Under this errstate
-    # the Cholesky gufunc behind np.linalg.cholesky leaves NaN in the factor
-    # of a Q it cannot factor instead of raising; the gain is NaN at a Q that
-    # LU finds singular, which Cholesky may pass.
-    Qs = rec["Q"][:, :done]
-    chol = _umath_linalg.cholesky_lo(Qs, signature="d->d")
+
+def _check(Q: np.ndarray, A: np.ndarray, e: np.ndarray, update: np.ndarray) -> np.ndarray:
+    """The Cholesky factor L of the K x T stack of Q, or :class:`FilterError`
+    at the earliest step whose records fail a check.
+
+    Per step, in the order they are raised: Q not finite; Q not positive
+    definite, where L is NaN or the gain A is all NaN; e not finite where a
+    mode updates with it (``update``, K x T). Under ``_run``'s errstate the
+    Cholesky gufunc behind np.linalg.cholesky leaves NaN in the factor of a Q
+    it cannot factor instead of raising; the solve gufunc leaves NaN in the
+    gain of a Q that LU finds singular, which Cholesky may pass.
+    """
+    chol = _umath_linalg.cholesky_lo(Q, signature="d->d")
     checks = np.stack([
-        ~np.isfinite(Qs).all(axis=(0, 2, 3)),
-        np.isnan(chol).any(axis=(0, 2, 3)) | np.isnan(A_t[:done]).all(axis=(2, 3)).any(axis=1),
-        (update[:done] & ~np.isfinite(rec["e"][:, :done]).all(axis=(2, 3)).T).any(axis=1),
+        ~np.isfinite(Q).all(axis=(0, 2, 3)),
+        np.isnan(chol).any(axis=(0, 2, 3)) | np.isnan(A).all(axis=(2, 3)).any(axis=0),
+        (update & ~np.isfinite(e).all(axis=(2, 3))).any(axis=0),
     ], axis=1)
     if checks.any():
         k, check = np.argwhere(checks)[0]
         raise FilterError(_STEP_FAILURES[check], t=int(k) + 1)
-    if failure is not None:
-        t, exc = failure
-        raise FilterError(str(exc), t=t) from exc
+    return chol
 
-    # From here on every stack is mode-major: K x T x ...
-    update = update.T
+
+def _scale(chol, e, update, wcols, observed, S0, n0) -> tuple[np.ndarray, np.ndarray]:
+    """The dof n (K x T x p) and covariance scale S (K x T x M x p x p) after
+    every step and mode, from the factors L and residuals e that passed
+    :func:`_check`, the schedule (``update`` K x T) and the prior S0 and n0.
+
+    A variable's dof grows by its observed count at each step a mode updates,
+    and N^{1/2} S N^{1/2} by the Gram matrix C_t = Z'Z of Z = L^{-1} e on the
+    ``wcols``: with nn_t = outer(sqrt(n_t), sqrt(n_t)),
+    S_t = (S0 * nn_0 + C_1 + ... + C_t) / nn_t.
+    """
+    (K, T, r, Mp), p = e.shape, observed.shape[2]
     counts = np.where(update[:, :, None], observed.sum(axis=1), 0)
     n = np.cumsum(np.concatenate([np.broadcast_to(n0, (K, 1, p)), counts], axis=1), axis=1)
     sn = np.sqrt(n)
-
-    # S as the cumulative sum of C = Z'Z, Z = L^{-1} e on the wprod columns.
     # Z is solved at the updating steps only and is exactly 0 elsewhere,
     # whatever e holds there.
-    Z = np.zeros((K, T, r, M * p))
-    Z[update] = np.linalg.solve(chol[update], rec["e"][update])
+    Z = np.zeros(e.shape)
+    Z[update] = np.linalg.solve(chol[update], e[update])
     Z *= wcols[:, None]
-    Z = Z.reshape(K, T, r, M, p)
+    Z = Z.reshape(K, T, r, Mp // p, p)
     S = np.einsum("ktrmi,ktrmj->ktmij", Z, Z)
     S[:, 0] += S0 * (sn[:, 0, :, None] * sn[:, 0, None, :])[:, None]
     # The running sum adds whole rows, one step at a time: numpy's
@@ -530,18 +529,18 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
         S[:, k:k + block] /= (s[..., :, None] * s[..., None, :])[:, :, None]
     # Steps before a mode's first update keep the prior bit for bit.
     S[~np.logical_or.accumulate(update, axis=1)] = S0
+    return n[:, 1:], S
 
-    # Errors standardized by sqrt(Q_kk S_jj), S from the previous posterior.
-    s_diag = np.empty((K, T, 1, M, p))
+
+def _standardize(e, Q, S, S0, obs_cols) -> np.ndarray:
+    """The residuals e (K x T x r x M p) standardized by sqrt(Q_kk S_jj), S
+    from the previous posterior (S0 at the first step); NaN where
+    ``obs_cols`` marks an entry missing."""
+    s_diag = np.empty(S.shape[:-1])
     s_diag[:, 0] = np.diag(S0)
-    s_diag[:, 1:, 0] = np.diagonal(S[:, :-1], axis1=-2, axis2=-1)
-    s_diag = s_diag.reshape(K, T, 1, M * p)
-    q_diag = np.diagonal(Qs, axis1=-2, axis2=-1)[..., None]
-    rec.update(
-        S=S, n=n[:, 1:], observed=observed, modes=modes, prior=prior,
-        std_err=np.where(obs_cols, rec["e"] / np.sqrt(q_diag * s_diag), np.nan),
-    )
-    return rec
+    s_diag[:, 1:] = np.diagonal(S[:, :-1], axis1=-2, axis2=-1)
+    q_diag = np.diagonal(Q, axis1=-2, axis2=-1)[..., None]
+    return np.where(obs_cols, e / np.sqrt(q_diag * s_diag.reshape(e.shape[:2] + (1, -1))), np.nan)
 
 
 def _series_output(rec: dict, k: int, i: int) -> FilterOutput:

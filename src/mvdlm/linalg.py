@@ -24,8 +24,7 @@ def symmetrize(a) -> np.ndarray:
     Exact fixed point for already-symmetric input; the distributions and
     :func:`cholesky_lower` apply it to matrices that are symmetric in exact
     arithmetic but not in floating point. The filter's step loop does not
-    call it: it writes this average into its Q and P rows in place, and R as
-    (A + A') / c in one division, c = 2 delta (2 with an explicit W).
+    call it: it writes this average into its Q and P rows in place.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:

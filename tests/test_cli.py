@@ -295,6 +295,22 @@ def test_write_csv_requires_a_three_dimensional_array(tmp_path, values, shape):
     assert not (tmp_path / "data.csv").exists()
 
 
+@pytest.mark.parametrize("values", [[[[1.0]], [[1.0, 2.0]]], [[["a"]]]],
+                         ids=["ragged", "non-numeric"])
+def test_write_csv_rejects_values_numpy_cannot_convert(tmp_path, values):
+    # as filter does, an input that is not a float array is a dimension error
+    with pytest.raises(mv.DimensionMismatch, match="do not form a T x r x p array"):
+        write_csv(tmp_path / "data.csv", values)
+    assert not (tmp_path / "data.csv").exists()
+
+
+def test_write_csv_rejects_an_empty_array(tmp_path):
+    # parse_csv rejects a file with no data rows, so none is written
+    with pytest.raises(mv.DomainError, match="at least one step"):
+        write_csv(tmp_path / "data.csv", np.zeros((0, 1, 1)))
+    assert not (tmp_path / "data.csv").exists()
+
+
 def test_csv_round_trip_preserves_masks_and_values(tmp_path):
     rng = np.random.default_rng(50)
     y = rng.standard_normal((25, 2, 3))

@@ -627,16 +627,27 @@ def test_filter_error_carries_time_index():
     assert "forecast scale Q" in str(exc.value)
 
 
-def test_forecast_failure_before_a_later_bad_input_wins():
-    # V makes Q non-positive-definite at t = 3; F is NaN at t = 4
+def test_bad_input_is_raised_before_an_earlier_forecast_failure():
+    # V makes Q non-positive-definite at t = 3; F is NaN at t = 4. The inputs
+    # are checked at entry, so F's error is raised before the loop runs.
     model = mv.ModelSpec(d=1, p=2, r=1, G=np.eye(1), discount=0.9,
                          F=lambda t: np.array([[np.nan if t == 4 else 1.0]]),
                          V=lambda t: np.array([[-1e9 if t == 3 else 1.0]]))
     data = np.full((6, 1, 2), 0.5)
     with pytest.raises(mv.FilterError) as exc:
         mv.filter(model, data, mv.default_prior())
-    assert exc.value.t == 3
-    assert "forecast scale Q" in str(exc.value)
+    assert exc.value.t == 4
+    assert str(exc.value) == "t=4: F at t=4 must be finite"
+
+
+def test_inputs_are_checked_f_before_g():
+    # G is bad at the earlier step, but F is stacked and checked first
+    model = mv.ModelSpec(d=1, p=2, r=1, V=np.eye(1), discount=0.9,
+                         F=lambda t: np.array([[np.nan if t == 5 else 1.0]]),
+                         G=lambda t: np.array([[np.inf if t == 3 else 1.0]]))
+    with pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, np.full((6, 1, 2), 0.5), mv.default_prior())
+    assert str(exc.value) == "t=5: F at t=5 must be finite"
 
 
 def test_input_callable_raising_a_domain_error_fails_at_its_step():
@@ -842,5 +853,5 @@ def test_model_spec_checks_constant_inputs_once_at_construction():
     # converted once: the filter's T-stack is a view of the stored array
     assert isinstance(model.F, np.ndarray) and model.F.dtype == float
     assert model.F.shape == (1, 1)
-    Fs, failure = model._stack("F", 7)
-    assert failure is None and np.shares_memory(Fs[0], model.F)
+    Fs = model._stack("F", 7)
+    assert np.shares_memory(Fs[0], model.F)
