@@ -59,7 +59,7 @@ import numpy as np
 from . import dlm
 from .distributions import MiwParams, _count
 from .dlm import ModelSpec, NmiwState
-from .errors import ConfigError, DimensionMismatch, DomainError, MvdlmError, ParseError
+from .errors import ConfigError, DomainError, FilterError, MvdlmError, NotPositiveDefinite, ParseError
 from .linalg import _corr
 from .simulate import (
     LocalLevelConfig,
@@ -71,7 +71,7 @@ from .simulate import (
 
 __all__ = ["RunConfig", "cmd_filter", "cmd_simulate", "load_config", "main", "parse_csv", "write_csv"]
 
-_MODES = ("new", "classical", "both")
+_MODES = (*dlm._MODES, "both")
 # [simulate] keys that are LocalLevelConfig fields, with their shapes
 _LOCAL_LEVEL = {"T": (), "corr": (), "obs_var": (2,), "level_var": (2,), "seed": ()}
 # every key each section may set, as configparser lower-cases them
@@ -314,18 +314,10 @@ def _column_names(p: int, r: int, prefix: str) -> list[str]:
 
 def write_csv(path: str | Path, values: np.ndarray) -> None:
     """Write a T x r x p array (NaN where missing) in the format
-    :func:`parse_csv` reads back; it cannot read ±inf or T = 0, so those are errors."""
-    try:
-        values = np.asarray(values, dtype=float)
-    except ValueError as exc:
-        raise DimensionMismatch(f"values do not form a T x r x p array: {exc}") from exc
-    if values.ndim != 3:
-        raise DimensionMismatch(f"values must be a T x r x p array, got shape {values.shape}")
+    :func:`parse_csv` reads back. ``values`` follows the observation rule of
+    :func:`mvdlm.filter`; for anything else no file is written."""
+    values = dlm._observations(values)
     T, r, p = values.shape
-    if T == 0:
-        raise DomainError("values must contain at least one step")
-    if np.isinf(values).any():
-        raise DomainError("values must be finite or NaN (missing), got ±inf")
     _write_table(path, _column_names(p, r, "y"), values.transpose(0, 2, 1).reshape(T, p * r), "%r")
 
 
@@ -384,13 +376,8 @@ def _summary_table(lead: list[str], rows, p: int) -> str:
 def cmd_filter(args) -> int:
     config = load_config(args.config)
     values = parse_csv(args.data)
-    r, p = values.shape[1:]
-    if (r, p) != (config.model.r, config.model.p):
-        raise ConfigError(
-            f"data has r={r}, p={p} but the model declares r={config.model.r}, p={config.model.p}"
-        )
     mode = args.mode or config.mode
-    modes = ("new", "classical") if mode == "both" else (mode,)
+    modes = dlm._MODES if mode == "both" else (mode,)
 
     base = Path(args.out) if args.out else Path(args.data).with_suffix(".filtered.csv")
     rec = dlm._run(config.model, config.prior, values[None], modes)
@@ -402,7 +389,7 @@ def cmd_filter(args) -> int:
     with np.errstate(all="ignore"):
         corr = corr.sum(axis=(1, 2, 3)) / corr[0].size
     rows = [((m,), msse[k, 0], corr[k]) for k, m in enumerate(modes)]
-    sys.stdout.write(_summary_table(["mode"], rows, p))
+    sys.stdout.write(_summary_table(["mode"], rows, config.model.p))
     return 0
 
 
@@ -425,7 +412,7 @@ def cmd_simulate(args) -> int:
     T, p = f_new.shape
     _write_table(
         out_dir / "forecasts.csv",
-        ["t"] + [f"f{j}_{m}" for m in ("new", "classical") for j in range(1, p + 1)],
+        ["t"] + [f"f{j}_{m}" for m in dlm._MODES for j in range(1, p + 1)],
         np.hstack([np.arange(1.0, T + 1)[:, None], f_new, f_cls]),
     )
 
@@ -471,12 +458,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MvdlmError as exc:
+    except (FilterError, NotPositiveDefinite) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (MvdlmError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

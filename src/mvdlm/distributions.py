@@ -90,12 +90,18 @@ def _count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def _shaped(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``value`` as a float array, if it has ``shape``."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {a.shape}")
+    return a
+
+
 def _checked_dof(n, v, p: int) -> tuple[np.ndarray, float]:
     """The dof vector n and scalar v of a p-variate law as a float array and a float,
     checked for n_j > 0 and normalizability, 2 v + mean(n) > 2 p."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (p,):
-        raise DimensionMismatch(f"dof vector must have shape ({p},), got {n.shape}")
+    n = _shaped(n, (p,), "dof vector")
     if not np.all(n > 0.0):
         raise DomainError("all degrees-of-freedom entries must be strictly positive")
     v = float(v)
@@ -210,17 +216,11 @@ class MatrixNormalParams:
 
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
-        P = np.asarray(self.P, dtype=float)
-        Sigma = np.asarray(self.Sigma, dtype=float)
         if M.ndim != 2:
             raise DimensionMismatch(f"mean must be a 2-d matrix, got shape {M.shape}")
         r, p = M.shape
-        if P.shape != (r, r):
-            raise DimensionMismatch(f"row scale must have shape ({r}, {r}), got {P.shape}")
-        if Sigma.shape != (p, p):
-            raise DimensionMismatch(
-                f"column covariance must have shape ({p}, {p}), got {Sigma.shape}"
-            )
+        P = _shaped(self.P, (r, r), "row scale")
+        Sigma = _shaped(self.Sigma, (p, p), "column covariance")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "P", symmetrize(P))
         object.__setattr__(self, "Sigma", symmetrize(Sigma))
@@ -281,15 +281,11 @@ class MtParams:
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
-        Q = np.asarray(self.Q, dtype=float)
-        S = np.asarray(self.S, dtype=float)
         if f.ndim != 2:
             raise DimensionMismatch(f"location must be a 2-d matrix, got shape {f.shape}")
         r, p = f.shape
-        if Q.shape != (r, r):
-            raise DimensionMismatch(f"row scale must have shape ({r}, {r}), got {Q.shape}")
-        if S.shape != (p, p):
-            raise DimensionMismatch(f"scale must have shape ({p}, {p}), got {S.shape}")
+        Q = _shaped(self.Q, (r, r), "row scale")
+        S = _shaped(self.S, (p, p), "scale")
         n, v = _checked_dof(self.n, self.v, p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "Q", symmetrize(Q))

@@ -35,7 +35,7 @@ import numpy as np
 # the LAPACK gufuncs behind np.linalg.solve and cholesky, without their Python wrappers
 from numpy.linalg import _umath_linalg
 
-from .distributions import MiwParams, MtParams, _count
+from .distributions import MiwParams, MtParams, _count, _shaped
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -57,11 +57,12 @@ __all__ = [
 
 MatrixProvider = Union[np.ndarray, Callable[[int], np.ndarray]]
 
+# the update modes that _run takes
+_MODES = ("new", "classical")
+
 
 def _checked(value, shape: tuple[int, int], name: str) -> np.ndarray:
-    m = np.asarray(value, dtype=float)
-    if m.shape != shape:
-        raise DimensionMismatch(f"{name} must have shape {shape}, got {m.shape}")
+    m = _shaped(value, shape, name)
     if not np.isfinite(m).all():
         raise DomainError(f"{name} must be finite")
     return m
@@ -154,12 +155,10 @@ class NmiwState:
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
-        P = np.asarray(self.P, dtype=float)
         if m.ndim != 2:
             raise DimensionMismatch(f"state mean must be 2-d, got shape {m.shape}")
         d, p = m.shape
-        if P.shape != (d, d):
-            raise DimensionMismatch(f"state scale must have shape ({d}, {d}), got {P.shape}")
+        P = _shaped(self.P, (d, d), "state scale")
         if self.miw.p != p:
             raise DimensionMismatch(
                 f"covariance law dimension {self.miw.p} does not match state columns {p}"
@@ -314,27 +313,37 @@ def filter(
 ) -> FilterOutput:
     """Run the forward filter over a T x r x p observation array.
 
-    ``data`` is anything :func:`numpy.asarray` turns into a T x r x p float
-    array with NaN at the missing entries: such an array, or a list of r x p
-    arrays or of :class:`MaskedObservation`. Each step computes the one-step
-    prior a = G m, R = sym(G P G')/delta (or sym(G P G' + W) with an explicit
-    W), the forecast f = F'a with scale Q = sym(F'RF + V) and gain
-    A = R F Q^{-1}, and the masked update. ``mode="new"`` applies the
-    per-variable masked update; ``mode="classical"`` discards any observation
-    with a missing entry. Model inputs that are malformed or not finite, a
-    forecast scale Q that is not finite or cannot be factored, and a residual
-    e that is not finite at an updating step are raised as
-    :class:`FilterError` with the failing 1-based time index.
+    ``data`` is such an array with NaN at the missing entries, or a list of
+    r x p arrays or of :class:`MaskedObservation`, under the rule that
+    :func:`_observations` states; r and p are the model's. Each step
+    computes the one-step prior a = G m, R = sym(G P G')/delta (or
+    sym(G P G' + W) with an explicit W), the forecast f = F'a with scale
+    Q = sym(F'RF + V) and gain A = R F Q^{-1}, and the masked update.
+    ``mode="new"`` applies the per-variable masked update;
+    ``mode="classical"`` discards any observation with a missing entry.
+    Model inputs that are malformed or not finite, a forecast scale Q that is
+    not finite or cannot be factored, and a residual e that is not finite at
+    an updating step are raised as :class:`FilterError` with the failing
+    1-based time index.
     """
+    return _series_output(_run(model, prior, _observations(data)[None], (mode,)), 0, 0)
+
+
+def _observations(values) -> np.ndarray:
+    """``values`` as a T x r x p float array with NaN at the missing entries,
+    if :func:`numpy.asarray` turns it into one with T >= 1 and no entry
+    infinite; the observation rule of :func:`filter` and ``cli.write_csv``."""
     try:
-        y = np.asarray(data, dtype=float)
+        y = np.asarray(values, dtype=float)
     except ValueError as exc:
-        raise DimensionMismatch(
-            f"observations do not form a T x {model.r} x {model.p} array: {exc}"
-        ) from exc
+        raise DimensionMismatch(f"observations do not form a T x r x p array: {exc}") from exc
     if y.shape[:1] == (0,):
-        raise DomainError("data must contain at least one observation")
-    return _series_output(_run(model, prior, y[None], (mode,)), 0, 0)
+        raise DomainError("observations must contain at least one step")
+    if y.ndim != 3:
+        raise DimensionMismatch(f"observations must be a T x r x p array, got shape {y.shape}")
+    if np.isinf(y).any():
+        raise DomainError("observations must be finite or NaN (missing), got ±inf")
+    return y
 
 
 _STEP_FAILURES = (
@@ -352,9 +361,10 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     one pass; :func:`filter` is the case M = 1, K = 1.
 
     ``y`` is M x T x r x p with NaN at the missing entries, the same in every
-    series (the mask is read from the first). After the checks on ``y``, the
-    modes and the prior, the model inputs are stacked, F before G before V
-    before W, and then the stages run.
+    series (the mask is read from the first), and no entry infinite. After
+    the checks of ``y``'s r, p and T against the model, the modes and the
+    prior, the model inputs are stacked, F before G before V before W, and
+    then the stages run.
 
     Returns one record dict whose arrays carry the modes as their leading
     K axis, then time: a, R, f, Q, A, e, std_err, m, P, n, and S
@@ -362,13 +372,14 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     ``modes`` and ``prior``. :func:`_series_output` takes one run out of it.
     """
     d, p, r = model.d, model.p, model.r
-    if y.ndim != 4 or y.shape[2:] != (r, p):
-        raise DimensionMismatch(f"observations must have shape (T, {r}, {p}), got {y.shape[1:]}")
-    if np.isinf(y).any():
-        raise DomainError("observed entries must be finite")
+    M, T, y_r, y_p = y.shape
+    if (y_r, y_p) != (r, p):
+        raise DimensionMismatch(f"data has r={y_r}, p={y_p} but the model declares r={r}, p={p}")
+    if T == 0:
+        raise DomainError("observations must contain at least one step")
     for mode in modes:
-        if mode not in ("new", "classical"):
-            raise DomainError(f"mode must be 'new' or 'classical', got {mode!r}")
+        if mode not in _MODES:
+            raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     if prior.d != d or prior.p != p:
         raise DimensionMismatch(
             f"prior has shape ({prior.d}, {prior.p}), model declares ({d}, {p})"
@@ -376,7 +387,6 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     S0, n0 = prior.miw.S, prior.miw.n
     if not all(np.isfinite(x).all() for x in (prior.m, prior.P, S0, n0, prior.miw.v)):
         raise DomainError("prior m, P, S, n and v must be finite")
-    M, T = y.shape[:2]
     inputs = [model._stack(name, T) for name in "FGVW"]
     observed = ~np.isnan(y[0])
     update, u, gain, wcols, obs_cols = _schedule(observed, modes, M)
@@ -598,7 +608,13 @@ def msse(output: FilterOutput) -> np.ndarray:
     variable j runs over all observed entries of that variable. Raises if some
     variable is never observed.
     """
-    never = np.flatnonzero(~output.observed.any(axis=(0, 1)))
+    _check_observed(output.observed)
+    return _msse(output.std_err, output.observed)[0]
+
+
+def _check_observed(observed: np.ndarray) -> None:
+    """Raise unless every variable is observed at some step of the T x r x p
+    mask: the MSSE of one that never is is undefined."""
+    never = np.flatnonzero(~observed.any(axis=(0, 1)))
     if never.size:
         raise DomainError(f"variable {never[0]} is never observed; its MSSE is undefined")
-    return _msse(output.std_err, output.observed)[0]

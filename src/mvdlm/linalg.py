@@ -1,12 +1,14 @@
-"""Dense kernel for small symmetric positive definite matrices.
+"""Symmetric-matrix helpers for the distributions, and the correlation of a scale.
 
-Everything is Cholesky based: a caller factors once with
-:func:`cholesky_lower`, solves against the factor with
-:func:`numpy.linalg.solve`, and takes log determinants as twice the log of the
-factor diagonal; inverses are never formed explicitly. Diagonal matrices
-(degrees-of-freedom counts, observation masks) are carried as 1-d arrays of
-their diagonal entries throughout the package; only full symmetric matrices
-get a 2-d representation.
+:func:`symmetrize` and :func:`cholesky_lower` serve :mod:`mvdlm.distributions`:
+its densities, sampler and conditional update solve against the lower
+Cholesky factor and take log determinants as twice the log of its diagonal
+(``_log_det``); no inverse is formed. ``_corr`` turns a stack of covariance
+scales into correlations, for the filter's records and summaries. The
+filter's step loop and checks do not use this module: :mod:`mvdlm.dlm` calls
+LAPACK's solve and Cholesky gufuncs directly. Diagonal matrices (degrees-of-
+freedom counts, observation masks) are carried as 1-d arrays of their
+diagonal entries throughout the package.
 """
 
 from __future__ import annotations

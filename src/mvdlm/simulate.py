@@ -202,11 +202,9 @@ def replicate_experiment(
         prior = default_prior(p=2, d=model.d)
 
     y = np.stack([gen_local_level(replace(cfg, seed=cfg.seed + i))[1] for i in range(M)])
-    rec = dlm._run(model, prior, apply_missing(y, pattern), ("new", "classical"))
+    rec = dlm._run(model, prior, apply_missing(y, pattern), dlm._MODES)
+    dlm._check_observed(rec["observed"])
     partial_times, (msse_new, msse_classical), corr = dlm._summarize(rec)
-    never = np.flatnonzero(np.isnan(msse_new[0]))
-    if never.size:
-        raise DomainError(f"variable {never[0]} is never observed; its MSSE is undefined")
     partial_corr = corr[0, :, :, 0]
 
     wins = np.all(msse_new <= msse_classical, axis=1)

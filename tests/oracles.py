@@ -174,3 +174,58 @@ def s_stack(e, Q, observed, n, S0, n0) -> np.ndarray:
     for j in range(p):
         S[k0:, j] /= sn[k0 + 1:, j, None] * sn[k0 + 1:]
     return S
+
+
+# ---------------------------------------------------------------------------
+# Dense vec-form Kalman filter at a known column covariance
+# ---------------------------------------------------------------------------
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a, b_s) for every matrix b_s of a stack b (S x c x e)."""
+    prod = a[None, :, None, :, None] * b[:, None, :, None, :]
+    return prod.reshape(len(b), a.shape[0] * b.shape[1], a.shape[1] * b.shape[2])
+
+
+def vec_kalman_loglik(y, F, G, V, sigmas, m0, P0, W=None, delta=None) -> np.ndarray:
+    """log p(y_t | y_{1:t-1}, Sigma) for every step t and every Sigma of a
+    stack (S x p x p), returned as S x T.
+
+    Model: Y_t = F_t' Theta_t + E_t and Theta_t = G_t Theta_{t-1} + O_t, with
+    Y_t r x p and Theta_t d x p. The state is x = vec(Theta), the rows of
+    Theta concatenated, so Cov(vec E_t) = kron(V_t, Sigma), Cov(vec O_t) =
+    kron(W_t, Sigma), Theta_t = G Theta -> x = kron(G, I_p) x, and
+    F' Theta -> kron(F', I_p) x. The filter carries the full dp x dp
+    covariance C from C_0 = kron(P0, Sigma) and never assumes a Kronecker
+    form after that; under a discount the evolved covariance is
+    kron(G, I) C kron(G, I)' / delta. The entries of y_t that are NaN are
+    left out of the step, and a step with none observed contributes 0 and
+    does not update. y is T x r x p; F, G, V and W are T-stacks.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    T, r, p = y.shape
+    n_sigma, eye = len(sigmas), np.eye(p)
+    x = np.tile(np.asarray(m0, dtype=float).ravel(), (n_sigma, 1))
+    C = _kron_stack(np.asarray(P0, dtype=float), sigmas)
+    out = np.zeros((n_sigma, T))
+    for t in range(T):
+        Gx = np.kron(G[t], eye)
+        x = x @ Gx.T
+        C = Gx @ C @ Gx.T
+        C = C / delta if W is None else C + _kron_stack(W[t], sigmas)
+        yt = y[t].ravel()
+        obs = ~np.isnan(yt)
+        if not obs.any():
+            continue
+        H = np.kron(F[t].T, eye)[obs]
+        HC = H @ C
+        Qv = HC @ H.T + _kron_stack(V[t], sigmas)[:, obs][:, :, obs]
+        e = yt[obs] - x @ H.T
+        L = np.linalg.cholesky(Qv)
+        z = np.linalg.solve(L, e[..., None])[..., 0]
+        log_det = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        out[:, t] = -0.5 * (obs.sum() * math.log(2.0 * math.pi) + log_det + (z * z).sum(axis=1))
+        K = np.linalg.solve(Qv, HC).swapaxes(1, 2)
+        x = x + (K @ e[..., None])[..., 0]
+        C = C - K @ HC
+        C = 0.5 * (C + C.swapaxes(1, 2))
+    return out

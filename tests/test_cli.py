@@ -311,6 +311,21 @@ def test_write_csv_rejects_an_empty_array(tmp_path):
     assert not (tmp_path / "data.csv").exists()
 
 
+@pytest.mark.parametrize("values", [
+    [[[1.0]], [[1.0, 2.0]]], [[["a"]]], np.zeros((3, 2)), [], np.zeros((0, 1, 2)),
+    np.full((2, 1, 2), np.inf), np.full((2, 1, 2), -np.inf),
+], ids=["ragged", "non-numeric", "2-d-array", "empty-list", "no-steps", "+inf", "-inf"])
+def test_filter_and_write_csv_reject_bad_observations_alike(tmp_path, values):
+    # one observation rule: the library filter and the CSV writer fail alike
+    with pytest.raises(mv.MvdlmError) as from_filter:
+        mv.filter(mv.local_level_model(), values, mv.default_prior())
+    with pytest.raises(mv.MvdlmError) as from_writer:
+        write_csv(tmp_path / "data.csv", values)
+    assert type(from_filter.value) is type(from_writer.value)
+    assert str(from_filter.value) == str(from_writer.value)
+    assert not (tmp_path / "data.csv").exists()
+
+
 def test_csv_round_trip_preserves_masks_and_values(tmp_path):
     rng = np.random.default_rng(50)
     y = rng.standard_normal((25, 2, 3))
@@ -431,7 +446,8 @@ def test_filter_dimension_mismatch_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, GOOD_CONFIG)
     data = write_data(tmp_path, ["1,2,3"], header="y1,y2,y3")
     assert main(["filter", "--config", str(config), "--data", str(data)]) == 2
-    assert "p=3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: data has r=1, p=3 but the model declares r=1, p=2\n"
 
 
 def test_config_error_exits_2(tmp_path, capsys):

@@ -855,3 +855,88 @@ def test_model_spec_checks_constant_inputs_once_at_construction():
     assert model.F.shape == (1, 1)
     Fs = model._stack("F", 7)
     assert np.shares_memory(Fs[0], model.F)
+
+
+@pytest.mark.parametrize("form", ["constant", "callable"])
+def test_run_rejects_no_steps(form):
+    # filter rejects an empty input before _run; a direct call with T = 0
+    # must fail as an input error too, not inside the stages
+    F = np.eye(1) if form == "constant" else (lambda t: np.eye(1))
+    model = mv.ModelSpec(d=1, p=1, r=1, F=F, G=np.eye(1), V=np.eye(1), discount=0.9)
+    with pytest.raises(mv.DomainError, match="at least one step"):
+        mv.dlm._run(model, scalar_prior(), np.zeros((1, 0, 1, 1)), ("new",))
+
+
+# ---------------------------------------------------------------------------
+# the whole run against Bayes' rule at known Sigma
+# ---------------------------------------------------------------------------
+
+def _spd(rng, k, scale=1.0):
+    B = rng.standard_normal((k, k))
+    return scale * (B @ B.T / k + 0.5 * np.eye(k))
+
+
+def _identity_case(rng, i):
+    """A random model (as T-stacks and as a ModelSpec), prior and simulated
+    T x r x p data: d <= 3, p <= 4, r <= 3 (r >= 2 for odd i), T <= 40, W or a
+    discount, constant or callable inputs, unequal prior dof, P0 <= 1e3."""
+    d, p = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    r, T = (int(rng.integers(2, 4)) if i % 2 else 1), int(rng.integers(5, 41))
+    varying = bool(rng.integers(2))
+    k = T if varying else 1
+    F = np.broadcast_to(rng.standard_normal((k, d, r)), (T, d, r))
+    G = np.broadcast_to(np.eye(d) + 0.2 * rng.standard_normal((k, d, d)), (T, d, d))
+    V = np.broadcast_to(np.stack([_spd(rng, r) for _ in range(k)]), (T, r, r))
+    W = np.broadcast_to(np.stack([_spd(rng, d, 0.1) for _ in range(k)]), (T, d, d))
+    delta = float(rng.uniform(0.7, 1.0)) if rng.integers(2) else None
+    stacks = dict(F=F, G=G, V=V, W=None if delta else W)
+    inputs = {name: (lambda t, s=s: s[t - 1]) if varying else s[0]
+              for name, s in stacks.items() if s is not None}
+    model = mv.ModelSpec(d=d, p=p, r=r, discount=delta, **inputs)
+    prior = mv.NmiwState(m=rng.standard_normal((d, p)), P=_spd(rng, d, 10.0 ** rng.uniform(-1, 2)),
+                         miw=mv.MiwParams(S=_spd(rng, p), n=rng.uniform(0.5, 4.0, p), v=float(p)))
+    # simulated from the model at one Sigma, so the densities stay moderate
+    cs, theta, y = np.linalg.cholesky(_spd(rng, p)), prior.m, np.empty((T, r, p))
+    for t in range(T):
+        theta = G[t] @ theta + np.linalg.cholesky(W[t]) @ rng.standard_normal((d, p)) @ cs.T
+        y[t] = F[t].T @ theta + np.linalg.cholesky(V[t]) @ rng.standard_normal((r, p)) @ cs.T
+    return model, prior, stacks, delta, y
+
+
+def bayes_residual(out, prior, stacks, delta, y, sigmas):
+    """log p(Sigma | y) - log p(Sigma) - sum_t log p(y_t | y_{1:t-1}, Sigma)
+    at each Sigma, over the fully observed steps (the others are left out of
+    y); plus sum_t log p(y_t | y_{1:t-1}) over the same steps.
+    Bayes' rule makes the first equal minus the second at every Sigma."""
+    used = np.flatnonzero(~np.isnan(y).any(axis=(1, 2)))
+    kept = np.full(y.shape, np.nan)
+    kept[used] = y[used]
+    loglik = oracles.vec_kalman_loglik(kept, stacks["F"], stacks["G"], stacks["V"], sigmas,
+                                       prior.m, prior.P, W=stacks["W"], delta=delta)
+    post, first = out.states[-1].miw, prior.miw
+    residual = np.array([mv.miw_log_density(s, post) - mv.miw_log_density(s, first)
+                         for s in sigmas]) - loglik.sum(axis=1)
+    evidence = sum(mv.mt_log_density(y[t], out.marginals[t]) for t in used)
+    return residual, evidence
+
+
+@pytest.mark.parametrize("case", ["fully-observed", "classical-partly-missing"])
+def test_whole_run_satisfies_bayes_rule_at_known_sigma(case):
+    # log p(Sigma | y) = log p(Sigma) + sum_t log p(y_t | y_{1:t-1}, Sigma)
+    #                    - sum_t log p(y_t | y_{1:t-1})
+    # ties m, P, S, n and the forecast law of every step to an independent
+    # dense Kalman filter; a classical run skips its partly missing steps
+    rng = np.random.default_rng(150 if case == "fully-observed" else 151)
+    worst = 0.0
+    for i in range(20):
+        model, prior, stacks, delta, y = _identity_case(rng, i)
+        mode = "new"
+        if case != "fully-observed":
+            mode = "classical"
+            y = np.where(rng.random(y.shape) < 0.1, np.nan, y)
+            y[rng.integers(len(y))] = np.nan
+        out = mv.filter(model, y, prior, mode=mode)
+        sigmas = mv.sample_miw(out.states[-1].miw, rng, size=10)
+        residual, evidence = bayes_residual(out, prior, stacks, delta, y, sigmas)
+        worst = max(worst, np.abs(residual + evidence).max())
+    assert worst < 1e-8
