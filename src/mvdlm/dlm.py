@@ -11,9 +11,10 @@ Sigma carrying the per-variable degrees-of-freedom covariance law from
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
 the posterior update. The private ``_run`` runs it for M series that share a
 missing-data mask, in one or both update modes, as five stages: the mask
-schedule, the step loop, the checks, the dof and covariance scale, and the
-standardized errors. :func:`filter` is the case of one series in one mode;
-the replication study runs all its replications in both modes in one pass.
+schedule, the step loop, the checks, the dof and whitened residuals (S is
+built from them when read), and the standardized errors. :func:`filter` is
+the case of one series in one mode; the replication study runs all its
+replications in both modes in one pass.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -258,8 +260,8 @@ class FilterOutput:
     Priors (a, R), forecasts (f, Q, A), masked residuals e (missing entries
     0), standardized errors (NaN where missing), observation masks, the
     posterior moments m (T x d x p), P (T x d x d), S (T x p x p) and n
-    (T x p). ``states`` and ``marginals`` are read-only per-step views of
-    these arrays.
+    (T x p). S is built by ``_S`` on first read and kept. ``states`` and
+    ``marginals`` are read-only per-step views of these arrays.
     """
 
     mode: str
@@ -274,8 +276,19 @@ class FilterOutput:
     observed: np.ndarray
     m: np.ndarray
     P: np.ndarray
-    S: np.ndarray
     n: np.ndarray
+    _S: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        S = self._S()
+        # from here on S alone is kept, not the stack or residuals it came from
+        self._S = partial(np.asarray, S)
+        return S
+
+    def __getstate__(self) -> dict:
+        # pickle and deepcopy take S itself: reading it first sets the _S they take
+        return {"S": self.S, **self.__dict__}
 
     @property
     def T(self) -> int:
@@ -335,7 +348,7 @@ def _observations(values) -> np.ndarray:
     infinite; the observation rule of :func:`filter` and ``cli.write_csv``."""
     try:
         y = np.asarray(values, dtype=float)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"observations do not form a T x r x p array: {exc}") from exc
     if y.shape[:1] == (0,):
         raise DomainError("observations must contain at least one step")
@@ -367,9 +380,10 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     then the stages run.
 
     Returns one record dict whose arrays carry the modes as their leading
-    K axis, then time: a, R, f, Q, A, e, std_err, m, P, n, and S
-    (K x T x M x p x p); beside them the shared mask ``observed`` (T x r x p),
-    ``modes`` and ``prior``. :func:`_series_output` takes one run out of it.
+    K axis, then time: a, R, f, Q, A, e, std_err, m, P and n; beside them S,
+    which builds the K x T x M x p x p stack on its first call and keeps it,
+    the mask ``observed`` (T x r x p), ``modes`` and ``prior``.
+    :func:`_series_output` takes one run out of it.
     """
     d, p, r = model.d, model.p, model.r
     M, T, y_r, y_p = y.shape
@@ -394,8 +408,10 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     rows = _loop(*inputs, 2.0 * (model.discount or 1.0), prior.m, prior.P, y, obs_cols, gain, u)
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
     chol = _check(rec["Q"], rec["A"], rec["e"], update.T)
-    n, S = _scale(chol, rec["e"], update.T, wcols, observed, S0, n0)
-    rec.update(n=n, S=S, std_err=_standardize(rec["e"], rec["Q"], S, S0, obs_cols),
+    n, Z = _scale(chol, rec["e"], update.T, wcols, observed, n0)
+    sn, started = np.sqrt(n), np.logical_or.accumulate(update.T, axis=1)
+    rec.update(n=n[:, 1:], S=cache(partial(_stack, Z, sn, started, S0)),
+               std_err=_standardize(rec["e"], rec["Q"], Z, sn, started, S0, obs_cols),
                observed=observed, modes=modes, prior=prior)
     return rec
 
@@ -502,26 +518,33 @@ def _check(Q: np.ndarray, A: np.ndarray, e: np.ndarray, update: np.ndarray) -> n
     return chol
 
 
-def _scale(chol, e, update, wcols, observed, S0, n0) -> tuple[np.ndarray, np.ndarray]:
-    """The dof n (K x T x p) and covariance scale S (K x T x M x p x p) after
-    every step and mode, from the factors L and residuals e that passed
-    :func:`_check`, the schedule (``update`` K x T) and the prior S0 and n0.
+def _scale(chol, e, update, wcols, observed, n0) -> tuple[np.ndarray, np.ndarray]:
+    """The dof n (K x (T + 1) x p, n0 first) and whitened residuals Z (K x T
+    x r x M x p) of every step and mode, from the factors L and residuals e
+    that passed :func:`_check`, the schedule (``update`` K x T) and the prior n0.
 
     A variable's dof grows by its observed count at each step a mode updates,
     and N^{1/2} S N^{1/2} by the Gram matrix C_t = Z'Z of Z = L^{-1} e on the
-    ``wcols``: with nn_t = outer(sqrt(n_t), sqrt(n_t)),
-    S_t = (S0 * nn_0 + C_1 + ... + C_t) / nn_t.
+    ``wcols``: with nn_t = outer(sqrt(n_t), sqrt(n_t)), :func:`_stack` builds
+    S_t = (S0 * nn_0 + C_1 + ... + C_t) / nn_t on first read; Z is r/p its size.
     """
     (K, T, r, Mp), p = e.shape, observed.shape[2]
     counts = np.where(update[:, :, None], observed.sum(axis=1), 0)
     n = np.cumsum(np.concatenate([np.broadcast_to(n0, (K, 1, p)), counts], axis=1), axis=1)
-    sn = np.sqrt(n)
     # Z is solved at the updating steps only and is exactly 0 elsewhere,
     # whatever e holds there.
     Z = np.zeros(e.shape)
     Z[update] = np.linalg.solve(chol[update], e[update])
     Z *= wcols[:, None]
-    Z = Z.reshape(K, T, r, Mp // p, p)
+    return n, Z.reshape(K, T, r, Mp // p, p)
+
+
+@np.errstate(all="ignore")
+def _stack(Z, sn, started, S0) -> np.ndarray:
+    """The covariance scale S (K x T x M x p x p) after every step and mode, from
+    :func:`_scale`'s Z and sqrt(n), the steps from each mode's first update on
+    (``started``, K x T) and S0; built on first read, so under its own errstate."""
+    T, p = Z.shape[1], Z.shape[-1]
     S = np.einsum("ktrmi,ktrmj->ktmij", Z, Z)
     S[:, 0] += S0 * (sn[:, 0, :, None] * sn[:, 0, None, :])[:, None]
     # The running sum adds whole rows, one step at a time: numpy's
@@ -538,31 +561,38 @@ def _scale(chol, e, update, wcols, observed, S0, n0) -> tuple[np.ndarray, np.nda
         s = sn[:, k + 1:k + 1 + block]
         S[:, k:k + block] /= (s[..., :, None] * s[..., None, :])[:, :, None]
     # Steps before a mode's first update keep the prior bit for bit.
-    S[~np.logical_or.accumulate(update, axis=1)] = S0
-    return n[:, 1:], S
+    S[~started] = S0
+    return S
 
 
-def _standardize(e, Q, S, S0, obs_cols) -> np.ndarray:
+def _standardize(e, Q, Z, sn, started, S0, obs_cols) -> np.ndarray:
     """The residuals e (K x T x r x M p) standardized by sqrt(Q_kk S_jj), S
     from the previous posterior (S0 at the first step); NaN where
-    ``obs_cols`` marks an entry missing."""
-    s_diag = np.empty(S.shape[:-1])
-    s_diag[:, 0] = np.diag(S0)
-    s_diag[:, 1:] = np.diagonal(S[:, :-1], axis1=-2, axis2=-1)
-    q_diag = np.diagonal(Q, axis1=-2, axis2=-1)[..., None]
-    return np.where(obs_cols, e / np.sqrt(q_diag * s_diag.reshape(e.shape[:2] + (1, -1))), np.nan)
+    ``obs_cols`` marks an entry missing. diag(S) takes :func:`_stack`'s
+    additions and divisions on the diagonal alone, so S itself is not built."""
+    K, T, r, M, p = Z.shape
+    s = np.empty((K, T + 1, M, p))
+    s[:, 0] = s0 = np.diag(S0)
+    diag = np.einsum("ktrmi,ktrmi->ktmi", Z, Z, out=s[:, 1:])
+    diag[:, 0] += s0 * sn[:, 0, None] ** 2
+    np.cumsum(diag, axis=1, out=diag)
+    # n tiled over the series: broadcast, numpy would divide p entries per inner loop
+    np.divide(diag, np.tile(sn[:, 1:] ** 2, M).reshape(K, T, M, p), out=diag)
+    diag[~started] = s0
+    q = np.diagonal(Q, axis1=-2, axis2=-1)[..., None]
+    return np.where(obs_cols, e / np.sqrt(q * s[:, :-1].reshape(K, T, 1, M * p)), np.nan)
 
 
 def _series_output(rec: dict, k: int, i: int) -> FilterOutput:
     """The :class:`FilterOutput` of mode k, series i of a :func:`_run` record."""
-    p = rec["observed"].shape[2]
+    p, stack = rec["observed"].shape[2], rec["S"]
     cols = slice(i * p, (i + 1) * p)
     series = ("a", "f", "e", "std_err", "m")
     return FilterOutput(
         mode=rec["modes"][k], prior=rec["prior"], observed=rec["observed"],
         **{name: np.ascontiguousarray(rec[name][k, :, :, cols]) for name in series},
         **{name: rec[name][k] for name in ("R", "Q", "A", "P", "n")},
-        S=np.ascontiguousarray(rec["S"][k, :, i]),
+        _S=lambda: np.ascontiguousarray(stack()[k, :, i]),
     )
 
 
@@ -573,9 +603,9 @@ def _summarize(rec: dict) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     NaN for a variable never observed); and the correlation estimates at
     those steps for each pair i < j (K x M x len(times) x p(p - 1)/2)."""
     observed = rec["observed"]
-    partial = np.flatnonzero(observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2)))
-    corr = _corr(rec["S"][:, partial], *np.triu_indices(observed.shape[2], 1)).swapaxes(1, 2)
-    return tuple(int(k) + 1 for k in partial), _msse(rec["std_err"], observed), corr
+    partly = np.flatnonzero(observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2)))
+    corr = _corr(rec["S"]()[:, partly], *np.triu_indices(observed.shape[2], 1)).swapaxes(1, 2)
+    return tuple(int(k) + 1 for k in partly), _msse(rec["std_err"], observed), corr
 
 
 def _msse(std_err: np.ndarray, observed: np.ndarray) -> np.ndarray:

@@ -313,8 +313,9 @@ def test_write_csv_rejects_an_empty_array(tmp_path):
 
 @pytest.mark.parametrize("values", [
     [[[1.0]], [[1.0, 2.0]]], [[["a"]]], np.zeros((3, 2)), [], np.zeros((0, 1, 2)),
-    np.full((2, 1, 2), np.inf), np.full((2, 1, 2), -np.inf),
-], ids=["ragged", "non-numeric", "2-d-array", "empty-list", "no-steps", "+inf", "-inf"])
+    np.full((2, 1, 2), np.inf), np.full((2, 1, 2), -np.inf), [[[{}, 1.0]]],
+], ids=["ragged", "non-numeric", "2-d-array", "empty-list", "no-steps", "+inf", "-inf",
+        "dict-cell"])
 def test_filter_and_write_csv_reject_bad_observations_alike(tmp_path, values):
     # one observation rule: the library filter and the CSV writer fail alike
     with pytest.raises(mv.MvdlmError) as from_filter:

@@ -5,8 +5,12 @@ univariate filter, against exact no-op/bit-identity requirements, and
 against bookkeeping identities that must hold exactly (not just to
 floating-point tolerance).
 """
+import copy
 import math
+import pickle
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -454,7 +458,8 @@ def test_non_updating_step_with_non_finite_residual_leaves_s_unchanged():
 
 def s_oracle_inputs(case):
     """Model, prior and T x r x p data of one case of the S oracle test."""
-    T, p, r = {"p40-r1": (120, 40, 1), "r2": (60, 3, 2), "late-first-update": (40, 3, 2),
+    T, p, r = {"p40-r1": (120, 40, 1), "r2": (60, 3, 2), "r3": (50, 3, 3),
+               "late-first-update": (40, 3, 2),
                "classical-never-updates": (30, 3, 2), "T1": (1, 3, 2),
                "T-not-block-multiple": (100, 3, 1)}[case]
     rng = np.random.default_rng(80)
@@ -484,6 +489,74 @@ def test_s_matches_the_cumulative_sum_oracle_exactly(case):
         assert np.array_equal(both[0].S[:4], np.broadcast_to(prior.miw.S, (4, 3, 3)))
     if case == "classical-never-updates":
         assert np.array_equal(both[1].n, np.broadcast_to(prior.miw.n, (30, 3)))
+
+
+@pytest.mark.parametrize("case", ["p40-r1", "r2", "r3", "late-first-update",
+                                  "classical-never-updates"])
+def test_std_err_reads_the_diagonal_of_the_previous_scale(case):
+    # std_err is computed from diag(S) alone; it must have the bits of the
+    # full stack's diagonal, in every mode and series of a batched run
+    model, prior, y = s_oracle_inputs(case)
+    ys = np.where(np.isnan(y), np.nan, np.random.default_rng(83).standard_normal((3,) + y.shape))
+    rec = mv.dlm._run(model, prior, ys, ("new", "classical"))
+    for k in range(2):
+        for i in range(3):
+            out = mv.dlm._series_output(rec, k, i)
+            prev = np.concatenate([prior.miw.S[None], out.S[:-1]])
+            s = np.diagonal(prev, axis1=1, axis2=2)[:, None, :]
+            q = np.diagonal(out.Q, axis1=1, axis2=2)[:, :, None]
+            want = np.where(out.observed, out.e / np.sqrt(q * s), np.nan)
+            assert np.array_equal(out.std_err, want, equal_nan=True), (k, i)
+
+
+def test_s_stack_is_built_once_per_record_and_shared():
+    model, prior, y = s_oracle_inputs("r2")
+    rec = mv.dlm._run(model, prior, y[None], ("new", "classical"))
+    outs = [mv.dlm._series_output(rec, k, 0) for k in range(2)]
+    stack = rec["S"]()
+    assert rec["S"]() is stack
+    for out in outs:
+        assert out.S is out.S
+        assert np.shares_memory(out.S, stack)
+        # a replaced output reads the same stack, and keeps every other record
+        moved = replace(out, std_err=out.std_err[..., :2])
+        assert np.shares_memory(moved.S, stack) and moved.e is out.e
+
+
+def test_filter_output_pickles_and_copies_with_its_s():
+    model, prior, y = s_oracle_inputs("r2")
+    out = mv.filter(model, y, prior)
+    for back in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+        assert np.array_equal(back.S, out.S) and not np.shares_memory(back.S, out.S)
+        assert np.array_equal(back.std_err, out.std_err, equal_nan=True)
+        assert np.array_equal(replace(back, mode="x").S, out.S)
+
+
+def test_filter_that_reads_no_s_holds_no_s_stack():
+    # at p = 100 the T x p x p stack alone takes 160 MB
+    T, p = 2_000, 100
+    rng = np.random.default_rng(84)
+    model, prior = random_model(rng, 2, p, 1, use_discount=True), random_prior(rng, 2, p)
+    y = rng.standard_normal((T, 1, p))
+    y[rng.random(y.shape) < 0.1] = np.nan
+    tracemalloc.start()
+    try:
+        out = mv.filter(model, y, prior)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.T == T
+    assert peak < 40e6, (held, peak)
+
+
+def test_reading_s_after_an_overflowing_run_warns_nothing():
+    # S_12 adds -inf at t = 1 and +inf at t = 2; the stack, built on first
+    # read, keeps the run's silence on values that overflow
+    model = mv.ModelSpec(d=1, p=2, r=1, F=np.eye(1), G=np.eye(1), V=np.eye(1), discount=0.9)
+    prior = mv.NmiwState(m=np.zeros((1, 2)), P=np.array([[1e-6]]),
+                         miw=mv.MiwParams(S=np.eye(2), n=np.ones(2), v=2.0))
+    out = mv.filter(model, [[[1e200, -1e200]], [[1e200, 1e200]]], prior)
+    assert np.isnan(out.S[1, 0, 1]) and np.isinf(out.S[1, 0, 0])
 
 
 @pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 3)])

@@ -1,4 +1,5 @@
 """Data generation and the two-mode replication study."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,16 @@ def test_observation_variances_match_config():
     eps = data - levels
     assert np.var(eps[:, 0]) == pytest.approx(1.0, rel=0.1)
     assert np.var(eps[:, 1]) == pytest.approx(2.5, rel=0.1)
+
+
+def test_observation_correlation_survives_variances_whose_product_overflows():
+    # v1 * v2 = 1e400 is not a float, yet each variance and the covariance are
+    cfg = mv.LocalLevelConfig(T=10_000, corr=0.8, obs_var=(1e200, 1e200), seed=15)
+    levels, data = mv.gen_local_level(cfg)
+    eps = (data - levels) / 1e100
+    assert np.isfinite(eps).all()
+    assert abs(np.corrcoef(eps.T)[0, 1] - 0.8) < 0.02
+    assert np.var(eps[:, 0]) == pytest.approx(1.0, rel=0.1)
 
 
 @pytest.mark.parametrize("kw", [
@@ -237,6 +248,20 @@ def _rel_close(got, want, tol=1e-10):
     scale = float(np.nanmax(np.abs(want))) if want.size else 0.0
     return got.shape == want.shape and np.allclose(
         got, want, rtol=tol, atol=tol * scale, equal_nan=True)
+
+
+def test_study_summary_keeps_no_scale_stack_of_all_replications():
+    # the S stack of 400 replications takes 2.6 MB; replication 0's two runs
+    # hold 6.4 kB of it
+    cfg = mv.LocalLevelConfig(T=100, corr=0.8, seed=3)
+    tracemalloc.start()
+    try:
+        summary = mv.replicate_experiment(400, cfg, mv.DEFAULT_MISSING_PATTERN)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert summary.first_new.S.shape == (100, 2, 2)
+    assert held < 0.5e6, held
 
 
 def test_batched_study_matches_separate_filter_runs():
