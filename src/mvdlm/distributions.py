@@ -90,11 +90,30 @@ def _count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
-def _shaped(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """``value`` as a float array, if it has ``shape``."""
-    a = np.asarray(value, dtype=float)
-    if a.shape != shape:
-        raise DimensionMismatch(f"{name} must have shape {shape}, got {a.shape}")
+def _real(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a float array if numpy reads it as real numbers (dtype kind
+    f, i or u), else :class:`DimensionMismatch` naming ``shape``: None, text, truth
+    values, complex numbers, dicts, ints beyond (u)int64 and ragged lists."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind in "fiu":
+            return a.astype(float, copy=False)
+        reason = f"numpy reads them as {a.dtype}"
+    except (TypeError, ValueError) as exc:
+        reason = str(exc)
+    form = " x ".join(map(str, shape)) + " array of real numbers" if shape else "real number"
+    raise DimensionMismatch(f"{name}: the values do not form a {form} ({reason})")
+
+
+def _shaped(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` by :func:`_real`, if its shape is ``shape``: lengths and axis
+    names, a name taking any length, the same wherever it repeats. Every array
+    and real scalar that the library takes is read by these two."""
+    a = _real(value, shape, name)
+    lengths = dict(zip(shape, a.shape))
+    if a.shape != tuple(lengths.get(k) if isinstance(k, str) else k for k in shape):
+        dims = str(shape).replace("'", "")
+        raise DimensionMismatch(f"{name} must have shape {dims}, got {a.shape}")
     return a
 
 
@@ -104,7 +123,7 @@ def _checked_dof(n, v, p: int) -> tuple[np.ndarray, float]:
     n = _shaped(n, (p,), "dof vector")
     if not np.all(n > 0.0):
         raise DomainError("all degrees-of-freedom entries must be strictly positive")
-    v = float(v)
+    v = float(_shaped(v, (), "v"))
     if 2.0 * v + n.sum() / p <= 2.0 * p:
         raise DomainError(
             f"normalizability requires 2v + mean(n) > 2p, got v={v}, mean(n)={n.mean()}, p={p}"
@@ -125,9 +144,7 @@ class MiwParams:
     v: float
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise DimensionMismatch(f"scale must be square, got shape {S.shape}")
+        S = _shaped(self.S, ("p", "p"), "scale")
         n, v = _checked_dof(self.n, self.v, S.shape[0])
         object.__setattr__(self, "S", symmetrize(S))
         object.__setattr__(self, "n", n)
@@ -153,10 +170,10 @@ def miw_to_iw(params: MiwParams) -> tuple[np.ndarray, float]:
 
 def iw_to_miw(R: np.ndarray, k: float, n: np.ndarray) -> MiwParams:
     """Inverse of :func:`miw_to_iw` for a given dof vector n."""
-    R = np.asarray(R, dtype=float)
-    n = np.asarray(n, dtype=float)
+    R = _shaped(R, ("p", "p"), "scale")
     p = R.shape[0]
-    n, v = _checked_dof(n, 0.5 * (float(k) - n.sum() / p), p)
+    n = _shaped(n, (p,), "dof vector")
+    n, v = _checked_dof(n, 0.5 * (float(_shaped(k, (), "k")) - n.sum() / p), p)
     return MiwParams(S=R / _sqrt_outer(n), n=n, v=v)
 
 
@@ -172,7 +189,7 @@ def iw_log_density(Sigma, R, k: float) -> float:
     p = Ls.shape[0]
     if Lr.shape[0] != p:
         raise DimensionMismatch(f"scale dim {Lr.shape[0]} does not match argument dim {p}")
-    k = float(k)
+    k = float(_shaped(k, (), "k"))
     if k <= 2.0 * p:
         raise DomainError(f"inverted Wishart requires k > 2p, got k={k}, p={p}")
     a = 0.5 * (k - p - 1.0)
@@ -215,9 +232,7 @@ class MatrixNormalParams:
     Sigma: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        if M.ndim != 2:
-            raise DimensionMismatch(f"mean must be a 2-d matrix, got shape {M.shape}")
+        M = _shaped(self.M, ("r", "p"), "mean")
         r, p = M.shape
         P = _shaped(self.P, (r, r), "row scale")
         Sigma = _shaped(self.Sigma, (p, p), "column covariance")
@@ -228,9 +243,7 @@ class MatrixNormalParams:
 
 def matrix_normal_log_density(Y, params: MatrixNormalParams) -> float:
     """Log density of the r x p matrix normal; vec(Y) ~ N(vec(M), kron(Sigma, P))."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != params.M.shape:
-        raise DimensionMismatch(f"argument shape {Y.shape} does not match mean {params.M.shape}")
+    Y = _shaped(Y, params.M.shape, "argument")
     r, p = params.M.shape
     Lp = cholesky_lower(params.P)
     Ls = cholesky_lower(params.Sigma)
@@ -246,13 +259,9 @@ def miw_conditional_update(m, P, params: MiwParams, Y) -> MiwParams:
     n* = n + r, and the scaled scale accumulates the data quadratic form,
     N*^{1/2} S* N*^{1/2} = N^{1/2} S N^{1/2} + (Y - m)' P^{-1} (Y - m).
     """
-    Y = np.asarray(Y, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if Y.shape != m.shape:
-        raise DimensionMismatch(f"data shape {Y.shape} does not match location {m.shape}")
+    Y = _shaped(Y, ("r", params.p), "data")
+    m = _shaped(m, Y.shape, "location")
     r, p = Y.shape
-    if p != params.p:
-        raise DimensionMismatch(f"data has {p} columns but the law has dimension {params.p}")
     L = cholesky_lower(P)
     if L.shape[0] != r:
         raise DimensionMismatch(f"row scale dim {L.shape[0]} does not match {r} data rows")
@@ -280,9 +289,7 @@ class MtParams:
     v: float
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        if f.ndim != 2:
-            raise DimensionMismatch(f"location must be a 2-d matrix, got shape {f.shape}")
+        f = _shaped(self.f, ("r", "p"), "location")
         r, p = f.shape
         Q = _shaped(self.Q, (r, r), "row scale")
         S = _shaped(self.S, (p, p), "scale")
@@ -306,9 +313,7 @@ def mt_log_density(Y, params: MtParams) -> float:
     which makes Bayes' rule exact against the matrix-normal likelihood and the
     conjugate prior/posterior pair.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != params.f.shape:
-        raise DimensionMismatch(f"argument shape {Y.shape} does not match location {params.f.shape}")
+    Y = _shaped(Y, params.f.shape, "argument")
     r, p = params.f.shape
     k = 2.0 * params.v - 2.0 * p + float(params.n.sum()) / p
     a1 = 0.5 * (k + r + p - 1.0)

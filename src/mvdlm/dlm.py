@@ -37,7 +37,7 @@ import numpy as np
 # the LAPACK gufuncs behind np.linalg.solve and cholesky, without their Python wrappers
 from numpy.linalg import _umath_linalg
 
-from .distributions import MiwParams, MtParams, _count, _shaped
+from .distributions import MiwParams, MtParams, _count, _real, _shaped
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -63,7 +63,7 @@ MatrixProvider = Union[np.ndarray, Callable[[int], np.ndarray]]
 _MODES = ("new", "classical")
 
 
-def _checked(value, shape: tuple[int, int], name: str) -> np.ndarray:
+def _checked(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     m = _shaped(value, shape, name)
     if not np.isfinite(m).all():
         raise DomainError(f"{name} must be finite")
@@ -100,7 +100,7 @@ class ModelSpec:
                 section="model",
             )
         if self.discount is not None:
-            delta = float(self.discount)
+            delta = float(_shaped(self.discount, (), "discount"))
             if not 0.0 < delta <= 1.0:
                 raise DomainError(f"discount factor must lie in (0, 1], got {delta}")
             self.discount = delta
@@ -133,10 +133,8 @@ class ModelSpec:
                 failure = (t, exc)
                 break
         try:
-            stack = np.asarray(values, dtype=float)
-            if stack.shape == (T,) + shape and np.isfinite(stack).all():
-                return stack
-        except (TypeError, ValueError):
+            return _checked(values, (T,) + shape, name)
+        except MvdlmError:
             pass
         for t, v in enumerate(values, start=1):
             try:
@@ -156,9 +154,7 @@ class NmiwState:
     miw: MiwParams
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.ndim != 2:
-            raise DimensionMismatch(f"state mean must be 2-d, got shape {m.shape}")
+        m = _shaped(self.m, ("d", "p"), "state mean")
         d, p = m.shape
         P = _shaped(self.P, (d, d), "state scale")
         if self.miw.p != p:
@@ -181,28 +177,25 @@ class NmiwState:
 class MaskedObservation:
     """r x p observation with an entrywise observed/missing mask.
 
-    ``y`` holds the observed values; entries where ``observed`` is False are
-    ignored and kept as given (NaN when built by :meth:`from_values`). Row k
-    is replicate k, column j is variable j. As an array it is ``y`` with NaN
-    at every unobserved entry, whatever ``y`` holds there, so a list of them
-    is a T x r x p input to :func:`filter`.
+    ``y`` is the observation as :func:`filter` reads it: the given values at
+    the observed entries and NaN wherever ``observed`` is False, whatever was
+    given there. Row k is replicate k, column j is variable j. As an array it
+    is ``y``, so a list of them is a T x r x p input to :func:`filter`.
     """
 
     y: np.ndarray
     observed: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = _shaped(self.y, ("r", "p"), "observation")
         observed = np.asarray(self.observed, dtype=bool)
-        if y.ndim != 2:
-            raise DimensionMismatch(f"observation must be 2-d, got shape {y.shape}")
         if observed.shape != y.shape:
             raise DimensionMismatch(
                 f"mask shape {observed.shape} does not match observation shape {y.shape}"
             )
         if not np.all(np.isfinite(y[observed])):
             raise DomainError("observed entries must be finite")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", np.where(observed, y, np.nan))
         object.__setattr__(self, "observed", observed)
 
     @classmethod
@@ -212,12 +205,11 @@ class MaskedObservation:
         Only NaN means missing; an infinite entry counts as observed and is
         rejected by the finiteness check.
         """
-        values = np.asarray(values, dtype=float)
+        values = _real(values, ("r", "p"), "observation")
         return cls(y=values, observed=~np.isnan(values))
 
     def __array__(self, dtype=None, copy=None):
-        values = np.where(self.observed, self.y, np.nan)
-        return values if dtype is None else values.astype(dtype)
+        return self.y.astype(self.y.dtype if dtype is None else dtype, copy=bool(copy))
 
 
 def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
@@ -235,7 +227,8 @@ def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
 
 
 class _StepView(Sequence):
-    """Read-only sequence over time steps that builds each item on access."""
+    """Read-only sequence over time steps that builds each item on access (a
+    slice gives a tuple of them)."""
 
     def __init__(self, T: int, build: Callable[[int], object]):
         self._T = T
@@ -245,6 +238,8 @@ class _StepView(Sequence):
         return self._T
 
     def __getitem__(self, t):
+        if isinstance(t, slice):
+            return tuple(self._build(k) for k in range(*t.indices(self._T)))
         t = operator.index(t)
         if t < 0:
             t += self._T
@@ -343,17 +338,14 @@ def filter(
 
 
 def _observations(values) -> np.ndarray:
-    """``values`` as a T x r x p float array with NaN at the missing entries,
-    if :func:`numpy.asarray` turns it into one with T >= 1 and no entry
-    infinite; the observation rule of :func:`filter` and ``cli.write_csv``."""
-    try:
-        y = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"observations do not form a T x r x p array: {exc}") from exc
+    """``values`` as a T x r x p float array with NaN at the missing entries:
+    the observation rule of :func:`filter` and ``cli.write_csv``. Checked in
+    this order: numpy reads it as real numbers (:func:`_real`), T >= 1, the
+    shape, and no entry infinite."""
+    y = _real(values, ("T", "r", "p"), "observations")
     if y.shape[:1] == (0,):
         raise DomainError("observations must contain at least one step")
-    if y.ndim != 3:
-        raise DimensionMismatch(f"observations must be a T x r x p array, got shape {y.shape}")
+    y = _shaped(y, ("T", "r", "p"), "observations")
     if np.isinf(y).any():
         raise DomainError("observations must be finite or NaN (missing), got ±inf")
     return y

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dlm
-from .distributions import MiwParams, _count
+from .distributions import MiwParams, _count, _real, _shaped
 from .dlm import ModelSpec, NmiwState
 from .errors import DomainError
 
@@ -45,14 +45,14 @@ class LocalLevelConfig:
     def __post_init__(self):
         object.__setattr__(self, "T", _count(self.T, "T"))
         object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
-        if not -1.0 < self.corr < 1.0:
+        if not -1.0 < _shaped(self.corr, (), "corr") < 1.0:
             raise DomainError(f"correlation must lie in (-1, 1), got {self.corr}")
-        for name, pair in (("obs_var", self.obs_var), ("level_var", self.level_var)):
+        for name in ("obs_var", "level_var"):
+            pair = tuple(_shaped(getattr(self, name), (2,), name).tolist())
             # written so that NaN fails too
-            if len(pair) != 2 or not all(0.0 < x < np.inf for x in pair):
+            if not all(0.0 < x < np.inf for x in pair):
                 raise DomainError(f"{name} must be two positive finite variances, got {pair}")
-        object.__setattr__(self, "obs_var", tuple(float(x) for x in self.obs_var))
-        object.__setattr__(self, "level_var", tuple(float(x) for x in self.level_var))
+            object.__setattr__(self, name, pair)
 
 
 def gen_local_level(cfg: LocalLevelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +109,7 @@ def apply_missing(data: np.ndarray, pattern: MissingPattern) -> np.ndarray:
     """Mask ... x T x p data (a T x p matrix, or a stack of them) into a
     ... x T x 1 x p observation array (r = 1), NaN where the pattern marks a
     value missing."""
-    data = np.asarray(data, dtype=float)
+    data = _real(data, ("T", "p"), "data")
     if data.ndim < 2:
         raise DomainError(f"data must be T x p or a stack of T x p, got shape {data.shape}")
     T, p = data.shape[-2:]
@@ -137,15 +137,14 @@ def local_level_model(
     residual-based covariance estimate tracks the observation-noise
     correlation closely in the replication study; see ``replicate_experiment``.
     """
-    W = None if w is None else np.array([[float(w)]])
     return ModelSpec(
         d=1,
         p=p,
         r=1,
         F=np.array([[1.0]]),
         G=np.array([[1.0]]),
-        V=np.array([[float(v_obs)]]),
-        W=W,
+        V=[[v_obs]],
+        W=None if w is None else [[w]],
         discount=discount,
     )
 
@@ -204,8 +203,10 @@ def replicate_experiment(
         prior = default_prior(p=2, d=model.d)
 
     y = np.stack([gen_local_level(replace(cfg, seed=cfg.seed + i))[1] for i in range(M)])
-    rec = dlm._run(model, prior, apply_missing(y, pattern), dlm._MODES)
-    dlm._check_observed(rec["observed"])
+    y = apply_missing(y, pattern)
+    # before the run, so that a model that fails cannot hide this input error
+    dlm._check_observed(~np.isnan(y[0]))
+    rec = dlm._run(model, prior, y, dlm._MODES)
     partial_times, (msse_new, msse_classical), corr = dlm._summarize(rec)
     partial_corr = corr[0, :, :, 0]
     first = [dlm._series_output(rec, k, 0) for k in range(2)]

@@ -311,18 +311,25 @@ def test_write_csv_rejects_an_empty_array(tmp_path):
     assert not (tmp_path / "data.csv").exists()
 
 
-@pytest.mark.parametrize("values", [
-    [[[1.0]], [[1.0, 2.0]]], [[["a"]]], np.zeros((3, 2)), [], np.zeros((0, 1, 2)),
-    np.full((2, 1, 2), np.inf), np.full((2, 1, 2), -np.inf), [[[{}, 1.0]]],
+@pytest.mark.parametrize("values, error", [
+    ([[[1.0]], [[1.0, 2.0]]], mv.DimensionMismatch), ([[["a"]]], mv.DimensionMismatch),
+    (np.zeros((3, 2)), mv.DimensionMismatch), ([], mv.DomainError),
+    (np.zeros((0, 1, 2)), mv.DomainError), (np.full((2, 1, 2), np.inf), mv.DomainError),
+    (np.full((2, 1, 2), -np.inf), mv.DomainError), ([[[{}, 1.0]]], mv.DimensionMismatch),
+    # values numpy does not read as real numbers are not missing, 1.0 or an OverflowError
+    ([[[None, 1.0]]], mv.DimensionMismatch), ([[["nan", 1.0]]], mv.DimensionMismatch),
+    (True, mv.DimensionMismatch), (np.ones((2, 1, 2), dtype=bool), mv.DimensionMismatch),
+    ([[[1j, 1.0]]], mv.DimensionMismatch), ([[[10**400, 1.0]]], mv.DimensionMismatch),
 ], ids=["ragged", "non-numeric", "2-d-array", "empty-list", "no-steps", "+inf", "-inf",
-        "dict-cell"])
-def test_filter_and_write_csv_reject_bad_observations_alike(tmp_path, values):
+        "dict-cell", "none-cell", "nan-text-cell", "truth-value", "bool-array",
+        "complex-cell", "huge-int-cell"])
+def test_filter_and_write_csv_reject_bad_observations_alike(tmp_path, values, error):
     # one observation rule: the library filter and the CSV writer fail alike
     with pytest.raises(mv.MvdlmError) as from_filter:
         mv.filter(mv.local_level_model(), values, mv.default_prior())
     with pytest.raises(mv.MvdlmError) as from_writer:
         write_csv(tmp_path / "data.csv", values)
-    assert type(from_filter.value) is type(from_writer.value)
+    assert type(from_filter.value) is type(from_writer.value) is error
     assert str(from_filter.value) == str(from_writer.value)
     assert not (tmp_path / "data.csv").exists()
 

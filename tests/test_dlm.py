@@ -170,9 +170,79 @@ def test_from_values_treats_only_nan_as_missing():
 @pytest.mark.parametrize("hidden", [2.0, -0.0, np.inf, np.nan])
 def test_masked_observation_array_has_nan_at_unobserved_entries(hidden):
     obs = mv.MaskedObservation(y=[[1.0, hidden]], observed=[[True, False]])
-    assert np.array_equal(obs.y, [[1.0, hidden]], equal_nan=True)  # kept as given
+    assert np.array_equal(obs.y, [[1.0, np.nan]], equal_nan=True)  # NaN, whatever was given
     values = np.asarray(obs)
     assert values[0, 0] == 1.0 and np.isnan(values[0, 1])
+
+
+# ---------------------------------------------------------------------------
+# one conversion rule for every numeric input
+# ---------------------------------------------------------------------------
+
+# numpy reads none of these as real numbers, so none may become NaN (a missing
+# entry), 1.0 or a bare OverflowError or TypeError. A truth value stands alone
+# or fills an all-bool array: numpy reads [True, 1.0] as floats.
+NOT_NUMBERS = {"none": None, "nan-text": "nan", "truth": True, "complex": 1j,
+               "huge-int": 10**400, "dict": {}}
+
+
+def holding(bad, shape):
+    """An input of ``shape`` that holds ``bad``: all truth values for True,
+    else ones with ``bad`` in the first entry."""
+    if bad is True:
+        return np.ones(shape, dtype=bool) if shape else True
+    cells = np.ones(math.prod(shape), dtype=object)
+    cells[0] = bad
+    return cells.reshape(shape).tolist()
+
+
+_LAW = dict(S=np.eye(2), n=np.ones(2), v=2.0)
+_SPEC = dict(d=1, p=2, r=1, F=np.eye(1), G=np.eye(1), V=np.eye(1), discount=0.9)
+NUMERIC_INPUTS = {
+    "MaskedObservation.from_values": ((1, 2), mv.MaskedObservation.from_values),
+    "MaskedObservation": ((1, 2), lambda x: mv.MaskedObservation(
+        y=x, observed=np.ones((1, 2), dtype=bool))),
+    "ModelSpec F": ((1, 1), lambda x: mv.ModelSpec(**{**_SPEC, "F": x})),
+    "ModelSpec discount": ((), lambda x: mv.ModelSpec(**{**_SPEC, "discount": x})),
+    "NmiwState m": ((1, 2), lambda x: mv.NmiwState(m=x, P=np.eye(1), miw=mv.MiwParams(**_LAW))),
+    "MiwParams S": ((2, 2), lambda x: mv.MiwParams(**{**_LAW, "S": x})),
+    "MiwParams n": ((2,), lambda x: mv.MiwParams(**{**_LAW, "n": x})),
+    "MiwParams v": ((), lambda x: mv.MiwParams(**{**_LAW, "v": x})),
+    "MtParams f": ((1, 2), lambda x: mv.MtParams(f=x, Q=np.eye(1), **_LAW)),
+    "mt_log_density Y": ((1, 2), lambda x: mv.mt_log_density(
+        x, mv.MtParams(f=np.zeros((1, 2)), Q=np.eye(1), **_LAW))),
+}
+
+
+@pytest.mark.parametrize("site, kind", [
+    (site, kind) for site in NUMERIC_INPUTS for kind in NOT_NUMBERS
+    if (site, kind) != ("ModelSpec discount", "none")  # None means no discount
+])
+def test_input_numpy_does_not_read_as_real_numbers_is_rejected(site, kind):
+    shape, build = NUMERIC_INPUTS[site]
+    bad = NOT_NUMBERS[kind]
+    with pytest.raises(mv.DimensionMismatch, match="the values do not form a"):
+        build(holding(bad, shape))
+
+
+@pytest.mark.parametrize("bad", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+def test_callable_value_that_is_not_a_number_is_filter_error_at_its_time(bad):
+    # a bare value: the T-stack of the values reads a bool array among float
+    # arrays as floats, as numpy reads [True, 1.0]
+    model = mv.ModelSpec(**{**_SPEC, "F": lambda t: bad if t == 2 else np.eye(1)})
+    with pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, np.full((4, 1, 2), 0.5), mv.default_prior())
+    assert exc.value.t == 2
+    assert str(exc.value).startswith(
+        "t=2: F at t=2: the values do not form a 1 x 1 array of real numbers")
+
+
+def test_real_numbers_of_any_width_are_read_as_float():
+    # ints, unsigned ints and float32 are real numbers: read as float64
+    obs = mv.MaskedObservation.from_values(np.array([[1, 2]], dtype=np.uint8))
+    assert obs.y.dtype == float and obs.y.tolist() == [[1.0, 2.0]]
+    model = mv.ModelSpec(**{**_SPEC, "F": [[2]], "discount": np.float32(0.5)})
+    assert model.F.dtype == float and model.discount == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +645,29 @@ def test_gain_has_the_bits_of_the_solve(d, r):
         assert np.array_equal(rec["A"][:, k], want), k
 
 
+def test_private_lapack_gufuncs_keep_the_contract_the_kernel_reads():
+    # _loop and _check call numpy.linalg._umath_linalg, a private module; a
+    # numpy that changes it fails here by name, not as a wrong FilterError
+    lapack = mv.dlm._umath_linalg
+    rng = np.random.default_rng(84)
+    X = rng.standard_normal((4, 3, 3))
+    Q = X @ X.swapaxes(1, 2) + np.eye(3)
+    B = rng.standard_normal((4, 2, 3)).swapaxes(1, 2)  # a transposed layout, as in _loop
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    singular = np.ones((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            gain = lapack.solve(Q, B)
+            chol = lapack.cholesky_lo(Q, signature="d->d")
+            failed = lapack.cholesky_lo(indefinite, signature="d->d")
+            unsolved = lapack.solve(singular, np.eye(2))
+    assert np.array_equal(gain, np.linalg.solve(Q, B))
+    assert np.array_equal(chol, np.linalg.cholesky(Q))
+    assert np.isnan(failed).any()
+    assert np.isnan(unsolved).all()
+
+
 def test_states_and_marginals_views_follow_the_stacked_arrays():
     rng = np.random.default_rng(43)
     model = random_model(rng, d=2, p=3, r=2)
@@ -609,6 +702,17 @@ def test_states_and_marginals_views_follow_the_stacked_arrays():
     for t, mt in enumerate(marginals):
         assert np.array_equal(mt.f, out.f[t]) and np.array_equal(mt.Q, out.Q[t])
         assert mt.v == prior.miw.v
+
+    # a slice gives a tuple of the items read one index at a time
+    fields = {"states": lambda st: (st.m, st.P, st.miw.S, st.miw.n),
+              "marginals": lambda mt: (mt.f, mt.Q, mt.S, mt.n)}
+    items = {"states": states, "marginals": marginals}
+    for name, key in (("states", slice(1, None)), ("states", slice(None, None, -1)),
+                      ("marginals", slice(-2, None))):
+        got, want = getattr(out, name)[key], items[name][key]
+        assert isinstance(got, tuple) and len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert all(map(np.array_equal, fields[name](a), fields[name](b))), (name, key)
 
 
 def test_positive_semidefinite_states_under_long_random_run():

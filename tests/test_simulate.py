@@ -196,6 +196,15 @@ def test_study_rejects_a_pattern_that_never_observes_a_variable():
         mv.replicate_experiment(2, mv.LocalLevelConfig(T=20, seed=5), pattern)
 
 
+def test_study_rejects_a_never_observed_variable_before_a_failing_model_runs():
+    # the input error is raised before the run, so a model whose forecast
+    # scale fails at t = 1 cannot hide it
+    pattern = mv.MissingPattern({t: [2] for t in range(1, 11)})
+    with pytest.raises(mv.DomainError, match="variable 1 is never observed"):
+        mv.replicate_experiment(3, mv.LocalLevelConfig(T=10), pattern,
+                                model=mv.local_level_model(v_obs=-1e9))
+
+
 def test_single_replication_no_missing_modes_identical():
     cfg = mv.LocalLevelConfig(T=40, corr=0.8, seed=18)
     summary = mv.replicate_experiment(1, cfg, mv.MissingPattern({}))
