@@ -57,10 +57,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dlm
-from .distributions import MiwParams, _count
+from .distributions import MiwParams
 from .dlm import ModelSpec, NmiwState
 from .errors import ConfigError, DomainError, FilterError, MvdlmError, NotPositiveDefinite, ParseError
-from .linalg import _corr
+from .linalg import _checked, _corr, _count, _real
 from .simulate import (
     LocalLevelConfig,
     MissingPattern,
@@ -120,19 +120,17 @@ def _parse(text: str, shape: tuple[int, ...], section: str, key: str):
         return np.eye(shape[0])
     value = _literal(text, section, key)
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"cannot parse value {text!r} as numbers", section, key) from exc
+        arr = _real(value, shape, key)
+        if arr.ndim == 0 and len(shape) == 1:
+            arr = arr * np.ones(shape)
+        elif arr.ndim == 0 and len(shape) == 2 and shape[0] == shape[1]:
+            arr = arr * np.eye(shape[0])
+        arr = _checked(arr, shape, key)
+    except MvdlmError as exc:
+        raise ConfigError(str(exc), section) from exc
+    # numpy reads [True, 1.0] as floats: only the literal's leaves show the truth value
     if any(isinstance(x, bool) for x in np.asarray(value, dtype=object).ravel()):
         raise ConfigError(f"cannot parse value {text!r} as a number", section, key)
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"values must be finite, got {text!r}", section, key)
-    if arr.ndim == 0 and len(shape) == 1:
-        return arr * np.ones(shape)
-    if arr.ndim == 0 and len(shape) == 2 and shape[0] == shape[1]:
-        return arr * np.eye(shape[0])
-    if arr.shape != shape:
-        raise ConfigError(f"expected shape {shape}, got {arr.shape}", section, key)
     if shape:
         return arr
     return value if type(value) is int else float(arr)
@@ -220,8 +218,6 @@ def load_config(path: str | Path) -> RunConfig:
         }
         replications = _get(parser, sec, "replications", ())
         raw = _literal(parser.get(sec, "pattern", fallback="{}"), sec, "pattern")
-        if not isinstance(raw, dict) or not all(isinstance(vs, list) for vs in raw.values()):
-            raise ConfigError("pattern must be a dict like {24: [2], 60: [1, 2]}", sec, "pattern")
         try:
             cfg = LocalLevelConfig(**kwargs)
             replications = _count(1 if replications is None else replications, "replications")

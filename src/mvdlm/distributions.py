@@ -26,13 +26,12 @@ Conventions:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, MeanUndefined
-from .linalg import _log_det, cholesky_lower, symmetrize
+from .linalg import _checked, _count, _log_det, _shaped, cholesky_lower, symmetrize
 
 __all__ = [
     "IgParams",
@@ -79,42 +78,6 @@ def _sqrt_outer(n: np.ndarray) -> np.ndarray:
     # stays exactly symmetric whenever S is.
     s = np.sqrt(n)
     return np.outer(s, s)
-
-
-def _count(value, name: str, least: int = 1) -> int:
-    """``value`` as an int, if it is an integral real >= ``least`` (0 or 1), not a truth value."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value < least
-            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        kind = "positive" if least else "non-negative"
-        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, shape: tuple, name: str) -> np.ndarray:
-    """``value`` as a float array if numpy reads it as real numbers (dtype kind
-    f, i or u), else :class:`DimensionMismatch` naming ``shape``: None, text, truth
-    values, complex numbers, dicts, ints beyond (u)int64 and ragged lists."""
-    try:
-        a = np.asarray(value)
-        if a.dtype.kind in "fiu":
-            return a.astype(float, copy=False)
-        reason = f"numpy reads them as {a.dtype}"
-    except (TypeError, ValueError) as exc:
-        reason = str(exc)
-    form = " x ".join(map(str, shape)) + " array of real numbers" if shape else "real number"
-    raise DimensionMismatch(f"{name}: the values do not form a {form} ({reason})")
-
-
-def _shaped(value, shape: tuple, name: str) -> np.ndarray:
-    """``value`` by :func:`_real`, if its shape is ``shape``: lengths and axis
-    names, a name taking any length, the same wherever it repeats. Every array
-    and real scalar that the library takes is read by these two."""
-    a = _real(value, shape, name)
-    lengths = dict(zip(shape, a.shape))
-    if a.shape != tuple(lengths.get(k) if isinstance(k, str) else k for k in shape):
-        dims = str(shape).replace("'", "")
-        raise DimensionMismatch(f"{name} must have shape {dims}, got {a.shape}")
-    return a
 
 
 def _checked_dof(n, v, p: int) -> tuple[np.ndarray, float]:
@@ -357,6 +320,8 @@ class IgParams:
     scale: float
 
     def __post_init__(self):
+        for name in ("shape", "scale"):
+            object.__setattr__(self, name, float(_checked(getattr(self, name), (), name)))
         if self.shape <= 0.0 or self.scale <= 0.0:
             raise DomainError(
                 f"inverted gamma requires positive parameters, got shape={self.shape}, scale={self.scale}"

@@ -37,15 +37,9 @@ import numpy as np
 # the LAPACK gufuncs behind np.linalg.solve and cholesky, without their Python wrappers
 from numpy.linalg import _umath_linalg
 
-from .distributions import MiwParams, MtParams, _count, _real, _shaped
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    FilterError,
-    MvdlmError,
-)
-from .linalg import _corr
+from .distributions import MiwParams, MtParams
+from .errors import ConfigError, DimensionMismatch, DomainError, FilterError, MvdlmError
+from .linalg import _checked, _corr, _count, _real, _shaped
 
 __all__ = [
     "FilterOutput",
@@ -61,13 +55,6 @@ MatrixProvider = Union[np.ndarray, Callable[[int], np.ndarray]]
 
 # the update modes that _run takes
 _MODES = ("new", "classical")
-
-
-def _checked(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    m = _shaped(value, shape, name)
-    if not np.isfinite(m).all():
-        raise DomainError(f"{name} must be finite")
-    return m
 
 
 @dataclass(eq=False)
@@ -179,8 +166,9 @@ class MaskedObservation:
 
     ``y`` is the observation as :func:`filter` reads it: the given values at
     the observed entries and NaN wherever ``observed`` is False, whatever was
-    given there. Row k is replicate k, column j is variable j. As an array it
-    is ``y``, so a list of them is a T x r x p input to :func:`filter`.
+    given there; ``observed`` holds truth values. Row k is replicate k, column
+    j is variable j. As an array it is ``y``, so a list of them is a T x r x p
+    input to :func:`filter`.
     """
 
     y: np.ndarray
@@ -188,11 +176,7 @@ class MaskedObservation:
 
     def __post_init__(self):
         y = _shaped(self.y, ("r", "p"), "observation")
-        observed = np.asarray(self.observed, dtype=bool)
-        if observed.shape != y.shape:
-            raise DimensionMismatch(
-                f"mask shape {observed.shape} does not match observation shape {y.shape}"
-            )
+        observed = _shaped(self.observed, y.shape, "mask", dtype=bool)
         if not np.all(np.isfinite(y[observed])):
             raise DomainError("observed entries must be finite")
         object.__setattr__(self, "y", np.where(observed, y, np.nan))

@@ -1,23 +1,74 @@
-"""Symmetric-matrix helpers for the distributions, and the correlation of a scale.
+"""The numeric-input rule, and symmetric-matrix helpers.
 
-:func:`symmetrize` and :func:`cholesky_lower` serve :mod:`mvdlm.distributions`:
-its densities, sampler and conditional update solve against the lower
-Cholesky factor and take log determinants as twice the log of its diagonal
-(``_log_det``); no inverse is formed. ``_corr`` turns a stack of covariance
-scales into correlations, for the filter's records and summaries. The
-filter's step loop and checks do not use this module: :mod:`mvdlm.dlm` calls
-LAPACK's solve and Cholesky gufuncs directly. Diagonal matrices (degrees-of-
-freedom counts, observation masks) are carried as 1-d arrays of their
-diagonal entries throughout the package.
+:func:`_real` and :func:`_shaped` read every array and real scalar that the
+package takes (:func:`_checked` adds finiteness, :func:`_count` reads counts):
+what numpy reads as real numbers becomes float64, anything else is a
+:class:`DimensionMismatch`, never NaN (missing) or 1.0. They live here, as
+every other module imports this one.
+
+:func:`symmetrize` and :func:`cholesky_lower` serve :mod:`mvdlm.distributions`,
+which solves against the lower Cholesky factor and takes log determinants
+from its diagonal (``_log_det``); no inverse is formed. ``_corr`` turns a
+stack of covariance scales into correlations. The filter's step loop calls
+LAPACK's solve and Cholesky gufuncs directly. Diagonal matrices (dof counts,
+observation masks) are carried as 1-d arrays of their diagonal entries.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 __all__ = ["cholesky_lower", "symmetrize"]
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int, if it is an integral real >= ``least`` (0 or 1), not a truth value."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value < least
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        kind = "positive" if least else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, shape: tuple, name: str, dtype=float) -> np.ndarray:
+    """``value`` as a float array if numpy reads it as real numbers (dtype kind
+    f, i or u; truth values, kind b, for ``dtype=bool``), else :class:`DimensionMismatch`
+    naming ``shape``: None, text, complex numbers, dicts, ints beyond (u)int64 and
+    ragged lists."""
+    kinds, kind = ("b", "truth value") if dtype is bool else ("fiu", "real number")
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind in kinds:
+            return a.astype(dtype, copy=False)
+        reason = f"numpy reads them as {a.dtype}"
+    except (TypeError, ValueError) as exc:
+        reason = str(exc)
+    form = " x ".join(map(str, shape)) + f" array of {kind}s" if shape else kind
+    raise DimensionMismatch(f"{name}: the values do not form a {form} ({reason})")
+
+
+def _shaped(value, shape: tuple, name: str, dtype=float) -> np.ndarray:
+    """``value`` by :func:`_real`, if its shape is ``shape``: lengths and axis
+    names, a name taking any length, the same wherever it repeats. Every array
+    and real scalar that the package takes is read by these two."""
+    a = _real(value, shape, name, dtype)
+    lengths = dict(zip(shape, a.shape))
+    if a.shape != tuple(lengths.get(k) if isinstance(k, str) else k for k in shape):
+        dims = str(shape).replace("'", "")
+        raise DimensionMismatch(f"{name} must have shape {dims}, got {a.shape}")
+    return a
+
+
+def _checked(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` by :func:`_shaped`, if every entry is finite."""
+    m = _shaped(value, shape, name)
+    if not np.isfinite(m).all():
+        raise DomainError(f"{name} must be finite")
+    return m
 
 
 def symmetrize(a) -> np.ndarray:
@@ -28,7 +79,7 @@ def symmetrize(a) -> np.ndarray:
     arithmetic but not in floating point. The filter's step loop does not
     call it: it writes this average into its Q and P rows in place.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real(a, ("p", "p"), "matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"symmetrize requires square matrices, got shape {a.shape}")
     return 0.5 * (a + a.swapaxes(-1, -2))

@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dlm
-from .distributions import MiwParams, _count, _real, _shaped
+from .distributions import MiwParams
 from .dlm import ModelSpec, NmiwState
 from .errors import DomainError
+from .linalg import _count, _real, _shaped
 
 __all__ = [
     "DEFAULT_MISSING_PATTERN",

@@ -111,6 +111,8 @@ def test_config_rejects_non_finite_values(tmp_path, capsys, old, new):
     ("d = 1", "d = True"),
     ("F = [[1.0]]", "F = [[True]]"),
     ("N0 = 1.0", "N0 = [True, 1.0]"),
+    ("F = [[1.0]]", "F = [[1.0], [1.0, 2.0]]"),  # ragged
+    ("P0 = 1e6", "P0 = 1000000000000000000000000000000"),  # an int beyond int64
 ])
 def test_config_rejects_non_numeric_values(tmp_path, old, new):
     with pytest.raises(mv.ConfigError):
@@ -737,14 +739,26 @@ SIM_PATTERN = "pattern = {24: [2], 43: [2], 60: [1, 2], 75: [1], 86: [2]}"
     ("p = 2", "p = 3"),
     ("corr = 0.8", "corr = 0.8\nobs_var = [nan, 1.0]"),
     ("corr = 0.8", "corr = 0.8\nlevel_var = [1e999, 0.1]"),
+    # an int beyond int64 used to end in a traceback from np.zeros((T, 2))
+    ("T = 100", "T = 1000000000000000000000000000000"),
+    (SIM_PATTERN, "pattern = [24, 2]"),
+    (SIM_PATTERN, "pattern = {24: 'ab'}"),
 ], ids=["seed", "seed-negative", "replications", "pattern-value", "pattern-entry", "pattern-time",
         "pattern-variable", "pattern-never-observed", "pattern-bool", "pattern-list-key", "model-p",
-        "obs-var-nan", "level-var-inf"])
+        "obs-var-nan", "level-var-inf", "T-huge-int", "pattern-list", "pattern-text"])
 def test_simulate_bad_input_is_config_error(tmp_path, capsys, old, new):
     assert old in SIM_CONFIG
     config = write_config(tmp_path, SIM_CONFIG.replace(old, new))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_pattern_takes_tuples_and_sets_as_the_library_does(tmp_path):
+    lists = load_config(write_config(tmp_path, SIM_CONFIG, name="lists.ini"))
+    text = SIM_CONFIG.replace(SIM_PATTERN, "pattern = {24: (2,), 43: {2}, 60: (1, 2), "
+                                           "75: {1}, 86: [2]}")
+    other = load_config(write_config(tmp_path, text, name="other.ini"))
+    assert other.simulate.pattern == lists.simulate.pattern
 
 
 def test_simulate_single_step_boundary(tmp_path):

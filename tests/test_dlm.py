@@ -211,6 +211,15 @@ NUMERIC_INPUTS = {
     "MtParams f": ((1, 2), lambda x: mv.MtParams(f=x, Q=np.eye(1), **_LAW)),
     "mt_log_density Y": ((1, 2), lambda x: mv.mt_log_density(
         x, mv.MtParams(f=np.zeros((1, 2)), Q=np.eye(1), **_LAW))),
+    "symmetrize": ((2, 2), mv.symmetrize),
+    "cholesky_lower": ((2, 2), mv.cholesky_lower),
+    "iw_log_density Sigma": ((2, 2), lambda x: mv.iw_log_density(x, np.eye(2), 10.0)),
+    "iw_log_density R": ((2, 2), lambda x: mv.iw_log_density(np.eye(2), x, 10.0)),
+    "miw_log_density Sigma": ((2, 2), lambda x: mv.miw_log_density(x, mv.MiwParams(**_LAW))),
+    "miw_conditional_update P": ((1, 1), lambda x: mv.miw_conditional_update(
+        np.zeros((1, 2)), x, mv.MiwParams(**_LAW), np.ones((1, 2)))),
+    "IgParams shape": ((), lambda x: mv.IgParams(shape=x, scale=1.0)),
+    "IgParams scale": ((), lambda x: mv.IgParams(shape=1.0, scale=x)),
 }
 
 
@@ -237,12 +246,33 @@ def test_callable_value_that_is_not_a_number_is_filter_error_at_its_time(bad):
         "t=2: F at t=2: the values do not form a 1 x 1 array of real numbers")
 
 
+# a mask is truth values: numpy reads none of these as such, so none may mark
+# an entry missing (None, as False) or observed ("no", NaN, 2, 0.5, as True)
+NOT_TRUTH_VALUES = {"none": None, "text": "no", "nan": np.nan, "two": 2, "half": 0.5}
+
+
+@pytest.mark.parametrize("bad", list(NOT_TRUTH_VALUES.values()), ids=list(NOT_TRUTH_VALUES))
+def test_mask_that_is_not_truth_values_is_rejected(bad):
+    with pytest.raises(mv.DimensionMismatch, match="mask: the values do not form a 1 x 2 array "
+                                                   "of truth values"):
+        mv.MaskedObservation(y=[[1.0, 2.0]], observed=[[True, bad]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["shape", "scale"])
+def test_ig_params_reject_non_finite_parameters(name, bad):
+    with pytest.raises(mv.DomainError, match=f"{name} must be finite"):
+        mv.IgParams(**{"shape": 2.0, "scale": 1.0, name: bad})
+
+
 def test_real_numbers_of_any_width_are_read_as_float():
     # ints, unsigned ints and float32 are real numbers: read as float64
     obs = mv.MaskedObservation.from_values(np.array([[1, 2]], dtype=np.uint8))
     assert obs.y.dtype == float and obs.y.tolist() == [[1.0, 2.0]]
     model = mv.ModelSpec(**{**_SPEC, "F": [[2]], "discount": np.float32(0.5)})
     assert model.F.dtype == float and model.discount == 0.5
+    ig = mv.IgParams(shape=np.int8(2), scale=np.float32(0.5))
+    assert (type(ig.shape), type(ig.scale)) == (float, float) and ig == mv.IgParams(2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
