@@ -64,6 +64,7 @@ from .linalg import _checked, _corr, _count, _real
 from .simulate import (
     LocalLevelConfig,
     MissingPattern,
+    _never_observed,
     apply_missing,
     gen_local_level,
     replicate_experiment,
@@ -222,13 +223,12 @@ def load_config(path: str | Path) -> RunConfig:
             cfg = LocalLevelConfig(**kwargs)
             replications = _count(1 if replications is None else replications, "replications")
             pattern = MissingPattern(raw)
-            missing = np.isnan(apply_missing(np.zeros((cfg.T, p)), pattern))
+            never = _never_observed(pattern, cfg.T, p)
         except MvdlmError as exc:
             raise ConfigError(str(exc), sec) from exc
-        never = np.flatnonzero(missing.all(axis=(0, 1)))
-        if never.size:
+        if never:
             raise ConfigError(
-                f"pattern leaves variable {never[0] + 1} missing at every t, "
+                f"pattern leaves variable {min(never)} missing at every t, "
                 "so the study cannot score it", sec, "pattern",
             )
         simulate = SimulateBlock(cfg=cfg, pattern=pattern, replications=replications)

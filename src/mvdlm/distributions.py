@@ -20,7 +20,11 @@ Conventions:
 * matrix-normal data Y is r x p with row scale P (r x r) and column covariance
   Sigma (p x p), so vec(Y) has covariance kron(Sigma, P);
 * all densities are returned in log space, since gamma-function and
-  determinant powers overflow for moderately large degrees of freedom.
+  determinant powers overflow for moderately large degrees of freedom;
+* a law may be a stack of laws, its fields sharing leading axes (S (..., p, p),
+  n (..., p), v (...)). One formula computes over them, with its arguments on the
+  same axes; one law is the stack of one. The samplers and :func:`diag_marginal_ig`
+  take one law and reject a stack.
 """
 
 from __future__ import annotations
@@ -56,42 +60,42 @@ __all__ = [
 _LOG_2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)  # np.vectorize's ufunc, without its call cost
 
 
-def log_multigamma(a: float, p: int) -> float:
-    """Log of the p-variate gamma function.
+def log_multigamma(a, p: int):
+    """Log of the p-variate gamma function, at a real a or at each of an array.
 
     Evaluated through the product-of-ordinary-gammas expansion
     ``pi^{p(p-1)/4} * prod_j Gamma(a + (1 - j)/2)`` for j = 1..p, which is
     finite exactly when a > (p - 1)/2.
     """
-    if p < 1:
-        raise DomainError(f"dimension must be a positive integer, got {p}")
-    if a <= 0.5 * (p - 1):
+    p, a = _count(p, "dimension"), _shaped(a, ("...",), "a")
+    if (a <= 0.5 * (p - 1)).any():
         raise DomainError(f"log_multigamma requires a > (p - 1)/2, got a={a}, p={p}")
-    gammas = sum(math.lgamma(a + 0.5 * (1.0 - j)) for j in range(1, p + 1))
-    return float(0.25 * p * (p - 1) * _LOG_PI + gammas)
+    gammas = sum(_lgamma(a + 0.5 * (1.0 - j)) for j in range(1, p + 1))
+    return np.asarray(0.25 * p * (p - 1) * _LOG_PI + gammas, dtype=float)[()]
 
 
 def _sqrt_outer(n: np.ndarray) -> np.ndarray:
-    # outer(sqrt(n), sqrt(n)) is exactly symmetric entrywise, so S * _sqrt_outer(n)
+    # sqrt(n_i) sqrt(n_j) is exactly symmetric entrywise, so S * _sqrt_outer(n)
     # stays exactly symmetric whenever S is.
     s = np.sqrt(n)
-    return np.outer(s, s)
+    return s[..., :, None] * s[..., None, :]
 
 
-def _checked_dof(n, v, p: int) -> tuple[np.ndarray, float]:
-    """The dof vector n and scalar v of a p-variate law as a float array and a float,
-    checked for n_j > 0 and normalizability, 2 v + mean(n) > 2 p."""
-    n = _shaped(n, (p,), "dof vector")
+def _checked_dof(n, v, shape: tuple) -> tuple[np.ndarray, np.ndarray | float]:
+    """The dof n (``shape``: stack axes, then p) and scalars v (a float for one law) of
+    p-variate laws, checked for n_j > 0 and normalizability, 2 v + mean(n) > 2 p."""
+    n, p = _shaped(n, shape, "dof vector"), shape[-1]
     if not np.all(n > 0.0):
         raise DomainError("all degrees-of-freedom entries must be strictly positive")
-    v = float(_shaped(v, (), "v"))
-    if 2.0 * v + n.sum() / p <= 2.0 * p:
+    v = _shaped(v, shape[:-1], "v")
+    if (2.0 * v + n.sum(axis=-1) / p <= 2.0 * p).any():
         raise DomainError(
             f"normalizability requires 2v + mean(n) > 2p, got v={v}, mean(n)={n.mean()}, p={p}"
         )
-    return n, v
+    return n, v if v.ndim else float(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,20 +111,20 @@ class MiwParams:
     v: float
 
     def __post_init__(self):
-        S = _shaped(self.S, ("p", "p"), "scale")
-        n, v = _checked_dof(self.n, self.v, S.shape[0])
+        S = _shaped(self.S, ("...", "p", "p"), "scale")
+        n, v = _checked_dof(self.n, self.v, S.shape[:-1])
         object.__setattr__(self, "S", symmetrize(S))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "v", v)
 
     @property
     def p(self) -> int:
-        return self.S.shape[0]
+        return self.S.shape[-1]
 
     @property
-    def k(self) -> float:
+    def k(self):
         """Classical degrees of freedom of the equivalent inverted Wishart."""
-        return 2.0 * self.v + float(self.n.sum()) / self.p
+        return 2.0 * self.v + self.n.sum(axis=-1) / self.p
 
 
 def miw_to_iw(params: MiwParams) -> tuple[np.ndarray, float]:
@@ -133,35 +137,36 @@ def miw_to_iw(params: MiwParams) -> tuple[np.ndarray, float]:
 
 def iw_to_miw(R: np.ndarray, k: float, n: np.ndarray) -> MiwParams:
     """Inverse of :func:`miw_to_iw` for a given dof vector n."""
-    R = _shaped(R, ("p", "p"), "scale")
-    p = R.shape[0]
-    n = _shaped(n, (p,), "dof vector")
-    n, v = _checked_dof(n, 0.5 * (float(_shaped(k, (), "k")) - n.sum() / p), p)
+    R = _shaped(R, ("...", "p", "p"), "scale")
+    n = _shaped(n, R.shape[:-1], "dof vector")
+    k = _shaped(k, R.shape[:-2], "k")
+    n, v = _checked_dof(n, 0.5 * (k - n.sum(axis=-1) / R.shape[-1]), R.shape[:-1])
     return MiwParams(S=R / _sqrt_outer(n), n=n, v=v)
 
 
-def iw_log_density(Sigma, R, k: float) -> float:
+def iw_log_density(Sigma, R, k: float):
     """Log density of the inverted Wishart with scale R and degrees of freedom k.
 
     Density: c |R|^{(k-p-1)/2} |Sigma|^{-k/2} etr(-R Sigma^{-1} / 2), with
-    1/c = 2^{(k-p-1)p/2} Gamma_p{(k-p-1)/2}; proper only for k > 2p.
+    1/c = 2^{(k-p-1)p/2} Gamma_p{(k-p-1)/2}; proper only for k > 2p. R and k
+    carry the leading stack axes of Sigma.
     """
     Ls = cholesky_lower(Sigma)
-    R = symmetrize(R)
+    lead, p = Ls.shape[:-2], Ls.shape[-1]
+    R = symmetrize(_shaped(R, lead + ("p", "p"), "scale"))
     Lr = cholesky_lower(R)
-    p = Ls.shape[0]
-    if Lr.shape[0] != p:
-        raise DimensionMismatch(f"scale dim {Lr.shape[0]} does not match argument dim {p}")
-    k = float(_shaped(k, (), "k"))
-    if k <= 2.0 * p:
+    if Lr.shape[-1] != p:
+        raise DimensionMismatch(f"scale dim {Lr.shape[-1]} does not match argument dim {p}")
+    k = _shaped(k, lead, "k")
+    if (k <= 2.0 * p).any():
         raise DomainError(f"inverted Wishart requires k > 2p, got k={k}, p={p}")
     a = 0.5 * (k - p - 1.0)
     log_c = -(a * p * _LOG_2 + log_multigamma(a, p))
-    trace_term = float(np.trace(np.linalg.solve(Ls.T, np.linalg.solve(Ls, R))))
+    trace_term = np.trace(np.linalg.solve(Ls.swapaxes(-1, -2), np.linalg.solve(Ls, R)), 0, -2, -1)
     return log_c + a * _log_det(Lr) - 0.5 * k * _log_det(Ls) - 0.5 * trace_term
 
 
-def miw_log_density(Sigma, params: MiwParams) -> float:
+def miw_log_density(Sigma, params: MiwParams):
     """Log density of Sigma under the per-variable-dof law.
 
     Equals the inverted Wishart log density at the mapped parameters (R, k).
@@ -176,14 +181,13 @@ def miw_mean(params: MiwParams) -> np.ndarray:
     Defined only when the denominator is positive; raises MeanUndefined
     otherwise.
     """
-    p = params.p
-    denom = params.k - 2.0 * p - 2.0
-    if denom <= 0.0:
+    denom = params.k - 2.0 * params.p - 2.0
+    if np.any(denom <= 0.0):
         raise MeanUndefined(
             f"mean requires mean(n) + 2v > 2p + 2, got mean(n)={params.n.mean()}, v={params.v}"
         )
     R, _ = miw_to_iw(params)
-    return R / denom
+    return R / np.expand_dims(denom, (-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,23 +199,23 @@ class MatrixNormalParams:
     Sigma: np.ndarray
 
     def __post_init__(self):
-        M = _shaped(self.M, ("r", "p"), "mean")
-        r, p = M.shape
-        P = _shaped(self.P, (r, r), "row scale")
-        Sigma = _shaped(self.Sigma, (p, p), "column covariance")
+        M = _shaped(self.M, ("...", "r", "p"), "mean")
+        lead, (r, p) = M.shape[:-2], M.shape[-2:]
+        P = _shaped(self.P, lead + (r, r), "row scale")
+        Sigma = _shaped(self.Sigma, lead + (p, p), "column covariance")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "P", symmetrize(P))
         object.__setattr__(self, "Sigma", symmetrize(Sigma))
 
 
-def matrix_normal_log_density(Y, params: MatrixNormalParams) -> float:
+def matrix_normal_log_density(Y, params: MatrixNormalParams):
     """Log density of the r x p matrix normal; vec(Y) ~ N(vec(M), kron(Sigma, P))."""
     Y = _shaped(Y, params.M.shape, "argument")
-    r, p = params.M.shape
+    r, p = params.M.shape[-2:]
     Lp = cholesky_lower(params.P)
     Ls = cholesky_lower(params.Sigma)
-    W = np.linalg.solve(Ls, np.linalg.solve(Lp, Y - params.M).T)
-    quad = float(np.sum(W * W))
+    W = np.linalg.solve(Ls, np.linalg.solve(Lp, Y - params.M).swapaxes(-1, -2))
+    quad = np.sum(W * W, axis=(-2, -1))
     return -0.5 * (r * p * _LOG_2PI + p * _log_det(Lp) + r * _log_det(Ls) + quad)
 
 
@@ -222,14 +226,14 @@ def miw_conditional_update(m, P, params: MiwParams, Y) -> MiwParams:
     n* = n + r, and the scaled scale accumulates the data quadratic form,
     N*^{1/2} S* N*^{1/2} = N^{1/2} S N^{1/2} + (Y - m)' P^{-1} (Y - m).
     """
-    Y = _shaped(Y, ("r", params.p), "data")
+    Y = _shaped(Y, params.n.shape[:-1] + ("r", params.p), "data")
     m = _shaped(m, Y.shape, "location")
-    r, p = Y.shape
-    L = cholesky_lower(P)
-    if L.shape[0] != r:
-        raise DimensionMismatch(f"row scale dim {L.shape[0]} does not match {r} data rows")
+    r = Y.shape[-2]
+    L = cholesky_lower(_shaped(P, Y.shape[:-2] + ("r", "r"), "row scale"))
+    if L.shape[-1] != r:
+        raise DimensionMismatch(f"row scale dim {L.shape[-1]} does not match {r} data rows")
     Z = np.linalg.solve(L, Y - m)
-    C = symmetrize(Z.T @ Z)
+    C = symmetrize(Z.swapaxes(-1, -2) @ Z)
     R0, _ = miw_to_iw(params)
     n_new = params.n + float(r)
     S_new = symmetrize((R0 + C) / _sqrt_outer(n_new))
@@ -252,11 +256,11 @@ class MtParams:
     v: float
 
     def __post_init__(self):
-        f = _shaped(self.f, ("r", "p"), "location")
-        r, p = f.shape
-        Q = _shaped(self.Q, (r, r), "row scale")
-        S = _shaped(self.S, (p, p), "scale")
-        n, v = _checked_dof(self.n, self.v, p)
+        f = _shaped(self.f, ("...", "r", "p"), "location")
+        lead, (r, p) = f.shape[:-2], f.shape[-2:]
+        Q = _shaped(self.Q, lead + (r, r), "row scale")
+        S = _shaped(self.S, lead + (p, p), "scale")
+        n, v = _checked_dof(self.n, self.v, lead + (p,))
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "Q", symmetrize(Q))
         object.__setattr__(self, "S", symmetrize(S))
@@ -264,7 +268,7 @@ class MtParams:
         object.__setattr__(self, "v", v)
 
 
-def mt_log_density(Y, params: MtParams) -> float:
+def mt_log_density(Y, params: MtParams):
     """Log density of the matrix-t law above, with kernel exponent built from r.
 
     With k = 2v - 2p + sum(n)/p the density is
@@ -277,14 +281,14 @@ def mt_log_density(Y, params: MtParams) -> float:
     conjugate prior/posterior pair.
     """
     Y = _shaped(Y, params.f.shape, "argument")
-    r, p = params.f.shape
-    k = 2.0 * params.v - 2.0 * p + float(params.n.sum()) / p
+    r, p = params.f.shape[-2:]
+    k = 2.0 * params.v - 2.0 * p + params.n.sum(axis=-1) / p
     a1 = 0.5 * (k + r + p - 1.0)
     a0 = 0.5 * (k + p - 1.0)
     Lq = cholesky_lower(params.Q)
     Z = np.linalg.solve(Lq, Y - params.f)
-    inner = params.S * _sqrt_outer(params.n) + symmetrize(Z.T @ Z)
-    log_det_r0 = _log_det(cholesky_lower(params.S)) + float(np.log(params.n).sum())
+    inner = params.S * _sqrt_outer(params.n) + symmetrize(Z.swapaxes(-1, -2) @ Z)
+    log_det_r0 = _log_det(cholesky_lower(params.S)) + np.log(params.n).sum(axis=-1)
     log_c = (
         log_multigamma(a1, p)
         - log_multigamma(a0, p)
@@ -302,14 +306,14 @@ def miw_marginal_block(params: MiwParams, q: int) -> MiwParams:
     v1 = v - p + q + sum(n)/(2p) - sum(n_1..n_q)/(2q). For q = p this is the
     identity map.
     """
-    p = params.p
-    if not 1 <= q <= p:
+    p, q = params.p, _count(q, "block size")
+    if q > p:
         raise DomainError(f"block size must satisfy 1 <= q <= p, got q={q}, p={p}")
     if q == p:
         return params
-    n_head = params.n[:q]
-    v1 = params.v - p + q + float(params.n.sum()) / (2.0 * p) - float(n_head.sum()) / (2.0 * q)
-    return MiwParams(S=params.S[:q, :q], n=n_head, v=v1)
+    n_head = params.n[..., :q]
+    v1 = params.v - p + q + params.n.sum(axis=-1) / (2.0 * p) - n_head.sum(axis=-1) / (2.0 * q)
+    return MiwParams(S=params.S[..., :q, :q], n=n_head, v=v1)
 
 
 @dataclass(frozen=True)
@@ -334,12 +338,12 @@ def diag_marginal_ig(params: MiwParams, index: int) -> IgParams:
     The 1 x 1 block marginal is an inverted gamma with shape
     v + sum(n)/(2p) - p (independent of the entry) and scale n_j s_jj / 2.
     """
-    p = params.p
-    if not 0 <= index < p:
+    p, index = params.p, _count(index, "index", least=0)
+    if index >= p:
         raise DomainError(f"index must satisfy 0 <= index < {p}, got {index}")
-    shape = params.v + float(params.n.sum()) / (2.0 * p) - p
-    scale = 0.5 * params.n[index] * params.S[index, index]
-    return IgParams(shape=float(shape), scale=float(scale))
+    shape = params.v + params.n.sum(axis=-1) / (2.0 * p) - p
+    scale = 0.5 * params.n[..., index] * params.S[..., index, index]
+    return IgParams(shape=shape, scale=scale)
 
 
 def sample_miw(params: MiwParams, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -353,8 +357,8 @@ def sample_miw(params: MiwParams, rng: np.random.Generator, size: int | None = N
     normals are drawn first, then all the chi-squares. Returns (p, p) for
     size=None, else (size, p, p).
     """
+    p = _shaped(params.n, ("p",), "the sampled law's dof vector").size
     R, k = miw_to_iw(params)
-    p = params.p
     df = k - p - 1.0
     m = 1 if size is None else _count(size, "size")
     B = np.zeros((m, p, p))
@@ -375,7 +379,7 @@ def sample_matrix_normal(
 
     Returns (r, p) for size=None, else (size, r, p).
     """
-    r, p = params.M.shape
+    r, p = _shaped(params.M, ("r", "p"), "the sampled law's mean").shape
     Lp = cholesky_lower(params.P)
     Ls = cholesky_lower(params.Sigma)
     m = 1 if size is None else _count(size, "size")

@@ -144,9 +144,9 @@ class NmiwState:
         m = _shaped(self.m, ("d", "p"), "state mean")
         d, p = m.shape
         P = _shaped(self.P, (d, d), "state scale")
-        if self.miw.p != p:
+        if self.miw.S.shape != (p, p):
             raise DimensionMismatch(
-                f"covariance law dimension {self.miw.p} does not match state columns {p}"
+                f"covariance law of scale shape {self.miw.S.shape} does not match state columns {p}"
             )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "P", P)
@@ -239,8 +239,8 @@ class FilterOutput:
     Priors (a, R), forecasts (f, Q, A), masked residuals e (missing entries
     0), standardized errors (NaN where missing), observation masks, the
     posterior moments m (T x d x p), P (T x d x d), S (T x p x p) and n
-    (T x p). S is built by ``_S`` on first read and kept. ``states`` and
-    ``marginals`` are read-only per-step views of these arrays.
+    (T x p). S is built by ``_S`` on first read and kept. ``states`` views them
+    per step, read-only, and ``marginals`` is the T forecast laws as one law.
     """
 
     mode: str
@@ -285,16 +285,12 @@ class FilterOutput:
         )
 
     @property
-    def marginals(self) -> Sequence[MtParams]:
-        """Matrix-t forecast law of each step; (S, n) come from the previous
-        posterior, or from the prior at the first step."""
+    def marginals(self) -> MtParams:
+        """Matrix-t forecast laws of the T steps, as one law of T-stacks: f, Q
+        and the previous posterior's S and n (the prior's at the first step)."""
         miw = self.prior.miw
-
-        def build(t: int) -> MtParams:
-            S, n = (miw.S, miw.n) if t == 0 else (self.S[t - 1], self.n[t - 1])
-            return MtParams(f=self.f[t], Q=self.Q[t], S=S, n=n, v=miw.v)
-
-        return _StepView(self.T, build)
+        return MtParams(f=self.f, Q=self.Q, S=np.concatenate([miw.S[None], self.S[:-1]]),
+                        n=np.concatenate([miw.n[None], self.n[:-1]]), v=np.full(self.T, miw.v))
 
 
 def filter(

@@ -53,9 +53,12 @@ def _real(value, shape: tuple, name: str, dtype=float) -> np.ndarray:
 
 def _shaped(value, shape: tuple, name: str, dtype=float) -> np.ndarray:
     """``value`` by :func:`_real`, if its shape is ``shape``: lengths and axis
-    names, a name taking any length, the same wherever it repeats. Every array
+    names, a name taking any length, the same wherever it repeats, and a
+    leading ``"..."`` taking any number of leading (stack) axes. Every array
     and real scalar that the package takes is read by these two."""
     a = _real(value, shape, name, dtype)
+    if shape[:1] == ("...",):
+        shape = a.shape[:max(a.ndim - len(shape) + 1, 0)] + shape[1:]
     lengths = dict(zip(shape, a.shape))
     if a.shape != tuple(lengths.get(k) if isinstance(k, str) else k for k in shape):
         dims = str(shape).replace("'", "")
@@ -106,6 +109,6 @@ def cholesky_lower(a) -> np.ndarray:
         raise NotPositiveDefinite(f"matrix of shape {mat.shape} is not positive definite") from exc
 
 
-def _log_det(chol: np.ndarray) -> float:
-    """log |A| from the lower Cholesky factor of A."""
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+def _log_det(chol: np.ndarray) -> np.ndarray:
+    """log |A| from the lower Cholesky factor of A, for one matrix or a stack."""
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)

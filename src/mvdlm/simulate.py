@@ -73,8 +73,11 @@ def gen_local_level(cfg: LocalLevelConfig) -> tuple[np.ndarray, np.ndarray]:
     L = np.linalg.cholesky(eps_cov)
 
     start = rng.standard_normal(2)
-    zeta = rng.standard_normal((cfg.T, 2)) * np.sqrt(np.asarray(cfg.level_var))
-    eps = rng.standard_normal((cfg.T, 2)) @ L.T
+    try:
+        zeta = rng.standard_normal((cfg.T, 2)) * np.sqrt(np.asarray(cfg.level_var))
+        eps = rng.standard_normal((cfg.T, 2)) @ L.T
+    except (ValueError, MemoryError) as exc:  # numpy refuses or fails the T x 2 arrays
+        raise DomainError(f"cannot draw a series of T={cfg.T} steps: {exc}") from exc
 
     levels = start + np.cumsum(zeta, axis=0)
     data = levels + eps
@@ -114,14 +117,23 @@ def apply_missing(data: np.ndarray, pattern: MissingPattern) -> np.ndarray:
     if data.ndim < 2:
         raise DomainError(f"data must be T x p or a stack of T x p, got shape {data.shape}")
     T, p = data.shape[-2:]
+    _never_observed(pattern, T, p)
     observed = np.ones((T, p), dtype=bool)
+    for t, vs in pattern.missing.items():
+        observed[t - 1, [j - 1 for j in vs]] = False
+    return np.where(observed, data, np.nan)[..., None, :]
+
+
+def _never_observed(pattern: MissingPattern, T: int, p: int) -> frozenset[int]:
+    """The variables (1-based) that ``pattern`` leaves missing at every t <= T, read
+    from it alone (T may be any length), once it names no t > T and no j > p."""
     for t, vs in pattern.missing.items():
         if t > T:
             raise DomainError(f"pattern time {t} exceeds series length {T}")
         if any(j > p for j in vs):
             raise DomainError(f"pattern at t={t} names variables beyond p={p}: {sorted(vs)}")
-        observed[t - 1, [j - 1 for j in vs]] = False
-    return np.where(observed, data, np.nan)[..., None, :]
+    every = range(1, p + 1) if len(pattern.missing) == T else ()
+    return frozenset(every).intersection(*pattern.missing.values())
 
 
 def local_level_model(

@@ -275,11 +275,15 @@ def test_criterion_5_filter_equivalences():
 # 6. replication study of the bivariate missing-data experiment
 # ---------------------------------------------------------------------------
 
-def _front(params, cols):
-    """The same covariance law with the variables ``cols`` moved to the front."""
-    p = params.S.shape[0]
+def _block(mt, ts, cols):
+    """The forecast laws ``mt`` (a T-stack) of the steps ``ts``, on the block of
+    the variables ``cols``: the covariance law with them moved to the front,
+    marginalized to its leading block (criterion 4)."""
+    p = mt.S.shape[-1]
     perm = list(cols) + [k for k in range(p) if k not in cols]
-    return mv.MiwParams(S=params.S[np.ix_(perm, perm)], n=params.n[perm], v=params.v)
+    front = mv.MiwParams(S=mt.S[ts][:, perm][:, :, perm], n=mt.n[ts][:, perm], v=mt.v[ts])
+    block = mv.miw_marginal_block(front, len(cols))
+    return mv.MtParams(f=mt.f[ts][:, :, cols], Q=mt.Q[ts], S=block.S, n=block.n, v=block.v)
 
 
 def _variable_log_scores(out, y):
@@ -287,37 +291,33 @@ def _variable_log_scores(out, y):
     missing), under the marginal that ``out`` forecast for it: the 1 x 1 block
     of the forecast law with variable j moved to the front, which is a
     Student-t with df = 2v - 2 + n and scale sqrt(n s q / df) (criterion 2)."""
-    T, p = y.shape
-    scores = np.full((T, p), np.nan)
-    for j in range(p):
+    mt, scores = out.marginals, np.full(y.shape, np.nan)
+    for j in range(y.shape[1]):
         ts = np.flatnonzero(out.observed[:, 0, j])
-        df, loc, scale = np.empty((3, ts.size))
-        for i, t in enumerate(ts):
-            mt = out.marginals[t]
-            block = mv.miw_marginal_block(_front(mt, [j]), 1)
-            df[i] = 2.0 * block.v - 2.0 + block.n[0]
-            loc[i] = mt.f[0, j]
-            scale[i] = math.sqrt(block.n[0] * block.S[0, 0] * mt.Q[0, 0] / df[i])
-        scores[ts, j] = oracles.student_t_logpdf(y[ts, j], df=df, loc=loc, scale=scale)
+        block = _block(mt, ts, [j])
+        df = 2.0 * block.v - 2.0 + block.n[:, 0]
+        scale = np.sqrt(block.n[:, 0] * block.S[:, 0, 0] * block.Q[:, 0, 0] / df)
+        scores[ts, j] = oracles.student_t_logpdf(y[ts, j], df=df, loc=block.f[:, 0, 0],
+                                                 scale=scale)
     return scores
 
 
-def _block_log_density(mt, y_t, cols):
-    """Matrix-t log density of the entries ``cols`` of one r = 1 observation
-    under the block of the forecast law ``mt`` with those variables in front."""
-    block = mv.miw_marginal_block(_front(mt, cols), len(cols))
-    return mv.mt_log_density(
-        y_t[cols][None, :],
-        mv.MtParams(f=mt.f[:, cols], Q=mt.Q, S=block.S, n=block.n, v=block.v))
+def _block_log_density(mt, y, ts, cols):
+    """Matrix-t log density of the entries ``cols`` of the r = 1 observations
+    y[ts] under the block of the forecast laws ``mt`` with those variables in
+    front, one entry per step."""
+    return mv.mt_log_density(y[ts][:, None, cols], _block(mt, ts, cols))
 
 
 def _joint_log_score(out, y):
-    """Summed one-step log predictive density of each step's observed block."""
+    """Summed one-step log predictive density of each step's observed block,
+    one stacked density per observed pattern."""
+    mt, observed = out.marginals, out.observed[:, 0]
     total = 0.0
-    for t, mt in enumerate(out.marginals):
-        cols = np.flatnonzero(out.observed[t, 0])
-        if cols.size:
-            total += _block_log_density(mt, y[t], cols)
+    for pattern in np.unique(observed, axis=0):
+        ts = np.flatnonzero((observed == pattern).all(axis=1))
+        if pattern.any():
+            total += _block_log_density(mt, y, ts, np.flatnonzero(pattern)).sum()
     return total
 
 
@@ -361,7 +361,7 @@ def test_criterion_6_replication_study():
                 # block, at 0-based steps around the missing times 24, 60, 75
                 for t in (0, 23, 24, 59, 74, 75, 99):
                     for j in np.flatnonzero(out.observed[t, 0]):
-                        ref = _block_log_density(out.marginals[t], data[t], [j])
+                        ref = _block_log_density(out.marginals, data, [t], [j])[0]
                         scorer_err = max(scorer_err, abs(scores[t, j] - ref))
 
     var_gain = var_score["new"] - var_score["classical"]
@@ -424,15 +424,13 @@ def test_criterion_7_long_run_robustness():
     ridge_p = 1e-12 * np.eye(d)
     ridge_s = 1e-12 * np.eye(p)
     failures = 0
-    for st in out.states:
+    for P, S in zip(out.P, out.S):
         try:
-            np.linalg.cholesky(st.P + ridge_p)
-            np.linalg.cholesky(st.miw.S + ridge_s)
+            np.linalg.cholesky(P + ridge_p)
+            np.linalg.cholesky(S + ridge_s)
         except np.linalg.LinAlgError:
             failures += 1
-    finite = (np.all(np.isfinite(out.f)) and np.all(np.isfinite(out.Q))
-              and np.all(np.isfinite([s.m for s in out.states]))
-              and np.all(np.isfinite([s.miw.S for s in out.states])))
+    finite = all(np.isfinite(a).all() for a in (out.f, out.Q, out.m, out.S))
     ok = failures == 0 and bool(finite)
     record_criterion(7, "long-run numerical robustness", ok,
                      f"{T} steps, {failures} factorization failures, "

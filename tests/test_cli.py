@@ -753,6 +753,28 @@ def test_simulate_bad_input_is_config_error(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("T", ["1e30", "1000000000000000000"], ids=["float", "int64"])
+def test_length_numpy_cannot_allocate_filters_and_simulate_is_an_error(tmp_path, capsys, T):
+    # the config used to end in a traceback from np.zeros((T, 2)): filter reads
+    # no T-sized array, and simulate cannot draw T steps
+    config = write_config(tmp_path, SIM_CONFIG.replace("T = 100", f"T = {T}"))
+    data = write_data(tmp_path, ["1.0,2.0", "NA,0.5", "0.3,NA"])
+    argv = ["filter", "--config", str(config), "--data", str(data),
+            "--out", str(tmp_path / "records.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot draw a series of T=") and err.count("\n") == 1
+
+
+def test_pattern_that_lists_every_step_is_read_without_a_series(tmp_path):
+    # every t listed, yet each variable observed at some t: a valid study
+    every = "pattern = {%s}" % ", ".join(f"{t}: [{1 + t % 2}]" for t in range(1, 101))
+    config = load_config(write_config(tmp_path, SIM_CONFIG.replace(SIM_PATTERN, every)))
+    assert len(config.simulate.pattern.missing) == 100
+
+
 def test_simulate_pattern_takes_tuples_and_sets_as_the_library_does(tmp_path):
     lists = load_config(write_config(tmp_path, SIM_CONFIG, name="lists.ini"))
     text = SIM_CONFIG.replace(SIM_PATTERN, "pattern = {24: (2,), 43: {2}, 60: (1, 2), "

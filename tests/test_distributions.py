@@ -12,6 +12,7 @@ from scipy import stats
 from scipy.special import multigammaln
 
 from mvdlm import (
+    NmiwState,
     DimensionMismatch,
     DomainError,
     IgParams,
@@ -496,3 +497,152 @@ def test_bad_scale_raises_typed_error(case):
         _BAD_SCALE_CASES[case]()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# counts and reals that a law function takes: the one input rule
+# ---------------------------------------------------------------------------
+
+_LAW3 = MiwParams(S=np.eye(3), n=np.full(3, 5.0), v=3.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: log_multigamma(3.0, True), DomainError),  # used to read as p = 1
+    (lambda: log_multigamma(3.0, 1.5), DomainError),
+    (lambda: log_multigamma("3", 2), DimensionMismatch),  # used to be a bare TypeError
+    (lambda: log_multigamma(None, 2), DimensionMismatch),
+    (lambda: miw_marginal_block(_LAW3, True), DomainError),  # used to give the 1 x 1 block
+    (lambda: miw_marginal_block(_LAW3, 1.5), DomainError),  # used to be a bare TypeError
+    (lambda: miw_marginal_block(_LAW3, "1"), DomainError),
+    (lambda: diag_marginal_ig(_LAW3, True), DomainError),
+    (lambda: diag_marginal_ig(_LAW3, 0.5), DomainError),
+    (lambda: diag_marginal_ig(_LAW3, None), DomainError),
+], ids=["p-true", "p-half", "a-text", "a-none", "q-true", "q-half", "q-text", "index-true",
+        "index-half", "index-none"])
+def test_law_arguments_are_read_by_the_input_rule(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_integral_counts_of_any_type_are_read_as_ints():
+    assert log_multigamma(3.0, 2.0) == log_multigamma(3.0, np.int64(2)) == log_multigamma(3.0, 2)
+    assert np.array_equal(miw_marginal_block(_LAW3, 2.0).S, np.eye(2))
+    assert diag_marginal_ig(_LAW3, np.int64(1)) == diag_marginal_ig(_LAW3, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# stacks of laws: one formula over leading axes
+# ---------------------------------------------------------------------------
+
+def _stack_case(rng, lead):
+    """Random arrays of one law of each kind and its arguments, with the
+    leading stack axes ``lead``."""
+    p, r = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+
+    def spd(n):
+        B = rng.standard_normal(lead + (n, n))
+        return B @ B.swapaxes(-1, -2) + (n + 0.5) * np.eye(n)
+
+    f = rng.standard_normal(lead + (r, p))
+    return dict(p=p, q=int(rng.integers(1, p + 1)), S=spd(p), n=rng.uniform(0.5, 8.0, lead + (p,)),
+                v=rng.uniform(p, p + 3.0, lead), f=f, Q=spd(r),
+                Y=f + rng.standard_normal(lead + (r, p)), Sigma=spd(p), R=spd(p),
+                k=rng.uniform(2 * p + 0.1, 2 * p + 9.0, lead))
+
+
+def _law(c, extra_dof=0.0):
+    return MiwParams(S=c["S"], n=c["n"] + extra_dof, v=c["v"])
+
+
+def _fields(law):
+    return [law.S, law.n, law.v]
+
+
+# each maps the arrays of a case to the arrays that the call returns
+_CALLS = {
+    "mt_log_density": lambda c: [mt_log_density(
+        c["Y"], MtParams(f=c["f"], Q=c["Q"], S=c["S"], n=c["n"], v=c["v"]))],
+    "matrix_normal_log_density": lambda c: [matrix_normal_log_density(
+        c["Y"], MatrixNormalParams(M=c["f"], P=c["Q"], Sigma=c["Sigma"]))],
+    "miw_log_density": lambda c: [miw_log_density(c["Sigma"], _law(c))],
+    "iw_log_density": lambda c: [iw_log_density(c["Sigma"], c["R"], c["k"])],
+    "miw_marginal_block": lambda c: _fields(miw_marginal_block(_law(c), c["q"])),
+    "log_multigamma": lambda c: [log_multigamma(c["k"], c["p"])],
+    "MiwParams.k": lambda c: [_law(c).k],
+    "miw_mean": lambda c: [miw_mean(_law(c, extra_dof=6.0))],
+    "miw_to_iw": lambda c: list(miw_to_iw(_law(c))),
+    "iw_to_miw": lambda c: _fields(iw_to_miw(c["R"], c["k"], c["n"])),
+    "miw_conditional_update": lambda c: _fields(
+        miw_conditional_update(c["f"], c["Q"], _law(c), c["Y"])),
+}
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["0-axes", "1-axis", "2-axes"])
+@pytest.mark.parametrize("name", list(_CALLS))
+def test_stacked_call_is_the_loop_over_its_entries_bit_for_bit(name, lead):
+    rng = np.random.default_rng(sum(map(ord, name)) + len(lead))
+    for _ in range(8):
+        case = _stack_case(rng, lead)
+        stacked = _CALLS[name](case)
+        for idx in np.ndindex(*lead):
+            entry = {key: val[idx] if isinstance(val, np.ndarray) else val
+                     for key, val in case.items()}
+            for got, want in zip(stacked, _CALLS[name](entry)):
+                assert np.shape(got)[:len(lead)] == lead
+                assert np.asarray(got)[idx].tobytes() == np.asarray(want, float).tobytes(), idx
+
+
+def _stacked_law():
+    # three laws with different dof: a sum across the stack would mix them
+    return MiwParams(S=np.stack([np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]),
+                     n=np.array([[4.0, 4.0], [9.0, 9.0], [16.0, 16.0]]), v=np.full(3, 2.0))
+
+
+def test_stacked_law_properties_are_per_entry():
+    # the other functions of a stacked law are checked entry by entry above
+    law = _stacked_law()
+    assert law.p == 2
+    assert np.array_equal(law.k, [8.0, 13.0, 20.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda law: diag_marginal_ig(law, 0), r"shape must have shape \(\), got \(3,\)"),
+    (lambda law: sample_miw(law, np.random.default_rng(0)),
+     r"sampled law's dof vector must have shape \(p,\), got \(3, 2\)"),
+    (lambda law: sample_miw(law, np.random.default_rng(0), size=4),
+     r"sampled law's dof vector must have shape \(p,\), got \(3, 2\)"),
+    (lambda law: sample_matrix_normal(MatrixNormalParams(
+        M=np.zeros((3, 1, 2)), P=np.ones((3, 1, 1)), Sigma=law.S), np.random.default_rng(0)),
+     r"sampled law's mean must have shape \(r, p\), got \(3, 1, 2\)"),
+    (lambda law: NmiwState(m=np.zeros((1, 2)), P=np.eye(1), miw=law),
+     r"covariance law of scale shape \(3, 2, 2\) does not match state columns 2"),
+], ids=["diag_marginal_ig", "sample_miw", "sample_miw-size", "sample_matrix_normal", "NmiwState"])
+def test_functions_of_one_law_reject_a_stack(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call(_stacked_law())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MiwParams(S=np.ones((3, 1, 1)), n=np.ones(1), v=2.0),
+     r"dof vector must have shape \(3, 1\), got \(1,\)"),
+    (lambda: MiwParams(S=np.ones((3, 1, 1)), n=np.ones((3, 1)), v=2.0),
+     r"v must have shape \(3,\), got \(\)"),
+    (lambda: MtParams(f=np.zeros((3, 1, 1)), Q=np.eye(1), S=np.eye(1), n=np.ones(1), v=2.0),
+     r"row scale must have shape \(3, 1, 1\), got \(1, 1\)"),
+    (lambda: MatrixNormalParams(M=np.zeros((2, 1, 1)), P=np.ones((2, 1, 1)), Sigma=np.eye(1)),
+     r"column covariance must have shape \(2, 1, 1\), got \(1, 1\)"),
+    (lambda: mt_log_density(np.zeros((1, 1)), MtParams(
+        f=np.zeros((2, 1, 1)), Q=np.ones((2, 1, 1)), S=np.ones((2, 1, 1)), n=np.ones((2, 1)),
+        v=np.full(2, 2.0))), r"argument must have shape \(2, 1, 1\), got \(1, 1\)"),
+    (lambda: iw_log_density(np.ones((2, 1, 1)), np.eye(1), 4.0),
+     r"scale must have shape \(2, p, p\), got \(1, 1\)"),
+], ids=["n", "v", "MtParams Q", "MatrixNormalParams Sigma", "mt_log_density Y", "iw_log_density R"])
+def test_the_fields_of_a_law_share_its_stack_axes(build, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        build()
+
+
+def test_normalizability_is_checked_for_every_entry_of_a_stack():
+    with pytest.raises(DomainError, match="normalizability"):
+        MiwParams(S=np.ones((2, 1, 1)), n=np.ones((2, 1)), v=np.array([2.0, 0.5]))

@@ -709,7 +709,7 @@ def test_states_and_marginals_views_follow_the_stacked_arrays():
     data[5] = mv.MaskedObservation.from_values(np.full((2, 3), np.nan))  # fully missing
     out = mv.filter(model, data, prior, mode="new")
 
-    assert len(out.states) == len(out.marginals) == out.T == 8
+    assert len(out.states) == out.T == 8
     assert states_bit_identical(out.states[-1], out.states[out.T - 1])
     with pytest.raises(IndexError):
         out.states[out.T]
@@ -722,27 +722,27 @@ def test_states_and_marginals_views_follow_the_stacked_arrays():
     assert np.array_equal(out.n[2], out.n[1] + [2.0, 1.0, 2.0])
     assert np.array_equal(out.S[5], out.S[4]) and np.array_equal(out.n[5], out.n[4])
 
-    marginals = list(out.marginals)
-    assert all(isinstance(mt, mv.MtParams) for mt in marginals)
-    assert np.array_equal(marginals[0].S, prior.miw.S)
-    assert np.array_equal(marginals[0].n, prior.miw.n)
-    for t in range(1, out.T):
-        assert np.array_equal(marginals[t].S, states[t - 1].miw.S), t
-        assert np.array_equal(marginals[t].n, states[t - 1].miw.n), t
-    for t, mt in enumerate(marginals):
-        assert np.array_equal(mt.f, out.f[t]) and np.array_equal(mt.Q, out.Q[t])
-        assert mt.v == prior.miw.v
+    # the forecast laws are one law of T-stacks: f, Q, and (S, n) of the
+    # previous state, or of the prior at the first step
+    mt = out.marginals
+    assert isinstance(mt, mv.MtParams)
+    assert np.array_equal(mt.f, out.f) and np.array_equal(mt.Q, out.Q)
+    assert np.array_equal(mt.S[0], prior.miw.S) and np.array_equal(mt.n[0], prior.miw.n)
+    assert np.array_equal(mt.S[1:], out.S[:-1]) and np.array_equal(mt.n[1:], out.n[:-1])
+    assert np.array_equal(mt.v, np.full(out.T, prior.miw.v))
+    # its density at step t is that of the one-step law, bit for bit
+    Y = rng.standard_normal(out.f.shape)
+    stacked = mv.mt_log_density(Y, mt)
+    assert stacked.shape == (out.T,)
+    for t, prev in enumerate([prior] + states[:-1]):
+        one = mv.MtParams(f=out.f[t], Q=out.Q[t], S=prev.miw.S, n=prev.miw.n, v=prev.miw.v)
+        assert stacked[t] == mv.mt_log_density(Y[t], one), t
 
-    # a slice gives a tuple of the items read one index at a time
-    fields = {"states": lambda st: (st.m, st.P, st.miw.S, st.miw.n),
-              "marginals": lambda mt: (mt.f, mt.Q, mt.S, mt.n)}
-    items = {"states": states, "marginals": marginals}
-    for name, key in (("states", slice(1, None)), ("states", slice(None, None, -1)),
-                      ("marginals", slice(-2, None))):
-        got, want = getattr(out, name)[key], items[name][key]
+    # a slice of the states gives a tuple of the items read one index at a time
+    for key in (slice(1, None), slice(None, None, -1), slice(-2, None)):
+        got, want = out.states[key], states[key]
         assert isinstance(got, tuple) and len(got) == len(want) > 0
-        for a, b in zip(got, want):
-            assert all(map(np.array_equal, fields[name](a), fields[name](b))), (name, key)
+        assert all(states_bit_identical(a, b) for a, b in zip(got, want)), key
 
 
 def test_positive_semidefinite_states_under_long_random_run():
@@ -1123,7 +1123,8 @@ def bayes_residual(out, prior, stacks, delta, y, sigmas):
     post, first = out.states[-1].miw, prior.miw
     residual = np.array([mv.miw_log_density(s, post) - mv.miw_log_density(s, first)
                          for s in sigmas]) - loglik.sum(axis=1)
-    evidence = sum(mv.mt_log_density(y[t], out.marginals[t]) for t in used)
+    # one stacked density over all T steps; those not used read y as 0
+    evidence = mv.mt_log_density(np.nan_to_num(y), out.marginals)[used].sum()
     return residual, evidence
 
 
