@@ -394,12 +394,12 @@ def cmd_simulate(args) -> int:
     if config.simulate is None:
         raise ConfigError("the simulate command requires a [simulate] section")
     block = config.simulate
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     summary = replicate_experiment(
         block.replications, block.cfg, block.pattern, model=config.model, prior=config.prior
     )
+    # made only now, so a study that fails leaves no directory behind
+    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     _, data = gen_local_level(block.cfg)
     write_csv(out_dir / "data.csv", apply_missing(data, block.pattern))

@@ -16,6 +16,14 @@ built from them when read), and the standardized errors. :func:`filter` is
 the case of one series in one mode; the replication study runs all its
 replications in both modes in one pass.
 
+The covariance part of the recursion (R, Q, A, P) depends on the model and
+the mask, not on the data. With one replicate row (r = 1) and a state of at
+most two rows (d <= 2) it is computed for all steps and modes before the step
+loop, on Python floats, where numpy's per-call cost would outweigh the
+arithmetic; at any other (d, r) each step of the loop computes it in numpy.
+Neither pass raises where Q cannot be factored: the checks after the loop
+read the failure from Q and its Cholesky factor, at the same step in both.
+
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
 observation keeps its column of the mean and its dof entry. The state scale P
@@ -31,6 +39,7 @@ import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from struct import Struct
 from typing import Union
 
 import numpy as np
@@ -240,7 +249,8 @@ class FilterOutput:
     0), standardized errors (NaN where missing), observation masks, the
     posterior moments m (T x d x p), P (T x d x d), S (T x p x p) and n
     (T x p). S is built by ``_S`` on first read and kept. ``states`` views them
-    per step, read-only, and ``marginals`` is the T forecast laws as one law.
+    per step, read-only, and ``marginals`` is the T forecast laws as one law,
+    also built on first read and kept.
     """
 
     mode: str
@@ -284,7 +294,7 @@ class FilterOutput:
             ),
         )
 
-    @property
+    @cached_property
     def marginals(self) -> MtParams:
         """Matrix-t forecast laws of the T steps, as one law of T-stacks: f, Q
         and the previous posterior's S and n (the prior's at the first step)."""
@@ -421,50 +431,109 @@ def _loop(Fs, Gs, Vs, Ws, c, m, P, y, obs_cols, gain, u) -> dict[str, np.ndarray
     that :func:`filter` states to the last step, with e = 0 at a missing
     entry and R = (X + X')/c, X = G P G' (+ W), c = 2 delta (2 with W: the
     bits of the average over delta unless (X + X')/2 is subnormal).
+
+    The covariance part (R, Q, A, P) is read from the model alone. Where
+    :func:`_python_pass` holds (r = 1, d <= 2), :func:`_covariance_small`
+    computes it for every step and mode on Python floats before the loop,
+    which then runs the mean part (a, f, e, m) only. At any other (d, r)
+    each step runs the covariance part in numpy first.
     """
     (T, r, Mp), (d, p), K = y.shape, m.shape, u.shape[1]
     shapes = {"a": (d, Mp), "R": (d, d), "f": (r, Mp), "Q": (r, r), "A": (d, r),
               "e": (r, Mp), "m": (d, Mp), "P": (d, d)}
     rows = {name: np.zeros((T, K) + shape) for name, shape in shapes.items()}
     a_t, R_t, f_t, Q_t, A_t, e_t, m_t, P_t = rows.values()
+    small = _python_pass(d, r)
+    if small:
+        R_t[:], Q_t[:], A_t[:], P_t[:] = _covariance_small(Fs, Gs, Vs, Ws, c, P, u)
     m, P = np.tile(m, (K, 1, Mp // p)), np.tile(P, (K, 1, 1))
     for k in range(T):
-        F, G, V = Fs[k], Gs[k], Vs[k]
+        F, G = Fs[k], Gs[k]
         a, R, f, Q, A, e = a_t[k], R_t[k], f_t[k], Q_t[k], A_t[k], e_t[k]
+        if not small:
+            GPG = G @ P @ G.T
+            if Ws is not None:
+                GPG += Ws[k]
+            np.add(GPG, GPG.swapaxes(1, 2), out=R)
+            R /= c
+            RF = R @ F
+            FRF = F.T @ RF
+            FRF += Vs[k]
+            np.add(FRF, FRF.swapaxes(1, 2), out=Q)
+            Q *= 0.5
+            if r > 1:
+                # the products below read the solve's transposed layout, whose
+                # rounding a contiguous copy of A does not reproduce
+                A = _umath_linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
+                A_t[k] = A
+            else:
+                # LAPACK's 1 x 1 solve multiplies d > 1 right-hand sides by
+                # the reciprocal of Q: these are its bits.
+                np.multiply(RF, 1.0 / Q, out=A)
+            AQA = A @ Q @ A.swapaxes(1, 2)
+            AQA *= u[k]
+            np.subtract(R, AQA, out=AQA)
+            P = np.add(AQA, AQA.swapaxes(1, 2), out=P_t[k])
+            P *= 0.5
         np.matmul(G, m, out=a)
-        GPG = G @ P @ G.T
-        if Ws is not None:
-            GPG += Ws[k]
-        np.add(GPG, GPG.swapaxes(1, 2), out=R)
-        R /= c
         np.matmul(F.T, a, out=f)
-        RF = R @ F
-        FRF = F.T @ RF
-        FRF += V
-        np.add(FRF, FRF.swapaxes(1, 2), out=Q)
-        Q *= 0.5
-        if r > 1:
-            # the products below read the solve's transposed layout, whose
-            # rounding a contiguous copy of A does not reproduce
-            A = _umath_linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
-            A_t[k] = A
-        elif d > 1:
-            # LAPACK's 1 x 1 solve multiplies d > 1 right-hand sides by the
-            # reciprocal of Q and divides a single one by Q: these are its bits.
-            np.multiply(RF, 1.0 / Q, out=A)
-        else:
-            np.divide(RF, Q, out=A)
         np.subtract(y[k], f, out=e, where=obs_cols[k])
         # where(gain, e, 0) keeps a residual out of every mean that does not
         # update with it, so it fails only a mode that does.
         m = np.matmul(A, np.where(gain[k], e, 0.0), out=m_t[k])
         m += a
-        AQA = A @ Q @ A.swapaxes(1, 2)
-        AQA *= u[k]
-        np.subtract(R, AQA, out=AQA)
-        P = np.add(AQA, AQA.swapaxes(1, 2), out=P_t[k])
-        P *= 0.5
     return rows
+
+
+def _python_pass(d: int, r: int) -> bool:
+    """Whether :func:`_loop` takes the covariance part of a d x r design from
+    :func:`_covariance_small`: at r = 1 and d <= 2 its Python floats beat
+    numpy's per-call cost, which larger matrices amortize."""
+    return r == 1 and d <= 2
+
+
+def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
+    """R, Q, A and P (T x K x ...) of every step and mode at r = 1 and d <= 2,
+    from the model inputs as T-stacks, the prior P and u (T x K x 1 x 1).
+
+    The recursion of :func:`_loop`'s numpy step, written out on Python
+    floats: at these sizes a numpy call costs more than its arithmetic. A d = 1 model
+    runs as d = 2 with zeros in the second row and column of F, G, W and P,
+    which stay exactly 0 (a NaN there follows an overflow at a step that
+    fails either way), so its records are those of the scalar recursion. The
+    gain is RF / Q, and NaN where Q is not positive or is NaN: a Python
+    division by 0 raises, and the checks after the loop read the failure
+    from Q and its factor, as at every (d, r).
+    """
+    (T, d, _), K = Fs.shape, u.shape[1]
+    pad = [(0, 0), (0, 2 - d), (0, 2 - d)]
+    Ws = np.zeros((T, 2, 2)) if Ws is None else np.pad(Ws, pad)
+    inputs = np.concatenate([np.pad(Fs, pad[:2] + [(0, 0)]).reshape(T, 2), Vs.reshape(T, 1),
+                             np.pad(Gs, pad).reshape(T, 4), Ws.reshape(T, 4)], axis=1)
+    rows, record, nan = np.empty((K, T, 11)), Struct("11d"), float("nan")
+    for row, u_mode in zip(rows, u.reshape(T, K).T.tolist()):
+        p00, p01, p10, p11 = np.pad(P, pad[1:]).ravel().tolist()
+        steps = zip(range(0, row.nbytes, record.size), map(np.ndarray.tolist, inputs), u_mode)
+        for at, step, u_t in steps:
+            f0, f1, v, g00, g01, g10, g11, w00, w01, w10, w11 = step
+            gp00, gp01 = g00 * p00 + g01 * p10, g00 * p01 + g01 * p11
+            gp10, gp11 = g10 * p00 + g11 * p10, g10 * p01 + g11 * p11
+            x00 = gp00 * g00 + gp01 * g01 + w00
+            x01 = (gp00 * g10 + gp01 * g11 + w01) + (gp10 * g00 + gp11 * g01 + w10)
+            x11 = gp10 * g10 + gp11 * g11 + w11
+            r00, r01, r11 = (x00 + x00) / c, x01 / c, (x11 + x11) / c
+            rf0, rf1 = r00 * f0 + r01 * f1, r01 * f0 + r11 * f1
+            q = f0 * rf0 + f1 * rf1 + v
+            q = (q + q) * 0.5
+            a0, a1 = (rf0 / q, rf1 / q) if q > 0.0 else (nan, nan)
+            aq0, aq1 = a0 * q, a1 * q
+            p00, p11 = r00 - aq0 * a0 * u_t, r11 - aq1 * a1 * u_t
+            p00, p11 = (p00 + p00) * 0.5, (p11 + p11) * 0.5
+            p01 = p10 = ((r01 - aq0 * a1 * u_t) + (r01 - aq1 * a0 * u_t)) * 0.5
+            record.pack_into(row, at, r00, r01, r01, r11, q, a0, a1, p00, p01, p10, p11)
+    R, Q, A, P = np.split(rows.swapaxes(0, 1), [4, 5, 7], axis=2)
+    return (R.reshape(T, K, 2, 2)[..., :d, :d], Q.reshape(T, K, 1, 1),
+            A.reshape(T, K, 2, 1)[..., :d, :], P.reshape(T, K, 2, 2)[..., :d, :d])
 
 
 def _check(Q: np.ndarray, A: np.ndarray, e: np.ndarray, update: np.ndarray) -> np.ndarray:

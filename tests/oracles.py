@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything in this module is written from first principles using only numpy
-and scipy — nothing here imports the package under test. Tests compare
+Everything in this module is written from first principles using only numpy,
+scipy and the standard library — nothing here imports the package under test. Tests compare
 package output against these oracles (and against literals frozen from them)
 so that agreement is meaningful evidence rather than a tautology.
 """
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, stats
@@ -228,4 +229,117 @@ def vec_kalman_loglik(y, F, G, V, sigmas, m0, P0, W=None, delta=None) -> np.ndar
         x = x + (K @ e[..., None])[..., 0]
         C = C - K @ HC
         C = 0.5 * (C + C.swapaxes(1, 2))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Exact rational filter
+# ---------------------------------------------------------------------------
+
+def _exact(a):
+    """A float array as nested lists of the Fractions its entries equal exactly."""
+    a = np.asarray(a, dtype=float)
+    return [_exact(x) for x in a] if a.ndim else Fraction(float(a))
+
+
+def _mm(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _tr(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _sub(a, b, s=1):
+    """a - s b, elementwise."""
+    return [[x - s * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _sym(a, c=2):
+    """(a + a') / c."""
+    return [[(x + y) / c for x, y in zip(ra, rb)] for ra, rb in zip(a, _tr(a))]
+
+
+def _inv(a):
+    """Inverse by Gauss-Jordan elimination; ZeroDivisionError if singular."""
+    n = len(a)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for i in range(n):
+        pivot = next((k for k in range(i, n) if rows[k][i] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        rows[i] = [x / rows[i][i] for x in rows[i]]
+        for k in range(n):
+            if k != i and rows[k][i] != 0:
+                rows[k] = [x - rows[k][i] * y for x, y in zip(rows[k], rows[i])]
+    return [row[n:] for row in rows]
+
+
+def _sqrt(x: Fraction) -> Fraction:
+    root = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    if root * root != x:
+        raise ValueError(f"{x} has no rational square root")
+    return root
+
+
+def exact_filter(F, G, V, y, m0, P0, S0, n0, mode, W=None, delta=None) -> dict:
+    """The filter recursion of one series in one mode (``"new"`` or
+    ``"classical"``), in exact rational arithmetic on the exact values of the
+    float inputs.
+
+    F, G, V and W are T-stacks; exactly one of W and the discount ``delta``
+    is given. y is T x r x p with NaN at the missing entries. Each step
+    forms a = G m, R = sym(G P G' + W) or sym(G P G')/delta, f = F'a,
+    Q = sym(F'RF + V), A = R F Q^{-1}, and e = y - f at the observed entries
+    (0 elsewhere). A step updates when something is observed (new) or all
+    is (classical). Then, with w the variables observed in every replicate
+    and u = |w|/p (1 in classical mode), m = a + A e_w, P = R - u A Q A',
+    each n_j grows by the count of observed entries of variable j, and the
+    scale N^{1/2} S N^{1/2} grows by e_w' Q^{-1} e_w, which needs no square
+    root; e_w is e with the columns outside w set to 0. A step that does not
+    update keeps m = a, P = R, n and the scale. The start N0^{1/2} S0 N0^{1/2}
+    needs each n0_j to be the square of a rational.
+
+    Returns lists over the T steps: a, R, f, Q, A, e, m and P as nested lists
+    of Fractions, n as lists, and SN, the scale N^{1/2} S N^{1/2}.
+    """
+    if mode not in ("new", "classical"):
+        raise ValueError(f"unknown mode {mode!r}")
+    F, G, V, y = (np.asarray(x, dtype=float) for x in (F, G, V, y))
+    T, r, p = y.shape
+    m, P, n = _exact(m0), _exact(P0), _exact(n0)
+    root = [_sqrt(x) for x in n]
+    SN = [[s * root[i] * root[j] for j, s in enumerate(row)] for i, row in enumerate(_exact(S0))]
+    c = 2 if delta is None else 2 * _exact(delta)
+    out = {name: [] for name in ("a", "R", "f", "Q", "A", "e", "m", "P", "n", "SN")}
+    for t in range(T):
+        Ft, Gt = _exact(F[t]), _exact(G[t])
+        a = _mm(Gt, m)
+        X = _mm(_mm(Gt, P), _tr(Gt))
+        if W is not None:
+            X = _sub(X, _exact(W[t]), -1)
+        R = _sym(X, c)
+        f = _mm(_tr(Ft), a)
+        RF = _mm(R, Ft)
+        Q = _sym(_sub(_mm(_tr(Ft), RF), _exact(V[t]), -1))
+        Qinv = _inv(Q)
+        A = _mm(RF, Qinv)
+        observed = ~np.isnan(y[t])
+        yt = _exact(np.where(observed, y[t], 0.0))
+        e = [[yt[k][j] - f[k][j] if observed[k, j] else Fraction(0) for j in range(p)]
+             for k in range(r)]
+        update = observed.any() if mode == "new" else observed.all()
+        if update:
+            w = observed.all(axis=0)
+            e_w = [[x if w[j] else Fraction(0) for j, x in enumerate(row)] for row in e]
+            m = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, _mm(A, e_w))]
+            P = _sym(_sub(R, _mm(_mm(A, Q), _tr(A)), Fraction(int(w.sum()), p)))
+            n = [x + int(k) for x, k in zip(n, observed.sum(axis=0))]
+            SN = [[x + y for x, y in zip(ra, rb)]
+                  for ra, rb in zip(SN, _mm(_mm(_tr(e_w), Qinv), e_w))]
+        else:
+            m, P = a, R
+        for name, value in zip(out, (a, R, f, Q, A, e, m, P, list(n), SN)):
+            out[name].append(value)
     return out

@@ -766,6 +766,8 @@ def test_length_numpy_cannot_allocate_filters_and_simulate_is_an_error(tmp_path,
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot draw a series of T=") and err.count("\n") == 1
+    # the output directory is made only after the study has run
+    assert not (tmp_path / "out").exists()
 
 
 def test_pattern_that_lists_every_step_is_read_without_a_series(tmp_path):

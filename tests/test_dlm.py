@@ -632,6 +632,20 @@ def test_filter_output_pickles_and_copies_with_its_s():
         assert np.array_equal(replace(back, mode="x").S, out.S)
 
 
+def test_marginals_are_built_once_and_pickle_with_the_output():
+    model, prior, y = s_oracle_inputs("r2")
+    out = mv.filter(model, y, prior)
+    mt = out.marginals
+    assert out.marginals is mt
+    for back in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+        assert back.marginals is back.marginals
+        for name in ("f", "Q", "S", "n", "v"):
+            assert np.array_equal(getattr(back.marginals, name), getattr(mt, name)), name
+    # a replaced output builds its own law from its own records
+    moved = replace(out, f=out.f + 1.0)
+    assert np.array_equal(moved.marginals.f, out.f + 1.0)
+
+
 def test_filter_that_reads_no_s_holds_no_s_stack():
     # at p = 100 the T x p x p stack alone takes 160 MB
     T, p = 2_000, 100
@@ -659,11 +673,11 @@ def test_reading_s_after_an_overflowing_run_warns_nothing():
     assert np.isnan(out.S[1, 0, 1]) and np.isinf(out.S[1, 0, 0])
 
 
-@pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 3)])
+@pytest.mark.parametrize("d, r", [(3, 1), (1, 2), (2, 2), (3, 3)])
 def test_gain_has_the_bits_of_the_solve(d, r):
-    # at r = 1 the kernel forms A from the reciprocal of Q (a division when
-    # d = 1) and at r >= 2 it calls LAPACK's solve gufunc directly; both must
-    # give what numpy's solve gives
+    # on the numpy step the kernel forms A from the reciprocal of Q at r = 1
+    # and calls LAPACK's solve gufunc directly at r >= 2; both must give what
+    # numpy's solve gives
     rng = np.random.default_rng(81)
     model, prior = random_model(rng, d, 3, r, use_discount=True), random_prior(rng, d, 3)
     y = rng.standard_normal((50, r, 3))
@@ -673,6 +687,19 @@ def test_gain_has_the_bits_of_the_solve(d, r):
         RF = np.ascontiguousarray(rec["R"][:, k]) @ model.F(k + 1)
         want = np.linalg.solve(rec["Q"][:, k], RF.swapaxes(1, 2)).swapaxes(1, 2)
         assert np.array_equal(rec["A"][:, k], want), k
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_python_pass_gain_is_the_exact_gain(d):
+    # at r = 1, d <= 2 the Python-float pass forms A = RF / Q, which has no
+    # solve's bits to match: it is held to the exact recursion instead
+    for seed in range(3):
+        inputs, model, prior, y = exact_case(np.random.default_rng([81, seed]), d, 1)
+        rec = mv.dlm._run(model, prior, y[None], MODES)
+        for k, mode in enumerate(MODES):
+            want = oracles.exact_filter(**inputs, mode=mode)["A"]
+            for t, A in enumerate(want):
+                assert relative_error(rec["A"][k, t], A) <= GAIN_BOUND, (seed, mode, t)
 
 
 def test_private_lapack_gufuncs_keep_the_contract_the_kernel_reads():
@@ -696,6 +723,141 @@ def test_private_lapack_gufuncs_keep_the_contract_the_kernel_reads():
     assert np.array_equal(chol, np.linalg.cholesky(Q))
     assert np.isnan(failed).any()
     assert np.isnan(unsolved).all()
+
+
+# ---------------------------------------------------------------------------
+# every record against the exact rational recursion
+# ---------------------------------------------------------------------------
+
+MODES = ("new", "classical")
+# (d, r) of the exact-oracle models: the first two run the Python-float
+# covariance pass (r = 1, d <= 2), the rest the numpy step
+EXACT_SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (3, 2), (2, 3)]
+EXACT_RECORDS = ("a", "R", "f", "Q", "A", "e", "m", "P", "n", "S")
+# Worst normwise relative error of any record at any step over the 24 models
+# of test_every_record_is_close_to_the_exact_recursion, measured before the
+# Python-float pass, was 1.5e-14 (in e) on the models that now take that pass
+# and 2.0e-12 (in f) on the others; each bound is 10 times its worst.
+EXACT_BOUNDS = {"python": 1.5e-13, "numpy": 2e-11}
+# 10 times the worst gain error over the models of
+# test_python_pass_gain_is_the_exact_gain before the pass, 5.4e-15
+GAIN_BOUND = 5.4e-14
+# Runs through the two covariance passes differ by at most 5.9e-14 (normwise
+# relative, any record, step and mode) on the models of
+# test_python_pass_matches_the_numpy_step; the bound leaves a margin of 8.
+PASS_BOUND = 5e-13
+
+
+def on_grid(a):
+    """``a`` rounded to a multiple of 2^-12: exact in floats and short as a
+    fraction, which keeps the oracle's numbers small."""
+    return np.round(np.asarray(a, dtype=float) * 4096.0) / 4096.0
+
+
+def exact_case(rng, d, r, P0_scale=None):
+    """Oracle inputs, model, prior and data (T x r x p, NaN where missing) of
+    a random model with d x r design and p, T drawn: partly missing entries
+    and one fully missing step, W or a discount, every input on the 2^-12
+    grid. P0 is SPD with entries of order ``P0_scale``, log-uniform in
+    [0.1, 1e3] when None."""
+    p = int(rng.integers(1, 4))
+    T = int(rng.integers(6, 11)) if d * r <= 2 else 6
+    F = on_grid(rng.standard_normal((T, d, r)))
+    G = on_grid(np.eye(d) + 0.2 * rng.standard_normal((T, d, d)))
+    B = rng.standard_normal((T, r, r))
+    V = on_grid(B @ B.swapaxes(1, 2) / r + 0.5 * np.eye(r))
+    W, delta = None, None
+    if rng.random() < 0.5:
+        C = rng.standard_normal((T, d, d))
+        W = on_grid(0.1 * C @ C.swapaxes(1, 2) / d + 0.05 * np.eye(d))
+    else:
+        delta = on_grid(rng.uniform(0.8, 1.0))
+    y = on_grid(2.0 * rng.standard_normal((T, r, p)))
+    y[rng.random(y.shape) < 0.25] = np.nan
+    y[rng.integers(T)] = np.nan
+    scale = 10.0 ** rng.uniform(-1.0, 3.0) if P0_scale is None else P0_scale
+    B0 = rng.standard_normal((d, d))
+    P0 = on_grid(scale * (B0 @ B0.T / d + np.eye(d)))
+    m0 = on_grid(rng.standard_normal((d, p)))
+    B1 = rng.standard_normal((p, p))
+    S0 = on_grid(B1 @ B1.T / p + np.eye(p))
+    n0 = rng.choice([1.0, 2.25, 4.0, 6.25], size=p)
+    inputs = dict(F=F, G=G, V=V, W=W, delta=delta, y=y, m0=m0, P0=P0, S0=S0, n0=n0)
+    stack = lambda a: (lambda t: a[t - 1])
+    model = mv.ModelSpec(d=d, p=p, r=r, F=stack(F), G=stack(G), V=stack(V),
+                         W=None if W is None else stack(W), discount=delta)
+    prior = mv.NmiwState(m=m0, P=P0, miw=mv.MiwParams(S=S0, n=n0, v=float(p)))
+    return inputs, model, prior, y
+
+
+def relative_error(got, want) -> float:
+    """||got - want|| / ||want|| in the Frobenius norm, ``want`` exact (nested
+    Fractions, rounded to floats here); 0 when both are 0, inf when only
+    ``want`` is 0."""
+    want = np.array(want, dtype=float)
+    diff, scale = np.linalg.norm(np.asarray(got) - want), np.linalg.norm(want)
+    return 0.0 if diff == 0.0 else math.inf if scale == 0.0 else float(diff / scale)
+
+
+def exact_errors(inputs, model, prior, y) -> dict[str, float]:
+    """Worst normwise relative error of each record of a two-mode run, over
+    the steps and modes, against :func:`oracles.exact_filter`. S is compared
+    with the exact N^{1/2} S N^{1/2} divided by sqrt(n_i) sqrt(n_j) in floats."""
+    rec = mv.dlm._run(model, prior, y[None], MODES)
+    S = rec["S"]()[:, :, 0]
+    worst = dict.fromkeys(EXACT_RECORDS, 0.0)
+    for k, mode in enumerate(MODES):
+        exact = oracles.exact_filter(**inputs, mode=mode)
+        for t in range(len(y)):
+            root = np.sqrt(np.array(exact["n"][t], dtype=float))
+            want_S = np.array(exact["SN"][t], dtype=float) / (root[:, None] * root[None, :])
+            for name in EXACT_RECORDS:
+                got = S[k, t] if name == "S" else rec[name][k, t]
+                want = want_S if name == "S" else exact[name][t]
+                worst[name] = max(worst[name], relative_error(got, want))
+    return worst
+
+
+def test_every_record_is_close_to_the_exact_recursion():
+    # 24 models, three of each (d, r) in EXACT_SHAPES, both covariance passes
+    worst = dict.fromkeys(EXACT_BOUNDS, 0.0)
+    for seed in range(24):
+        d, r = EXACT_SHAPES[seed % len(EXACT_SHAPES)]
+        errors = exact_errors(*exact_case(np.random.default_rng([86, seed]), d, r))
+        assert errors["n"] == 0.0, seed
+        path = "python" if r == 1 and d <= 2 else "numpy"
+        worst[path] = max(worst[path], *errors.values())
+    assert all(worst[path] <= EXACT_BOUNDS[path] for path in worst), worst
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("use_discount", [False, True], ids=["W", "discount"])
+def test_python_pass_matches_the_numpy_step(monkeypatch, d, use_discount):
+    # the same r = 1 models through both covariance passes, both modes, with
+    # partly and fully missing steps; _python_pass chooses the pass
+    rng = np.random.default_rng(87)
+    T = 300
+    model, prior = random_model(rng, d, 3, 1, use_discount), random_prior(rng, d, 3)
+    y = rng.standard_normal((T, 1, 3))
+    y[rng.random(y.shape) < 0.2] = np.nan
+    y[::25] = np.nan
+    update = mv.dlm._schedule(~np.isnan(y), MODES, 1)[0]
+    assert update.all(axis=1).any() and (update[:, 0] & ~update[:, 1]).any()
+    assert (~update).all(axis=1).any()
+    python = mv.dlm._run(model, prior, y[None], MODES)
+    monkeypatch.setattr(mv.dlm, "_python_pass", lambda d, r: False)
+    numpy = mv.dlm._run(model, prior, y[None], MODES)
+    assert np.array_equal(python["n"], numpy["n"])
+    worst = 0.0
+    for got, want in [(python[name], numpy[name]) for name in
+                      ("a", "R", "f", "Q", "A", "e", "m", "P", "std_err")] + [
+                      (python["S"](), numpy["S"]())]:
+        # NaN marks the same missing entries of std_err in both
+        diff, scale = (np.linalg.norm(np.nan_to_num(x).reshape(2, T, -1), axis=2)
+                       for x in (got - want, want))
+        errors = np.divide(diff, scale, out=np.where(diff > 0.0, np.inf, 0.0), where=scale > 0.0)
+        worst = max(worst, errors.max())
+    assert worst <= PASS_BOUND, worst
 
 
 def test_states_and_marginals_views_follow_the_stacked_arrays():
@@ -897,6 +1059,29 @@ def test_exactly_singular_q_is_not_positive_definite():
     model = scalar_model(v=0.0, delta=1.0)
     exc = filter_error(model, np.ones((3, 1, 1)), scalar_prior(p0=0.0))
     assert str(exc) == "t=1: forecast scale Q is not positive definite"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p0, v, message", [
+    (1e308, 1.0, "t=1: forecast scale Q is not finite"),
+    (0.0, 0.0, "t=1: forecast scale Q is not positive definite"),
+], ids=["overflow", "zero"])
+def test_python_pass_failures_are_raised_at_their_step(monkeypatch, d, p0, v, message):
+    # G P G' overflows to inf, or P = 0 and V = 0 make Q exactly 0, in the
+    # Python-float pass; the numpy step raises the same error at the same t
+    real, calls = mv.dlm._covariance_small, []
+    monkeypatch.setattr(mv.dlm, "_covariance_small", lambda *args: calls.append(1) or real(*args))
+    model = mv.ModelSpec(d=d, p=2, r=1, F=np.ones((d, 1)), G=10.0 * np.eye(d),
+                         V=np.array([[v]]), discount=1.0)
+    prior = mv.NmiwState(m=np.zeros((d, 2)), P=p0 * np.eye(d),
+                         miw=mv.MiwParams(S=np.eye(2), n=np.ones(2), v=2.0))
+    for modes in (("new",), MODES):
+        assert str(filter_error(model, np.ones((3, 1, 2)), prior, modes)) == message
+    assert len(calls) == 2
+    monkeypatch.setattr(mv.dlm, "_python_pass", lambda d, r: False)
+    for modes in (("new",), MODES):
+        assert str(filter_error(model, np.ones((3, 1, 2)), prior, modes)) == message
+    assert len(calls) == 2
 
 
 # Rank 1: LU finds it exactly singular, yet it passes the Cholesky factorization.
