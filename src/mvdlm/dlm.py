@@ -330,9 +330,14 @@ def filter(
 def _observations(values) -> np.ndarray:
     """``values`` as a T x r x p float array with NaN at the missing entries:
     the observation rule of :func:`filter` and ``cli.write_csv``. Checked in
-    this order: numpy reads it as real numbers (:func:`_real`), T >= 1, the
-    shape, and no entry infinite."""
+    this order: numpy reads it as real numbers (:func:`_real`), and each step
+    of a list or tuple too, T >= 1, the shape, and no entry infinite."""
     y = _real(values, ("T", "r", "p"), "observations")
+    if isinstance(values, (list, tuple)):
+        # numpy reads a bool step stacked with float steps as floats
+        for t, step in enumerate(values, start=1):
+            if not isinstance(step, MaskedObservation) and np.asarray(step).dtype == bool:
+                raise DimensionMismatch(f"observations: step {t} is read as bool, not real numbers")
     if y.shape[:1] == (0,):
         raise DomainError("observations must contain at least one step")
     y = _shaped(y, ("T", "r", "p"), "observations")
@@ -436,7 +441,8 @@ def _loop(Fs, Gs, Vs, Ws, c, m, P, y, obs_cols, gain, u) -> dict[str, np.ndarray
     :func:`_python_pass` holds (r = 1, d <= 2), :func:`_covariance_small`
     computes it for every step and mode on Python floats before the loop,
     which then runs the mean part (a, f, e, m) only. At any other (d, r)
-    each step runs the covariance part in numpy first.
+    each step runs the covariance part in numpy first, with the gain from one
+    call of LAPACK's solve gufunc, np.linalg.solve's bits at every r.
     """
     (T, r, Mp), (d, p), K = y.shape, m.shape, u.shape[1]
     shapes = {"a": (d, Mp), "R": (d, d), "f": (r, Mp), "Q": (r, r), "A": (d, r),
@@ -461,15 +467,10 @@ def _loop(Fs, Gs, Vs, Ws, c, m, P, y, obs_cols, gain, u) -> dict[str, np.ndarray
             FRF += Vs[k]
             np.add(FRF, FRF.swapaxes(1, 2), out=Q)
             Q *= 0.5
-            if r > 1:
-                # the products below read the solve's transposed layout, whose
-                # rounding a contiguous copy of A does not reproduce
-                A = _umath_linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
-                A_t[k] = A
-            else:
-                # LAPACK's 1 x 1 solve multiplies d > 1 right-hand sides by
-                # the reciprocal of Q: these are its bits.
-                np.multiply(RF, 1.0 / Q, out=A)
+            # the products below read the solve's transposed layout, whose
+            # rounding a contiguous copy of A does not reproduce at r >= 2
+            A = _umath_linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
+            A_t[k] = A
             AQA = A @ Q @ A.swapaxes(1, 2)
             AQA *= u[k]
             np.subtract(R, AQA, out=AQA)
@@ -584,16 +585,12 @@ def _scale(chol, e, update, wcols, observed, n0) -> tuple[np.ndarray, np.ndarray
 def _stack(Z, sn, started, S0) -> np.ndarray:
     """The covariance scale S (K x T x M x p x p) after every step and mode, from
     :func:`_scale`'s Z and sqrt(n), the steps from each mode's first update on
-    (``started``, K x T) and S0; built on first read, so under its own errstate."""
+    (``started``, K x T) and S0, summed over t in place; built on first read,
+    so under its own errstate."""
     T, p = Z.shape[1], Z.shape[-1]
     S = np.einsum("ktrmi,ktrmj->ktmij", Z, Z)
     S[:, 0] += S0 * (sn[:, 0, :, None] * sn[:, 0, None, :])[:, None]
-    # The running sum adds whole rows, one step at a time: numpy's
-    # accumulate along the time axis is not vectorized across a row, and
-    # these are the additions np.cumsum makes, in the same order.
-    rows = S.swapaxes(0, 1)
-    for prev, row in zip(rows, rows[1:]):
-        row += prev
+    np.cumsum(S, axis=1, out=S)
     # Each block of steps is divided by sqrt(n_i) * sqrt(n_j), the same
     # product for S_ij and S_ji, so S stays exactly symmetric. A block's
     # product stack holds at most K x T x p entries (K p x p products if T < p).

@@ -322,9 +322,10 @@ def test_write_csv_rejects_an_empty_array(tmp_path):
     ([[[None, 1.0]]], mv.DimensionMismatch), ([[["nan", 1.0]]], mv.DimensionMismatch),
     (True, mv.DimensionMismatch), (np.ones((2, 1, 2), dtype=bool), mv.DimensionMismatch),
     ([[[1j, 1.0]]], mv.DimensionMismatch), ([[[10**400, 1.0]]], mv.DimensionMismatch),
+    ([np.ones((1, 2)), np.ones((1, 2), dtype=bool)], mv.DimensionMismatch),
 ], ids=["ragged", "non-numeric", "2-d-array", "empty-list", "no-steps", "+inf", "-inf",
         "dict-cell", "none-cell", "nan-text-cell", "truth-value", "bool-array",
-        "complex-cell", "huge-int-cell"])
+        "complex-cell", "huge-int-cell", "bool-step"])
 def test_filter_and_write_csv_reject_bad_observations_alike(tmp_path, values, error):
     # one observation rule: the library filter and the CSV writer fail alike
     with pytest.raises(mv.MvdlmError) as from_filter:

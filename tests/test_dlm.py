@@ -246,6 +246,19 @@ def test_callable_value_that_is_not_a_number_is_filter_error_at_its_time(bad):
         "t=2: F at t=2: the values do not form a 1 x 1 array of real numbers")
 
 
+@pytest.mark.parametrize("container", [list, tuple])
+def test_step_of_truth_values_among_steps_of_numbers_is_rejected(container):
+    # numpy promotes a bool step stacked with float steps to floats, so the
+    # step is checked by itself, and named
+    steps = container([np.ones((1, 2)), np.ones((1, 2), dtype=bool)])
+    with pytest.raises(mv.DimensionMismatch,
+                       match="^observations: step 2 is read as bool, not real numbers$"):
+        mv.filter(mv.local_level_model(), steps, mv.default_prior())
+    # a truth value beside a number inside one step is read as a number
+    out = mv.filter(mv.local_level_model(), container([[[True, 0.5]]]), mv.default_prior())
+    assert out.e[0].tolist() == [[1.0, 0.5]]
+
+
 # a mask is truth values: numpy reads none of these as such, so none may mark
 # an entry missing (None, as False) or observed ("no", NaN, 2, 0.5, as True)
 NOT_TRUTH_VALUES = {"none": None, "text": "no", "nan": np.nan, "two": 2, "half": 0.5}
@@ -675,9 +688,8 @@ def test_reading_s_after_an_overflowing_run_warns_nothing():
 
 @pytest.mark.parametrize("d, r", [(3, 1), (1, 2), (2, 2), (3, 3)])
 def test_gain_has_the_bits_of_the_solve(d, r):
-    # on the numpy step the kernel forms A from the reciprocal of Q at r = 1
-    # and calls LAPACK's solve gufunc directly at r >= 2; both must give what
-    # numpy's solve gives
+    # on the numpy step the kernel calls LAPACK's solve gufunc directly at
+    # every r, without np.linalg.solve's wrapper; it must give what that gives
     rng = np.random.default_rng(81)
     model, prior = random_model(rng, d, 3, r, use_discount=True), random_prior(rng, d, 3)
     y = rng.standard_normal((50, r, 3))
