@@ -10,19 +10,20 @@ Sigma carrying the per-variable degrees-of-freedom covariance law from
 :mod:`mvdlm.distributions`. Conjugacy gives one closed-form recursion over
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
 the posterior update. The private ``_run`` runs it for M series that share a
-missing-data mask, in one or both update modes, as five stages: the mask
-schedule, the step loop, the checks, the dof and whitened residuals (S is
-built from them when read), and the standardized errors. :func:`filter` is
-the case of one series in one mode; the replication study runs all its
-replications in both modes in one pass.
+missing-data mask, in one or both update modes, as six stages: the mask
+schedule, the covariance pass, the mean loop, the checks, the dof and
+whitened residuals (S is built from them when read), and the standardized
+errors. :func:`filter` is the case of one series in one mode; the
+replication study runs all its replications in both modes in one pass.
 
 The covariance part of the recursion (R, Q, A, P) depends on the model and
-the mask, not on the data. With one replicate row (r = 1) and a state of at
-most two rows (d <= 2) it is computed for all steps and modes before the step
-loop, on Python floats, where numpy's per-call cost would outweigh the
-arithmetic; at any other (d, r) each step of the loop computes it in numpy.
-Neither pass raises where Q cannot be factored: the checks after the loop
-read the failure from Q and its Cholesky factor, at the same step in both.
+the mask, not on the data, so one pass computes it for all steps and modes
+before the mean loop runs a, f, e and m. With one replicate row (r = 1) and a
+state of at most two rows (d <= 2) that pass runs on Python floats, where
+numpy's per-call cost would outweigh the arithmetic; at any other (d, r) it
+runs in numpy. Neither pass raises where Q cannot be factored: the checks
+after the passes read the failure from Q and its Cholesky factor, at the
+same step in both.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -113,10 +114,10 @@ class ModelSpec:
         """Input ``name`` for t = 1..T as one T-stack.
 
         A callable is evaluated for every t and its values are checked
-        together; only if that check fails are they checked one by one. Its
-        first malformed or non-finite value, or the :class:`MvdlmError` it
-        raises, whichever comes at the earlier t, is raised as a
-        :class:`FilterError` at that t.
+        together; only if that check fails, or a value is read as bool, are
+        they checked one by one. Its first malformed, non-finite or bool
+        value, or the :class:`MvdlmError` it raises, whichever comes at the
+        earlier t, is raised as a :class:`FilterError` at that t.
         """
         value, shape = getattr(self, name), self._shape(name)
         if not callable(value):
@@ -129,8 +130,10 @@ class ModelSpec:
                 failure = (t, exc)
                 break
         try:
-            return _checked(values, (T,) + shape, name)
-        except MvdlmError:
+            # numpy reads a bool value stacked with float values as floats
+            if np.dtype(bool) not in set(map(operator.attrgetter("dtype"), map(np.asarray, values))):
+                return _checked(values, (T,) + shape, name)
+        except (MvdlmError, TypeError, ValueError):
             pass
         for t, v in enumerate(values, start=1):
             try:
@@ -354,7 +357,7 @@ _STEP_FAILURES = (
 
 
 # The steps after a failure compute on values that may overflow and are never
-# returned; the checks after the step loop report the failure, not a warning.
+# returned; the checks after the passes report the failure, not a warning.
 @np.errstate(all="ignore")
 def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ...]) -> dict:
     """Filter M series that share one missing-data mask in K modes, all in
@@ -392,7 +395,9 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     observed = ~np.isnan(y[0])
     update, u, gain, wcols, obs_cols = _schedule(observed, modes, M)
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
-    rows = _loop(*inputs, 2.0 * (model.discount or 1.0), prior.m, prior.P, y, obs_cols, gain, u)
+    covariance = _covariance_small if r == 1 and d <= 2 else _covariance_numpy
+    rows = dict(zip("RQAP", covariance(*inputs, 2.0 * (model.discount or 1.0), prior.P, u)))
+    rows.update(zip("afem", _loop(*inputs[:2], rows["A"], prior.m, y, obs_cols, gain)))
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
     chol = _check(rec["Q"], rec["A"], rec["e"], update.T)
     n, Z = _scale(chol, rec["e"], update.T, wcols, observed, n0)
@@ -424,86 +429,79 @@ def _schedule(observed: np.ndarray, modes: tuple[str, ...], M: int) -> tuple[np.
     return update, u, gain, wcols, np.tile(observed, (1, 1, M))
 
 
-def _loop(Fs, Gs, Vs, Ws, c, m, P, y, obs_cols, gain, u) -> dict[str, np.ndarray]:
-    """The records a, R, f, Q, A, e, m and P of every step and mode, each
-    time-major (T x K x ...) so that a step writes one contiguous row of each.
+def _loop(Fs, Gs, A, m, y, obs_cols, gain) -> tuple[np.ndarray, ...]:
+    """The mean records a, f, e and m of every step and mode, each time-major
+    (T x K x ...) so that a step writes one contiguous row of each.
 
-    Reads the model inputs as T-stacks (``Ws`` is None under a discount), the
-    prior moments m and P, the schedule, and the M series ``y`` side by side
-    as column blocks (T x r x M p): m and a are d x (M p) and f and e are
-    r x (M p) per mode, while R, Q, A and P depend only on the model, the mask
-    and the mode, and are carried once per mode. Each step runs the recursion
-    that :func:`filter` states to the last step, with e = 0 at a missing
-    entry and R = (X + X')/c, X = G P G' (+ W), c = 2 delta (2 with W: the
-    bits of the average over delta unless (X + X')/2 is subnormal).
-
-    The covariance part (R, Q, A, P) is read from the model alone. Where
-    :func:`_python_pass` holds (r = 1, d <= 2), :func:`_covariance_small`
-    computes it for every step and mode on Python floats before the loop,
-    which then runs the mean part (a, f, e, m) only. At any other (d, r)
-    each step runs the covariance part in numpy first, with the gain from one
-    call of LAPACK's solve gufunc, np.linalg.solve's bits at every r.
+    Reads F and G as T-stacks, the gains A (T x K x d x r) of a covariance
+    pass, the prior mean m, the schedule, and the M series ``y`` side by side
+    as column blocks (T x r x M p): a and m are d x (M p) and f and e are
+    r x (M p) per mode. Each step runs a = G m, f = F'a, e = y - f (0 at a
+    missing entry) and m = a + A e over the columns that ``gain`` marks.
     """
-    (T, r, Mp), (d, p), K = y.shape, m.shape, u.shape[1]
-    shapes = {"a": (d, Mp), "R": (d, d), "f": (r, Mp), "Q": (r, r), "A": (d, r),
-              "e": (r, Mp), "m": (d, Mp), "P": (d, d)}
-    rows = {name: np.zeros((T, K) + shape) for name, shape in shapes.items()}
-    a_t, R_t, f_t, Q_t, A_t, e_t, m_t, P_t = rows.values()
-    small = _python_pass(d, r)
-    if small:
-        R_t[:], Q_t[:], A_t[:], P_t[:] = _covariance_small(Fs, Gs, Vs, Ws, c, P, u)
-    m, P = np.tile(m, (K, 1, Mp // p)), np.tile(P, (K, 1, 1))
+    (T, r, Mp), (d, p), K = y.shape, m.shape, A.shape[1]
+    a_t, f_t, e_t, m_t = (np.zeros((T, K, n, Mp)) for n in (d, r, r, d))
+    m = np.tile(m, (K, 1, Mp // p))
     for k in range(T):
-        F, G = Fs[k], Gs[k]
-        a, R, f, Q, A, e = a_t[k], R_t[k], f_t[k], Q_t[k], A_t[k], e_t[k]
-        if not small:
-            GPG = G @ P @ G.T
-            if Ws is not None:
-                GPG += Ws[k]
-            np.add(GPG, GPG.swapaxes(1, 2), out=R)
-            R /= c
-            RF = R @ F
-            FRF = F.T @ RF
-            FRF += Vs[k]
-            np.add(FRF, FRF.swapaxes(1, 2), out=Q)
-            Q *= 0.5
-            # the products below read the solve's transposed layout, whose
-            # rounding a contiguous copy of A does not reproduce at r >= 2
-            A = _umath_linalg.solve(Q, RF.swapaxes(1, 2)).swapaxes(1, 2)
-            A_t[k] = A
-            AQA = A @ Q @ A.swapaxes(1, 2)
-            AQA *= u[k]
-            np.subtract(R, AQA, out=AQA)
-            P = np.add(AQA, AQA.swapaxes(1, 2), out=P_t[k])
-            P *= 0.5
-        np.matmul(G, m, out=a)
-        np.matmul(F.T, a, out=f)
+        a, f, e = a_t[k], f_t[k], e_t[k]
+        np.matmul(Gs[k], m, out=a)
+        np.matmul(Fs[k].T, a, out=f)
         np.subtract(y[k], f, out=e, where=obs_cols[k])
         # where(gain, e, 0) keeps a residual out of every mean that does not
         # update with it, so it fails only a mode that does.
-        m = np.matmul(A, np.where(gain[k], e, 0.0), out=m_t[k])
+        m = np.matmul(A[k], np.where(gain[k], e, 0.0), out=m_t[k])
         m += a
-    return rows
+    return a_t, f_t, e_t, m_t
 
 
-def _python_pass(d: int, r: int) -> bool:
-    """Whether :func:`_loop` takes the covariance part of a d x r design from
-    :func:`_covariance_small`: at r = 1 and d <= 2 its Python floats beat
-    numpy's per-call cost, which larger matrices amortize."""
-    return r == 1 and d <= 2
+def _covariance_numpy(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
+    """R, Q, A and P (T x K x ...) of every step and mode at any (d, r), from
+    the model inputs as T-stacks (``Ws`` is None under a discount), the prior
+    P and u (T x K x 1 x 1).
+
+    Each step runs R = (X + X')/c, X = G P G' (+ W), c = 2 delta (2 with W:
+    the bits of the average over delta unless (X + X')/2 is subnormal),
+    Q = sym(F'RF + V), A from one call of LAPACK's solve gufunc (the bits of
+    np.linalg.solve) and P = sym(R - u A Q A') on the K-stack of modes.
+    """
+    (T, d, r), K = Fs.shape, u.shape[1]
+    R_t, Q_t, P_t = (np.zeros((T, K, n, n)) for n in (d, r, d))
+    # A' as the solve leaves it: the mean pass reads A in this transposed
+    # layout, whose rounding of A e a contiguous A does not reproduce at r >= 2
+    At_t = np.zeros((T, K, r, d))
+    P = np.tile(P, (K, 1, 1))
+    for k in range(T):
+        F, G = Fs[k], Gs[k]
+        GPG = G @ P @ G.T
+        if Ws is not None:
+            GPG += Ws[k]
+        R = np.add(GPG, GPG.swapaxes(1, 2), out=R_t[k])
+        R /= c
+        RF = R @ F
+        FRF = F.T @ RF
+        FRF += Vs[k]
+        Q = np.add(FRF, FRF.swapaxes(1, 2), out=Q_t[k])
+        Q *= 0.5
+        A = _umath_linalg.solve(Q, RF.swapaxes(1, 2), out=At_t[k]).swapaxes(1, 2)
+        AQA = A @ Q @ A.swapaxes(1, 2)
+        AQA *= u[k]
+        np.subtract(R, AQA, out=AQA)
+        P = np.add(AQA, AQA.swapaxes(1, 2), out=P_t[k])
+        P *= 0.5
+    return R_t, Q_t, At_t.swapaxes(2, 3), P_t
 
 
 def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
     """R, Q, A and P (T x K x ...) of every step and mode at r = 1 and d <= 2,
     from the model inputs as T-stacks, the prior P and u (T x K x 1 x 1).
 
-    The recursion of :func:`_loop`'s numpy step, written out on Python
+    The recursion of :func:`_covariance_numpy`, written out on Python
     floats: at these sizes a numpy call costs more than its arithmetic. A d = 1 model
     runs as d = 2 with zeros in the second row and column of F, G, W and P,
     which stay exactly 0 (a NaN there follows an overflow at a step that
     fails either way), so its records are those of the scalar recursion. The
     gain is RF / Q, and NaN where Q is not positive or is NaN: a Python
-    division by 0 raises, and the checks after the loop read the failure
+    division by 0 raises, and the checks after the passes read the failure
     from Q and its factor, as at every (d, r).
     """
     (T, d, _), K = Fs.shape, u.shape[1]

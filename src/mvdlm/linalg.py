@@ -9,8 +9,8 @@ every other module imports this one.
 :func:`symmetrize` and :func:`cholesky_lower` serve :mod:`mvdlm.distributions`,
 which solves against the lower Cholesky factor and takes log determinants
 from its diagonal (``_log_det``); no inverse is formed. ``_corr`` turns a
-stack of covariance scales into correlations. The filter's step loop calls
-LAPACK's solve and Cholesky gufuncs directly. Diagonal matrices (dof counts,
+stack of covariance scales into correlations. The filter's numpy pass and
+checks call LAPACK's solve and Cholesky gufuncs directly. Diagonal matrices (dof counts,
 observation masks) are carried as 1-d arrays of their diagonal entries.
 """
 
@@ -79,8 +79,8 @@ def symmetrize(a) -> np.ndarray:
 
     Exact fixed point for already-symmetric input; the distributions and
     :func:`cholesky_lower` apply it to matrices that are symmetric in exact
-    arithmetic but not in floating point. The filter's step loop does not
-    call it: it writes this average into its Q and P rows in place.
+    arithmetic but not in floating point. The filter's covariance passes do
+    not call it: they write this average into their Q and P rows in place.
     """
     a = _real(a, ("p", "p"), "matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:

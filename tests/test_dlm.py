@@ -236,14 +236,42 @@ def test_input_numpy_does_not_read_as_real_numbers_is_rejected(site, kind):
 
 @pytest.mark.parametrize("bad", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
 def test_callable_value_that_is_not_a_number_is_filter_error_at_its_time(bad):
-    # a bare value: the T-stack of the values reads a bool array among float
-    # arrays as floats, as numpy reads [True, 1.0]
+    # a bare value; a bool array among float arrays is the next test's case
     model = mv.ModelSpec(**{**_SPEC, "F": lambda t: bad if t == 2 else np.eye(1)})
     with pytest.raises(mv.FilterError) as exc:
         mv.filter(model, np.full((4, 1, 2), 0.5), mv.default_prior())
     assert exc.value.t == 2
     assert str(exc.value).startswith(
         "t=2: F at t=2: the values do not form a 1 x 1 array of real numbers")
+
+
+@pytest.mark.parametrize("truth_t, other_t, other", [
+    (2, None, None), (2, 3, "raise"), (2, 3, "nan"), (3, 2, "raise"), (3, 2, "nan"),
+])
+def test_callable_truth_values_among_numbers_are_filter_error_at_their_time(
+        truth_t, other_t, other):
+    # numpy reads a bool array stacked with float arrays as floats, so such a
+    # value is checked by itself; the earliest of it, a raised error and a
+    # non-finite value is raised, at its t
+    def F(t):
+        if t == truth_t:
+            return np.array([[True]])
+        if t == other_t and other == "raise":
+            raise mv.DomainError("no design this late")
+        return np.array([[np.nan if t == other_t else 1.0]])
+
+    model = mv.ModelSpec(**{**_SPEC, "F": F})
+    with pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, np.full((4, 1, 2), 0.5), mv.default_prior())
+    if other_t is None or truth_t < other_t:
+        assert exc.value.t == truth_t
+        assert str(exc.value) == (
+            f"t={truth_t}: F at t={truth_t}: the values do not form a 1 x 1 array of real "
+            "numbers (numpy reads them as bool)")
+    else:
+        assert exc.value.t == other_t
+        assert str(exc.value) == f"t={other_t}: " + (
+            "no design this late" if other == "raise" else f"F at t={other_t} must be finite")
 
 
 @pytest.mark.parametrize("container", [list, tuple])
@@ -686,19 +714,26 @@ def test_reading_s_after_an_overflowing_run_warns_nothing():
     assert np.isnan(out.S[1, 0, 1]) and np.isinf(out.S[1, 0, 0])
 
 
-@pytest.mark.parametrize("d, r", [(3, 1), (1, 2), (2, 2), (3, 3)])
-def test_gain_has_the_bits_of_the_solve(d, r):
-    # on the numpy step the kernel calls LAPACK's solve gufunc directly at
-    # every r, without np.linalg.solve's wrapper; it must give what that gives
+@pytest.mark.parametrize("d, r, p", [(3, 1, 3), (1, 2, 3), (2, 2, 3), (3, 3, 3),
+                                     (2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1)],
+                         ids=["3-1", "1-2", "2-2", "3-3", "2-2-p1", "3-2-p1", "2-3-p1", "3-3-p1"])
+def test_gain_has_the_bits_of_the_solve(d, r, p):
+    # the numpy covariance pass calls LAPACK's solve gufunc directly at every
+    # r, without np.linalg.solve's wrapper; it must give what that gives. The
+    # mean pass's A e reads A in the solve's transposed layout: at p = 1,
+    # r >= 2 a contiguous A gives other bits of m
     rng = np.random.default_rng(81)
-    model, prior = random_model(rng, d, 3, r, use_discount=True), random_prior(rng, d, 3)
-    y = rng.standard_normal((50, r, 3))
+    model, prior = random_model(rng, d, p, r, use_discount=True), random_prior(rng, d, p)
+    y = rng.standard_normal((50, r, p))
     y[rng.random(y.shape) < 0.2] = np.nan
-    rec = mv.dlm._run(model, prior, y[None], ("new", "classical"))
+    gain = mv.dlm._schedule(~np.isnan(y), MODES, 1)[2]
+    rec = mv.dlm._run(model, prior, y[None], MODES)
     for k in range(50):
         RF = np.ascontiguousarray(rec["R"][:, k]) @ model.F(k + 1)
         want = np.linalg.solve(rec["Q"][:, k], RF.swapaxes(1, 2)).swapaxes(1, 2)
         assert np.array_equal(rec["A"][:, k], want), k
+        m = rec["a"][:, k] + want @ np.where(gain[k], rec["e"][:, k], 0.0)
+        assert np.array_equal(rec["m"][:, k], m), k
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -715,13 +750,13 @@ def test_python_pass_gain_is_the_exact_gain(d):
 
 
 def test_private_lapack_gufuncs_keep_the_contract_the_kernel_reads():
-    # _loop and _check call numpy.linalg._umath_linalg, a private module; a
-    # numpy that changes it fails here by name, not as a wrong FilterError
+    # _covariance_numpy and _check call numpy.linalg._umath_linalg, a private
+    # module; a numpy that changes it fails here by name, not as a wrong FilterError
     lapack = mv.dlm._umath_linalg
     rng = np.random.default_rng(84)
     X = rng.standard_normal((4, 3, 3))
     Q = X @ X.swapaxes(1, 2) + np.eye(3)
-    B = rng.standard_normal((4, 2, 3)).swapaxes(1, 2)  # a transposed layout, as in _loop
+    B = rng.standard_normal((4, 2, 3)).swapaxes(1, 2)  # a transposed layout, as in the kernel
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     singular = np.ones((2, 2))
     with warnings.catch_warnings():
@@ -743,7 +778,7 @@ def test_private_lapack_gufuncs_keep_the_contract_the_kernel_reads():
 
 MODES = ("new", "classical")
 # (d, r) of the exact-oracle models: the first two run the Python-float
-# covariance pass (r = 1, d <= 2), the rest the numpy step
+# covariance pass (r = 1, d <= 2), the rest the numpy pass
 EXACT_SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (3, 2), (2, 3)]
 EXACT_RECORDS = ("a", "R", "f", "Q", "A", "e", "m", "P", "n", "S")
 # Worst normwise relative error of any record at any step over the 24 models
@@ -846,7 +881,7 @@ def test_every_record_is_close_to_the_exact_recursion():
 @pytest.mark.parametrize("use_discount", [False, True], ids=["W", "discount"])
 def test_python_pass_matches_the_numpy_step(monkeypatch, d, use_discount):
     # the same r = 1 models through both covariance passes, both modes, with
-    # partly and fully missing steps; _python_pass chooses the pass
+    # partly and fully missing steps; _run takes _covariance_small at r = 1
     rng = np.random.default_rng(87)
     T = 300
     model, prior = random_model(rng, d, 3, 1, use_discount), random_prior(rng, d, 3)
@@ -857,7 +892,7 @@ def test_python_pass_matches_the_numpy_step(monkeypatch, d, use_discount):
     assert update.all(axis=1).any() and (update[:, 0] & ~update[:, 1]).any()
     assert (~update).all(axis=1).any()
     python = mv.dlm._run(model, prior, y[None], MODES)
-    monkeypatch.setattr(mv.dlm, "_python_pass", lambda d, r: False)
+    monkeypatch.setattr(mv.dlm, "_covariance_small", mv.dlm._covariance_numpy)
     numpy = mv.dlm._run(model, prior, y[None], MODES)
     assert np.array_equal(python["n"], numpy["n"])
     worst = 0.0
@@ -958,6 +993,24 @@ def test_msse_near_one_when_model_matches_generator():
         vals.append(mv.msse(out))
     mean = np.mean(vals, axis=0)
     assert np.all(np.abs(mean - 1.0) < 0.35)
+
+
+@pytest.mark.parametrize("p, r, M", [(2, 1, 20), (3, 2, 1), (3, 2, 3)],
+                         ids=["study", "csv", "csv-3-series"])
+def test_msse_of_a_stacked_run_has_the_bits_of_each_series(p, r, M):
+    # _msse of the M series side by side (the study's path) against msse of
+    # one series taken out (filter's path): the mean over one contiguous row
+    # per series keeps np.mean's pairwise summation the same in both
+    rng = np.random.default_rng(88)
+    model = mv.ModelSpec(d=1, p=p, r=r, F=np.ones((1, r)), G=np.eye(1), V=np.eye(r),
+                         discount=0.7)
+    y = rng.standard_normal((M, 100, r, p))
+    y[:, rng.random((100, r, p)) < 0.1] = np.nan
+    rec = mv.dlm._run(model, mv.default_prior(p), y, MODES)
+    stacked = mv.dlm._msse(rec["std_err"], rec["observed"])
+    for k in range(2):
+        for i in range(M):
+            assert np.array_equal(stacked[k, i], mv.msse(mv.dlm._series_output(rec, k, i))), (k, i)
 
 
 def test_msse_requires_each_component_observed():
@@ -1080,7 +1133,7 @@ def test_exactly_singular_q_is_not_positive_definite():
 ], ids=["overflow", "zero"])
 def test_python_pass_failures_are_raised_at_their_step(monkeypatch, d, p0, v, message):
     # G P G' overflows to inf, or P = 0 and V = 0 make Q exactly 0, in the
-    # Python-float pass; the numpy step raises the same error at the same t
+    # Python-float pass; the numpy pass raises the same error at the same t
     real, calls = mv.dlm._covariance_small, []
     monkeypatch.setattr(mv.dlm, "_covariance_small", lambda *args: calls.append(1) or real(*args))
     model = mv.ModelSpec(d=d, p=2, r=1, F=np.ones((d, 1)), G=10.0 * np.eye(d),
@@ -1089,11 +1142,12 @@ def test_python_pass_failures_are_raised_at_their_step(monkeypatch, d, p0, v, me
                          miw=mv.MiwParams(S=np.eye(2), n=np.ones(2), v=2.0))
     for modes in (("new",), MODES):
         assert str(filter_error(model, np.ones((3, 1, 2)), prior, modes)) == message
-    assert len(calls) == 2
-    monkeypatch.setattr(mv.dlm, "_python_pass", lambda d, r: False)
+    assert calls == [1, 1]
+    numpy = mv.dlm._covariance_numpy
+    monkeypatch.setattr(mv.dlm, "_covariance_small", lambda *args: calls.append(2) or numpy(*args))
     for modes in (("new",), MODES):
         assert str(filter_error(model, np.ones((3, 1, 2)), prior, modes)) == message
-    assert len(calls) == 2
+    assert calls == [1, 1, 2, 2]
 
 
 # Rank 1: LU finds it exactly singular, yet it passes the Cholesky factorization.
