@@ -18,12 +18,12 @@ replication study runs all its replications in both modes in one pass.
 
 The covariance part of the recursion (R, Q, A, P) depends on the model and
 the mask, not on the data, so one pass computes it for all steps and modes
-before the mean loop runs a, f, e and m. With one replicate row (r = 1) and a
-state of at most two rows (d <= 2) that pass runs on Python floats, where
-numpy's per-call cost would outweigh the arithmetic; at any other (d, r) it
-runs in numpy. Neither pass raises where Q cannot be factored: the checks
-after the passes read the failure from Q and its Cholesky factor, at the
-same step in both.
+before the mean loop runs a, f, e and m. With at most two replicate rows
+(r <= 2) and a state of at most two rows (d <= 2) that pass runs on Python
+floats, where numpy's per-call cost would outweigh the arithmetic; at any
+other (d, r) it runs in numpy. Neither pass raises where Q cannot be
+factored: the checks after the passes read the failure from Q and its
+Cholesky factor, at the same step in both.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -395,7 +395,7 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     observed = ~np.isnan(y[0])
     update, u, gain, wcols, obs_cols = _schedule(observed, modes, M)
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
-    covariance = _covariance_small if r == 1 and d <= 2 else _covariance_numpy
+    covariance = _covariance_small if r <= 2 and d <= 2 else _covariance_numpy
     rows = dict(zip("RQAP", covariance(*inputs, 2.0 * (model.discount or 1.0), prior.P, u)))
     rows.update(zip("afem", _loop(*inputs[:2], rows["A"], prior.m, y, obs_cols, gain)))
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
@@ -492,47 +492,71 @@ def _covariance_numpy(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
 
 
 def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
-    """R, Q, A and P (T x K x ...) of every step and mode at r = 1 and d <= 2,
+    """R, Q, A and P (T x K x ...) of every step and mode at r <= 2 and d <= 2,
     from the model inputs as T-stacks, the prior P and u (T x K x 1 x 1).
 
     The recursion of :func:`_covariance_numpy`, written out on Python
-    floats: at these sizes a numpy call costs more than its arithmetic. A d = 1 model
-    runs as d = 2 with zeros in the second row and column of F, G, W and P,
-    which stay exactly 0 (a NaN there follows an overflow at a step that
-    fails either way), so its records are those of the scalar recursion. The
-    gain is RF / Q, and NaN where Q is not positive or is NaN: a Python
-    division by 0 raises, and the checks after the passes read the failure
-    from Q and its factor, as at every (d, r).
+    floats: at these sizes a numpy call costs more than its arithmetic. Every
+    model runs as d = r = 2. A d = 1 model has zeros in the second row and
+    column of F, G, W and P, and an r = 1 model a zero second column of F and
+    V[1, 1] = 1; the padding stays exactly 0 (a NaN there follows an overflow
+    at a step that fails either way), so the records are those of the smaller
+    recursion, and at r = 1 the gain is RF / Q. The gain solves Q A' = (RF)'
+    by LAPACK getf2's 2 x 2 LU: partial pivoting, the multiplier taken as
+    other * (1 / pivot). It is NaN at a zero or NaN pivot, and where the
+    unswapped pivot q00 is not positive (Q is then not positive definite): a
+    Python division by 0 raises, and the checks after the passes read the
+    failure from Q and its factor, as at every (d, r).
     """
-    (T, d, _), K = Fs.shape, u.shape[1]
-    pad = [(0, 0), (0, 2 - d), (0, 2 - d)]
-    Ws = np.zeros((T, 2, 2)) if Ws is None else np.pad(Ws, pad)
-    inputs = np.concatenate([np.pad(Fs, pad[:2] + [(0, 0)]).reshape(T, 2), Vs.reshape(T, 1),
-                             np.pad(Gs, pad).reshape(T, 4), Ws.reshape(T, 4)], axis=1)
-    rows, record, nan = np.empty((K, T, 11)), Struct("11d"), float("nan")
+    (T, d, r), K = Fs.shape, u.shape[1]
+    # F, V, G and W of every step, each padded to 2 x 2 in one array
+    inputs = np.zeros((T, 4, 2, 2))
+    inputs[:, 1] = np.eye(2)
+    for k, X in enumerate([Fs, Vs, Gs, Ws]):
+        if X is not None:
+            inputs[:, k, :X.shape[1], :X.shape[2]] = X
+    rows, record, nan = np.empty((K, T, 16)), Struct("16d"), float("nan")
     for row, u_mode in zip(rows, u.reshape(T, K).T.tolist()):
-        p00, p01, p10, p11 = np.pad(P, pad[1:]).ravel().tolist()
-        steps = zip(range(0, row.nbytes, record.size), map(np.ndarray.tolist, inputs), u_mode)
+        p00, p01, p10, p11 = np.pad(P, [(0, 2 - d)] * 2).ravel().tolist()
+        steps = zip(range(0, row.nbytes, record.size),
+                    map(np.ndarray.tolist, inputs.reshape(T, 16)), u_mode)
         for at, step, u_t in steps:
-            f0, f1, v, g00, g01, g10, g11, w00, w01, w10, w11 = step
+            f00, f01, f10, f11, v00, v01, v10, v11, g00, g01, g10, g11, w00, w01, w10, w11 = step
             gp00, gp01 = g00 * p00 + g01 * p10, g00 * p01 + g01 * p11
             gp10, gp11 = g10 * p00 + g11 * p10, g10 * p01 + g11 * p11
             x00 = gp00 * g00 + gp01 * g01 + w00
             x01 = (gp00 * g10 + gp01 * g11 + w01) + (gp10 * g00 + gp11 * g01 + w10)
             x11 = gp10 * g10 + gp11 * g11 + w11
             r00, r01, r11 = (x00 + x00) / c, x01 / c, (x11 + x11) / c
-            rf0, rf1 = r00 * f0 + r01 * f1, r01 * f0 + r11 * f1
-            q = f0 * rf0 + f1 * rf1 + v
-            q = (q + q) * 0.5
-            a0, a1 = (rf0 / q, rf1 / q) if q > 0.0 else (nan, nan)
-            aq0, aq1 = a0 * q, a1 * q
-            p00, p11 = r00 - aq0 * a0 * u_t, r11 - aq1 * a1 * u_t
+            rf00, rf10 = r00 * f00 + r01 * f10, r01 * f00 + r11 * f10
+            rf01, rf11 = r00 * f01 + r01 * f11, r01 * f01 + r11 * f11
+            x00 = f00 * rf00 + f10 * rf10 + v00
+            x01 = (f00 * rf01 + f10 * rf11 + v01) + (f01 * rf00 + f11 * rf10 + v10)
+            x11 = f01 * rf01 + f11 * rf11 + v11
+            q00, q01, q11 = (x00 + x00) * 0.5, x01 * 0.5, (x11 + x11) * 0.5
+            # the LU of Q: pivot row (s0, s1), other row (o0, o1), and b, ob
+            # the matching rows of (RF)'; the rows swap where |q01| > |q00|
+            if abs(q01) > abs(q00):
+                s0, s1, o0, o1, b0, b1, ob0, ob1 = q01, q11, q00, q01, rf01, rf11, rf00, rf10
+            else:
+                s0 = q00 if q00 > 0.0 else nan
+                s1, o0, o1, b0, b1, ob0, ob1 = q01, q01, q11, rf00, rf10, rf01, rf11
+            mult = o0 * (1.0 / s0)
+            # an exactly singular U gives NaN, as LAPACK's solve does
+            u11 = (o1 - mult * s1) or nan
+            a01, a11 = (ob0 - mult * b0) / u11, (ob1 - mult * b1) / u11
+            a00, a10 = (b0 - s1 * a01) / s0, (b1 - s1 * a11) / s0
+            aq00, aq01 = a00 * q00 + a01 * q01, a00 * q01 + a01 * q11
+            aq10, aq11 = a10 * q00 + a11 * q01, a10 * q01 + a11 * q11
+            p00 = r00 - (aq00 * a00 + aq01 * a01) * u_t
+            p11 = r11 - (aq10 * a10 + aq11 * a11) * u_t
             p00, p11 = (p00 + p00) * 0.5, (p11 + p11) * 0.5
-            p01 = p10 = ((r01 - aq0 * a1 * u_t) + (r01 - aq1 * a0 * u_t)) * 0.5
-            record.pack_into(row, at, r00, r01, r01, r11, q, a0, a1, p00, p01, p10, p11)
-    R, Q, A, P = np.split(rows.swapaxes(0, 1), [4, 5, 7], axis=2)
-    return (R.reshape(T, K, 2, 2)[..., :d, :d], Q.reshape(T, K, 1, 1),
-            A.reshape(T, K, 2, 1)[..., :d, :], P.reshape(T, K, 2, 2)[..., :d, :d])
+            p01 = p10 = ((r01 - (aq00 * a10 + aq01 * a11) * u_t)
+                         + (r01 - (aq10 * a00 + aq11 * a01) * u_t)) * 0.5
+            record.pack_into(row, at, r00, r01, r01, r11, q00, q01, q01, q11,
+                             a00, a01, a10, a11, p00, p01, p10, p11)
+    R, Q, A, P = rows.swapaxes(0, 1).reshape(T, K, 4, 2, 2).transpose(2, 0, 1, 3, 4)
+    return R[..., :d, :d], Q[..., :r, :r], A[..., :d, :r], P[..., :d, :d]
 
 
 def _check(Q: np.ndarray, A: np.ndarray, e: np.ndarray, update: np.ndarray) -> np.ndarray:
@@ -543,8 +567,8 @@ def _check(Q: np.ndarray, A: np.ndarray, e: np.ndarray, update: np.ndarray) -> n
     definite, where L is NaN or the gain A is all NaN; e not finite where a
     mode updates with it (``update``, K x T). Under ``_run``'s errstate the
     Cholesky gufunc behind np.linalg.cholesky leaves NaN in the factor of a Q
-    it cannot factor instead of raising; the solve gufunc leaves NaN in the
-    gain of a Q that LU finds singular, which Cholesky may pass.
+    it cannot factor instead of raising; the LU of either covariance pass
+    leaves NaN in the gain of a Q it finds singular, which Cholesky may pass.
     """
     chol = _umath_linalg.cholesky_lo(Q, signature="d->d")
     checks = np.stack([
@@ -567,14 +591,20 @@ def _scale(chol, e, update, wcols, observed, n0) -> tuple[np.ndarray, np.ndarray
     and N^{1/2} S N^{1/2} by the Gram matrix C_t = Z'Z of Z = L^{-1} e on the
     ``wcols``: with nn_t = outer(sqrt(n_t), sqrt(n_t)), :func:`_stack` builds
     S_t = (S0 * nn_0 + C_1 + ... + C_t) / nn_t on first read; Z is r/p its size.
+    Z is one forward substitution over the r rows of L for all steps at once:
+    row i is e_i less L_ij z_j for j = 0, ..., i - 1 in turn, divided by L_ii.
+    L is already triangular, so no LU is run.
     """
     (K, T, r, Mp), p = e.shape, observed.shape[2]
     counts = np.where(update[:, :, None], observed.sum(axis=1), 0)
     n = np.cumsum(np.concatenate([np.broadcast_to(n0, (K, 1, p)), counts], axis=1), axis=1)
-    # Z is solved at the updating steps only and is exactly 0 elsewhere,
-    # whatever e holds there.
+    # Z is exactly 0 at the steps that do not update, whatever e holds there,
+    # and _check has left every factor finite with a positive diagonal.
     Z = np.zeros(e.shape)
-    Z[update] = np.linalg.solve(chol[update], e[update])
+    np.copyto(Z, e, where=update[:, :, None, None])
+    for i in range(r):
+        Z[:, :, i] /= chol[:, :, i, i, None]
+        Z[:, :, i + 1:] -= chol[:, :, i + 1:, i, None] * Z[:, :, i, None]
     Z *= wcols[:, None]
     return n, Z.reshape(K, T, r, Mp // p, p)
 

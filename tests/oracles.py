@@ -158,7 +158,9 @@ def s_stack(e, Q, observed, n, S0, n0) -> np.ndarray:
     and S_t = S0 before the first update. A step updates exactly when it moves
     n. This is the cumulative-sum form, one np.cumsum and one division per
     variable, with the same operations in the same order as the filter, so it
-    must agree bit for bit.
+    must agree bit for bit. Z is solved one step at a time by forward
+    substitution: row i is e_i minus L_ij z_j for j = 0, 1, ..., i - 1 in
+    turn, divided by L_ii.
     """
     T, r, p = e.shape
     n_all = np.vstack([n0, n])
@@ -166,7 +168,13 @@ def s_stack(e, Q, observed, n, S0, n0) -> np.ndarray:
     upd = (n_all[1:] != n_all[:-1]).any(axis=1)
     wprod = observed.all(axis=1)
     Z = np.zeros((T, r, p))
-    Z[upd] = np.linalg.solve(np.linalg.cholesky(Q[upd]), e[upd]) * wprod[upd, None]
+    for t in np.flatnonzero(upd):
+        L, z = np.linalg.cholesky(Q[t]), e[t].copy()
+        for i in range(r):
+            for j in range(i):
+                z[i] = z[i] - L[i, j] * z[j]
+            z[i] = z[i] / L[i, i]
+        Z[t] = z * wprod[t]
     S = np.einsum("tki,tkj->tij", Z, Z)
     S[0] += S0 * np.outer(sn[0], sn[0])
     S = np.cumsum(S, axis=0)

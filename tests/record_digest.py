@@ -96,8 +96,9 @@ def failing_cases():
                 np.ones((1, 3, 1, 2))
     lu_singular = np.array([[0.003305626623116044, -0.0049834247877285605],
                             [-0.0049834247877285605, 0.007512803303700776]])
+    # |q01| > |q00| in lu_singular: a 2 x 2 LU with partial pivoting swaps its rows
     for d, r, V3 in ((1, 1, 0.0), (2, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (1, 2, lu_singular),
-                     (3, 1, 0.0), (4, 1, 0.0)):
+                     (2, 2, lu_singular), (3, 1, 0.0), (4, 1, 0.0)):
         kind = "LU-singular" if V3 is lu_singular else "singular"
         model = mv.ModelSpec(d=d, p=1, r=r, F=np.ones((d, r)), G=np.eye(d), discount=1.0,
                              V=lambda t, V3=V3, r=r: (np.broadcast_to(V3, (r, r)) if t == 3
