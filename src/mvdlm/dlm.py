@@ -21,9 +21,8 @@ the mask, not on the data, so one pass computes it for all steps and modes
 before the mean loop runs a, f, e and m. With at most two replicate rows
 (r <= 2) and a state of at most two rows (d <= 2) that pass runs on Python
 floats, where numpy's per-call cost would outweigh the arithmetic; at any
-other (d, r) it runs in numpy. Neither pass raises where Q cannot be
-factored: the checks after the passes read the failure from Q and its
-Cholesky factor, at the same step in both.
+other (d, r) it runs in numpy. Neither pass raises: one rule on Q's Cholesky
+factor, read after them, fails a model at the same step in both.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -323,7 +322,7 @@ def filter(
     ``mode="new"`` applies the per-variable masked update;
     ``mode="classical"`` discards any observation with a missing entry.
     Model inputs that are malformed or not finite, a forecast scale Q that is
-    not finite or cannot be factored, and a residual e that is not finite at
+    not finite or not positive definite, and a residual e that is not finite at
     an updating step are raised as :class:`FilterError` with the failing
     1-based time index.
     """
@@ -349,11 +348,14 @@ def _observations(values) -> np.ndarray:
     return y
 
 
-_STEP_FAILURES = (
-    "forecast scale Q is not finite",
-    "forecast scale Q is not positive definite",
-    "forecast residual e is not finite",
-)
+_STEP_FAILURES = ("forecast scale Q is not finite", "forecast scale Q is not positive definite",
+                  "forecast residual e is not finite")
+
+# c of _check's rule, Q not positive definite where a pivot ratio L_ii^2 / Q_ii <= c eps.
+# Cholesky's backward error, gamma_{r+1} ~ (r + 1) eps / 2 of Q's scale (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., ch. 10), is covered up to r = 127. The digest
+# models that run have ratios >= 761 eps; V_LU_SINGULAR, rank 1 but factored, has 1.56 eps.
+_PIVOT_C = 64
 
 
 # The steps after a failure compute on values that may overflow and are never
@@ -399,7 +401,7 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     rows = dict(zip("RQAP", covariance(*inputs, 2.0 * (model.discount or 1.0), prior.P, u)))
     rows.update(zip("afem", _loop(*inputs[:2], rows["A"], prior.m, y, obs_cols, gain)))
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
-    chol = _check(rec["Q"], rec["A"], rec["e"], update.T)
+    chol = _check(rec["Q"], rec["e"], update.T)
     n, Z = _scale(chol, rec["e"], update.T, wcols, observed, n0)
     sn, started = np.sqrt(n), np.logical_or.accumulate(update.T, axis=1)
     rec.update(n=n[:, 1:], S=cache(partial(_stack, Z, sn, started, S0)),
@@ -503,10 +505,8 @@ def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
     at a step that fails either way), so the records are those of the smaller
     recursion, and at r = 1 the gain is RF / Q. The gain solves Q A' = (RF)'
     by LAPACK getf2's 2 x 2 LU: partial pivoting, the multiplier taken as
-    other * (1 / pivot). It is NaN at a zero or NaN pivot, and where the
-    unswapped pivot q00 is not positive (Q is then not positive definite): a
-    Python division by 0 raises, and the checks after the passes read the
-    failure from Q and its factor, as at every (d, r).
+    other * (1 / pivot). The gain is NaN at a zero or NaN pivot and where the
+    unswapped pivot q00 is not positive, so no Python division by 0 raises.
     """
     (T, d, r), K = Fs.shape, u.shape[1]
     # F, V, G and W of every step, each padded to 2 x 2 in one array
@@ -559,21 +559,21 @@ def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
     return R[..., :d, :d], Q[..., :r, :r], A[..., :d, :r], P[..., :d, :d]
 
 
-def _check(Q: np.ndarray, A: np.ndarray, e: np.ndarray, update: np.ndarray) -> np.ndarray:
+def _check(Q: np.ndarray, e: np.ndarray, update: np.ndarray) -> np.ndarray:
     """The Cholesky factor L of the K x T stack of Q, or :class:`FilterError`
     at the earliest step whose records fail a check.
 
     Per step, in the order they are raised: Q not finite; Q not positive
-    definite, where L is NaN or the gain A is all NaN; e not finite where a
-    mode updates with it (``update``, K x T). Under ``_run``'s errstate the
-    Cholesky gufunc behind np.linalg.cholesky leaves NaN in the factor of a Q
-    it cannot factor instead of raising; the LU of either covariance pass
-    leaves NaN in the gain of a Q it finds singular, which Cholesky may pass.
+    definite, where a pivot ratio L_ii^2 / Q_ii is at most ``_PIVOT_C`` eps or
+    NaN (under ``_run``'s errstate the gufunc behind np.linalg.cholesky leaves
+    NaN in the factor of a Q it cannot factor); e not finite where a mode
+    updates with it (``update``, K x T).
     """
     chol = _umath_linalg.cholesky_lo(Q, signature="d->d")
+    pivots = np.diagonal(chol, axis1=2, axis2=3) ** 2 / np.diagonal(Q, axis1=2, axis2=3)
     checks = np.stack([
         ~np.isfinite(Q).all(axis=(0, 2, 3)),
-        np.isnan(chol).any(axis=(0, 2, 3)) | np.isnan(A).all(axis=(2, 3)).any(axis=0),
+        ~(pivots > _PIVOT_C * np.finfo(float).eps).all(axis=(0, 2)),
         (update & ~np.isfinite(e).all(axis=(2, 3))).any(axis=0),
     ], axis=1)
     if checks.any():

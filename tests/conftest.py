@@ -14,6 +14,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+# pytester runs a scratch pytest project in a subprocess (test_properties.py)
+pytest_plugins = ["pytester"]
+
 _RESULTS: dict[int, tuple[str, bool, str]] = {}
 
 

@@ -1176,21 +1176,39 @@ def test_python_pass_failures_are_raised_at_their_step(monkeypatch, d, r, p0, v,
         assert calls == [1, 1]
 
 
-# Rank 1: LU finds it exactly singular, yet it passes the Cholesky factorization.
+# Rank 1: LU finds it exactly singular, yet it passes the Cholesky
+# factorization, with a pivot ratio L_11^2 / Q_11 of 1.56 eps.
 V_LU_SINGULAR = np.array([[0.003305626623116044, -0.0049834247877285605],
                           [-0.0049834247877285605, 0.007512803303700776]])
 
 
+# c of the failure rule as dlm._PIVOT_C documents it: Q fails where a pivot
+# ratio of its Cholesky factor is at most c eps
+PIVOT_C = 64
+
+
+def pivot_ratio_v(r, ratio):
+    """[[1, rho], [rho, 1]] with 1 - rho^2 = ``ratio`` eps, block-diagonal with a 1
+    at r = 3: the pivot ratio of Q = V is ``ratio`` eps up to rounding."""
+    V = np.eye(r)
+    V[0, 1] = V[1, 0] = math.sqrt(1.0 - ratio * np.finfo(float).eps)
+    return V
+
+
 @pytest.mark.parametrize("modes", [("new",), ("new", "classical")])
 @pytest.mark.parametrize("d, r, V3", [(1, 1, 0.0), (2, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0),
-                                      (1, 2, V_LU_SINGULAR)],
-                         ids=["1-1", "2-1", "1-2", "2-3", "1-2-lu-singular"])
+                                      (1, 2, V_LU_SINGULAR),
+                                      (1, 2, pivot_ratio_v(2, PIVOT_C - 1)),
+                                      (1, 3, pivot_ratio_v(3, PIVOT_C - 1))],
+                         ids=["1-1", "2-1", "1-2", "2-3", "1-2-lu-singular",
+                              "1-2-below-c", "1-3-below-c"])
 def test_late_exactly_singular_q_is_not_positive_definite(monkeypatch, d, r, V3, modes):
     # P = 0 with discount 1 keeps R = 0, so Q = V, which is singular only at
     # t = 3. The gain does not stop the loop at any r (the LU of either pass
     # fills it with NaN), so the checks after the loop must report t = 3, not
-    # the non-finite Q of the steps after it; at V_LU_SINGULAR only the NaN
-    # gain shows it, and there the Python-float pass's LU swaps the rows.
+    # the non-finite Q of the steps after it. At V_LU_SINGULAR, and at a
+    # pivot ratio just below c eps, Cholesky factors Q and only the ratio
+    # shows it; at V_LU_SINGULAR the Python-float pass's LU swaps the rows.
     calls = count_small_pass(monkeypatch)
     model = mv.ModelSpec(d=d, p=1, r=r, F=np.ones((d, r)), G=np.eye(d), discount=1.0,
                          V=lambda t: np.broadcast_to(V3, (r, r)) if t == 3 else np.eye(r))
@@ -1199,6 +1217,30 @@ def test_late_exactly_singular_q_is_not_positive_definite(monkeypatch, d, r, V3,
     exc = filter_error(model, np.ones((5, r, 1)), prior, modes)
     assert str(exc) == "t=3: forecast scale Q is not positive definite"
     assert calls == ([1] if r <= 2 and d <= 2 else [])
+
+
+def test_q_with_a_pivot_ratio_just_above_c_eps_runs_in_both_passes(monkeypatch):
+    # Q = V at t = 3 as above, with 1 - rho^2 one eps on either side of c eps;
+    # the side above runs to the end on the Python-float pass (r = 2) and on
+    # the numpy pass (r = 2 forced, and r = 3)
+    eps, c = np.finfo(float).eps, PIVOT_C
+    for r in (2, 3):
+        below, above = (np.linalg.cholesky(pivot_ratio_v(r, ratio))[1, 1] ** 2 / eps
+                        for ratio in (c - 1, c + 1))
+        assert c - 2 < below < c < above < c + 2, (below, above)
+    prior = mv.NmiwState(m=np.zeros((1, 1)), P=np.zeros((1, 1)),
+                         miw=mv.MiwParams(S=np.eye(1), n=np.ones(1), v=1.0))
+    for r, run in ((2, None), (2, mv.dlm._covariance_numpy), (3, None)):
+        calls = count_small_pass(monkeypatch, run)
+        V3 = pivot_ratio_v(r, c + 1)
+        model = mv.ModelSpec(d=1, p=1, r=r, F=np.ones((1, r)), G=np.eye(1), discount=1.0,
+                             V=lambda t, V3=V3, r=r: V3 if t == 3 else np.eye(r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = mv.dlm._run(model, prior, np.ones((1, 5, r, 1)), MODES)
+        assert np.array_equal(rec["Q"][:, 2], np.broadcast_to(V3, (2, r, r)))
+        assert np.isfinite(rec["m"]).all() and np.isfinite(rec["S"]()).all()
+        assert calls == ([1] if r == 2 else [])
 
 
 @pytest.mark.parametrize("modes", [("new",), ("new", "classical"), ("classical", "new")])
@@ -1221,6 +1263,37 @@ def test_q_that_only_the_new_mode_cannot_factor(monkeypatch, r, V2, first, modes
     exc = filter_error(model, data, prior, modes)
     assert str(exc) == "t=2: forecast scale Q is not positive definite"
     assert calls == [1, 1]
+
+
+def test_both_covariance_passes_fail_a_digest_model_at_the_same_step(monkeypatch):
+    # Every digest model the Python-float pass takes (d <= 2, r <= 2), run on
+    # it and again with the numpy pass forced: the same outcome, or the same
+    # message at the same t. The passes round differently, so near the failure
+    # rule's threshold only a rule read from Q's factor keeps them together.
+    import record_digest
+
+    cases = [record_digest.random_case(i) for i in range(record_digest.RANDOM_MODELS)]
+    cases = [case for case in cases + list(record_digest.failing_cases())
+             if case[1].d <= 2 and case[1].r <= 2]
+
+    def outcomes():
+        found = {}
+        for label, model, prior, y in cases:
+            try:
+                mv.dlm._run(model, prior, y, MODES)
+                found[label] = "ran"
+            except mv.MvdlmError as exc:
+                found[label] = f"{type(exc).__name__}: {exc}"
+        return found
+
+    small = outcomes()
+    monkeypatch.setattr(mv.dlm, "_covariance_small", mv.dlm._covariance_numpy)
+    forced = outcomes()
+    assert {label: (small[label], forced[label]) for label in small
+            if small[label] != forced[label]} == {}
+    # not vacuous: random models that run and models that fail are among them
+    assert "ran" in small.values()
+    assert any(label.startswith("random") and outcome != "ran" for label, outcome in small.items())
 
 
 def test_earlier_residual_failure_wins_over_a_later_indefinite_q():

@@ -149,3 +149,23 @@ def test_posterior_scales_stay_positive_semidefinite(system, mode):
     for name in ("P", "S"):
         eig = np.linalg.eigvalsh(getattr(out, name))
         assert np.all(eig[:, 0] >= -1e-12 * eig[:, -1]), name
+
+
+def test_a_failing_property_does_not_stop_the_suite(pytester, pytestconfig):
+    # Hypothesis reports a failing property through libcst, which warns that
+    # mypy_extensions.TypedDict is deprecated. The suite's filterwarnings turn
+    # warnings into errors, and unless that one is ignored the run stops with
+    # INTERNALERROR before the tests after the failing one.
+    filters = "".join(f"\n    {entry}" for entry in pytestconfig.getini("filterwarnings"))
+    pytester.makeini(f"[pytest]\nfilterwarnings ={filters}\n")
+    pytester.makepyfile(test_two="""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+    """)
+    pytester.runpytest_subprocess("-p", "no:cacheprovider").assert_outcomes(failed=1, passed=1)
