@@ -11,18 +11,24 @@ Sigma carrying the per-variable degrees-of-freedom covariance law from
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
 the posterior update. The private ``_run`` runs it for M series that share a
 missing-data mask, in one or both update modes, as six stages: the mask
-schedule, the covariance pass, the mean loop, the checks, the dof and
+schedule, the covariance pass, the mean scan, the checks, the dof and
 whitened residuals (S is built from them when read), and the standardized
 errors. :func:`filter` is the case of one series in one mode; the
 replication study runs all its replications in both modes in one pass.
 
 The covariance part of the recursion (R, Q, A, P) depends on the model and
 the mask, not on the data, so one pass computes it for all steps and modes
-before the mean loop runs a, f, e and m. With at most two replicate rows
-(r <= 2) and a state of at most two rows (d <= 2) that pass runs on Python
-floats, where numpy's per-call cost would outweigh the arithmetic; at any
-other (d, r) it runs in numpy. Neither pass raises: one rule on Q's Cholesky
-factor, read after them, fails a model at the same step in both.
+first. With at most two replicate rows (r <= 2) and a state of at most two
+rows (d <= 2) that pass runs on Python floats, where numpy's per-call cost
+would outweigh the arithmetic; at any other (d, r) it runs in numpy. Neither
+pass raises: one rule on Q's Cholesky factor, read after them, fails a model
+at the same step in both.
+
+With the gains known, the mean step is affine in each column, so a blocked
+prefix scan runs a, f, e and m (Blelloch, "Prefix sums and their
+applications", CMU-CS-90-190, 1990; Särkkä and García-Fernández, "Temporal
+parallelization of Bayesian smoothers", IEEE TAC 66(1), 2021): blocks of
+floor(sqrt(T)) steps, in about 2 sqrt(T) batched numpy steps instead of T.
 
 Missing data are handled by one masked update: each observed variable
 updates its own degrees-of-freedom entry, while a variable missing from the
@@ -35,6 +41,7 @@ observation whenever any entry is missing.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -369,7 +376,9 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     series (the mask is read from the first), and no entry infinite. After
     the checks of ``y``'s r, p and T against the model, the modes and the
     prior, the model inputs are stacked, F before G before V before W, and
-    then the stages run.
+    then the stages run: the mean records come from :func:`_scan`, a
+    blocked scan over the steps whose records equal the step-by-step
+    recursion's up to rounding.
 
     Returns one record dict whose arrays carry the modes as their leading
     K axis, then time: a, R, f, Q, A, e, std_err, m, P and n; beside them S,
@@ -399,7 +408,7 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
     covariance = _covariance_small if r <= 2 and d <= 2 else _covariance_numpy
     rows = dict(zip("RQAP", covariance(*inputs, 2.0 * (model.discount or 1.0), prior.P, u)))
-    rows.update(zip("afem", _loop(*inputs[:2], rows["A"], prior.m, y, obs_cols, gain)))
+    rows.update(zip("afem", _scan(*inputs[:2], rows["A"], prior.m, y, obs_cols, gain)))
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
     chol = _check(rec["Q"], rec["e"], update.T)
     n, Z = _scale(chol, rec["e"], update.T, wcols, observed, n0)
@@ -431,28 +440,85 @@ def _schedule(observed: np.ndarray, modes: tuple[str, ...], M: int) -> tuple[np.
     return update, u, gain, wcols, np.tile(observed, (1, 1, M))
 
 
-def _loop(Fs, Gs, A, m, y, obs_cols, gain) -> tuple[np.ndarray, ...]:
+def _scan(Fs, Gs, A, m, y, obs_cols, gain) -> tuple[np.ndarray, ...]:
     """The mean records a, f, e and m of every step and mode, each time-major
-    (T x K x ...) so that a step writes one contiguous row of each.
+    (T x K x ...), by a blocked two-pass scan.
 
     Reads F and G as T-stacks, the gains A (T x K x d x r) of a covariance
-    pass, the prior mean m, the schedule, and the M series ``y`` side by side
-    as column blocks (T x r x M p): a and m are d x (M p) and f and e are
-    r x (M p) per mode. Each step runs a = G m, f = F'a, e = y - f (0 at a
+    pass, the prior mean m0, the schedule, and the M series ``y`` side by
+    side as column blocks (T x r x M p): a and m are d x (M p) and f and e
+    are r x (M p) per mode. A step runs a = G m, f = F'a, e = y - f (0 at a
     missing entry) and m = a + A e over the columns that ``gain`` marks.
+    With the gains known, that step is affine in each column, and affine
+    maps compose, so the recursion is a prefix scan (Blelloch, "Prefix sums
+    and their applications", CMU-CS-90-190, 1990; Särkkä and
+    García-Fernández, "Temporal parallelization of Bayesian smoothers", IEEE
+    TAC 66(1), 2021).
+
+    The T steps form B = ceil(T / L) blocks of L = floor(sqrt(T)) steps, the
+    last padded with G = I, F = 0, A = 0 and no gain, and each of the
+    passes below runs all its blocks in one batched call per step: about
+    2 sqrt(T) batched steps in place of T.
+
+    - Pass 1: every block but the last runs from m0 beside its response H
+      to the start: d more columns per column, from I, with y = 0 and the
+      same gain.
+    - The carry: one loop over the blocks, start_{b+1} = x_b +
+      H_b (start_b - m0) per column, from the block ends x_b and H_b alone.
+      For a series at the prior mean's fixed point every block ends at m0
+      exactly, so start - m0 is exactly 0 and every residual stays 0.
+    - Pass 2: every block runs again from its start, by the step itself,
+      into the records. So a column that a mode does not move keeps m == a
+      bit for bit.
     """
     (T, r, Mp), (d, p), K = y.shape, m.shape, A.shape[1]
-    a_t, f_t, e_t, m_t = (np.zeros((T, K, n, Mp)) for n in (d, r, r, d))
-    m = np.tile(m, (K, 1, Mp // p))
-    for k in range(T):
-        a, f, e = a_t[k], f_t[k], e_t[k]
-        np.matmul(Gs[k], m, out=a)
-        np.matmul(Fs[k].T, a, out=f)
-        np.subtract(y[k], f, out=e, where=obs_cols[k])
-        # where(gain, e, 0) keeps a residual out of every mean that does not
-        # update with it, so it fails only a mode that does.
-        m = np.matmul(A[k], np.where(gain[k], e, 0.0), out=m_t[k])
+    L = math.isqrt(T)
+    B = -(-T // L)
+
+    def blocks(x, fill):
+        # x padded to B L steps in its memory layout (the bits of A e depend
+        # on A's), as B x L x ...
+        pad = np.broadcast_to(fill, (B * L - T,) + x.shape[1:])
+        out = np.concatenate([x, pad], out=np.empty_like(x, shape=(B * L,) + x.shape[1:]))
+        return out.reshape((B, L) + x.shape[1:])
+
+    # contiguous F and G: empty_like would put a constant's broadcast T axis last
+    Fs, Gs = (np.ascontiguousarray(X) for X in (Fs, Gs))
+    Fs, Gs, A = blocks(Fs, 0.0), blocks(Gs, np.eye(d)), blocks(A, 0.0)
+    y, gain = blocks(y, 0.0), blocks(gain, False)
+    Ft = Fs.swapaxes(2, 3)[:, :, None]
+    m0 = np.tile(m, (K, 1, Mp // p))
+
+    # pass 1: x beside H, whose d columns for mean column j start at Mp + j d
+    x = np.concatenate([np.broadcast_to(m0, (B - 1, K, d, Mp)),
+                        np.broadcast_to(np.tile(np.eye(d), Mp), (B - 1, K, d, Mp * d))], axis=3)
+    gain_xh = np.concatenate([gain[:-1], np.repeat(gain[:-1], d, axis=4)], axis=4)
+    for k in range(L):
+        a = np.matmul(Gs[:-1, k, None], x)
+        e = np.negative(np.matmul(Ft[:-1, k], a))
+        e[..., :Mp] += y[:-1, k, None]
+        x = np.matmul(A[:-1, k], np.where(gain_xh[:, k], e, 0.0))
+        x += a
+    H = x[..., Mp:].reshape(B - 1, K, d, Mp, d)
+    start = np.empty((B, K, d, Mp))
+    start[0] = m0
+    for b in range(B - 1):
+        start[b + 1] = x[b, ..., :Mp] + np.einsum("kijl,klj->kij", H[b], start[b] - m0)
+
+    # pass 2: the records, written in place; e is filled once at the end
+    a_t, f_t, m_t = (np.empty((B, L, K, n, Mp)) for n in (d, r, d))
+    m = start
+    for k in range(L):
+        a = np.matmul(Gs[:, k, None], m, out=a_t[:, k])
+        f = np.matmul(Ft[:, k], a, out=f_t[:, k])
+        # gain marks observed entries only, where y - f is e; where(gain, ., 0)
+        # keeps a residual out of every mean that does not update with it, so
+        # it fails only a mode that does
+        m = np.matmul(A[:, k], np.where(gain[:, k], y[:, k, None] - f, 0.0), out=m_t[:, k])
         m += a
+    a_t, f_t, m_t = (X.reshape((B * L,) + X.shape[2:])[:T] for X in (a_t, f_t, m_t))
+    e_t = np.zeros(f_t.shape)
+    np.subtract(y.reshape((B * L, r, Mp))[:T, None], f_t, out=e_t, where=obs_cols[:, None])
     return a_t, f_t, e_t, m_t
 
 

@@ -351,3 +351,31 @@ def exact_filter(F, G, V, y, m0, P0, S0, n0, mode, W=None, delta=None) -> dict:
         for name, value in zip(out, (a, R, f, Q, A, e, m, P, list(n), SN)):
             out[name].append(value)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The mean recursion, one step at a time
+# ---------------------------------------------------------------------------
+
+def sequential_means(Fs, Gs, A, m, y, obs_cols, gain) -> tuple[np.ndarray, ...]:
+    """The mean records a, f, e and m of every step and mode (T x K x ...),
+    one step at a time, from the inputs the filter's mean pass takes.
+
+    Reads F and G as T-stacks, the gains A (T x K x d x r), the prior mean m
+    (d x p), the M series ``y`` side by side as column blocks (T x r x M p),
+    their mask ``obs_cols`` (T x r x M p) and ``gain`` (T x K x 1 x M p),
+    the columns each mode moves. Each step runs a = G m, f = F'a, e = y - f
+    (0 at a missing entry) and m = a + A e over the columns that ``gain``
+    marks.
+    """
+    (T, r, Mp), (d, p), K = y.shape, m.shape, A.shape[1]
+    a_t, f_t, e_t, m_t = (np.zeros((T, K, n, Mp)) for n in (d, r, r, d))
+    m = np.tile(m, (K, 1, Mp // p))
+    for k in range(T):
+        a, f, e = a_t[k], f_t[k], e_t[k]
+        np.matmul(Gs[k], m, out=a)
+        np.matmul(Fs[k].T, a, out=f)
+        np.subtract(y[k], f, out=e, where=obs_cols[k])
+        m = np.matmul(A[k], np.where(gain[k], e, 0.0), out=m_t[k])
+        m += a
+    return a_t, f_t, e_t, m_t

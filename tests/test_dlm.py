@@ -1003,6 +1003,20 @@ def test_msse_zero_for_perfectly_forecast_constant():
     assert np.array_equal(mv.msse(out), np.zeros(1))
 
 
+@pytest.mark.parametrize("T", [20, 50, 101, 400])
+@pytest.mark.parametrize("delta", [1.0, 0.9])
+@pytest.mark.parametrize("p0", [1e-9, 1.0])
+def test_constant_at_the_prior_mean_stays_exact_across_blocks(T, delta, p0):
+    # a constant series at the prior mean is a fixed point of every step: the
+    # mean pass, which runs in blocks of floor(sqrt(T)) steps, must keep it
+    # exactly across each block boundary too, so every residual is 0
+    model = scalar_model(v=1.0, delta=delta)
+    for c in np.random.default_rng([T, 98]).uniform(-1e3, 1e3, size=4):
+        out = mv.filter(model, np.full((T, 1, 1), c), scalar_prior(m0=c, p0=p0))
+        assert not out.e.any(), c
+        assert np.array_equal(mv.msse(out), np.zeros(1)), c
+
+
 def test_msse_near_one_when_model_matches_generator():
     # Local level data filtered with the matching explicit evolution noise:
     # standardized errors should average close to 1 per component.

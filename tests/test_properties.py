@@ -2,14 +2,21 @@
 
 Dimensions d, p, r range over 1..3 and the observation masks are drawn by
 hypothesis; the system matrices and data come from a seeded numpy generator.
-Every property is exact (bit for bit), not a tolerance.
+Every property is exact (bit for bit), not a tolerance, except where a
+property compares two computations that round differently: the batched
+series against single-series runs, and the blocked mean scan against the
+sequential mean recursion.
 """
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mvdlm as mv
+
+import oracles
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -149,6 +156,46 @@ def test_posterior_scales_stay_positive_semidefinite(system, mode):
     for name in ("P", "S"):
         eig = np.linalg.eigvalsh(getattr(out, name))
         assert np.all(eig[:, 0] >= -1e-12 * eig[:, -1]), name
+
+
+# T where the mean scan's last block is full (L^2), one step long (L^2 + 1) or
+# one step short (L^2 - 1), and the primes, where no block length divides T
+SCAN_LENGTHS = sorted({L * L + s for L in range(1, 10) for s in (-1, 0, 1)} - {0}
+                      | {n for n in range(2, 81) if all(n % k for k in range(2, math.isqrt(n) + 1))})
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.one_of(st.sampled_from(SCAN_LENGTHS), st.integers(1, 80)),
+       st.sampled_from([("new",), ("classical",), ("new", "classical")]),
+       st.sampled_from([0.0, 0.2, 0.6]), st.integers(0, 2**32 - 1))
+def test_mean_scan_matches_the_sequential_recursion(d, p, r, M, T, modes, rate, seed):
+    rng = np.random.default_rng(seed)
+    Fs = rng.standard_normal((T, d, r))
+    Gs = np.eye(d) + 0.1 * rng.standard_normal((T, d, d))
+    B, C = rng.standard_normal((r, r)), rng.standard_normal((d, d))
+    noise = (dict(discount=float(rng.uniform(0.7, 1.0))) if rng.random() < 0.5
+             else dict(W=0.1 * (C @ C.T) + 0.05 * np.eye(d)))
+    model = mv.ModelSpec(d=d, p=p, r=r, F=lambda t: Fs[t - 1], G=lambda t: Gs[t - 1],
+                         V=B @ B.T + r * np.eye(r), **noise)
+    P0 = rng.standard_normal((d, d))
+    prior = mv.NmiwState(m=rng.standard_normal((d, p)), P=P0 @ P0.T + d * np.eye(d),
+                         miw=mv.MiwParams(S=np.eye(p), n=np.ones(p), v=float(p)))
+    # partly missing entries and fully missing steps
+    observed = rng.random((T, r, p)) >= rate
+    observed[rng.random(T) < 0.15] = False
+    y = np.where(observed, 3.0 * rng.standard_normal((M, T, r, p)), np.nan)
+    rec = mv.dlm._run(model, prior, y, modes)
+    _, _, gain, _, obs_cols = mv.dlm._schedule(observed, modes, M)
+    want = oracles.sequential_means(Fs, Gs, rec["A"].swapaxes(0, 1), prior.m,
+                                    y.transpose(1, 2, 0, 3).reshape(T, r, M * p), obs_cols, gain)
+    for name, w in zip("afem", want):
+        err = np.abs(rec[name].swapaxes(0, 1) - w).max()
+        assert err <= 1e-13 * np.abs(w).max(), (name, err)
+    assert not rec["e"][:, ~obs_cols].any()
+    # a column that a mode does not move at a step keeps its prior mean bit for bit
+    still = np.broadcast_to(~gain.swapaxes(0, 1), rec["m"].shape)
+    assert np.array_equal(rec["m"][still], rec["a"][still])
 
 
 def test_a_failing_property_does_not_stop_the_suite(pytester, pytestconfig):
