@@ -530,7 +530,8 @@ def _covariance_numpy(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
     Each step runs R = (X + X')/c, X = G P G' (+ W), c = 2 delta (2 with W:
     the bits of the average over delta unless (X + X')/2 is subnormal),
     Q = sym(F'RF + V), A from one call of LAPACK's solve gufunc (the bits of
-    np.linalg.solve) and P = sym(R - u A Q A') on the K-stack of modes.
+    np.linalg.solve) and P = sym(R - u A (RF)') on the K-stack of modes: A Q
+    = RF, so A (RF)' is A Q A' with one product fewer.
     """
     (T, d, r), K = Fs.shape, u.shape[1]
     R_t, Q_t, P_t = (np.zeros((T, K, n, n)) for n in (d, r, d))
@@ -551,10 +552,10 @@ def _covariance_numpy(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
         Q = np.add(FRF, FRF.swapaxes(1, 2), out=Q_t[k])
         Q *= 0.5
         A = _umath_linalg.solve(Q, RF.swapaxes(1, 2), out=At_t[k]).swapaxes(1, 2)
-        AQA = A @ Q @ A.swapaxes(1, 2)
-        AQA *= u[k]
-        np.subtract(R, AQA, out=AQA)
-        P = np.add(AQA, AQA.swapaxes(1, 2), out=P_t[k])
+        ARF = A @ RF.swapaxes(1, 2)
+        ARF *= u[k]
+        np.subtract(R, ARF, out=ARF)
+        P = np.add(ARF, ARF.swapaxes(1, 2), out=P_t[k])
         P *= 0.5
     return R_t, Q_t, At_t.swapaxes(2, 3), P_t
 
@@ -570,9 +571,11 @@ def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
     V[1, 1] = 1; the padding stays exactly 0 (a NaN there follows an overflow
     at a step that fails either way), so the records are those of the smaller
     recursion, and at r = 1 the gain is RF / Q. The gain solves Q A' = (RF)'
-    by LAPACK getf2's 2 x 2 LU: partial pivoting, the multiplier taken as
-    other * (1 / pivot). The gain is NaN at a zero or NaN pivot and where the
-    unswapped pivot q00 is not positive, so no Python division by 0 raises.
+    by elimination without pivoting, Q = L D L': on a Q that is positive
+    definite, as at every step a run returns, its growth factor is 1 and
+    pivoting adds nothing (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 9-10). The gain is NaN at a zero pivot, so no
+    Python division by 0 raises.
     """
     (T, d, r), K = Fs.shape, u.shape[1]
     # F, V, G and W of every step, each padded to 2 x 2 in one array
@@ -600,25 +603,17 @@ def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
             x01 = (f00 * rf01 + f10 * rf11 + v01) + (f01 * rf00 + f11 * rf10 + v10)
             x11 = f01 * rf01 + f11 * rf11 + v11
             q00, q01, q11 = (x00 + x00) * 0.5, x01 * 0.5, (x11 + x11) * 0.5
-            # the LU of Q: pivot row (s0, s1), other row (o0, o1), and b, ob
-            # the matching rows of (RF)'; the rows swap where |q01| > |q00|
-            if abs(q01) > abs(q00):
-                s0, s1, o0, o1, b0, b1, ob0, ob1 = q01, q11, q00, q01, rf01, rf11, rf00, rf10
-            else:
-                s0 = q00 if q00 > 0.0 else nan
-                s1, o0, o1, b0, b1, ob0, ob1 = q01, q01, q11, rf00, rf10, rf01, rf11
-            mult = o0 * (1.0 / s0)
-            # an exactly singular U gives NaN, as LAPACK's solve does
-            u11 = (o1 - mult * s1) or nan
-            a01, a11 = (ob0 - mult * b0) / u11, (ob1 - mult * b1) / u11
-            a00, a10 = (b0 - s1 * a01) / s0, (b1 - s1 * a11) / s0
-            aq00, aq01 = a00 * q00 + a01 * q01, a00 * q01 + a01 * q11
-            aq10, aq11 = a10 * q00 + a11 * q01, a10 * q01 + a11 * q11
-            p00 = r00 - (aq00 * a00 + aq01 * a01) * u_t
-            p11 = r11 - (aq10 * a10 + aq11 * a11) * u_t
+            # Q = L D L' with pivots s0 and u11, each NaN where it is 0
+            s0 = q00 or nan
+            mult = q01 * (1.0 / s0)
+            u11 = (q11 - mult * q01) or nan
+            a01, a11 = (rf01 - mult * rf00) / u11, (rf11 - mult * rf10) / u11
+            a00, a10 = (rf00 - q01 * a01) / s0, (rf10 - q01 * a11) / s0
+            p00 = r00 - (a00 * rf00 + a01 * rf01) * u_t
+            p11 = r11 - (a10 * rf10 + a11 * rf11) * u_t
             p00, p11 = (p00 + p00) * 0.5, (p11 + p11) * 0.5
-            p01 = p10 = ((r01 - (aq00 * a10 + aq01 * a11) * u_t)
-                         + (r01 - (aq10 * a00 + aq11 * a01) * u_t)) * 0.5
+            p01 = p10 = ((r01 - (a00 * rf10 + a01 * rf11) * u_t)
+                         + (r01 - (a10 * rf00 + a11 * rf01) * u_t)) * 0.5
             record.pack_into(row, at, r00, r01, r01, r11, q00, q01, q01, q11,
                              a00, a01, a10, a11, p00, p01, p10, p11)
     R, Q, A, P = rows.swapaxes(0, 1).reshape(T, K, 4, 2, 2).transpose(2, 0, 1, 3, 4)

@@ -96,7 +96,8 @@ def failing_cases():
                 np.ones((1, 3, 1, 2))
     lu_singular = np.array([[0.003305626623116044, -0.0049834247877285605],
                             [-0.0049834247877285605, 0.007512803303700776]])
-    # |q01| > |q00| in lu_singular: a 2 x 2 LU with partial pivoting swaps its rows
+    # lu_singular is rank 1: a 2 x 2 LU with partial pivoting swaps its rows and
+    # finds it exactly singular, and Cholesky factors it with a pivot ratio of 1.56 eps
     for d, r, V3 in ((1, 1, 0.0), (2, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (1, 2, lu_singular),
                      (2, 2, lu_singular), (3, 1, 0.0), (4, 1, 0.0)):
         kind = "LU-singular" if V3 is lu_singular else "singular"

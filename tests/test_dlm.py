@@ -742,11 +742,12 @@ def test_gain_has_the_bits_of_the_solve(monkeypatch, d, r, p):
                                          (2, 2, False), (1, 2, True), (2, 2, True)],
                          ids=["1", "2", "1-r2", "2-r2", "1-r2-pivot", "2-r2-pivot"])
 def test_python_pass_gain_is_the_exact_gain(d, r, pivot):
-    # at r <= 2, d <= 2 the Python-float pass forms A by its own pivoted LU,
-    # which has no solve's bits to match: it is held to the exact recursion
-    # instead, also where the pivot swaps the rows of Q. The pivoting models
-    # are near rank 1 in F'RF by design, so they take P0 of order 1: at P0
-    # up to 1e3 cond(Q) reaches 2e4, and both passes' gains err by 2.4e-13.
+    # at r <= 2, d <= 2 the Python-float pass forms A by its own elimination
+    # without pivoting, which has no solve's bits to match: it is held to the
+    # exact recursion instead, also where an LU with partial pivoting would
+    # swap the rows of Q. The pivot models are near rank 1 in F'RF by design,
+    # so they take P0 of order 1: at P0 up to 1e3 cond(Q) reaches 2e4, and
+    # both passes' gains err by 2.4e-13.
     for seed in range(3):
         rng = np.random.default_rng([81, seed])
         inputs, model, prior, y = exact_case(rng, d, r, 1.0 if pivot else None, pivot)
@@ -796,17 +797,20 @@ EXACT_RECORDS = ("a", "R", "f", "Q", "A", "e", "m", "P", "n", "S")
 # test_every_record_is_close_to_the_exact_recursion. On the numpy pass's
 # models it is 2.0e-12 (in f), and the bound is 10 times that. The Python
 # pass's bound was set at 10 times 1.5e-14 (in e), the worst on its r = 1
-# models before it existed; with r = 2 in the pass its worst is 3.8e-14 (in
-# R, at d = 1, r = 2), so the bound stays and keeps a margin of 3.9.
+# models before it existed; with r = 2 in the pass and its gain by
+# elimination without pivoting, its worst is 6.0e-14 (in f, at d = 1, r = 2),
+# so the bound stays and keeps a margin of 2.5.
 EXACT_BOUNDS = {"python": 1.5e-13, "numpy": 2e-11}
 # 10 times the worst gain error over the r = 1 models of
 # test_python_pass_gain_is_the_exact_gain before the pass, 5.4e-15; over all
-# its models, r = 2 and the pivoting ones too, the worst is now 4.05e-14
+# its models, r = 2 and the pivot ones too, the worst is now 4.05e-14 (at
+# d = 2, r = 1), and 1.9e-14 at r = 2
 GAIN_BOUND = 5.4e-14
-# Runs through the two covariance passes differ by at most 1.5e-14 (normwise
+# Runs through the two covariance passes differ by at most 2.6e-14 (normwise
 # relative, any record, step and mode) on the models of
-# test_python_pass_matches_the_numpy_step, r = 1 and r = 2; the bound leaves a
-# margin of 33.
+# test_python_pass_matches_the_numpy_step, r = 1 and r = 2, and by 1.7e-14 on
+# those of test_both_passes_agree_where_a_pivoting_lu_would_swap; the bound
+# leaves a margin of 19.
 PASS_BOUND = 5e-13
 
 
@@ -823,7 +827,7 @@ def exact_case(rng, d, r, P0_scale=None, pivot=False):
     grid. P0 is SPD with entries of order ``P0_scale``, log-uniform in
     [0.1, 1e3] when None. With ``pivot`` (r = 2), F's second column is about
     three times its first and V is [[1/4, 3/4], [3/4, 4]], so that
-    |q01| > |q00| and the LU of Q swaps its rows."""
+    |q01| > |q00|: an LU with partial pivoting would swap the rows of Q."""
     p = int(rng.integers(1, 4))
     T = int(rng.integers(6, 11)) if d * r <= 2 else 6
     F = on_grid(rng.standard_normal((T, d, r)))
@@ -887,7 +891,7 @@ def exact_errors(inputs, model, prior, y) -> dict[str, float]:
 
 def test_every_record_is_close_to_the_exact_recursion():
     # 24 models, three of each (d, r) in EXACT_SHAPES, both covariance passes,
-    # and two r = 2 models on which the Python pass's LU swaps the rows of Q
+    # and two r = 2 models whose Q an LU with partial pivoting would swap
     worst = dict.fromkeys(EXACT_BOUNDS, 0.0)
     cases = [exact_case(np.random.default_rng([86, seed]), *EXACT_SHAPES[seed % len(EXACT_SHAPES)])
              for seed in range(24)]
@@ -898,6 +902,28 @@ def test_every_record_is_close_to_the_exact_recursion():
         path = "python" if model.r <= 2 and model.d <= 2 else "numpy"
         worst[path] = max(worst[path], *errors.values())
     assert all(worst[path] <= EXACT_BOUNDS[path] for path in worst), worst
+
+
+def test_both_passes_agree_where_a_pivoting_lu_would_swap(monkeypatch):
+    # the two pivot models of test_every_record_is_close_to_the_exact_recursion,
+    # whose Q an LU with partial pivoting would swap at every step, through
+    # both covariance passes: the Python-float pass eliminates without
+    # pivoting, the numpy pass's solve pivots
+    for d in (1, 2):
+        _, model, prior, y = exact_case(np.random.default_rng([86, 24 + d]), d, 2, 1.0, pivot=True)
+        python = mv.dlm._run(model, prior, y[None], MODES)
+        with monkeypatch.context() as patch:
+            patch.setattr(mv.dlm, "_covariance_small", mv.dlm._covariance_numpy)
+            numpy = mv.dlm._run(model, prior, y[None], MODES)
+        Q = python["Q"]
+        assert (np.abs(Q[..., 0, 1]) > np.abs(Q[..., 0, 0])).all(), d
+        assert np.array_equal(python["n"], numpy["n"])
+        for name in ("a", "R", "f", "Q", "A", "e", "m", "P", "std_err", "S"):
+            # NaN marks the same missing entries of std_err in both
+            got, want = (np.nan_to_num(rec[name]() if name == "S" else rec[name])
+                         for rec in (python, numpy))
+            for k, t in np.ndindex(got.shape[:2]):
+                assert relative_error(got[k, t], want[k, t]) <= PASS_BOUND, (d, name, k, t)
 
 
 @pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (1, 2), (2, 2)], ids=["1", "2", "1-r2", "2-r2"])
@@ -1190,7 +1216,9 @@ def test_python_pass_failures_are_raised_at_their_step(monkeypatch, d, r, p0, v,
         assert calls == [1, 1]
 
 
-# Rank 1: LU finds it exactly singular, yet it passes the Cholesky
+# Rank 1: an LU with partial pivoting (the numpy pass's solve) finds it
+# exactly singular, and elimination without pivoting (the Python-float pass)
+# finds a second pivot of 1.04 eps of Q_11. It passes the Cholesky
 # factorization, with a pivot ratio L_11^2 / Q_11 of 1.56 eps.
 V_LU_SINGULAR = np.array([[0.003305626623116044, -0.0049834247877285605],
                           [-0.0049834247877285605, 0.007512803303700776]])
@@ -1218,11 +1246,13 @@ def pivot_ratio_v(r, ratio):
                               "1-2-below-c", "1-3-below-c"])
 def test_late_exactly_singular_q_is_not_positive_definite(monkeypatch, d, r, V3, modes):
     # P = 0 with discount 1 keeps R = 0, so Q = V, which is singular only at
-    # t = 3. The gain does not stop the loop at any r (the LU of either pass
-    # fills it with NaN), so the checks after the loop must report t = 3, not
-    # the non-finite Q of the steps after it. At V_LU_SINGULAR, and at a
-    # pivot ratio just below c eps, Cholesky factors Q and only the ratio
-    # shows it; at V_LU_SINGULAR the Python-float pass's LU swaps the rows.
+    # t = 3. Neither pass stops at a singular Q: a zero pivot, and the numpy
+    # pass's pivoting LU at V_LU_SINGULAR, fill the gain with NaN, so the
+    # checks after the passes must report t = 3, not the non-finite Q of the
+    # steps after it. At V_LU_SINGULAR, and at a pivot ratio just below c eps,
+    # Cholesky factors Q and only the ratio shows it; at V_LU_SINGULAR the
+    # Python-float pass's elimination finds a second pivot of 1.04 eps of
+    # Q_11 and its records stay finite.
     calls = count_small_pass(monkeypatch)
     model = mv.ModelSpec(d=d, p=1, r=r, F=np.ones((d, r)), G=np.eye(d), discount=1.0,
                          V=lambda t: np.broadcast_to(V3, (r, r)) if t == 3 else np.eye(r))
