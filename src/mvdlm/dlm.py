@@ -257,9 +257,10 @@ class FilterOutput:
     Priors (a, R), forecasts (f, Q, A), masked residuals e (missing entries
     0), standardized errors (NaN where missing), observation masks, the
     posterior moments m (T x d x p), P (T x d x d), S (T x p x p) and n
-    (T x p). S is built by ``_S`` on first read and kept. ``states`` views them
-    per step, read-only, and ``marginals`` is the T forecast laws as one law,
-    also built on first read and kept.
+    (T x p). ``_S(key)`` reads S[key]: ``S`` takes the whole stack from it on
+    first read and keeps it. ``states`` views them per step, read-only, and
+    reads one S_t without the stack until ``S`` has been read. ``marginals``
+    is the T forecast laws as one law, also built on first read and kept.
     """
 
     mode: str
@@ -275,13 +276,13 @@ class FilterOutput:
     m: np.ndarray
     P: np.ndarray
     n: np.ndarray
-    _S: Callable[[], np.ndarray] = field(repr=False)
+    _S: Callable[[int | slice], np.ndarray] = field(repr=False)
 
     @cached_property
     def S(self) -> np.ndarray:
-        S = self._S()
+        S = self._S(slice(None))
         # from here on S alone is kept, not the stack or residuals it came from
-        self._S = partial(np.asarray, S)
+        self._S = partial(operator.getitem, S)
         return S
 
     def __getstate__(self) -> dict:
@@ -294,12 +295,13 @@ class FilterOutput:
 
     @property
     def states(self) -> Sequence[NmiwState]:
-        """Posterior state after each step."""
+        """Posterior state after each step. Its S_t has the bits of ``S[t]``;
+        until ``S`` is read, it is built in its block of steps alone."""
         v = self.prior.miw.v
         return _StepView(
             self.T,
             lambda t: NmiwState(
-                m=self.m[t], P=self.P[t], miw=MiwParams(S=self.S[t], n=self.n[t], v=v)
+                m=self.m[t], P=self.P[t], miw=MiwParams(S=self._S(t), n=self.n[t], v=v)
             ),
         )
 
@@ -383,7 +385,8 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     Returns one record dict whose arrays carry the modes as their leading
     K axis, then time: a, R, f, Q, A, e, std_err, m, P and n; beside them S,
     which builds the K x T x M x p x p stack on its first call and keeps it,
-    the mask ``observed`` (T x r x p), ``modes`` and ``prior``.
+    ``gram``, the arguments of :func:`_stack` it builds from, the mask
+    ``observed`` (T x r x p), ``modes`` and ``prior``.
     :func:`_series_output` takes one run out of it.
     """
     d, p, r = model.d, model.p, model.r
@@ -413,7 +416,8 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     chol = _check(rec["Q"], rec["e"], update.T)
     n, Z = _scale(chol, rec["e"], update.T, wcols, observed, n0)
     sn, started = np.sqrt(n), np.logical_or.accumulate(update.T, axis=1)
-    rec.update(n=n[:, 1:], S=cache(partial(_stack, Z, sn, started, S0)),
+    gram = (Z, sn, started, S0)
+    rec.update(n=n[:, 1:], gram=gram, S=cache(partial(_stack, *gram)),
                std_err=_standardize(rec["e"], rec["Q"], Z, sn, started, S0, obs_cols),
                observed=observed, modes=modes, prior=prior)
     return rec
@@ -670,26 +674,89 @@ def _scale(chol, e, update, wcols, observed, n0) -> tuple[np.ndarray, np.ndarray
     return n, Z.reshape(K, T, r, Mp // p, p)
 
 
-@np.errstate(all="ignore")
-def _stack(Z, sn, started, S0) -> np.ndarray:
-    """The covariance scale S (K x T x M x p x p) after every step and mode, from
-    :func:`_scale`'s Z and sqrt(n), the steps from each mode's first update on
-    (``started``, K x T) and S0, summed over t in place; built on first read,
-    so under its own errstate."""
-    T, p = Z.shape[1], Z.shape[-1]
+# np.cumsum over t walks each entry of a step down the time axis, against its
+# memory layout; from this many entries a step on, one add per step is faster
+# (3.0 ms against 11 ms at 2,000 steps of 1,600 entries; 2-vCPU Xeon, numpy 2.4).
+_WIDE_STEP = 256
+
+
+def _sums(Z, sn, S0, carry) -> np.ndarray:
+    """The undivided sums N^{1/2} S N^{1/2} (K x T x M x p x p) after each of
+    Z's T steps: their Gram matrices summed over t in place, from ``carry``,
+    the sum before the first of them, or from S0 * nn_0 when it is None."""
     S = np.einsum("ktrmi,ktrmj->ktmij", Z, Z)
-    S[:, 0] += S0 * (sn[:, 0, :, None] * sn[:, 0, None, :])[:, None]
-    np.cumsum(S, axis=1, out=S)
+    S[:, 0] += S0 * (sn[:, 0, :, None] * sn[:, 0, None, :])[:, None] if carry is None else carry
+    if S[:, 0].size < _WIDE_STEP:
+        np.cumsum(S, axis=1, out=S)
+    else:
+        # the same additions in the same order, a step at a time
+        for t in range(1, S.shape[1]):
+            np.add(S[:, t - 1], S[:, t], out=S[:, t])
+    return S
+
+
+@np.errstate(all="ignore")
+def _stack(Z, sn, started, S0, steps=slice(None), carry=None) -> np.ndarray:
+    """The covariance scale S (K x L x M x p x p) after the L ``steps`` of a
+    run and every mode, from :func:`_scale`'s Z and sqrt(n) (K x (T + 1) x p,
+    n0 first), the steps from each mode's first update on (``started``, K x
+    T), S0, and ``carry``, the undivided sum before the first of the steps
+    (None at a run's first step). Over all T steps it is the whole stack; over
+    the block of steps that holds t it is S_t with the same bits, at the cost
+    of that block. Built on read, so under its own errstate."""
+    T, p = Z.shape[1], Z.shape[-1]
+    start, stop, _ = steps.indices(T)
+    S = _sums(Z[:, steps], sn[:, start:stop + 1], S0, carry)
     # Each block of steps is divided by sqrt(n_i) * sqrt(n_j), the same
     # product for S_ij and S_ji, so S stays exactly symmetric. A block's
     # product stack holds at most K x T x p entries (K p x p products if T < p).
     block = max(1, T // p)
-    for k in range(0, T, block):
-        s = sn[:, k + 1:k + 1 + block]
-        S[:, k:k + block] /= (s[..., :, None] * s[..., None, :])[:, :, None]
+    for k in range(start, stop, block):
+        s = sn[:, k + 1:min(k + block, stop) + 1]
+        S[:, k - start:k - start + block] /= (s[..., :, None] * s[..., None, :])[:, :, None]
     # Steps before a mode's first update keep the prior bit for bit.
-    S[~started] = S0
+    S[~started[:, steps]] = S0
     return S
+
+
+@np.errstate(all="ignore")
+def _starts(Z, sn, S0, L) -> list:
+    """The undivided sums before each block of L of Z's steps, None (the
+    prior's) first: one pass of :func:`_sums` over the blocks but the last,
+    each block from the sum before it, holding one block at a time."""
+    starts = [None]
+    for a in range(0, Z.shape[1] - L, L):
+        starts.append(_sums(Z[:, a:a + L], sn[:, a:a + L + 1], S0, starts[-1])[:, -1].copy())
+    return starts
+
+
+class _SeriesScale:
+    """S[key] of mode k, series i of a :func:`_run` record. The whole stack
+    (key ``slice(None)``) is the record's, built once for every mode and
+    series. A step t is built by :func:`_stack` over its block of L =
+    floor(sqrt(T)) steps, the block rule of :func:`_scan`, from the sum
+    before the block; the first such read takes those sums from
+    :func:`_starts`. The block last built is kept, so a sweep builds each
+    block once."""
+
+    def __init__(self, rec: dict, k: int, i: int):
+        Z, sn, started, S0 = rec["gram"]
+        self._stack, self._k, self._i = rec["S"], k, i
+        self._gram = Z[k:k + 1, :, :, i:i + 1], sn[k:k + 1], started[k:k + 1], S0
+        self._L = math.isqrt(started.shape[1])
+        self._starts = self._block = None
+
+    def __call__(self, key: int | slice) -> np.ndarray:
+        if isinstance(key, slice):
+            return np.ascontiguousarray(self._stack()[self._k, :, self._i])[key]
+        Z, sn, _, S0 = self._gram
+        L, b = self._L, key // self._L
+        if self._block is None or self._block[0] != b:
+            if self._starts is None:
+                self._starts = _starts(Z, sn, S0, L)
+            steps = slice(b * L, (b + 1) * L)
+            self._block = b, _stack(*self._gram, steps, self._starts[b])[0, :, 0]
+        return self._block[1][key - b * L]
 
 
 def _standardize(e, Q, Z, sn, started, S0, obs_cols) -> np.ndarray:
@@ -712,14 +779,14 @@ def _standardize(e, Q, Z, sn, started, S0, obs_cols) -> np.ndarray:
 
 def _series_output(rec: dict, k: int, i: int) -> FilterOutput:
     """The :class:`FilterOutput` of mode k, series i of a :func:`_run` record."""
-    p, stack = rec["observed"].shape[2], rec["S"]
+    p = rec["observed"].shape[2]
     cols = slice(i * p, (i + 1) * p)
     series = ("a", "f", "e", "std_err", "m")
     return FilterOutput(
         mode=rec["modes"][k], prior=rec["prior"], observed=rec["observed"],
         **{name: np.ascontiguousarray(rec[name][k, :, :, cols]) for name in series},
         **{name: rec[name][k] for name in ("R", "Q", "A", "P", "n")},
-        _S=lambda: np.ascontiguousarray(stack()[k, :, i]),
+        _S=_SeriesScale(rec, k, i),
     )
 
 

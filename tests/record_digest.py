@@ -4,17 +4,20 @@
 
 Prints one line per model: its label and shape, then either one SHA-256 over
 every record of a run in both modes (``dlm._run`` with "new" and
-"classical": a, R, f, Q, A, e, std_err, m, P, n and S), or the error the run
-raises, with its message, which names the failing step t. Two source trees
-keep every record bit for bit on these models exactly when their outputs are
-the same, and ``diff`` names the models that differ.
+"classical": a, R, f, Q, A, e, std_err, m, P, n and S) and over the S of the
+last state of each mode and series, read through ``dlm._series_output``
+before the stack is built, or the error the run raises, with its message,
+which names the failing step t. Two source trees keep every record bit for
+bit on these models exactly when their outputs are the same, and ``diff``
+names the models that differ.
 
 The set is 300 random models (d <= 4, r <= 3, p <= 4, M <= 3 series that
 share a mask, a constant or time-varying design, W or a discount, partly and
 fully missing steps) and the failing models of ``tests/test_dlm.py``, with a
 late failure at d = 8, p = 40. Every input is drawn from numpy's seeded
-generator, and the script reads only ``dlm._run`` and the public model and
-state classes, so it runs on older trees too. pytest does not collect it.
+generator, and the script reads only ``dlm._run``, ``dlm._series_output``
+and the public model and state classes, so it runs on older trees too.
+pytest does not collect it.
 """
 
 import hashlib
@@ -36,7 +39,10 @@ def digest(model, prior, y) -> str:
     except mv.MvdlmError as exc:
         return f"{type(exc).__name__}: {exc}"
     sha = hashlib.sha256()
-    for name, value in [(name, rec[name]) for name in RECORDS] + [("S", rec["S"]())]:
+    # the last states first: a state read before the stack is built builds its own
+    finals = [("final S", mv.dlm._series_output(rec, k, i).states[-1].miw.S)
+              for k in range(len(MODES)) for i in range(y.shape[0])]
+    for name, value in [(name, rec[name]) for name in RECORDS] + [("S", rec["S"]())] + finals:
         sha.update(f"{name}{value.shape}".encode())
         sha.update(np.ascontiguousarray(value).tobytes())
     return sha.hexdigest()

@@ -624,6 +624,11 @@ def test_s_matches_the_cumulative_sum_oracle_exactly(case):
         single = mv.filter(model, y, prior, mode=mode)
         want = oracles.s_stack(single.e, single.Q, single.observed, single.n,
                                prior.miw.S, prior.miw.n)
+        # a state read before S builds its block of steps alone (at p = 40 a
+        # step holds 1,600 entries, added a step at a time; np.cumsum at p = 3)
+        got = [state.miw.S for state in reversed(single.states)][::-1]
+        assert "S" not in single.__dict__
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), mode
         assert np.array_equal(single.S, want), mode
         assert np.array_equal(joint.S, want), mode
     if case == "late-first-update":
@@ -698,10 +703,17 @@ def test_filter_that_reads_no_s_holds_no_s_stack():
     try:
         out = mv.filter(model, y, prior)
         held, peak = tracemalloc.get_traced_memory()
+        # the last state builds its block of steps alone, not the stack
+        tracemalloc.reset_peak()
+        final = out.states[-1]
+        read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.T == T
     assert peak < 40e6, (held, peak)
+    assert final.miw.S.shape == (p, p)
+    assert read_peak < 40e6, (held, read_peak)
+    assert "S" not in out.__dict__
 
 
 def test_reading_s_after_an_overflowing_run_warns_nothing():

@@ -164,12 +164,10 @@ SCAN_LENGTHS = sorted({L * L + s for L in range(1, 10) for s in (-1, 0, 1)} - {0
                       | {n for n in range(2, 81) if all(n % k for k in range(2, math.isqrt(n) + 1))})
 
 
-@SETTINGS
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
-       st.one_of(st.sampled_from(SCAN_LENGTHS), st.integers(1, 80)),
-       st.sampled_from([("new",), ("classical",), ("new", "classical")]),
-       st.sampled_from([0.0, 0.2, 0.6]), st.integers(0, 2**32 - 1))
-def test_mean_scan_matches_the_sequential_recursion(d, p, r, M, T, modes, rate, seed):
+def random_run(d, p, r, M, T, rate, seed):
+    """(model, prior, Fs, Gs, observed, y): a random time-varying system, a
+    T x r x p mask with partly missing entries and fully missing steps, and
+    M series y (M x T x r x p, NaN where the mask is False)."""
     rng = np.random.default_rng(seed)
     Fs = rng.standard_normal((T, d, r))
     Gs = np.eye(d) + 0.1 * rng.standard_normal((T, d, d))
@@ -185,6 +183,16 @@ def test_mean_scan_matches_the_sequential_recursion(d, p, r, M, T, modes, rate, 
     observed = rng.random((T, r, p)) >= rate
     observed[rng.random(T) < 0.15] = False
     y = np.where(observed, 3.0 * rng.standard_normal((M, T, r, p)), np.nan)
+    return model, prior, Fs, Gs, observed, y
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.one_of(st.sampled_from(SCAN_LENGTHS), st.integers(1, 80)),
+       st.sampled_from([("new",), ("classical",), ("new", "classical")]),
+       st.sampled_from([0.0, 0.2, 0.6]), st.integers(0, 2**32 - 1))
+def test_mean_scan_matches_the_sequential_recursion(d, p, r, M, T, modes, rate, seed):
+    model, prior, Fs, Gs, observed, y = random_run(d, p, r, M, T, rate, seed)
     rec = mv.dlm._run(model, prior, y, modes)
     _, _, gain, _, obs_cols = mv.dlm._schedule(observed, modes, M)
     want = oracles.sequential_means(Fs, Gs, rec["A"].swapaxes(0, 1), prior.m,
@@ -196,6 +204,37 @@ def test_mean_scan_matches_the_sequential_recursion(d, p, r, M, T, modes, rate, 
     # a column that a mode does not move at a step keeps its prior mean bit for bit
     still = np.broadcast_to(~gain.swapaxes(0, 1), rec["m"].shape)
     assert np.array_equal(rec["m"][still], rec["a"][still])
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.one_of(st.sampled_from(SCAN_LENGTHS), st.integers(1, 80)), st.integers(0, 12),
+       st.sampled_from([0.0, 0.2, 0.6]), st.integers(0, 2**32 - 1))
+def test_a_state_read_has_the_bits_of_the_stack(d, p, r, M, T, lead, rate, seed):
+    # a state read before S builds S_t in its block of steps alone; read
+    # forward, in reverse or by slice, each on a fresh output, and after S is
+    # read, it has the bits of S[t]
+    model, prior, _, _, _, y = random_run(d, p, r, M, T, rate, seed)
+    y[:, :lead] = np.nan  # steps before the first update
+    rec = mv.dlm._run(model, prior, y, ("new", "classical"))
+
+    def states(k, i):
+        return mv.dlm._series_output(rec, k, i).states
+
+    reads = {(k, i): (list(states(k, i)), list(reversed(states(k, i)))[::-1],
+                      states(k, i)[::-2], states(k, i)[T // 2::3])
+             for k in range(2) for i in range(M)}
+    stack = rec["S"]()
+    for (k, i), (forward, reverse, back, mid) in reads.items():
+        S, out = stack[k, :, i], mv.dlm._series_output(rec, k, i)
+        assert np.array_equal(out.S, S)
+        for t in range(T):
+            want = S[t].tobytes()
+            assert forward[t].miw.S.tobytes() == want, (k, i, t)
+            assert reverse[t].miw.S.tobytes() == want, (k, i, t)
+            assert out.states[t].miw.S.tobytes() == want, (k, i, t)
+        for got, steps in ((back, range(T - 1, -1, -2)), (mid, range(T // 2, T, 3))):
+            assert [s.miw.S.tobytes() for s in got] == [S[t].tobytes() for t in steps], (k, i)
 
 
 def test_a_failing_property_does_not_stop_the_suite(pytester, pytestconfig):
