@@ -675,9 +675,13 @@ def _scale(chol, e, update, wcols, observed, n0) -> tuple[np.ndarray, np.ndarray
 
 
 # np.cumsum over t walks each entry of a step down the time axis, against its
-# memory layout; from this many entries a step on, one add per step is faster
-# (3.0 ms against 11 ms at 2,000 steps of 1,600 entries; 2-vCPU Xeon, numpy 2.4).
-_WIDE_STEP = 256
+# memory layout, while one add per step pays a call per step. Measured on
+# einsum plus running sum (2-vCPU Xeon, numpy 2.4; 44, 100 and 2,000 steps, one
+# and two modes), the two tie at about this many entries a step in one mode:
+# np.cumsum is 1.6-18x faster at 9-144 (the CLI's p = 3, the study's M p^2 = 80)
+# and the loop 2-2.5x faster at 1,600 (p = 40: 0.12 against 0.27 ms a block
+# of 44 steps, 7.8 against 15.8 ms for 2,000 steps).
+_WIDE_STEP = 400
 
 
 def _sums(Z, sn, S0, carry) -> np.ndarray:
@@ -686,7 +690,7 @@ def _sums(Z, sn, S0, carry) -> np.ndarray:
     the sum before the first of them, or from S0 * nn_0 when it is None."""
     S = np.einsum("ktrmi,ktrmj->ktmij", Z, Z)
     S[:, 0] += S0 * (sn[:, 0, :, None] * sn[:, 0, None, :])[:, None] if carry is None else carry
-    if S[:, 0].size < _WIDE_STEP:
+    if S[0, 0].size < _WIDE_STEP:
         np.cumsum(S, axis=1, out=S)
     else:
         # the same additions in the same order, a step at a time

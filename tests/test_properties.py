@@ -10,7 +10,7 @@ sequential mean recursion.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -206,10 +206,17 @@ def test_mean_scan_matches_the_sequential_recursion(d, p, r, M, T, modes, rate, 
     assert np.array_equal(rec["m"][still], rec["a"][still])
 
 
+# the widest p whose state block (p^2 entries a step) takes np.cumsum; with
+# M = 2 the whole stack (2 p^2 entries a step in each mode) adds a step at a time
+P_STRADDLE = math.isqrt(mv.dlm._WIDE_STEP - 1)
+assert P_STRADDLE ** 2 < mv.dlm._WIDE_STEP <= 2 * P_STRADDLE ** 2
+
+
 @SETTINGS
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
        st.one_of(st.sampled_from(SCAN_LENGTHS), st.integers(1, 80)), st.integers(0, 12),
        st.sampled_from([0.0, 0.2, 0.6]), st.integers(0, 2**32 - 1))
+@example(d=2, p=P_STRADDLE, r=2, M=2, T=50, lead=3, rate=0.2, seed=7)
 def test_a_state_read_has_the_bits_of_the_stack(d, p, r, M, T, lead, rate, seed):
     # a state read before S builds S_t in its block of steps alone; read
     # forward, in reverse or by slice, each on a fresh output, and after S is
