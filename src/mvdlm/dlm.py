@@ -382,6 +382,16 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     blocked scan over the steps whose records equal the step-by-step
     recursion's up to rounding.
 
+    The records with a series axis that no output views past a run's
+    lifetime share one buffer (:func:`_views`): a, f, e and m, which
+    :func:`_scan` writes, and std_err, which :func:`_standardize` writes.
+    One allocation and one release per run let glibc's dynamic mmap
+    threshold rise to the buffer's size, so the next run's arrays reuse heap
+    pages instead of page-faulting fresh ones. n, sqrt(n), Z and the
+    covariance rows are arrays of their own: a series output keeps views of
+    them (n, R, Q, A and P as its records, sqrt(n) and Z for its unread S),
+    and a view of the buffer would keep all of it alive with them.
+
     Returns one record dict whose arrays carry the modes as their leading
     K axis, then time: a, R, f, Q, A, e, std_err, m, P and n; beside them S,
     which builds the K x T x M x p x p stack on its first call and keeps it,
@@ -411,16 +421,30 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
     covariance = _covariance_small if r <= 2 and d <= 2 else _covariance_numpy
     rows = dict(zip("RQAP", covariance(*inputs, 2.0 * (model.discount or 1.0), prior.P, u)))
-    rows.update(zip("afem", _scan(*inputs[:2], rows["A"], prior.m, y, obs_cols, gain)))
+    # a, f and m padded to _scan's B blocks of L steps, then e and std_err
+    K, L = len(modes), math.isqrt(T)
+    BL = -(-T // L) * L
+    a, f, m, e, std_err = _views([(BL, K, d, M * p), (BL, K, r, M * p), (BL, K, d, M * p),
+                                  (T, K, r, M * p), (K, T, r, M * p)])
+    rows.update(zip("afem", _scan(*inputs[:2], rows["A"], prior.m, y, obs_cols, gain,
+                                  out=(a, f, e, m))))
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
     chol = _check(rec["Q"], rec["e"], update.T)
     n, Z = _scale(chol, rec["e"], update.T, wcols, observed, n0)
     sn, started = np.sqrt(n), np.logical_or.accumulate(update.T, axis=1)
     gram = (Z, sn, started, S0)
     rec.update(n=n[:, 1:], gram=gram, S=cache(partial(_stack, *gram)),
-               std_err=_standardize(rec["e"], rec["Q"], Z, sn, started, S0, obs_cols),
+               std_err=_standardize(rec["e"], rec["Q"], Z, sn, started, S0, obs_cols, std_err),
                observed=observed, modes=modes, prior=prior)
     return rec
+
+
+def _views(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Empty C-ordered arrays of the given shapes, side by side in one flat
+    ``np.empty``: one allocation, and one release, for all of them."""
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def _schedule(observed: np.ndarray, modes: tuple[str, ...], M: int) -> tuple[np.ndarray, ...]:
@@ -444,9 +468,9 @@ def _schedule(observed: np.ndarray, modes: tuple[str, ...], M: int) -> tuple[np.
     return update, u, gain, wcols, np.tile(observed, (1, 1, M))
 
 
-def _scan(Fs, Gs, A, m, y, obs_cols, gain) -> tuple[np.ndarray, ...]:
+def _scan(Fs, Gs, A, m, y, obs_cols, gain, out) -> tuple[np.ndarray, ...]:
     """The mean records a, f, e and m of every step and mode, each time-major
-    (T x K x ...), by a blocked two-pass scan.
+    (T x K x ...), by a blocked two-pass scan, written into ``out``.
 
     Reads F and G as T-stacks, the gains A (T x K x d x r) of a covariance
     pass, the prior mean m0, the schedule, and the M series ``y`` side by
@@ -474,6 +498,10 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain) -> tuple[np.ndarray, ...]:
     - Pass 2: every block runs again from its start, by the step itself,
       into the records. So a column that a mode does not move keeps m == a
       bit for bit.
+
+    ``out`` is the four records' arrays, a, f and m padded to B L steps
+    (B L x K x ...) and e of T steps, which :func:`_run` takes from its
+    one buffer; the records returned are their first T steps.
     """
     (T, r, Mp), (d, p), K = y.shape, m.shape, A.shape[1]
     L = math.isqrt(T)
@@ -510,7 +538,8 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain) -> tuple[np.ndarray, ...]:
         start[b + 1] = x[b, ..., :Mp] + np.einsum("kijl,klj->kij", H[b], start[b] - m0)
 
     # pass 2: the records, written in place; e is filled once at the end
-    a_t, f_t, m_t = (np.empty((B, L, K, n, Mp)) for n in (d, r, d))
+    a_out, f_out, e_t, m_out = out
+    a_t, f_t, m_t = (X.reshape((B, L) + X.shape[1:]) for X in (a_out, f_out, m_out))
     m = start
     for k in range(L):
         a = np.matmul(Gs[:, k, None], m, out=a_t[:, k])
@@ -520,10 +549,9 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain) -> tuple[np.ndarray, ...]:
         # it fails only a mode that does
         m = np.matmul(A[:, k], np.where(gain[:, k], y[:, k, None] - f, 0.0), out=m_t[:, k])
         m += a
-    a_t, f_t, m_t = (X.reshape((B * L,) + X.shape[2:])[:T] for X in (a_t, f_t, m_t))
-    e_t = np.zeros(f_t.shape)
-    np.subtract(y.reshape((B * L, r, Mp))[:T, None], f_t, out=e_t, where=obs_cols[:, None])
-    return a_t, f_t, e_t, m_t
+    e_t.fill(0.0)
+    np.subtract(y.reshape((B * L, r, Mp))[:T, None], f_out[:T], out=e_t, where=obs_cols[:, None])
+    return a_out[:T], f_out[:T], e_t, m_out[:T]
 
 
 def _covariance_numpy(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
@@ -659,10 +687,20 @@ def _scale(chol, e, update, wcols, observed, n0) -> tuple[np.ndarray, np.ndarray
     Z is one forward substitution over the r rows of L for all steps at once:
     row i is e_i less L_ij z_j for j = 0, ..., i - 1 in turn, divided by L_ii.
     L is already triangular, so no LU is run.
+
+    n and Z are allocated here, not in :func:`_run`'s buffer of records:
+    every series output keeps a view of n, and of Z until its S is read,
+    and a view into the buffer would hold all of it. A copy of a series' Z
+    would not do: einsum's sum over r follows Z's layout, so S would round
+    differently from the record's stack.
     """
     (K, T, r, Mp), p = e.shape, observed.shape[2]
-    counts = np.where(update[:, :, None], observed.sum(axis=1), 0)
-    n = np.cumsum(np.concatenate([np.broadcast_to(n0, (K, 1, p)), counts], axis=1), axis=1)
+    n = np.empty((K, T + 1, p))
+    n[:, 0] = n0
+    np.sum(observed, axis=1, out=n[0, 1:])
+    n[1:, 1:] = n[0, 1:]
+    n[:, 1:][~update] = 0.0
+    np.cumsum(n, axis=1, out=n)
     # Z is exactly 0 at the steps that do not update, whatever e holds there,
     # and _check has left every factor finite with a positive diagonal.
     Z = np.zeros(e.shape)
@@ -763,22 +801,30 @@ class _SeriesScale:
         return self._block[1][key - b * L]
 
 
-def _standardize(e, Q, Z, sn, started, S0, obs_cols) -> np.ndarray:
+def _standardize(e, Q, Z, sn, started, S0, obs_cols, std_err) -> np.ndarray:
     """The residuals e (K x T x r x M p) standardized by sqrt(Q_kk S_jj), S
     from the previous posterior (S0 at the first step); NaN where
     ``obs_cols`` marks an entry missing. diag(S) takes :func:`_stack`'s
-    additions and divisions on the diagonal alone, so S itself is not built."""
+    additions and divisions on the diagonal alone, so S itself is not built.
+    Written into ``std_err``, a view of :func:`_run`'s buffer of records, in
+    place: n tiled over the series, then q S_jj, its root, e over it and
+    the NaN."""
     K, T, r, M, p = Z.shape
     s = np.empty((K, T + 1, M, p))
     s[:, 0] = s0 = np.diag(S0)
     diag = np.einsum("ktrmi,ktrmi->ktmi", Z, Z, out=s[:, 1:])
     diag[:, 0] += s0 * sn[:, 0, None] ** 2
     np.cumsum(diag, axis=1, out=diag)
-    # n tiled over the series: broadcast, numpy would divide p entries per inner loop
-    np.divide(diag, np.tile(sn[:, 1:] ** 2, M).reshape(K, T, M, p), out=diag)
+    # n tiled over the series, in the place of std_err until std_err is written
+    nn = np.square(sn[:, 1:, None], out=std_err.reshape(-1)[:diag.size].reshape(diag.shape))
+    np.divide(diag, nn, out=diag)
     diag[~started] = s0
     q = np.diagonal(Q, axis1=-2, axis2=-1)[..., None]
-    return np.where(obs_cols, e / np.sqrt(q * s[:, :-1].reshape(K, T, 1, M * p)), np.nan)
+    np.multiply(q, s[:, :-1].reshape(K, T, 1, M * p), out=std_err)
+    np.sqrt(std_err, out=std_err)
+    np.divide(e, std_err, out=std_err)
+    np.copyto(std_err, np.nan, where=~obs_cols)
+    return std_err
 
 
 def _series_output(rec: dict, k: int, i: int) -> FilterOutput:
