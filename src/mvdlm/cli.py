@@ -25,7 +25,7 @@ a square matrix (a constant diagonal). These are all the sections and keys
     [io]
     mode = both             ; new | classical | both (default new)
 
-    [simulate]              ; for mvdlm simulate; needs p = 2, r = 1
+    [simulate]              ; for mvdlm simulate
     T = 100
     corr = 0.8              ; optional from here on; defaults as LocalLevelConfig
     obs_var = [1.0, 1.0]
@@ -33,6 +33,12 @@ a square matrix (a constant diagonal). These are all the sections and keys
     seed = 0
     replications = 1
     pattern = {24: [2], 60: [1, 2]}
+
+Both commands load the whole file and check each value it sets, the
+[simulate] block's too. The study's own rules (p = 2 and r = 1, and a
+pattern within T steps and two variables that leaves neither missing at
+every t) belong to ``replicate_experiment``: ``mvdlm simulate`` reports
+them, and ``mvdlm filter`` does not apply them.
 
 Data CSV: one row per time, header ``y<j>`` for r = 1 or ``y<j>_<k>`` for
 r >= 2 (variable j, replicate k, both 1-based). Empty cells or ``NA`` (any
@@ -51,6 +57,7 @@ import csv
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,16 +66,9 @@ import numpy as np
 from . import dlm
 from .distributions import MiwParams
 from .dlm import ModelSpec, NmiwState
-from .errors import ConfigError, DomainError, FilterError, MvdlmError, NotPositiveDefinite, ParseError
+from .errors import ConfigError, FilterError, MvdlmError, NotPositiveDefinite, ParseError
 from .linalg import _checked, _corr, _count, _real
-from .simulate import (
-    LocalLevelConfig,
-    MissingPattern,
-    _never_observed,
-    apply_missing,
-    gen_local_level,
-    replicate_experiment,
-)
+from .simulate import LocalLevelConfig, MissingPattern, replicate_experiment
 
 __all__ = ["RunConfig", "cmd_filter", "cmd_simulate", "load_config", "main", "parse_csv", "write_csv"]
 
@@ -101,6 +101,18 @@ class RunConfig:
     simulate: SimulateBlock | None
 
 
+@contextmanager
+def _section(section: str):
+    """Report a library error raised in the block as a :class:`ConfigError`
+    of ``[section]``; a ConfigError passes as it is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except MvdlmError as exc:
+        raise ConfigError(str(exc), section) from exc
+
+
 def _literal(text: str, section: str, key: str):
     try:
         return ast.literal_eval(text)
@@ -120,15 +132,13 @@ def _parse(text: str, shape: tuple[int, ...], section: str, key: str):
             raise ConfigError(f"identity requires a square target, need shape {shape}", section, key)
         return np.eye(shape[0])
     value = _literal(text, section, key)
-    try:
+    with _section(section):
         arr = _real(value, shape, key)
         if arr.ndim == 0 and len(shape) == 1:
             arr = arr * np.ones(shape)
         elif arr.ndim == 0 and len(shape) == 2 and shape[0] == shape[1]:
             arr = arr * np.eye(shape[0])
         arr = _checked(arr, shape, key)
-    except MvdlmError as exc:
-        raise ConfigError(str(exc), section) from exc
     # numpy reads [True, 1.0] as floats: only the literal's leaves show the truth value
     if any(isinstance(x, bool) for x in np.asarray(value, dtype=object).ravel()):
         raise ConfigError(f"cannot parse value {text!r} as a number", section, key)
@@ -170,37 +180,28 @@ def load_config(path: str | Path) -> RunConfig:
     if not parser.has_section("model"):
         raise ConfigError("missing [model] section")
     sec = "model"
-    try:
+    with _section(sec):
         d, p, r = (_count(_get(parser, sec, key, (), required=True), key) for key in "dpr")
-    except DomainError as exc:
-        raise ConfigError(str(exc), sec) from exc
-    F = _get(parser, sec, "F", (d, r), required=True)
-    G = _get(parser, sec, "G", (d, d), required=True)
-    V = _get(parser, sec, "V", (r, r), required=True)
-    W, discount = _get(parser, sec, "W", (d, d)), _get(parser, sec, "discount", ())
-    try:
+        F = _get(parser, sec, "F", (d, r), required=True)
+        G = _get(parser, sec, "G", (d, d), required=True)
+        V = _get(parser, sec, "V", (r, r), required=True)
+        W, discount = _get(parser, sec, "W", (d, d)), _get(parser, sec, "discount", ())
         model = ModelSpec(d=d, p=p, r=r, F=F, G=G, V=V, W=W, discount=discount)
-    except ConfigError:
-        raise
-    except MvdlmError as exc:
-        raise ConfigError(str(exc), sec) from exc
 
     sec = "prior"
     if not parser.has_section(sec):
         raise ConfigError("missing [prior] section")
-    m0 = _get(parser, sec, "m0", (d, p))
-    P0 = _get(parser, sec, "P0", (d, d), required=True)
-    S0 = _get(parser, sec, "S0", (p, p), required=True)
-    N0 = _get(parser, sec, "N0", (p,), required=True)
-    v = _get(parser, sec, "v", ())
-    try:
+    with _section(sec):
+        m0 = _get(parser, sec, "m0", (d, p))
+        P0 = _get(parser, sec, "P0", (d, d), required=True)
+        S0 = _get(parser, sec, "S0", (p, p), required=True)
+        N0 = _get(parser, sec, "N0", (p,), required=True)
+        v = _get(parser, sec, "v", ())
         prior = NmiwState(
             m=np.zeros((d, p)) if m0 is None else m0,
             P=P0,
             miw=MiwParams(S=S0, n=N0, v=float(p) if v is None else v),
         )
-    except MvdlmError as exc:
-        raise ConfigError(str(exc), sec) from exc
 
     mode = parser.get("io", "mode", fallback="new").strip().lower()
     if mode not in _MODES:
@@ -209,29 +210,20 @@ def load_config(path: str | Path) -> RunConfig:
     simulate = None
     if parser.has_section("simulate"):
         sec = "simulate"
-        if (p, r) != (2, 1):
-            raise ConfigError("the study's bivariate local level needs p = 2, r = 1", "model")
         if not parser.has_option(sec, "T"):
             raise ConfigError("required key missing", sec, "T")
-        kwargs = {
-            key: _parse(parser.get(sec, key), shape, sec, key)
-            for key, shape in _LOCAL_LEVEL.items() if parser.has_option(sec, key)
-        }
-        replications = _get(parser, sec, "replications", ())
-        raw = _literal(parser.get(sec, "pattern", fallback="{}"), sec, "pattern")
-        try:
-            cfg = LocalLevelConfig(**kwargs)
-            replications = _count(1 if replications is None else replications, "replications")
-            pattern = MissingPattern(raw)
-            never = _never_observed(pattern, cfg.T, p)
-        except MvdlmError as exc:
-            raise ConfigError(str(exc), sec) from exc
-        if never:
-            raise ConfigError(
-                f"pattern leaves variable {min(never)} missing at every t, "
-                "so the study cannot score it", sec, "pattern",
+        with _section(sec):
+            kwargs = {
+                key: _parse(parser.get(sec, key), shape, sec, key)
+                for key, shape in _LOCAL_LEVEL.items() if parser.has_option(sec, key)
+            }
+            replications = _get(parser, sec, "replications", ())
+            raw = _literal(parser.get(sec, "pattern", fallback="{}"), sec, "pattern")
+            simulate = SimulateBlock(
+                cfg=LocalLevelConfig(**kwargs),
+                replications=_count(1 if replications is None else replications, "replications"),
+                pattern=MissingPattern(raw),
             )
-        simulate = SimulateBlock(cfg=cfg, pattern=pattern, replications=replications)
 
     return RunConfig(model=model, prior=prior, mode=mode, simulate=simulate)
 
@@ -401,8 +393,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _, data = gen_local_level(block.cfg)
-    write_csv(out_dir / "data.csv", apply_missing(data, block.pattern))
+    write_csv(out_dir / "data.csv", summary.first_y)
 
     f_new, f_cls = summary.first_new.f[:, 0], summary.first_classical.f[:, 0]
     T, p = f_new.shape

@@ -86,11 +86,11 @@ def _sqrt_outer(n: np.ndarray) -> np.ndarray:
 
 def _checked_dof(n, v, shape: tuple) -> tuple[np.ndarray, np.ndarray | float]:
     """The dof n (``shape``: stack axes, then p) and scalars v (a float for one law) of
-    p-variate laws, checked for n_j > 0 and normalizability, 2 v + mean(n) > 2 p."""
-    n, p = _shaped(n, shape, "dof vector"), shape[-1]
+    p-variate laws, checked for finiteness, n_j > 0 and normalizability, 2 v + mean(n) > 2 p."""
+    n, p = _checked(n, shape, "dof vector"), shape[-1]
     if not np.all(n > 0.0):
         raise DomainError("all degrees-of-freedom entries must be strictly positive")
-    v = _shaped(v, shape[:-1], "v")
+    v = _checked(v, shape[:-1], "v")
     if (2.0 * v + n.sum(axis=-1) / p <= 2.0 * p).any():
         raise DomainError(
             f"normalizability requires 2v + mean(n) > 2p, got v={v}, mean(n)={n.mean()}, p={p}"

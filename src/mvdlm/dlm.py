@@ -413,11 +413,11 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
             f"prior has shape ({prior.d}, {prior.p}), model declares ({d}, {p})"
         )
     S0, n0 = prior.miw.S, prior.miw.n
-    if not all(np.isfinite(x).all() for x in (prior.m, prior.P, S0, n0, prior.miw.v)):
-        raise DomainError("prior m, P, S, n and v must be finite")
+    if not all(np.isfinite(x).all() for x in (prior.m, prior.P, S0)):
+        raise DomainError("prior m, P and S must be finite")
     inputs = [model._stack(name, T) for name in "FGVW"]
     observed = ~np.isnan(y[0])
-    update, u, gain, wcols, obs_cols = _schedule(observed, modes, M)
+    update, u, gain, obs_cols = _schedule(observed, modes, M)
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
     covariance = _covariance_small if r <= 2 and d <= 2 else _covariance_numpy
     rows = dict(zip("RQAP", covariance(*inputs, 2.0 * (model.discount or 1.0), prior.P, u)))
@@ -430,7 +430,7 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
                                   out=(a, f, e, m))))
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
     chol = _check(rec["Q"], rec["e"], update.T)
-    n, Z = _scale(chol, rec["e"], update.T, wcols, observed, n0)
+    n, Z = _scale(chol, rec["e"], update.T, gain.swapaxes(0, 1), observed, n0)
     sn, started = np.sqrt(n), np.logical_or.accumulate(update.T, axis=1)
     gram = (Z, sn, started, S0)
     rec.update(n=n[:, 1:], gram=gram, S=cache(partial(_stack, *gram)),
@@ -448,24 +448,23 @@ def _views(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 
 
 def _schedule(observed: np.ndarray, modes: tuple[str, ...], M: int) -> tuple[np.ndarray, ...]:
-    """``update, u, gain, wcols, obs_cols`` for every step and mode, read from
+    """``update, u, gain, obs_cols`` for every step and mode, read from
     the T x r x p mask that M series share.
 
     ``update`` (T x K) is False at a step with nothing observed, and in
     classical mode at a step with any missing entry. A variable moves its
     mean column and adds to S only when it is observed in every replicate:
-    ``wcols`` (T x M p) marks such columns in every series, and ``gain``
-    (T x K x 1 x M p) those that a mode moves. The shared P takes the fraction
-    ``u`` (T x K x 1 x 1) of a full update, 0 where a mode does not update;
-    ``obs_cols`` (T x r x M p) is the mask of every series.
+    ``gain`` (T x K x 1 x M p) marks the columns that a mode moves, in every
+    series. The shared P takes the fraction ``u`` (T x K x 1 x 1) of a full
+    update, 0 where a mode does not update; ``obs_cols`` (T x r x M p) is the
+    mask of every series.
     """
     some, every = observed.any(axis=(1, 2)), observed.all(axis=(1, 2))
     update = np.stack([some if mode == "new" else every for mode in modes], axis=1)
     wprod = observed.all(axis=1)
-    wcols = np.tile(wprod, (1, M))
     u = np.where(update, wprod.mean(axis=1, keepdims=True), 0.0)[:, :, None, None]
-    gain = update[:, :, None, None] & wcols[:, None, None, :]
-    return update, u, gain, wcols, np.tile(observed, (1, 1, M))
+    gain = update[:, :, None, None] & np.tile(wprod, (1, M))[:, None, None, :]
+    return update, u, gain, np.tile(observed, (1, 1, M))
 
 
 def _scan(Fs, Gs, A, m, y, obs_cols, gain, out) -> tuple[np.ndarray, ...]:
@@ -675,15 +674,16 @@ def _check(Q: np.ndarray, e: np.ndarray, update: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _scale(chol, e, update, wcols, observed, n0) -> tuple[np.ndarray, np.ndarray]:
+def _scale(chol, e, update, gain, observed, n0) -> tuple[np.ndarray, np.ndarray]:
     """The dof n (K x (T + 1) x p, n0 first) and whitened residuals Z (K x T
     x r x M x p) of every step and mode, from the factors L and residuals e
     that passed :func:`_check`, the schedule (``update`` K x T) and the prior n0.
 
     A variable's dof grows by its observed count at each step a mode updates,
     and N^{1/2} S N^{1/2} by the Gram matrix C_t = Z'Z of Z = L^{-1} e on the
-    ``wcols``: with nn_t = outer(sqrt(n_t), sqrt(n_t)), :func:`_stack` builds
-    S_t = (S0 * nn_0 + C_1 + ... + C_t) / nn_t on first read; Z is r/p its size.
+    columns that the mode moves (``gain``, K x T x 1 x M p): with nn_t =
+    outer(sqrt(n_t), sqrt(n_t)), :func:`_stack` builds S_t = (S0 * nn_0 + C_1
+    + ... + C_t) / nn_t on first read; Z is r/p its size.
     Z is one forward substitution over the r rows of L for all steps at once:
     row i is e_i less L_ij z_j for j = 0, ..., i - 1 in turn, divided by L_ii.
     L is already triangular, so no LU is run.
@@ -708,7 +708,7 @@ def _scale(chol, e, update, wcols, observed, n0) -> tuple[np.ndarray, np.ndarray
     for i in range(r):
         Z[:, :, i] /= chol[:, :, i, i, None]
         Z[:, :, i + 1:] -= chol[:, :, i + 1:, i, None] * Z[:, :, i, None]
-    Z *= wcols[:, None]
+    Z *= gain
     return n, Z.reshape(K, T, r, Mp // p, p)
 
 

@@ -82,9 +82,7 @@ def symmetrize(a) -> np.ndarray:
     arithmetic but not in floating point. The filter's covariance passes do
     not call it: they write this average into their Q and P rows in place.
     """
-    a = _real(a, ("p", "p"), "matrix")
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"symmetrize requires square matrices, got shape {a.shape}")
+    a = _shaped(a, ("...", "p", "p"), "matrix")
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import dlm
 from .distributions import MiwParams
 from .dlm import ModelSpec, NmiwState
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .linalg import _count, _real, _shaped
 
 __all__ = [
@@ -178,7 +178,9 @@ class ExperimentSummary:
     replications in which the masked-update filter has componentwise MSSE no
     larger than the classical filter; partial_corr holds the masked-update
     posterior correlation estimates at each partially missing time.
-    first_new / first_classical are the two filter runs of replication 0.
+    first_y is replication 0's observations (T x 1 x 2, NaN where the pattern
+    marks a value missing), a copy that keeps no stack of all M alive, and
+    first_new / first_classical are the two filter runs of it.
     """
 
     n_replications: int
@@ -190,6 +192,7 @@ class ExperimentSummary:
     win_fraction: float
     partial_corr: np.ndarray
     mean_partial_corr: float
+    first_y: np.ndarray
     first_new: dlm.FilterOutput
     first_classical: dlm.FilterOutput
 
@@ -208,17 +211,26 @@ def replicate_experiment(
     batched pass. The correlation estimates come from the masked-update
     posterior at each partially missing time (the classical filter has not
     updated at those times at all).
+
+    The study's own rules are checked before anything is drawn: the model is
+    the bivariate local level's shape (p = 2, r = 1), and the pattern names
+    no t > T or j > 2 and leaves no variable missing at every t (the study
+    could not score it; a model that would fail cannot hide this).
     """
     M = _count(n_replications, "n_replications")
     if model is None:
         model = local_level_model(p=2)
+    if (model.p, model.r) != (2, 1):
+        raise DimensionMismatch("the study's bivariate local level needs p = 2, r = 1, "
+                                f"got p = {model.p}, r = {model.r}")
+    if never := _never_observed(pattern, cfg.T, 2):
+        raise DomainError(f"pattern leaves variable {min(never)} missing at every t, "
+                          "so the study cannot score it")
     if prior is None:
         prior = default_prior(p=2, d=model.d)
 
     y = np.stack([gen_local_level(replace(cfg, seed=cfg.seed + i))[1] for i in range(M)])
     y = apply_missing(y, pattern)
-    # before the run, so that a model that fails cannot hide this input error
-    dlm._check_observed(~np.isnan(y[0]))
     rec = dlm._run(model, prior, y, dlm._MODES)
     partial_times, (msse_new, msse_classical), corr = dlm._summarize(rec)
     partial_corr = corr[0, :, :, 0]
@@ -237,6 +249,7 @@ def replicate_experiment(
         win_fraction=float(np.mean(wins)),
         partial_corr=partial_corr,
         mean_partial_corr=float(partial_corr.mean()) if partial_corr.size else float("nan"),
+        first_y=y[0].copy(),
         first_new=first[0],
         first_classical=first[1],
     )

@@ -771,6 +771,60 @@ def test_length_numpy_cannot_allocate_filters_and_simulate_is_an_error(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+# a [simulate] block that breaks one of the study's rules: the edits, the
+# data's p and the message of simulate's error line
+STUDY_ONLY = {
+    "never-observed": ([(SIM_PATTERN, "pattern = {1: [2], 2: [2], 3: [2]}"), ("T = 100", "T = 3")],
+                       2, "pattern leaves variable 2 missing at every t, "
+                          "so the study cannot score it"),
+    "model-p": ([("p = 2", "p = 3")],
+                3, "the study's bivariate local level needs p = 2, r = 1, got p = 3, r = 1"),
+    "pattern-time": ([(SIM_PATTERN, "pattern = {200: [1]}")],
+                     2, "pattern time 200 exceeds series length 100"),
+}
+
+
+@pytest.mark.parametrize("name", STUDY_ONLY)
+def test_study_rules_bind_simulate_and_not_filter(tmp_path, capsys, name):
+    # the study's rules are replicate_experiment's: filter, which runs no
+    # study, reads the same config and exits 0
+    edits, p, message = STUDY_ONLY[name]
+    text = SIM_CONFIG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    config = write_config(tmp_path, text)
+    data = write_data(tmp_path, ["1.0," * (p - 1) + "2.0", "NA," * (p - 1) + "0.5"],
+                      header=",".join(f"y{j}" for j in range(1, p + 1)))
+    argv = ["filter", "--config", str(config), "--data", str(data),
+            "--out", str(tmp_path / "records.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_data_file_holds_the_observations_the_study_filtered(tmp_path):
+    # non-unit variances and a seed other than 0, so the draw reads every value
+    text = SIM_CONFIG.replace("corr = 0.8", "corr = -0.3\nobs_var = [2.5, 0.4]")
+    config = write_config(tmp_path, text.replace("seed = 0", "seed = 11"))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0
+    block = load_config(config).simulate
+    model = mv.local_level_model(discount=0.5)
+    summary = mv.replicate_experiment(block.replications, block.cfg, block.pattern, model=model)
+    data = parse_csv(out_dir / "data.csv")
+    assert np.array_equal(data, summary.first_y, equal_nan=True)
+    drawn = mv.apply_missing(mv.gen_local_level(block.cfg)[1], block.pattern)
+    assert np.array_equal(summary.first_y, drawn, equal_nan=True)
+    # filtering the file gives the study's replication 0, up to the batch's rounding
+    for mode, want in (("new", summary.first_new), ("classical", summary.first_classical)):
+        out = mv.filter(model, data, mv.default_prior(), mode=mode)
+        for name in ("f", "m", "S"):
+            assert np.allclose(getattr(out, name), getattr(want, name), rtol=1e-12, atol=0), name
+
+
 def test_pattern_that_lists_every_step_is_read_without_a_series(tmp_path):
     # every t listed, yet each variable observed at some t: a valid study
     every = "pattern = {%s}" % ", ".join(f"{t}: [{1 + t % 2}]" for t in range(1, 101))

@@ -207,6 +207,14 @@ def test_miw_params_validation():
         MiwParams(S=np.eye(2), n=np.array([0.5, 0.5]), v=1.0)  # k <= 2p
     with pytest.raises(DimensionMismatch):
         MiwParams(S=np.eye(3)[:2], n=np.array([3.0, 3.0]), v=2.0)  # not square
+    # a NaN v or n used to pass 2v + mean(n) > 2p, whose comparison is False,
+    # and the density came out NaN
+    for n, v in (([1.0, 1.0], math.nan), ([1.0, 1.0], math.inf),
+                 ([1.0, math.inf], 2.0), ([math.nan, 1.0], 2.0)):
+        with pytest.raises(DomainError, match="must be finite"):
+            MiwParams(S=np.eye(2), n=np.array(n), v=v)
+        with pytest.raises(DomainError, match="must be finite"):
+            MtParams(f=np.zeros((1, 2)), Q=np.eye(1), S=np.eye(2), n=np.array(n), v=v)
 
 
 # ---------------------------------------------------------------------------

@@ -1479,6 +1479,11 @@ def test_non_finite_prior_is_rejected(field):
         parts["v"] = np.inf
     else:
         parts[field].flat[0] = np.inf
+    if field in ("n", "v"):
+        # the law's own check: a non-finite dof cannot make a MiwParams
+        with pytest.raises(mv.DomainError, match="must be finite"):
+            mv.MiwParams(S=parts["S"], n=parts["n"], v=parts["v"])
+        return
     bad = mv.NmiwState(m=parts["m"], P=parts["P"],
                        miw=mv.MiwParams(S=parts["S"], n=parts["n"], v=parts["v"]))
     data = [np.array([[0.1, 0.2]]) for _ in range(3)]

@@ -194,7 +194,7 @@ def random_run(d, p, r, M, T, rate, seed):
 def test_mean_scan_matches_the_sequential_recursion(d, p, r, M, T, modes, rate, seed):
     model, prior, Fs, Gs, observed, y = random_run(d, p, r, M, T, rate, seed)
     rec = mv.dlm._run(model, prior, y, modes)
-    _, _, gain, _, obs_cols = mv.dlm._schedule(observed, modes, M)
+    _, _, gain, obs_cols = mv.dlm._schedule(observed, modes, M)
     want = oracles.sequential_means(Fs, Gs, rec["A"].swapaxes(0, 1), prior.m,
                                     y.transpose(1, 2, 0, 3).reshape(T, r, M * p), obs_cols, gain)
     for name, w in zip("afem", want):

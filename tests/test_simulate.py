@@ -189,10 +189,10 @@ def test_partial_times_are_sorted_and_skip_full_gaps():
 
 
 def test_study_rejects_a_pattern_that_never_observes_a_variable():
-    # the library study has no MSSE for such a variable, so it raises rather
-    # than report NaN; load_config rejects the same pattern with exit 2
+    # the study has no MSSE for such a variable, so it raises rather than
+    # report NaN, and names the variable as the pattern numbers it
     pattern = mv.MissingPattern({t: [2] for t in range(1, 21)})
-    with pytest.raises(mv.DomainError, match="variable 1 is never observed"):
+    with pytest.raises(mv.DomainError, match="pattern leaves variable 2 missing at every t"):
         mv.replicate_experiment(2, mv.LocalLevelConfig(T=20, seed=5), pattern)
 
 
@@ -200,9 +200,19 @@ def test_study_rejects_a_never_observed_variable_before_a_failing_model_runs():
     # the input error is raised before the run, so a model whose forecast
     # scale fails at t = 1 cannot hide it
     pattern = mv.MissingPattern({t: [2] for t in range(1, 11)})
-    with pytest.raises(mv.DomainError, match="variable 1 is never observed"):
+    with pytest.raises(mv.DomainError, match="pattern leaves variable 2 missing at every t"):
         mv.replicate_experiment(3, mv.LocalLevelConfig(T=10), pattern,
                                 model=mv.local_level_model(v_obs=-1e9))
+
+
+def test_study_rejects_a_model_of_another_shape_before_it_draws():
+    # T is too long to draw: the shape rule is raised first
+    cfg = mv.LocalLevelConfig(T=10**18)
+    for p, r in ((3, 1), (2, 2)):
+        model = mv.ModelSpec(d=1, p=p, r=r, F=np.ones((1, r)), G=np.eye(1), V=np.eye(r),
+                             discount=0.5)
+        with pytest.raises(mv.DimensionMismatch, match=f"p = 2, r = 1, got p = {p}, r = {r}"):
+            mv.replicate_experiment(2, cfg, mv.MissingPattern({}), model=model)
 
 
 def test_single_replication_no_missing_modes_identical():
