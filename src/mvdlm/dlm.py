@@ -20,9 +20,9 @@ The covariance part of the recursion (R, Q, A, P) depends on the model and
 the mask, not on the data, so one pass computes it for all steps and modes
 first. With at most two replicate rows (r <= 2) and a state of at most two
 rows (d <= 2) that pass runs on Python floats, where numpy's per-call cost
-would outweigh the arithmetic; at any other (d, r) it runs in numpy. Neither
-pass raises: one rule on Q's Cholesky factor, read after them, fails a model
-at the same step in both.
+would outweigh the arithmetic, with a one-row step of its own at r = 1; at
+any other (d, r) it runs in numpy. Neither pass raises: one rule on Q's
+Cholesky factor, read after them, fails a model at the same step in both.
 
 With the gains known, the mean step is affine in each column, so a blocked
 prefix scan runs a, f, e and m (Blelloch, "Prefix sums and their
@@ -228,6 +228,17 @@ def correlation_estimate(state: NmiwState, i: int, j: int) -> float:
     return float(_corr(S, i, j))
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` that holds ``fields`` as
+    given, without running its ``__post_init__``: for a state or law of the
+    filter's own records, which :func:`_run` has checked, with Q and S exactly
+    symmetric, so the checked construction would give the same bits short of
+    an overflow in its (S + S') / 2."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 class _StepView(Sequence):
     """Read-only sequence over time steps that builds each item on access (a
     slice gives a tuple of them)."""
@@ -298,20 +309,18 @@ class FilterOutput:
         """Posterior state after each step. Its S_t has the bits of ``S[t]``;
         until ``S`` is read, it is built in its block of steps alone."""
         v = self.prior.miw.v
-        return _StepView(
-            self.T,
-            lambda t: NmiwState(
-                m=self.m[t], P=self.P[t], miw=MiwParams(S=self._S(t), n=self.n[t], v=v)
-            ),
-        )
+        return _StepView(self.T, lambda t: _unchecked(
+            NmiwState, m=self.m[t], P=self.P[t],
+            miw=_unchecked(MiwParams, S=self._S(t), n=self.n[t], v=v)))
 
     @cached_property
     def marginals(self) -> MtParams:
         """Matrix-t forecast laws of the T steps, as one law of T-stacks: f, Q
         and the previous posterior's S and n (the prior's at the first step)."""
         miw = self.prior.miw
-        return MtParams(f=self.f, Q=self.Q, S=np.concatenate([miw.S[None], self.S[:-1]]),
-                        n=np.concatenate([miw.n[None], self.n[:-1]]), v=np.full(self.T, miw.v))
+        return _unchecked(MtParams, f=self.f, Q=self.Q,
+                          S=np.concatenate([miw.S[None], self.S[:-1]]),
+                          n=np.concatenate([miw.n[None], self.n[:-1]]), v=np.full(self.T, miw.v))
 
 
 def filter(
@@ -342,9 +351,14 @@ def _observations(values) -> np.ndarray:
     """``values`` as a T x r x p float array with NaN at the missing entries:
     the observation rule of :func:`filter` and ``cli.write_csv``. Checked in
     this order: numpy reads it as real numbers (:func:`_real`), and each step
-    of a list or tuple too, T >= 1, the shape, and no entry infinite."""
-    y = _real(values, ("T", "r", "p"), "observations")
-    if isinstance(values, (list, tuple)):
+    of a list or tuple too, T >= 1, the shape, and no entry infinite. A list
+    or tuple whose steps are all :class:`MaskedObservation` is read from
+    their ``y`` arrays, the arrays their ``__array__`` gives, without numpy's
+    call of it per step."""
+    steps = isinstance(values, (list, tuple))
+    masked = steps and all(isinstance(step, MaskedObservation) for step in values)
+    y = _real([step.y for step in values] if masked else values, ("T", "r", "p"), "observations")
+    if steps and not masked:
         # numpy reads a bool step stacked with float steps as floats
         for t, step in enumerate(values, start=1):
             if not isinstance(step, MaskedObservation) and np.asarray(step).dtype == bool:
@@ -476,6 +490,8 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain, out) -> tuple[np.ndarray, ...]:
     side as column blocks (T x r x M p): a and m are d x (M p) and f and e
     are r x (M p) per mode. A step runs a = G m, f = F'a, e = y - f (0 at a
     missing entry) and m = a + A e over the columns that ``gain`` marks.
+    At r = 1, A e is a d x 1 column times a 1 x (M p) row, one product an
+    entry, so it is a broadcast multiply, not a matmul over an axis of one.
     With the gains known, that step is affine in each column, and affine
     maps compose, so the recursion is a prefix scan (Blelloch, "Prefix sums
     and their applications", CMU-CS-90-190, 1990; Särkkä and
@@ -519,6 +535,7 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain, out) -> tuple[np.ndarray, ...]:
     y, gain = blocks(y, 0.0), blocks(gain, False)
     Ft = Fs.swapaxes(2, 3)[:, :, None]
     m0 = np.tile(m, (K, 1, Mp // p))
+    gain_times = np.multiply if r == 1 else np.matmul
 
     # pass 1: x beside H, whose d columns for mean column j start at Mp + j d
     x = np.concatenate([np.broadcast_to(m0, (B - 1, K, d, Mp)),
@@ -528,7 +545,7 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain, out) -> tuple[np.ndarray, ...]:
         a = np.matmul(Gs[:-1, k, None], x)
         e = np.negative(np.matmul(Ft[:-1, k], a))
         e[..., :Mp] += y[:-1, k, None]
-        x = np.matmul(A[:-1, k], np.where(gain_xh[:, k], e, 0.0))
+        x = gain_times(A[:-1, k], np.where(gain_xh[:, k], e, 0.0))
         x += a
     H = x[..., Mp:].reshape(B - 1, K, d, Mp, d)
     start = np.empty((B, K, d, Mp))
@@ -546,7 +563,7 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain, out) -> tuple[np.ndarray, ...]:
         # gain marks observed entries only, where y - f is e; where(gain, ., 0)
         # keeps a residual out of every mean that does not update with it, so
         # it fails only a mode that does
-        m = np.matmul(A[:, k], np.where(gain[:, k], y[:, k, None] - f, 0.0), out=m_t[:, k])
+        m = gain_times(A[:, k], np.where(gain[:, k], y[:, k, None] - f, 0.0), out=m_t[:, k])
         m += a
     e_t.fill(0.0)
     np.subtract(y.reshape((B * L, r, Mp))[:T, None], f_out[:T], out=e_t, where=obs_cols[:, None])
@@ -596,30 +613,59 @@ def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
     from the model inputs as T-stacks, the prior P and u (T x K x 1 x 1).
 
     The recursion of :func:`_covariance_numpy`, written out on Python
-    floats: at these sizes a numpy call costs more than its arithmetic. Every
-    model runs as d = r = 2. A d = 1 model has zeros in the second row and
-    column of F, G, W and P, and an r = 1 model a zero second column of F and
-    V[1, 1] = 1; the padding stays exactly 0 (a NaN there follows an overflow
-    at a step that fails either way), so the records are those of the smaller
-    recursion, and at r = 1 the gain is RF / Q. The gain solves Q A' = (RF)'
-    by elimination without pivoting, Q = L D L': on a Q that is positive
+    floats: at these sizes a numpy call costs more than its arithmetic. The
+    state runs as d = 2: a d = 1 model has zeros in the second row and
+    column of F, G, W and P, which stay exactly 0 (a NaN there follows an
+    overflow at a step that fails either way). An r = 1 model runs a one-row
+    step on F's column, V, G and W, 11 inputs a step: Q is the scalar q00,
+    the gain is RF / q00 and P = sym(R - u A (RF)'). It is the r = 2 step on
+    the model padded with a zero second column of F and V = diag(V, 1) less
+    the terms that are 0 there, so its records are the padded model's, bit
+    for bit, up to the first step whose Q is not positive, while R's
+    diagonal is not negative: the padding's +0 terms are kept only where
+    they turn a -0.0 into 0.0. At r = 2 the gain solves Q A' = (RF)' by
+    elimination without pivoting, Q = L D L': on a Q that is positive
     definite, as at every step a run returns, its growth factor is 1 and
     pivoting adds nothing (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 9-10). The gain is NaN at a zero pivot, so no
-    Python division by 0 raises.
+    Python division by 0 raises. Either step packs the same 16-double
+    record of R, Q, A and P, each 2 x 2; at r = 1 Q's padding is 0, 0, 1
+    and A's second column 0.
     """
     (T, d, r), K = Fs.shape, u.shape[1]
-    # F, V, G and W of every step, each padded to 2 x 2 in one array
-    inputs = np.zeros((T, 4, 2, 2))
-    inputs[:, 1] = np.eye(2)
-    for k, X in enumerate([Fs, Vs, Gs, Ws]):
-        if X is not None:
-            inputs[:, k, :X.shape[1], :X.shape[2]] = X
+    # F, V, G and W of every step in one row, with F's rows, G and W (0 under a
+    # discount) padded to d = 2: 11 entries at r = 1, 16 at r = 2
+    F, G, W = np.zeros((T, 2, r)), np.zeros((T, 2, 2)), np.zeros((T, 2, 2))
+    F[:, :d], G[:, :d, :d] = Fs, Gs
+    if Ws is not None:
+        W[:, :d, :d] = Ws
+    inputs = np.concatenate([X.reshape(T, -1) for X in (F, Vs, G, W)], axis=1)
     rows, record, nan = np.empty((K, T, 16)), Struct("16d"), float("nan")
     for row, u_mode in zip(rows, u.reshape(T, K).T.tolist()):
         p00, p01, p10, p11 = np.pad(P, [(0, 2 - d)] * 2).ravel().tolist()
-        steps = zip(range(0, row.nbytes, record.size),
-                    map(np.ndarray.tolist, inputs.reshape(T, 16)), u_mode)
+        steps = zip(range(0, row.nbytes, record.size), map(np.ndarray.tolist, inputs), u_mode)
+        if r == 1:
+            for at, step, u_t in steps:
+                f00, f10, v00, g00, g01, g10, g11, w00, w01, w10, w11 = step
+                gp00, gp01 = g00 * p00 + g01 * p10, g00 * p01 + g01 * p11
+                gp10, gp11 = g10 * p00 + g11 * p10, g10 * p01 + g11 * p11
+                x00 = gp00 * g00 + gp01 * g01 + w00
+                x01 = (gp00 * g10 + gp01 * g11 + w01) + (gp10 * g00 + gp11 * g01 + w10)
+                x11 = gp10 * g10 + gp11 * g11 + w11
+                r00, r01, r11 = (x00 + x00) / c, x01 / c, (x11 + x11) / c
+                rf00, rf10 = r00 * f00 + r01 * f10, r01 * f00 + r11 * f10
+                x00 = f00 * rf00 + f10 * rf10 + v00
+                q00 = (x00 + x00) * 0.5
+                s0 = q00 or nan
+                a00, a10 = rf00 / s0, rf10 / s0
+                p00, p11 = r00 - a00 * rf00 * u_t, r11 - a10 * rf10 * u_t
+                p00, p11 = (p00 + p00) * 0.5, (p11 + p11) * 0.5
+                # + 0.0 in place of the +0 of A's and RF's second columns
+                p01 = p10 = ((r01 - (a00 * rf10 + 0.0) * u_t)
+                             + (r01 - (a10 * rf00 + 0.0) * u_t)) * 0.5
+                record.pack_into(row, at, r00, r01, r01, r11, q00, 0.0, 0.0, 1.0,
+                                 a00, 0.0, a10, 0.0, p00, p01, p10, p11)
+            continue
         for at, step, u_t in steps:
             f00, f01, f10, f11, v00, v01, v10, v11, g00, g01, g10, g11, w00, w01, w10, w11 = step
             gp00, gp01 = g00 * p00 + g01 * p10, g00 * p01 + g01 * p11

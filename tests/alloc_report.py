@@ -1,5 +1,5 @@
-"""Minor page faults and traced peak memory of one filter run at each
-benchmark shape.
+"""Wall time, minor page faults and traced peak memory of one filter run at
+each benchmark shape.
 
     PYTHONPATH=src python tests/alloc_report.py
 
@@ -18,12 +18,15 @@ on inputs drawn here from a seeded generator, not on the benchmark's files:
 About 10% of the entries are missing. Each shape runs in a fresh
 interpreter, since the heap one shape leaves moves the next one's faults.
 Its operation runs a few times to warm up, then ``CALLS`` times, and the
-table gives the median count of minor page faults (``ru_minflt``) over
-those calls, and the peak of ``tracemalloc`` over one more call: the numpy
-arrays the operation holds at its fullest. Each result is dropped before
-the next call, as the benchmark does. The script reads only ``dlm._run``, ``dlm._series_output`` and the
-public classes, so it runs on a change's base commit too. It reports and
-asserts nothing; pytest does not collect it.
+table gives the median wall time (``time.perf_counter``) and the median
+count of minor page faults (``ru_minflt``) over those calls, and the peak of
+``tracemalloc`` over one more call: the numpy arrays the operation holds at
+its fullest. Each result is dropped before the next call, as the benchmark
+does. On a shared 2-vCPU host, the median times of two runs of the script
+on one tree have differed by half (12.9 and 19.6 ms at ``wide_filter``), so
+they show large moves only. The script reads only ``dlm._run``,
+``dlm._series_output`` and the public classes, so it runs on a change's
+base commit too. It reports and asserts nothing; pytest does not collect it.
 """
 
 import gc
@@ -32,6 +35,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 
 # one BLAS thread unless the environment says otherwise, as the benchmark runs
@@ -88,15 +92,18 @@ def wide_filter():
     return lambda: mv.filter(model, y[0], prior)
 
 
-def measure(run) -> tuple[float, int]:
-    """The median minor faults of one call of ``run``, and one call's traced peak."""
+def measure(run) -> tuple[float, float, int]:
+    """The median wall time and minor faults of one call of ``run``, and one
+    call's traced peak."""
     for _ in range(WARM):
         run()
-    faults = []
+    times, faults = [], []
     for _ in range(CALLS):
         gc.collect()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
         result = run()
+        times.append(time.perf_counter() - start)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         del result
     gc.collect()
@@ -107,7 +114,7 @@ def measure(run) -> tuple[float, int]:
         del result
     finally:
         tracemalloc.stop()
-    return statistics.median(faults), peak
+    return statistics.median(times), statistics.median(faults), peak
 
 
 SHAPES = {shape.__name__: shape for shape in (study, csv_filter, wide_filter)}
@@ -115,10 +122,10 @@ SHAPES = {shape.__name__: shape for shape in (study, csv_filter, wide_filter)}
 
 def main(argv) -> None:
     if argv:
-        faults, peak = measure(SHAPES[argv[0]]())
-        print(f"{argv[0]:<12}{faults:>12.0f}{peak / 1e6:>10.2f}", flush=True)
+        seconds, faults, peak = measure(SHAPES[argv[0]]())
+        print(f"{argv[0]:<12}{seconds * 1e3:>10.2f}{faults:>12.0f}{peak / 1e6:>10.2f}", flush=True)
         return
-    print(f"{'shape':<12}{'faults/call':>12}{'peak MB':>10}", flush=True)
+    print(f"{'shape':<12}{'ms/call':>10}{'faults/call':>12}{'peak MB':>10}", flush=True)
     for name in SHAPES:
         subprocess.run([sys.executable, __file__, name], check=True)
 

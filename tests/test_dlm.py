@@ -8,6 +8,7 @@ floating-point tolerance).
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -285,6 +286,40 @@ def test_step_of_truth_values_among_steps_of_numbers_is_rejected(container):
     # a truth value beside a number inside one step is read as a number
     out = mv.filter(mv.local_level_model(), container([[[True, 0.5]]]), mv.default_prior())
     assert out.e[0].tolist() == [[1.0, 0.5]]
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_steps_of_masked_observations_are_read_through_their_values(container):
+    # a list or tuple of MaskedObservation steps is read from their y arrays:
+    # the array numpy's __array__ protocol gives, NaN positions included
+    rng = np.random.default_rng(67)
+    values = rng.standard_normal((9, 2, 3))
+    values[rng.random(values.shape) < 0.3] = np.nan
+    values[4] = np.nan
+    steps = container(mv.MaskedObservation.from_values(y) for y in values)
+    got = mv.dlm._observations(steps)
+    want = np.asarray(steps)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (9, 2, 3)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.isnan(got), np.isnan(values))
+    # a bool step among them is still checked by itself, and named
+    mixed = container([*steps[:2], np.ones((2, 3), dtype=bool)])
+    with pytest.raises(mv.DimensionMismatch,
+                       match="^observations: step 3 is read as bool, not real numbers$"):
+        mv.dlm._observations(mixed)
+    # steps of the wrong r or p, or of two shapes, keep their messages
+    model, prior = mv.local_level_model(), mv.default_prior()
+    for shape in ((2, 2), (1, 3)):
+        wrong = container(mv.MaskedObservation.from_values(np.ones(shape)) for _ in range(3))
+        with pytest.raises(mv.DimensionMismatch, match=re.escape(
+                f"data has r={shape[0]}, p={shape[1]} but the model declares r=1, p=2")):
+            mv.filter(model, wrong, prior)
+    ragged = container([mv.MaskedObservation.from_values(np.ones((1, 2))),
+                        mv.MaskedObservation.from_values(np.ones((2, 2)))])
+    with pytest.raises(mv.DimensionMismatch, match=re.escape(
+            "observations: the values do not form a T x r x p array of real numbers "
+            "(setting an array element with a sequence.")):
+        mv.filter(model, ragged, prior)
 
 
 # a mask is truth values: numpy reads none of these as such, so none may mark
@@ -1059,6 +1094,59 @@ def test_states_and_marginals_views_follow_the_stacked_arrays():
         got, want = out.states[key], states[key]
         assert isinstance(got, tuple) and len(got) == len(want) > 0
         assert all(states_bit_identical(a, b) for a, b in zip(got, want)), key
+
+
+def count_shaped(monkeypatch) -> list:
+    """The names of the values that ``linalg._shaped`` reads from now on, in
+    every module that calls it."""
+    calls = []
+    for module in (mv.linalg, mv.distributions, mv.dlm):
+        monkeypatch.setattr(module, "_shaped", lambda *args, _shaped=module._shaped, **kw:
+                            calls.append(args[-1]) or _shaped(*args, **kw))
+    return calls
+
+
+def test_states_are_not_checked_again_and_have_the_bits_of_checked_ones(monkeypatch):
+    # a state is built from records the run has checked, without the
+    # constructors' checks; its fields have the bits of the checked
+    # construction, read forward or in reverse, before or after S is read
+    rng = np.random.default_rng(71)
+    model, prior = random_model(rng, d=2, p=3, r=1), random_prior(rng, 2, 3)
+    data = random_data(rng, 30, 1, 3, missing_rate=0.2)
+    ref, before, reverse, after = (mv.filter(model, data, prior) for _ in range(4))
+    checked = [mv.NmiwState(m=ref.m[t], P=ref.P[t],
+                            miw=mv.MiwParams(S=ref.S[t], n=ref.n[t], v=prior.miw.v))
+               for t in range(ref.T)]
+    after.S
+    calls = count_shaped(monkeypatch)
+    sweeps = {"before S": list(before.states),
+              "in reverse": [reverse.states[t] for t in range(ref.T - 1, -1, -1)][::-1],
+              "after S": list(after.states)}
+    assert calls == []
+    for sweep, states in sweeps.items():
+        for t, (got, want) in enumerate(zip(states, checked)):
+            assert type(got) is mv.NmiwState and type(got.miw) is mv.MiwParams
+            assert states_bit_identical(got, want), (sweep, t)
+            assert type(got.miw.v) is float and got.d == 2 and got.p == 3
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_forecast_laws_are_not_checked_again_and_have_the_bits_of_checked_ones(monkeypatch, r):
+    # the law of T-stacks is built from the run's records without MtParams's
+    # checks: both covariance passes (r <= 2 and r = 3) leave Q and S exactly
+    # symmetric, so every field has the bits of the checked construction
+    rng = np.random.default_rng(73)
+    model, prior = random_model(rng, d=2, p=3, r=r), random_prior(rng, 2, 3)
+    out = mv.filter(model, random_data(rng, 30, r, 3, missing_rate=0.2), prior)
+    miw = prior.miw
+    want = mv.MtParams(f=out.f, Q=out.Q, S=np.concatenate([miw.S[None], out.S[:-1]]),
+                       n=np.concatenate([miw.n[None], out.n[:-1]]), v=np.full(out.T, miw.v))
+    calls = count_shaped(monkeypatch)
+    got = out.marginals
+    assert calls == [] and type(got) is mv.MtParams
+    for name in ("f", "Q", "S", "n", "v"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 def test_positive_semidefinite_states_under_long_random_run():

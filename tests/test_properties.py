@@ -206,6 +206,62 @@ def test_mean_scan_matches_the_sequential_recursion(d, p, r, M, T, modes, rate, 
     assert np.array_equal(rec["m"][still], rec["a"][still])
 
 
+def same_bits(x, y):
+    """Equal arrays, NaN where the other is NaN, and the same sign bit at every
+    entry that is not NaN (so 0.0 and -0.0 differ)."""
+    number = ~(np.isnan(x) | np.isnan(y))
+    return np.array_equal(x, y, equal_nan=True) and np.array_equal(
+        np.signbit(x[number]), np.signbit(y[number]))
+
+
+@SETTINGS
+@given(st.integers(1, 2), st.integers(1, 30), st.booleans(), st.booleans(),
+       st.sampled_from(["runs", "signed zeros", "overflows", "zero Q"]), st.integers(0, 2**32 - 1))
+def test_one_row_step_has_the_bits_of_the_padded_two_row_step(d, T, varying, use_w, kind, seed):
+    # the r = 1 step of _covariance_small against the r = 2 step on the same
+    # model padded with a zero second column of F and V = diag(v, 1), in both
+    # modes; a model that fails has the same records up to its first failing
+    # step, where Q fails alike
+    rng = np.random.default_rng(seed)
+    Fs, Gs = rng.standard_normal((T, d, 1)), np.eye(d) + 0.3 * rng.standard_normal((T, d, d))
+    if not varying:
+        Fs, Gs = np.broadcast_to(Fs[0], Fs.shape), np.broadcast_to(Gs[0], Gs.shape)
+    Vs = rng.uniform(0.1, 2.0, (T, 1, 1))
+    C = rng.standard_normal((T, d, d))
+    Ws = 0.1 * C @ C.swapaxes(1, 2) + 0.05 * np.eye(d) if use_w else None
+    c = 2.0 if use_w else 2.0 * rng.uniform(0.7, 1.0)
+    B = rng.standard_normal((d, d))
+    P0 = B @ B.T + np.eye(d)
+    if kind == "signed zeros":  # -0.0 off the diagonals of G, W and P0 and in F's
+        # second row: the padding's +0 terms then decide the sign of P's zeros
+        off, first = ~np.eye(d, dtype=bool), np.arange(d)[:, None] == 0
+        Fs, Gs = np.where(first, np.abs(Fs), -0.0), np.where(off, -0.0, np.abs(Gs))
+        P0 = np.where(off, -0.0, P0)
+        Ws = None if Ws is None else np.where(off, -0.0, Ws)
+    elif kind == "overflows":  # R grows by about 1e8 a step until it overflows
+        Gs, P0 = 1e4 * Gs, 1e270 * P0
+    elif kind == "zero Q":  # P = 0, W = 0 and V = 0 make Q exactly 0 at the first step
+        Vs, Ws, P0 = 0.0 * Vs, None, 0.0 * P0
+    observed = rng.random((T, 1, 3)) < 0.7
+    _, u, _, _ = mv.dlm._schedule(observed, ("new", "classical"), 1)
+    one = mv.dlm._covariance_small(Fs, Gs, Vs, Ws, c, P0, u)
+    F2 = np.concatenate([Fs, np.zeros((T, d, 1))], axis=2)
+    V2 = np.zeros((T, 2, 2))
+    V2[:, 0, 0], V2[:, 1, 1] = Vs[:, 0, 0], 1.0
+    with np.errstate(all="ignore"):
+        R, Q, A, P = mv.dlm._covariance_small(F2, Gs, V2, Ws, c, P0, u)
+    two = R, Q[..., :1, :1], A[..., :1], P
+    q = two[1][..., 0, 0]
+    failing = np.flatnonzero(~(np.isfinite(q) & (q > 0)).all(axis=1))
+    t = failing[0] if failing.size else T
+    assert t == T or kind not in ("runs", "signed zeros"), t
+    for name, x, y in zip("RQAP", one, two):
+        assert x.shape == y.shape, name
+        assert same_bits(x[:t], y[:t]), name
+    for name, x, y in zip("RQ", one, two):
+        assert same_bits(x[:t + 1], y[:t + 1]), name
+
+
 # the widest p whose state block (p^2 entries a step) takes np.cumsum; with
 # M = 2 the whole stack (2 p^2 entries a step in each mode) adds a step at a time
 P_STRADDLE = math.isqrt(mv.dlm._WIDE_STEP - 1)
