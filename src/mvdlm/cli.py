@@ -57,6 +57,7 @@ import csv
 import math
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -236,7 +237,13 @@ _MISSING = {"", "na"}
 def parse_csv(path: str | Path) -> np.ndarray:
     """Read observations from UTF-8 CSV (a leading byte-order mark is
     skipped) into a T x r x p array, NaN where missing; header names determine
-    p and r."""
+    p and r.
+
+    The loop over the data rows is the rule. numpy's C reader reads them
+    first, and its table is taken only where it provably equals the loop's
+    (:func:`_read_rows`); on every other input the loop runs and raises.
+    """
+    i = 0  # the last record read: the csv module fails the next one
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -260,38 +267,74 @@ def parse_csv(path: str | Path) -> np.ndarray:
                 raise ParseError(
                     f"header must cover every variable/replicate pair once for p={p}, r={r}", row=1
                 )
-            rows = []
-            for i, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=i)
-                cells = []
-                for cell, (j, k) in zip(row, pairs):
-                    text = cell.strip()
-                    if text.lower() in _MISSING:
-                        cells.append(math.nan)
-                        continue
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        value = math.nan
-                    if not math.isfinite(value):
-                        raise ParseError(
-                            f"cannot parse {text!r} as a finite number (leave the cell empty or "
-                            "write NA for a missing value)",
-                            row=i,
-                            column=f"y{j}_{k}" if r > 1 else f"y{j}",
-                        )
-                    cells.append(value)
-                rows.append(cells)
+            try:
+                # decoded chunk by chunk, as the loop reads them
+                lines = fh.readlines()
+            except UnicodeDecodeError:
+                # the loop reports a malformed row before the undecodable chunk
+                fh.seek(0)
+                next(reader)
+                lines = None
+            rows = None if lines is None else _read_rows(lines, len(header))
+            if rows is None:
+                rows = []
+                for i, row in enumerate(reader if lines is None else csv.reader(lines), start=2):
+                    if len(row) != len(header):
+                        raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=i)
+                    cells = []
+                    for cell, (j, k) in zip(row, pairs):
+                        text = cell.strip()
+                        if text.lower() in _MISSING:
+                            cells.append(math.nan)
+                            continue
+                        try:
+                            value = float(text)
+                        except ValueError:
+                            value = math.nan
+                        if not math.isfinite(value):
+                            raise ParseError(
+                                f"cannot parse {text!r} as a finite number (leave the cell empty or "
+                                "write NA for a missing value)",
+                                row=i,
+                                column=f"y{j}_{k}" if r > 1 else f"y{j}",
+                            )
+                        cells.append(value)
+                    rows.append(cells)
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=i + 1) from None
     except OSError as exc:
         raise ParseError(f"cannot read data file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode data file {path}: {exc}") from exc
-    if not rows:
+    if not len(rows):
         raise ParseError("no data rows", row=2)
     values = np.empty((len(rows), r, p))
     values[:, [k - 1 for _, k in pairs], [j - 1 for j, _ in pairs]] = rows
     return values
+
+
+def _read_rows(lines: list[str], n: int) -> np.ndarray | None:
+    """The data lines as a table of n columns by numpy's C reader, or None
+    unless it provably equals the rows of :func:`parse_csv`'s loop: every line
+    is one row of n cells (the reader skips a blank line, which the loop
+    rejects), an entry is NaN only where an ``NA`` cell was read as ``nan``,
+    and none is infinite. A signed ``NA`` would read as NaN, so it gives None
+    too. A quote, a comment and any other cell that the loop reads otherwise
+    fail the reader's float parse."""
+    text = "".join(lines)
+    if not lines or "-NA" in text or "+NA" in text:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lines that are all blank read as no data
+            table = np.loadtxt((line.replace("NA", "nan") for line in lines),
+                               delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (table.shape != (len(lines), n) or np.isinf(table).any()
+            or np.count_nonzero(np.isnan(table)) != text.count("NA")):
+        return None
+    return table
 
 
 def _column_names(p: int, r: int, prefix: str) -> list[str]:

@@ -20,9 +20,10 @@ The covariance part of the recursion (R, Q, A, P) depends on the model and
 the mask, not on the data, so one pass computes it for all steps and modes
 first. With at most two replicate rows (r <= 2) and a state of at most two
 rows (d <= 2) that pass runs on Python floats, where numpy's per-call cost
-would outweigh the arithmetic, with a one-row step of its own at r = 1; at
-any other (d, r) it runs in numpy. Neither pass raises: one rule on Q's
-Cholesky factor, read after them, fails a model at the same step in both.
+would outweigh the arithmetic, with a step of its own for each (d, r) and
+constant inputs converted once; at any other (d, r) it runs in numpy.
+Neither pass raises: one rule on Q's Cholesky factor, read after them, fails
+a model at the same step in both.
 
 With the gains known, the mean step is affine in each column, so a blocked
 prefix scan runs a, f, e and m (Blelloch, "Prefix sums and their
@@ -46,6 +47,7 @@ import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from itertools import repeat
 from struct import Struct
 from typing import Union
 
@@ -232,8 +234,7 @@ def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` that holds ``fields`` as
     given, without running its ``__post_init__``: for a state or law of the
     filter's own records, which :func:`_run` has checked, with Q and S exactly
-    symmetric, so the checked construction would give the same bits short of
-    an overflow in its (S + S') / 2."""
+    symmetric, so the checked construction would give the same bits."""
     instance = object.__new__(cls)
     instance.__dict__.update(fields)
     return instance
@@ -613,37 +614,72 @@ def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
     from the model inputs as T-stacks, the prior P and u (T x K x 1 x 1).
 
     The recursion of :func:`_covariance_numpy`, written out on Python
-    floats: at these sizes a numpy call costs more than its arithmetic. The
-    state runs as d = 2: a d = 1 model has zeros in the second row and
-    column of F, G, W and P, which stay exactly 0 (a NaN there follows an
-    overflow at a step that fails either way). An r = 1 model runs a one-row
-    step on F's column, V, G and W, 11 inputs a step: Q is the scalar q00,
-    the gain is RF / q00 and P = sym(R - u A (RF)'). It is the r = 2 step on
-    the model padded with a zero second column of F and V = diag(V, 1) less
-    the terms that are 0 there, so its records are the padded model's, bit
-    for bit, up to the first step whose Q is not positive, while R's
-    diagonal is not negative: the padding's +0 terms are kept only where
-    they turn a -0.0 into 0.0. At r = 2 the gain solves Q A' = (RF)' by
-    elimination without pivoting, Q = L D L': on a Q that is positive
-    definite, as at every step a run returns, its growth factor is 1 and
-    pivoting adds nothing (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 9-10). The gain is NaN at a zero pivot, so no
-    Python division by 0 raises. Either step packs the same 16-double
-    record of R, Q, A and P, each 2 x 2; at r = 1 Q's padding is 0, 0, 1
-    and A's second column 0.
+    floats, with a step for each (d, r): at these sizes a numpy call costs
+    more than its arithmetic. A step reads F, V, G and W (0 under a
+    discount) as one row of floats. Where all four are constant (stride 0
+    in time, as :meth:`ModelSpec._stack` gives them) that row is converted
+    once for every step, else once a step.
+
+    At d = 1 the state is a scalar: R and P are scalars and RF is a row. At
+    r = 1, Q is the scalar q00 and the gain is RF / q00. Each of these steps
+    is the d = 2 (or r = 2) step on the model padded with zeros in the
+    second row and column of F, G, W and P (or with a zero second column of
+    F and V = diag(V, 1)), less the terms that are 0 there, so its records
+    are the padded model's, bit for bit, up to the first step whose Q fails:
+    the padding's +0 terms are kept only where they turn a -0.0 into 0.0.
+    At r = 2 the gain solves Q A' = (RF)' by elimination without pivoting,
+    Q = L D L': on a Q that is positive definite, as at every step a run
+    returns, its growth factor is 1 and pivoting adds nothing (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9-10). The
+    gain is NaN at a zero pivot, so no Python division by 0 raises. Every
+    step packs the same 16-double record of R, Q, A and P, each 2 x 2, of
+    which the first d and r rows and columns are read.
     """
     (T, d, r), K = Fs.shape, u.shape[1]
-    # F, V, G and W of every step in one row, with F's rows, G and W (0 under a
-    # discount) padded to d = 2: 11 entries at r = 1, 16 at r = 2
-    F, G, W = np.zeros((T, 2, r)), np.zeros((T, 2, 2)), np.zeros((T, 2, 2))
-    F[:, :d], G[:, :d, :d] = Fs, Gs
-    if Ws is not None:
-        W[:, :d, :d] = Ws
-    inputs = np.concatenate([X.reshape(T, -1) for X in (F, Vs, G, W)], axis=1)
+    inputs = (Fs, Vs, Gs, np.broadcast_to(0.0, Gs.shape) if Ws is None else Ws)
+    if all(X.strides[0] == 0 for X in inputs):
+        step_inputs = partial(repeat, np.concatenate([X[0].ravel() for X in inputs]).tolist(), T)
+    else:
+        step_inputs = partial(map, np.ndarray.tolist,
+                              np.concatenate([X.reshape(T, -1) for X in inputs], axis=1))
     rows, record, nan = np.empty((K, T, 16)), Struct("16d"), float("nan")
     for row, u_mode in zip(rows, u.reshape(T, K).T.tolist()):
-        p00, p01, p10, p11 = np.pad(P, [(0, 2 - d)] * 2).ravel().tolist()
-        steps = zip(range(0, row.nbytes, record.size), map(np.ndarray.tolist, inputs), u_mode)
+        steps = zip(range(0, row.nbytes, record.size), step_inputs(), u_mode)
+        # at d = 1, + 0.0 stands for the padding's +0 terms where a -0.0 would differ
+        if d == 1 and r == 1:
+            p00 = float(P[0, 0])
+            for at, (f00, v00, g00, w00), u_t in steps:
+                x00 = g00 * p00 * g00 + 0.0 + w00
+                r00 = (x00 + x00) / c
+                rf00 = r00 * f00 + 0.0
+                x00 = f00 * rf00 + 0.0 + v00
+                q00 = (x00 + x00) * 0.5
+                a00 = rf00 / (q00 or nan)
+                p00 = r00 - a00 * rf00 * u_t
+                p00 = (p00 + p00) * 0.5
+                record.pack_into(row, at, r00, 0.0, 0.0, 0.0, q00, 0.0, 0.0, 0.0,
+                                 a00, 0.0, 0.0, 0.0, p00, 0.0, 0.0, 0.0)
+            continue
+        if d == 1:
+            p00 = float(P[0, 0])
+            for at, (f00, f01, v00, v01, v10, v11, g00, w00), u_t in steps:
+                x00 = g00 * p00 * g00 + 0.0 + w00
+                r00 = (x00 + x00) / c
+                rf00, rf01 = r00 * f00 + 0.0, r00 * f01 + 0.0
+                x00 = f00 * rf00 + 0.0 + v00
+                x01 = (f00 * rf01 + 0.0 + v01) + (f01 * rf00 + 0.0 + v10)
+                x11 = f01 * rf01 + 0.0 + v11
+                q00, q01, q11 = (x00 + x00) * 0.5, x01 * 0.5, (x11 + x11) * 0.5
+                s0 = q00 or nan
+                mult = q01 * (1.0 / s0)
+                a01 = (rf01 - mult * rf00) / ((q11 - mult * q01) or nan)
+                a00 = (rf00 - q01 * a01) / s0
+                p00 = r00 - (a00 * rf00 + a01 * rf01) * u_t
+                p00 = (p00 + p00) * 0.5
+                record.pack_into(row, at, r00, 0.0, 0.0, 0.0, q00, q01, q01, q11,
+                                 a00, a01, 0.0, 0.0, p00, 0.0, 0.0, 0.0)
+            continue
+        p00, p01, p10, p11 = P.ravel().tolist()
         if r == 1:
             for at, step, u_t in steps:
                 f00, f10, v00, g00, g01, g10, g11, w00, w01, w10, w11 = step

@@ -74,16 +74,23 @@ def _checked(value, shape: tuple, name: str) -> np.ndarray:
     return m
 
 
+@np.errstate(over="ignore")
 def symmetrize(a) -> np.ndarray:
     """Return (A + A') / 2, for one square matrix or a stack of them.
 
-    Exact fixed point for already-symmetric input; the distributions and
-    :func:`cholesky_lower` apply it to matrices that are symmetric in exact
-    arithmetic but not in floating point. The filter's covariance passes do
-    not call it: they write this average into their Q and P rows in place.
+    Exact fixed point for already-symmetric input, subnormal entries
+    included; the distributions and :func:`cholesky_lower` apply it to
+    matrices that are symmetric in exact arithmetic but not in floating
+    point. Where A + A' overflows, the entry is A/2 + A'/2, finite for finite
+    entries. The filter's covariance passes do not call it: they write this
+    average into their Q and P rows in place.
     """
     a = _shaped(a, ("...", "p", "p"), "matrix")
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    at = a.swapaxes(-1, -2)
+    s = 0.5 * (a + at)
+    if np.isfinite(s).all():
+        return s
+    return np.where(np.isfinite(s), s, 0.5 * a + 0.5 * at)
 
 
 @np.errstate(all="ignore")

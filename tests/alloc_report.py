@@ -4,7 +4,8 @@ each benchmark shape.
     PYTHONPATH=src python tests/alloc_report.py
 
 Runs one operation at each of the three shapes of ``perfbench``'s workloads,
-on inputs drawn here from a seeded generator, not on the benchmark's files:
+and ``mvdlm filter`` itself at the ``csv_filter`` shape, on inputs drawn here
+from a seeded generator, not on the benchmark's files:
 
 - ``study``: ``dlm._run`` of 20 local-level series (d = 1, p = 2, r = 1,
   T = 100) in both modes, then the first series' output of each mode with
@@ -13,7 +14,11 @@ on inputs drawn here from a seeded generator, not on the benchmark's files:
   T = 2,000) in both modes, and the output of each mode, as ``mvdlm filter
   --mode both`` does;
 - ``wide_filter``: :func:`mvdlm.filter` at d = 2, p = 40, r = 1, T = 2,000,
-  with a time-varying design.
+  with a time-varying design;
+- ``csv_cli``: ``cli.main(["filter", ..., "--mode", "both"])`` on the
+  ``csv_filter`` shape's series, written once as a 2,000-row CSV by
+  ``cli.write_csv``: the whole command, parsing the CSV and writing both
+  records files included, which the ``csv_filter`` row does not run.
 
 About 10% of the entries are missing. Each shape runs in a fresh
 interpreter, since the heap one shape leaves moves the next one's faults.
@@ -25,18 +30,22 @@ its fullest. Each result is dropped before the next call, as the benchmark
 does. On a shared 2-vCPU host, the median times of two runs of the script
 on one tree have differed by half (12.9 and 19.6 ms at ``wide_filter``), so
 they show large moves only. The script reads only ``dlm._run``,
-``dlm._series_output`` and the public classes, so it runs on a change's
-base commit too. It reports and asserts nothing; pytest does not collect it.
+``dlm._series_output``, ``cli.main``, ``cli.write_csv`` and the public
+classes, so it runs on a change's base commit too. It reports and asserts nothing; pytest does not collect it.
 """
 
+import contextlib
 import gc
+import io
 import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 # one BLAS thread unless the environment says otherwise, as the benchmark runs
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -46,7 +55,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 
 import mvdlm as mv  # noqa: E402
-from mvdlm import dlm  # noqa: E402
+from mvdlm import cli, dlm  # noqa: E402
 
 WARM, CALLS = 3, 15
 
@@ -92,6 +101,40 @@ def wide_filter():
     return lambda: mv.filter(model, y[0], prior)
 
 
+# the model and prior of the csv_filter shape, as a config file
+CSV_CLI_INI = """\
+[model]
+d = 1
+p = 3
+r = 2
+F = ones
+G = identity
+V = identity
+discount = 0.9
+
+[prior]
+P0 = 10
+S0 = identity
+N0 = ones
+"""
+
+
+def csv_cli():
+    _, _, y = _inputs(np.random.default_rng(2), 1, 3, 2, 2_000, 1, 0.9, False)
+    work = tempfile.TemporaryDirectory()  # removed at exit
+    path = Path(work.name)
+    cli.write_csv(path / "data.csv", y[0])
+    (path / "run.ini").write_text(CSV_CLI_INI)
+    argv = ["filter", "--config", str(path / "run.ini"), "--data", str(path / "data.csv"),
+            "--mode", "both", "--out", str(path / "records.csv")]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+    run.work = work  # the directory lives as long as the operation
+    return run
+
+
 def measure(run) -> tuple[float, float, int]:
     """The median wall time and minor faults of one call of ``run``, and one
     call's traced peak."""
@@ -117,7 +160,7 @@ def measure(run) -> tuple[float, float, int]:
     return statistics.median(times), statistics.median(faults), peak
 
 
-SHAPES = {shape.__name__: shape for shape in (study, csv_filter, wide_filter)}
+SHAPES = {shape.__name__: shape for shape in (study, csv_filter, wide_filter, csv_cli)}
 
 
 def main(argv) -> None:

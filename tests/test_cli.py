@@ -6,9 +6,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import mvdlm as mv
 from mvdlm.cli import load_config, main, parse_csv, write_csv
@@ -275,6 +278,89 @@ def test_parse_csv_rejects_non_finite_cell(tmp_path, cell, header, first, row, c
     with pytest.raises(mv.ParseError) as exc:
         parse_csv(path)
     assert (exc.value.row, exc.value.column) == (3, column)
+
+
+@pytest.mark.parametrize("header,rows,row", [
+    ("y1,y2", ["1.0,2.0", "1.0," + "1" * 200_000], 3),
+    ("y1," + "y" * 200_000, ["1.0,2.0"], 1),
+], ids=["data", "header"])
+def test_a_cell_past_the_csv_field_limit_is_a_parse_error(tmp_path, capsys, header, rows, row):
+    # it used to end in a _csv.Error traceback and exit code 1
+    data = write_data(tmp_path, rows, header=header)
+    with pytest.raises(mv.ParseError) as exc:
+        parse_csv(data)
+    assert exc.value.row == row
+    assert main(["filter", "--config", str(write_config(tmp_path, GOOD_CONFIG)),
+                 "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: row {row}: field larger than field limit (131072)\n"
+
+
+# cells drawn into a file of numbers and NA, each of which one of the two
+# readers takes otherwise: other missing markers, non-finite numbers, numbers
+# float() reads and numpy does not, quotes, comments and a byte-order mark
+ODD_CELLS = ["na", "nA", " NA ", "\tNA", "-NA", "+NA", "- NA", "NAN", "NA1", "", " ", "nan", "-nan",
+             "NaN", "inf", "-inf", "Infinity", "1e999", "1_0", "\u0661\u0662", '"1.5"', '"NA"',
+             '"1,5"', '"1\n5"', "#", "1#2", "\ufeff1.0", " 2.5 ", "0x10", "1.5d3", "\x0c3"]
+
+
+@st.composite
+def csv_files(draw):
+    """The text of a CSV file: a header of p x r columns, then mostly rows of
+    numbers and NA with a few odd cells, odd lines and line ends drawn in."""
+    p, r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n = p * r
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-99, 99).map(str)
+    rows = draw(st.lists(st.lists(number | st.just("NA"), min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    for i, j, cell in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                              st.integers(0, n - 1), st.sampled_from(ODD_CELLS)),
+                                    max_size=2)):
+        rows[i][j] = cell
+    lines = [",".join(row) for row in rows]
+    for i, line in draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                           st.sampled_from(["", "  ", "#", "1.0", "1.0,NA,2.0"])),
+                                 max_size=1)):
+        lines.insert(i, line)
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + ",".join(mv.cli._column_names(p, r, "y")) + "\n" + "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+@example(text="y1,y2\n1.0,-NA\n")  # nan and -nan read as NaN; -NA and +NA are errors
+@example(text="y1\n+NA\n2.5\n")
+def test_the_c_reader_reads_what_the_checking_loop_reads(tmp_path, text):
+    # parse_csv returns the loop's bytes or raises the loop's error, on every input
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def read():
+        try:
+            values = parse_csv(path)
+        except mv.ParseError as exc:
+            return str(exc)
+        return values.shape, values.tobytes()
+
+    fast = read()
+    with mock.patch.object(mv.cli, "_read_rows", lambda lines, n: None):
+        assert read() == fast
+
+
+def test_a_file_of_numbers_and_na_takes_the_c_reader(tmp_path):
+    values = np.random.default_rng(5).standard_normal((50, 2, 3))
+    values[values > 1.0] = np.nan
+    write_csv(tmp_path / "data.csv", values)
+    with open(tmp_path / "data.csv", newline="") as fh:
+        lines = fh.readlines()[1:]
+    assert "NA" in "".join(lines)
+    table = mv.cli._read_rows(lines, 6)
+    assert table is not None
+    assert table.tobytes() == values.transpose(0, 2, 1).reshape(50, 6).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])

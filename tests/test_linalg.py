@@ -1,9 +1,12 @@
 """Cholesky-backed SPD helpers against brute-force and numpy references."""
+import warnings
+
 import numpy as np
 import pytest
 
 from mvdlm import (
     DimensionMismatch,
+    MiwParams,
     NotPositiveDefinite,
     cholesky_lower,
     symmetrize,
@@ -33,6 +36,45 @@ def test_symmetrize_preserves_symmetric_input_exactly():
     a = random_spd(rng, 4)
     a = 0.5 * (a + a.T)
     assert np.array_equal(symmetrize(a), a)
+
+
+def test_symmetrize_does_not_overflow_above_half_the_largest_float():
+    # (A + A') / 2 used to overflow past max / 2: S = [[1e308]] was held as inf
+    big = np.finfo(float).max
+    a = np.array([[1e308, big], [0.5 * big, -big]])
+    s = symmetrize(a)
+    assert np.isfinite(s).all()
+    assert np.array_equal(s, [[1e308, 0.75 * big], [0.75 * big, -big]])
+    assert np.array_equal(symmetrize(s), s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(MiwParams(S=[[1e308]], n=[1.0], v=2.0).S, [[1e308]])
+
+
+def test_symmetrize_is_a_fixed_point_at_subnormal_entries():
+    # halving each side first would round a subnormal with an odd last bit
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([[3 * tiny, -5 * tiny], [-5 * tiny, 1.0]])
+    assert np.array_equal(symmetrize(a), a)
+    assert np.array_equal(symmetrize(np.array([[1.0, tiny], [3 * tiny, 1.0]])),
+                          [[1.0, 2 * tiny], [2 * tiny, 1.0]])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_symmetrize_keeps_the_bits_of_the_plain_average_where_it_is_finite(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 4, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4, 4))
+    a[0, 0, 1], a[1, 2, 3], a[2, 1, 1] = np.inf, np.nan, -np.inf
+    a[1, 0, 1], a[1, 1, 0], a[2, 3, 3] = 1.5e308, 1e308, -1.7e308
+    with np.errstate(all="ignore"):
+        plain = 0.5 * (a + a.swapaxes(1, 2))
+        s = symmetrize(a)
+    finite, given = np.isfinite(plain), np.isfinite(a) & np.isfinite(a.swapaxes(1, 2))
+    assert (~finite & given).any() and np.array_equal(s[finite], plain[finite])
+    # an overflowing average is finite; one of an entry that is not finite is as it was
+    over = ~finite & given
+    assert np.array_equal(s[over], (0.5 * a + 0.5 * a.swapaxes(1, 2))[over])
+    assert np.array_equal(s[~given], plain[~given], equal_nan=True)
 
 
 def test_symmetrize_rejects_nonsquare():

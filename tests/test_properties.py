@@ -262,6 +262,87 @@ def test_one_row_step_has_the_bits_of_the_padded_two_row_step(d, T, varying, use
         assert same_bits(x[:t + 1], y[:t + 1]), name
 
 
+def _first_failure(Q):
+    """(t, message) of the first step whose Q (K x T x r x r) fails
+    ``_check``, or (T, None)."""
+    K, T, r = Q.shape[:3]
+    try:
+        with np.errstate(all="ignore"):
+            mv.dlm._check(Q, np.zeros((K, T, r, 1)), np.zeros((K, T), dtype=bool))
+    except mv.FilterError as exc:
+        return exc.t - 1, str(exc)
+    return T, None
+
+
+@SETTINGS
+@given(st.integers(1, 2), st.integers(1, 30), st.booleans(), st.booleans(),
+       st.sampled_from(["runs", "signed zeros", "overflows", "zero Q"]), st.integers(0, 2**32 - 1))
+def test_scalar_state_step_has_the_bits_of_the_padded_two_row_state(r, T, varying, use_w, kind, seed):
+    # the d = 1 step of _covariance_small against the d = 2 step on the same
+    # model padded with zeros in the second row and column of F, G, W and P0,
+    # in both modes; a model that fails has the same records up to its first
+    # failing step, where R is the same and Q fails the same check (the
+    # records of a failing run are never returned)
+    rng = np.random.default_rng(seed)
+    Fs, Gs = rng.standard_normal((T, 1, r)), 1.0 + 0.3 * rng.standard_normal((T, 1, 1))
+    B = rng.standard_normal((T, r, r))
+    Vs = B @ B.swapaxes(1, 2) + 0.1 * np.eye(r)
+    Ws = rng.uniform(0.01, 0.5, (T, 1, 1)) if use_w else None
+    c = 2.0 if use_w else 2.0 * rng.uniform(0.7, 1.0)
+    P0 = rng.uniform(0.5, 2.0, (1, 1))
+    if kind == "signed zeros":  # -0.0 in G, W, P0, F and off V's diagonal, each at random
+        Fs, Gs = (np.where(rng.random(X.shape) < 0.5, -0.0, X) for X in (Fs, Gs))
+        Vs = np.where(np.eye(r, dtype=bool), 1.0, np.where(rng.random(Vs.shape) < 0.5, -0.0, 0.0))
+        P0 = -0.0 * P0 if rng.random() < 0.5 else P0
+        Ws = None if Ws is None else np.where(rng.random(Ws.shape) < 0.5, -0.0, Ws)
+    elif kind == "overflows":  # R grows by about 1e8 a step until it overflows
+        Gs, P0 = 1e4 * Gs, 1e270 * P0
+    elif kind == "zero Q":  # P = 0, W = 0 and V = 0 make Q exactly 0 at the first step
+        Vs, Ws, P0 = 0.0 * Vs, None, 0.0 * P0
+    if not varying:  # constant inputs, as ModelSpec stacks them: stride 0 in time
+        Fs, Gs, Vs = (np.broadcast_to(X[0], X.shape) for X in (Fs, Gs, Vs))
+        Ws = None if Ws is None else np.broadcast_to(Ws[0], Ws.shape)
+    observed = rng.random((T, r, 3)) < 0.7
+    _, u, _, _ = mv.dlm._schedule(observed, ("new", "classical"), 1)
+    one = mv.dlm._covariance_small(Fs, Gs, Vs, Ws, c, P0, u)
+
+    def pad(X, cols=1):
+        return None if X is None else np.pad(X, [(0, 0)] * (X.ndim - 2) + [(0, 1), (0, cols)])
+
+    R, Q, A, P = mv.dlm._covariance_small(pad(Fs, 0), pad(Gs), Vs, pad(Ws), c, pad(P0), u)
+    two = R[..., :1, :1], Q, A[..., :1, :], P[..., :1, :1]
+    t, message = _first_failure(two[1].swapaxes(0, 1))
+    assert _first_failure(one[1].swapaxes(0, 1)) == (t, message)
+    assert t == T or kind not in ("runs", "signed zeros"), t
+    for name, x, y in zip("RQAP", one, two):
+        assert x.shape == y.shape, name
+        assert same_bits(x[:t], y[:t]), name
+    assert same_bits(one[0][:t + 1], two[0][:t + 1])
+
+
+@SETTINGS
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 30), st.booleans(),
+       st.sampled_from(["runs", "overflows"]), st.integers(0, 2**32 - 1))
+def test_constant_inputs_read_once_have_the_bits_of_inputs_read_per_step(d, r, T, use_w, kind, seed):
+    # _covariance_small converts constant F, G, V and W (stride 0 in time, as
+    # ModelSpec stacks them) to floats once; each of its four (d, r) steps then
+    # has the bits of the same inputs materialized a step at a time
+    rng = np.random.default_rng(seed)
+    B, C = rng.standard_normal((r, r)), rng.standard_normal((d, d))
+    F, G = rng.standard_normal((d, r)), np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    V, W = B @ B.T + 0.1 * np.eye(r), (0.1 * C @ C.T + 0.05 * np.eye(d) if use_w else None)
+    c = 2.0 if use_w else 2.0 * rng.uniform(0.7, 1.0)
+    P0 = C @ C.T + np.eye(d)
+    if kind == "overflows":
+        G, P0 = 1e4 * G, 1e270 * P0
+    constant = [None if X is None else np.broadcast_to(X, (T,) + X.shape) for X in (F, G, V, W)]
+    _, u, _, _ = mv.dlm._schedule(rng.random((T, r, 3)) < 0.7, ("new", "classical"), 1)
+    once = mv.dlm._covariance_small(*constant, c, P0, u)
+    per_step = mv.dlm._covariance_small(*(None if X is None else X.copy() for X in constant), c, P0, u)
+    for name, x, y in zip("RQAP", once, per_step):
+        assert same_bits(x, y), name
+
+
 # the widest p whose state block (p^2 entries a step) takes np.cumsum; with
 # M = 2 the whole stack (2 p^2 entries a step in each mode) adds a step at a time
 P_STRADDLE = math.isqrt(mv.dlm._WIDE_STEP - 1)
