@@ -10,20 +10,24 @@ Sigma carrying the per-variable degrees-of-freedom covariance law from
 :mod:`mvdlm.distributions`. Conjugacy gives one closed-form recursion over
 (m, P, S, n): the one-step prior (a, R), the forecast (f, Q) with gain A, and
 the posterior update. The private ``_run`` runs it for M series that share a
-missing-data mask, in one or both update modes, as six stages: the mask
-schedule, the covariance pass, the mean scan, the checks, the dof and
+missing-data mask, in one or both update modes, as stages: the mask
+schedule, the covariance stages, the mean scan, the checks, the dof and
 whitened residuals (S is built from them when read), and the standardized
 errors. :func:`filter` is the case of one series in one mode; the
 replication study runs all its replications in both modes in one pass.
 
 The covariance part of the recursion (R, Q, A, P) depends on the model and
-the mask, not on the data, so one pass computes it for all steps and modes
-first. With at most two replicate rows (r <= 2) and a state of at most two
-rows (d <= 2) that pass runs on Python floats, where numpy's per-call cost
-would outweigh the arithmetic, with a step of its own for each (d, r) and
-constant inputs converted once; at any other (d, r) it runs in numpy.
-Neither pass raises: one rule on Q's Cholesky factor, read after them, fails
-a model at the same step in both.
+the mask, not on the data, so it is computed for all steps and modes first,
+in three stages. J = F V^{-1} F' is formed over all steps from V's Cholesky
+factor, which also rejects a V that is not positive definite. A loop then
+carries R and P alone, by the masked update in information form,
+P = (1 - u) R + u (I + R J)^{-1} R (Anderson and Moore, Optimal Filtering,
+1979, ch. 6), whose terms are positive semidefinite: on Python floats at
+d <= 2, where numpy's per-call cost would outweigh the arithmetic, with a
+step for each d, and in numpy at d >= 3. One batched stage, shared by both
+loops, forms Q and the gain A for every step. No stage after the J stage
+raises: one rule on Q's Cholesky factor, read after them, fails a model at
+the same step in both loops.
 
 With the gains known, the mean step is affine in each column, so a blocked
 prefix scan runs a, f, e and m (Blelloch, "Prefix sums and their
@@ -340,10 +344,10 @@ def filter(
     Q = sym(F'RF + V) and gain A = R F Q^{-1}, and the masked update.
     ``mode="new"`` applies the per-variable masked update;
     ``mode="classical"`` discards any observation with a missing entry.
-    Model inputs that are malformed or not finite, a forecast scale Q that is
-    not finite or not positive definite, and a residual e that is not finite at
-    an updating step are raised as :class:`FilterError` with the failing
-    1-based time index.
+    Model inputs that are malformed or not finite, an observation scale V or
+    a forecast scale Q that is not positive definite, a Q that is not
+    finite, and a residual e that is not finite at an updating step are
+    raised as :class:`FilterError` with the failing 1-based time index.
     """
     return _series_output(_run(model, prior, _observations(data)[None], (mode,)), 0, 0)
 
@@ -375,10 +379,11 @@ def _observations(values) -> np.ndarray:
 _STEP_FAILURES = ("forecast scale Q is not finite", "forecast scale Q is not positive definite",
                   "forecast residual e is not finite")
 
-# c of _check's rule, Q not positive definite where a pivot ratio L_ii^2 / Q_ii <= c eps.
-# Cholesky's backward error, gamma_{r+1} ~ (r + 1) eps / 2 of Q's scale (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., ch. 10), is covered up to r = 127. The digest
-# models that run have ratios >= 761 eps; V_LU_SINGULAR, rank 1 but factored, has 1.56 eps.
+# c of _factor's rule, which _check applies to Q and _information to V: not positive definite
+# where a pivot ratio L_ii^2 / X_ii <= c eps. Cholesky's backward error, gamma_{r+1} ~
+# (r + 1) eps / 2 of the matrix's scale (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., ch. 10), is covered up to r = 127. The Q of the digest models that run have ratios
+# >= 761 eps; V_LU_SINGULAR, rank 1 but factored, has 1.56 eps.
 _PIVOT_C = 64
 
 
@@ -393,9 +398,11 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     series (the mask is read from the first), and no entry infinite. After
     the checks of ``y``'s r, p and T against the model, the modes and the
     prior, the model inputs are stacked, F before G before V before W, and
-    then the stages run: the mean records come from :func:`_scan`, a
-    blocked scan over the steps whose records equal the step-by-step
-    recursion's up to rounding.
+    then the stages run: J from :func:`_information`, which fails a V that is
+    not positive definite at its first step, R and P from the covariance
+    loop of the model's d, Q and A from :func:`_gains`, and the mean records
+    from :func:`_scan`, a blocked scan over the steps whose records equal
+    the step-by-step recursion's up to rounding.
 
     The records with a series axis that no output views past a run's
     lifetime share one buffer (:func:`_views`): a, f, e and m, which
@@ -430,18 +437,20 @@ def _run(model: ModelSpec, prior: NmiwState, y: np.ndarray, modes: tuple[str, ..
     S0, n0 = prior.miw.S, prior.miw.n
     if not all(np.isfinite(x).all() for x in (prior.m, prior.P, S0)):
         raise DomainError("prior m, P and S must be finite")
-    inputs = [model._stack(name, T) for name in "FGVW"]
+    Fs, Gs, Vs, Ws = (model._stack(name, T) for name in "FGVW")
+    B, J = _information(Fs, Vs)
     observed = ~np.isnan(y[0])
     update, u, gain, obs_cols = _schedule(observed, modes, M)
     y = y.transpose(1, 2, 0, 3).reshape(T, r, M * p)
-    covariance = _covariance_small if r <= 2 and d <= 2 else _covariance_numpy
-    rows = dict(zip("RQAP", covariance(*inputs, 2.0 * (model.discount or 1.0), prior.P, u)))
+    covariance = _covariance_small if d <= 2 else _covariance_numpy
+    R, P = covariance(Gs, Ws, B, J, 2.0 * (model.discount or 1.0), prior.P, u)
+    rows = dict(zip("RQAP", (R, *_gains(Fs, Vs, R), P)))
     # a, f and m padded to _scan's B blocks of L steps, then e and std_err
     K, L = len(modes), math.isqrt(T)
     BL = -(-T // L) * L
     a, f, m, e, std_err = _views([(BL, K, d, M * p), (BL, K, r, M * p), (BL, K, d, M * p),
                                   (T, K, r, M * p), (K, T, r, M * p)])
-    rows.update(zip("afem", _scan(*inputs[:2], rows["A"], prior.m, y, obs_cols, gain,
+    rows.update(zip("afem", _scan(Fs, Gs, rows["A"], prior.m, y, obs_cols, gain,
                                   out=(a, f, e, m))))
     rec = {name: row.swapaxes(0, 1) for name, row in rows.items()}
     chol = _check(rec["Q"], rec["e"], update.T)
@@ -571,166 +580,171 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain, out) -> tuple[np.ndarray, ...]:
     return a_out[:T], f_out[:T], e_t, m_out[:T]
 
 
-def _covariance_numpy(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
-    """R, Q, A and P (T x K x ...) of every step and mode at any (d, r), from
-    the model inputs as T-stacks (``Ws`` is None under a discount), the prior
-    P and u (T x K x 1 x 1).
+def _information(Fs, Vs) -> tuple[np.ndarray, np.ndarray]:
+    """B = L^{-1} F' (... x r x d) and J = F V^{-1} F' = B'B (... x d x d) of
+    every step, V = L L' by Cholesky, from F and V as T-stacks; or
+    :class:`FilterError` at the first step whose V is not positive definite
+    by the rule of :func:`_factor`, as the paper's V is a covariance.
+
+    B is one forward substitution over its r rows, and J = :func:`_products`
+    of B' and B, so J is exactly symmetric, and a zero column of F with a
+    unit row of V adds exact zeros. Where F and V are both constant (stride
+    0 in time, as :meth:`ModelSpec._stack` gives them) they are read once,
+    and B and J hold one step, else T.
+    """
+    (T, d, r), (F, V) = Fs.shape, (X[:1] if X.strides[0] == 0 else X for X in (Fs, Vs))
+    chol, failed = _factor(V)
+    if failed.any():
+        raise FilterError("observation scale V is not positive definite",
+                          t=int(np.argmax(failed)) + 1)
+    B = F.swapaxes(1, 2) * np.ones((len(V), 1, 1))
+    for i in range(r):
+        B[:, i] /= chol[:, i, i, None]
+        B[:, i + 1:] -= chol[:, i + 1:, i, None] * B[:, i, None]
+    return B, _products(B.swapaxes(1, 2), B)
+
+
+def _products(X, Y) -> np.ndarray:
+    """X Y (... x m x n) as 0 plus, over the inner index i in its order,
+    column i of X times row i of Y, one product an entry: the same at every
+    m and n, where a matmul would pick its BLAS kernel by shape."""
+    return sum((X[..., :, i, None] * Y[..., i, None, :] for i in range(X.shape[-1])), start=0.0)
+
+
+def _covariance_numpy(Gs, Ws, B, J, c, P, u) -> np.ndarray:
+    """R and P (2 x T x K x d x d) of every step and mode at any d, from G and W
+    as T-stacks (``Ws`` is None under a discount), B and J of
+    :func:`_information`, the prior P and u (T x K x 1 x 1).
 
     Each step runs R = (X + X')/c, X = G P G' (+ W), c = 2 delta (2 with W:
-    the bits of the average over delta unless (X + X')/2 is subnormal),
-    Q = sym(F'RF + V), A from one call of LAPACK's solve gufunc (the bits of
-    np.linalg.solve) and P = sym(R - u A (RF)') on the K-stack of modes: A Q
-    = RF, so A (RF)' is A Q A' with one product fewer.
+    the bits of the average over delta unless (X + X')/2 is subnormal), and
+    the masked update P = (1 - u) R + u sym(X), X = (I + R J)^{-1} R, on the
+    K-stack of modes, by one call of LAPACK's solve gufunc on the smaller
+    system: I + R J itself where d <= r, and where d > r,
+    X = R - RB' (I + B RB')^{-1} (RB')', whose r x r matrix is L^{-1} Q
+    L^{-T}. At d > r, J is singular and I + R J as ill-conditioned as R J
+    is large, so the information form would lose digits that the r x r
+    system keeps.
     """
-    (T, d, r), K = Fs.shape, u.shape[1]
-    R_t, Q_t, P_t = (np.zeros((T, K, n, n)) for n in (d, r, d))
-    # A' as the solve leaves it: the mean pass reads A in this transposed
-    # layout, whose rounding of A e a contiguous A does not reproduce at r >= 2
-    At_t = np.zeros((T, K, r, d))
-    P = np.tile(P, (K, 1, 1))
+    (T, d, _), r, K = Gs.shape, B.shape[1], u.shape[1]
+    B, J = (np.broadcast_to(X, (T,) + X.shape[1:]) for X in (B, J))
+    RP = np.empty((2, T, K, d, d))
+    P, eye = np.tile(P, (K, 1, 1)), np.eye(min(d, r))
     for k in range(T):
-        F, G = Fs[k], Gs[k]
-        GPG = G @ P @ G.T
+        GPG = Gs[k] @ P @ Gs[k].T
         if Ws is not None:
             GPG += Ws[k]
-        R = np.add(GPG, GPG.swapaxes(1, 2), out=R_t[k])
+        R = np.add(GPG, GPG.swapaxes(1, 2), out=RP[0, k])
         R /= c
-        RF = R @ F
-        FRF = F.T @ RF
-        FRF += Vs[k]
-        Q = np.add(FRF, FRF.swapaxes(1, 2), out=Q_t[k])
-        Q *= 0.5
-        A = _umath_linalg.solve(Q, RF.swapaxes(1, 2), out=At_t[k]).swapaxes(1, 2)
-        ARF = A @ RF.swapaxes(1, 2)
-        ARF *= u[k]
-        np.subtract(R, ARF, out=ARF)
-        P = np.add(ARF, ARF.swapaxes(1, 2), out=P_t[k])
-        P *= 0.5
-    return R_t, Q_t, At_t.swapaxes(2, 3), P_t
+        RB = R @ B[k].T
+        X = (_umath_linalg.solve(eye + R @ J[k], R) if d <= r
+             else R - RB @ _umath_linalg.solve(eye + B[k] @ RB, RB.swapaxes(1, 2)))
+        X += X.swapaxes(1, 2)
+        X *= 0.5 * u[k]
+        P = np.add(R * (1.0 - u[k]), X, out=RP[1, k])
+    return RP
 
 
-def _covariance_small(Fs, Gs, Vs, Ws, c, P, u) -> tuple[np.ndarray, ...]:
-    """R, Q, A and P (T x K x ...) of every step and mode at r <= 2 and d <= 2,
-    from the model inputs as T-stacks, the prior P and u (T x K x 1 x 1).
+def _covariance_small(Gs, Ws, B, J, c, P, u) -> np.ndarray:
+    """R and P (2 x T x K x d x d) of every step and mode at d <= 2, with the
+    arguments of :func:`_covariance_numpy`.
 
-    The recursion of :func:`_covariance_numpy`, written out on Python
-    floats, with a step for each (d, r): at these sizes a numpy call costs
-    more than its arithmetic. A step reads F, V, G and W (0 under a
-    discount) as one row of floats. Where all four are constant (stride 0
-    in time, as :meth:`ModelSpec._stack` gives them) that row is converted
-    once for every step, else once a step.
+    Its recursion written out on Python floats, a step for each d: at these
+    sizes a numpy call costs more than its arithmetic. A step reads G, W (0
+    under a discount), J and, at d = 2, det J as one row of floats. Where
+    all are constant (stride 0 in time) that row is converted once for every
+    step, else once a step.
 
-    At d = 1 the state is a scalar: R and P are scalars and RF is a row. At
-    r = 1, Q is the scalar q00 and the gain is RF / q00. Each of these steps
-    is the d = 2 (or r = 2) step on the model padded with zeros in the
-    second row and column of F, G, W and P (or with a zero second column of
-    F and V = diag(V, 1)), less the terms that are 0 there, so its records
-    are the padded model's, bit for bit, up to the first step whose Q fails:
-    the padding's +0 terms are kept only where they turn a -0.0 into 0.0.
-    At r = 2 the gain solves Q A' = (RF)' by elimination without pivoting,
-    Q = L D L': on a Q that is positive definite, as at every step a run
-    returns, its growth factor is 1 and pivoting adds nothing (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9-10). The
-    gain is NaN at a zero pivot, so no Python division by 0 raises. Every
-    step packs the same 16-double record of R, Q, A and P, each 2 x 2, of
-    which the first d and r rows and columns are read.
+    X = (I + R J)^{-1} R is the adjugate of I + R J over its determinant,
+    which for 2 x 2 matrices expand as adj(I + R J) R = R + det(R) adj(J)
+    and det(I + R J) = 1 + tr(R J) + det(R) det(J): each term is positive
+    semidefinite where R and J are, and det(I + R J) = det Q / det V >= 1,
+    so nothing cancels but inside det R and det J. det J is the sum of the
+    squared 2 x 2 minors of B (Cauchy-Binet), each pair of rows counted
+    twice and halved, exactly 0 at r = 1. Where det(I + R J) is 0, so is
+    det Q, which fails; X is NaN there, so no Python division by 0 raises.
+
+    At d = 1 the state is a scalar, and its step is the d = 2 step on the
+    model padded with zeros in the second row and column of G, W, J and P,
+    less the terms that are 0 there: det(I + R J) = 1 + r j + 0 and
+    X = (r + 0 j11) / det(I + R J). So its records are the padded model's,
+    bit for bit, up to the first step whose Q fails: the padding's +0 terms
+    are kept only where they turn a -0.0 into 0.0.
     """
-    (T, d, r), K = Fs.shape, u.shape[1]
-    inputs = (Fs, Vs, Gs, np.broadcast_to(0.0, Gs.shape) if Ws is None else Ws)
-    if all(X.strides[0] == 0 for X in inputs):
+    (T, d, _), K = Gs.shape, u.shape[1]
+    inputs = [Gs, np.zeros((1, d, d)) if Ws is None else Ws, J]
+    if d == 2:
+        minors = B[:, :, 0, None] * B[:, None, :, 1] - B[:, :, 1, None] * B[:, None, :, 0]
+        inputs.append(0.5 * np.square(minors).sum(axis=(1, 2))[:, None])
+    if all(len(X) == 1 or X.strides[0] == 0 for X in inputs):
         step_inputs = partial(repeat, np.concatenate([X[0].ravel() for X in inputs]).tolist(), T)
     else:
-        step_inputs = partial(map, np.ndarray.tolist,
-                              np.concatenate([X.reshape(T, -1) for X in inputs], axis=1))
-    rows, record, nan = np.empty((K, T, 16)), Struct("16d"), float("nan")
-    for row, u_mode in zip(rows, u.reshape(T, K).T.tolist()):
-        steps = zip(range(0, row.nbytes, record.size), step_inputs(), u_mode)
-        # at d = 1, + 0.0 stands for the padding's +0 terms where a -0.0 would differ
-        if d == 1 and r == 1:
-            p00 = float(P[0, 0])
-            for at, (f00, v00, g00, w00), u_t in steps:
-                x00 = g00 * p00 * g00 + 0.0 + w00
-                r00 = (x00 + x00) / c
-                rf00 = r00 * f00 + 0.0
-                x00 = f00 * rf00 + 0.0 + v00
-                q00 = (x00 + x00) * 0.5
-                a00 = rf00 / (q00 or nan)
-                p00 = r00 - a00 * rf00 * u_t
-                p00 = (p00 + p00) * 0.5
-                record.pack_into(row, at, r00, 0.0, 0.0, 0.0, q00, 0.0, 0.0, 0.0,
-                                 a00, 0.0, 0.0, 0.0, p00, 0.0, 0.0, 0.0)
-            continue
+        table = np.concatenate([np.broadcast_to(X, (T,) + X.shape[1:]).reshape(T, -1)
+                                for X in inputs], axis=1)
+        step_inputs = partial(Struct(f"{table.shape[1]}d").iter_unpack, table)
+    rows, pack, nan = np.empty((K, T, 2, d, d)), Struct(f"{2 * d * d}d").pack_into, float("nan")
+    u = u.reshape(T, K).T
+    for row, u_mode, v_mode in zip(rows, u.tolist(), (1.0 - u).tolist()):
+        steps = zip(range(0, row.nbytes, 16 * d * d), step_inputs(), u_mode, v_mode)
         if d == 1:
             p00 = float(P[0, 0])
-            for at, (f00, f01, v00, v01, v10, v11, g00, w00), u_t in steps:
+            # + 0.0 stands for the padding's +0 terms where a -0.0 would differ
+            for at, (g00, w00, j00), u_t, v_t in steps:
                 x00 = g00 * p00 * g00 + 0.0 + w00
                 r00 = (x00 + x00) / c
-                rf00, rf01 = r00 * f00 + 0.0, r00 * f01 + 0.0
-                x00 = f00 * rf00 + 0.0 + v00
-                x01 = (f00 * rf01 + 0.0 + v01) + (f01 * rf00 + 0.0 + v10)
-                x11 = f01 * rf01 + 0.0 + v11
-                q00, q01, q11 = (x00 + x00) * 0.5, x01 * 0.5, (x11 + x11) * 0.5
-                s0 = q00 or nan
-                mult = q01 * (1.0 / s0)
-                a01 = (rf01 - mult * rf00) / ((q11 - mult * q01) or nan)
-                a00 = (rf00 - q01 * a01) / s0
-                p00 = r00 - (a00 * rf00 + a01 * rf01) * u_t
-                p00 = (p00 + p00) * 0.5
-                record.pack_into(row, at, r00, 0.0, 0.0, 0.0, q00, q01, q01, q11,
-                                 a00, a01, 0.0, 0.0, p00, 0.0, 0.0, 0.0)
+                p00 = (v_t + u_t / ((1.0 + r00 * j00) or nan)) * r00
+                pack(row, at, r00, p00)
             continue
         p00, p01, p10, p11 = P.ravel().tolist()
-        if r == 1:
-            for at, step, u_t in steps:
-                f00, f10, v00, g00, g01, g10, g11, w00, w01, w10, w11 = step
-                gp00, gp01 = g00 * p00 + g01 * p10, g00 * p01 + g01 * p11
-                gp10, gp11 = g10 * p00 + g11 * p10, g10 * p01 + g11 * p11
-                x00 = gp00 * g00 + gp01 * g01 + w00
-                x01 = (gp00 * g10 + gp01 * g11 + w01) + (gp10 * g00 + gp11 * g01 + w10)
-                x11 = gp10 * g10 + gp11 * g11 + w11
-                r00, r01, r11 = (x00 + x00) / c, x01 / c, (x11 + x11) / c
-                rf00, rf10 = r00 * f00 + r01 * f10, r01 * f00 + r11 * f10
-                x00 = f00 * rf00 + f10 * rf10 + v00
-                q00 = (x00 + x00) * 0.5
-                s0 = q00 or nan
-                a00, a10 = rf00 / s0, rf10 / s0
-                p00, p11 = r00 - a00 * rf00 * u_t, r11 - a10 * rf10 * u_t
-                p00, p11 = (p00 + p00) * 0.5, (p11 + p11) * 0.5
-                # + 0.0 in place of the +0 of A's and RF's second columns
-                p01 = p10 = ((r01 - (a00 * rf10 + 0.0) * u_t)
-                             + (r01 - (a10 * rf00 + 0.0) * u_t)) * 0.5
-                record.pack_into(row, at, r00, r01, r01, r11, q00, 0.0, 0.0, 1.0,
-                                 a00, 0.0, a10, 0.0, p00, p01, p10, p11)
-            continue
-        for at, step, u_t in steps:
-            f00, f01, f10, f11, v00, v01, v10, v11, g00, g01, g10, g11, w00, w01, w10, w11 = step
+        for at, (g00, g01, g10, g11, w00, w01, w10, w11, j00, j01, _, j11, dj), u_t, v_t in steps:
             gp00, gp01 = g00 * p00 + g01 * p10, g00 * p01 + g01 * p11
             gp10, gp11 = g10 * p00 + g11 * p10, g10 * p01 + g11 * p11
             x00 = gp00 * g00 + gp01 * g01 + w00
             x01 = (gp00 * g10 + gp01 * g11 + w01) + (gp10 * g00 + gp11 * g01 + w10)
             x11 = gp10 * g10 + gp11 * g11 + w11
             r00, r01, r11 = (x00 + x00) / c, x01 / c, (x11 + x11) / c
-            rf00, rf10 = r00 * f00 + r01 * f10, r01 * f00 + r11 * f10
-            rf01, rf11 = r00 * f01 + r01 * f11, r01 * f01 + r11 * f11
-            x00 = f00 * rf00 + f10 * rf10 + v00
-            x01 = (f00 * rf01 + f10 * rf11 + v01) + (f01 * rf00 + f11 * rf10 + v10)
-            x11 = f01 * rf01 + f11 * rf11 + v11
-            q00, q01, q11 = (x00 + x00) * 0.5, x01 * 0.5, (x11 + x11) * 0.5
-            # Q = L D L' with pivots s0 and u11, each NaN where it is 0
-            s0 = q00 or nan
-            mult = q01 * (1.0 / s0)
-            u11 = (q11 - mult * q01) or nan
-            a01, a11 = (rf01 - mult * rf00) / u11, (rf11 - mult * rf10) / u11
-            a00, a10 = (rf00 - q01 * a01) / s0, (rf10 - q01 * a11) / s0
-            p00 = r00 - (a00 * rf00 + a01 * rf01) * u_t
-            p11 = r11 - (a10 * rf10 + a11 * rf11) * u_t
-            p00, p11 = (p00 + p00) * 0.5, (p11 + p11) * 0.5
-            p01 = p10 = ((r01 - (a00 * rf10 + a01 * rf11) * u_t)
-                         + (r01 - (a10 * rf00 + a11 * rf01) * u_t)) * 0.5
-            record.pack_into(row, at, r00, r01, r01, r11, q00, q01, q01, q11,
-                             a00, a01, a10, a11, p00, p01, p10, p11)
-    R, Q, A, P = rows.swapaxes(0, 1).reshape(T, K, 4, 2, 2).transpose(2, 0, 1, 3, 4)
-    return R[..., :d, :d], Q[..., :r, :r], A[..., :d, :r], P[..., :d, :d]
+            dr = r00 * r11 - r01 * r01
+            # P = (1 - u + s) R + s det(R) adj(J), s = u / det(I + R J)
+            s = u_t / ((1.0 + (r00 * j00 + r11 * j11 + 2.0 * r01 * j01) + dr * dj) or nan)
+            vs, dr = v_t + s, s * dr
+            p00, p11 = vs * r00 + dr * j11, vs * r11 + dr * j00
+            p01 = p10 = vs * r01 - dr * j01
+            pack(row, at, r00, r01, r01, r11, p00, p01, p01, p11)
+    return rows.transpose(2, 1, 0, 3, 4)
+
+
+def _gains(Fs, Vs, R) -> tuple[np.ndarray, np.ndarray]:
+    """Q = sym(F'RF + V) and the gain A = (Q^{-1} (RF)')' (T x K x ...) of
+    every step and mode, from F and V as T-stacks and the R of a covariance
+    loop, in one batched stage.
+
+    RF and F'RF are :func:`_products`, so a column of F that is 0 adds exact
+    zeros and leaves the other columns' bits as they are. A is left in the
+    solve's transposed layout: the mean pass's product A e rounds
+    differently on a contiguous A at r >= 2. np.linalg.solve raises where an
+    LU finds some Q exactly singular, a Q that :func:`_check` fails;
+    LAPACK's solve gufunc, the same kernel, gives NaN there instead.
+    """
+    F = Fs[:, None]
+    RF = _products(R, F)
+    FRF = _products(F.swapaxes(2, 3), RF) + Vs[:, None]
+    Q = (FRF + FRF.swapaxes(2, 3)) * 0.5
+    try:
+        At = np.linalg.solve(Q, RF.swapaxes(2, 3))
+    except np.linalg.LinAlgError:
+        At = _umath_linalg.solve(Q, RF.swapaxes(2, 3))
+    return Q, At.swapaxes(2, 3)
+
+
+def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factor L of a stack of matrices X (... x n x n), and
+    where (...) an X is not positive definite: where a pivot ratio
+    L_ii^2 / X_ii is at most ``_PIVOT_C`` eps or NaN (under ``_run``'s
+    errstate the gufunc behind np.linalg.cholesky leaves NaN in the factor of
+    a matrix it cannot factor)."""
+    chol = _umath_linalg.cholesky_lo(X, signature="d->d")
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2 / np.diagonal(X, axis1=-2, axis2=-1)
+    return chol, ~(pivots > _PIVOT_C * np.finfo(float).eps).all(axis=-1)
 
 
 def _check(Q: np.ndarray, e: np.ndarray, update: np.ndarray) -> np.ndarray:
@@ -738,16 +752,13 @@ def _check(Q: np.ndarray, e: np.ndarray, update: np.ndarray) -> np.ndarray:
     at the earliest step whose records fail a check.
 
     Per step, in the order they are raised: Q not finite; Q not positive
-    definite, where a pivot ratio L_ii^2 / Q_ii is at most ``_PIVOT_C`` eps or
-    NaN (under ``_run``'s errstate the gufunc behind np.linalg.cholesky leaves
-    NaN in the factor of a Q it cannot factor); e not finite where a mode
+    definite by the rule of :func:`_factor`; e not finite where a mode
     updates with it (``update``, K x T).
     """
-    chol = _umath_linalg.cholesky_lo(Q, signature="d->d")
-    pivots = np.diagonal(chol, axis1=2, axis2=3) ** 2 / np.diagonal(Q, axis1=2, axis2=3)
+    chol, failed = _factor(Q)
     checks = np.stack([
         ~np.isfinite(Q).all(axis=(0, 2, 3)),
-        ~(pivots > _PIVOT_C * np.finfo(float).eps).all(axis=(0, 2)),
+        failed.any(axis=0),
         (update & ~np.isfinite(e).all(axis=(2, 3))).any(axis=0),
     ], axis=1)
     if checks.any():

@@ -4,8 +4,9 @@ each benchmark shape.
     PYTHONPATH=src python tests/alloc_report.py
 
 Runs one operation at each of the three shapes of ``perfbench``'s workloads,
-and ``mvdlm filter`` itself at the ``csv_filter`` shape, on inputs drawn here
-from a seeded generator, not on the benchmark's files:
+at one shape that none of them runs, and ``mvdlm filter`` itself at the
+``csv_filter`` shape, on inputs drawn here from a seeded generator, not on
+the benchmark's files:
 
 - ``study``: ``dlm._run`` of 20 local-level series (d = 1, p = 2, r = 1,
   T = 100) in both modes, then the first series' output of each mode with
@@ -15,6 +16,9 @@ from a seeded generator, not on the benchmark's files:
   --mode both`` does;
 - ``wide_filter``: :func:`mvdlm.filter` at d = 2, p = 40, r = 1, T = 2,000,
   with a time-varying design;
+- ``r3_filter``: :func:`mvdlm.filter` at d = 2, p = 3, r = 3, T = 2,000,
+  with a time-varying design, in one mode: a shape that no benchmark
+  workload runs, with more replicate rows than state rows;
 - ``csv_cli``: ``cli.main(["filter", ..., "--mode", "both"])`` on the
   ``csv_filter`` shape's series, written once as a 2,000-row CSV by
   ``cli.write_csv``: the whole command, parsing the CSV and writing both
@@ -101,6 +105,11 @@ def wide_filter():
     return lambda: mv.filter(model, y[0], prior)
 
 
+def r3_filter():
+    model, prior, y = _inputs(np.random.default_rng(4), 2, 3, 3, 2_000, 1, 0.95, True)
+    return lambda: mv.filter(model, y[0], prior)
+
+
 # the model and prior of the csv_filter shape, as a config file
 CSV_CLI_INI = """\
 [model]
@@ -160,7 +169,7 @@ def measure(run) -> tuple[float, float, int]:
     return statistics.median(times), statistics.median(faults), peak
 
 
-SHAPES = {shape.__name__: shape for shape in (study, csv_filter, wide_filter, csv_cli)}
+SHAPES = {shape.__name__: shape for shape in (study, csv_filter, wide_filter, r3_filter, csv_cli)}
 
 
 def main(argv) -> None:

@@ -10,16 +10,25 @@ in both modes, and ``exact_errors`` compares every record with
 at the test's P0 (log-uniform in [0.1, 1e3], and of order 1 for the two
 pivot models) and at P0 of order 1e6. For each, one table gives the worst
 normwise relative error of each record over the models of each covariance
-pass: the Python-float pass at r <= 2 and d <= 2, the numpy pass otherwise.
+loop, as ``dlm._run`` routes them by d alone: the Python-float loop at
+d <= 2, the numpy loop at d >= 3.
+
+Beside the tables it prints the worst error / (eps kappa) over 300 models
+drawn as ``SCALED_BOUND`` was set (``exact_case`` at seeds [90, i], d and r
+uniform in 1..3, the test's P0), kappa the model's ``conditioning``: the bar
+of ``test_every_drawn_record_is_within_its_conditioning``.
+
 The script reads only ``dlm._run`` and the public model and state classes,
 so it runs on a change's base commit too. pytest does not collect it.
 """
 
 import numpy as np
 
-from test_dlm import EXACT_RECORDS, EXACT_SHAPES, exact_case, exact_errors
+from test_dlm import (EXACT_RECORDS, EXACT_SHAPES, SCALED_BOUND, conditioning, exact_case,
+                      exact_errors, exact_runs)
 
 PASSES = ("python", "numpy")
+DRAWN = 300
 
 
 def cases(P0_scale):
@@ -34,7 +43,7 @@ def cases(P0_scale):
 def report(title: str, P0_scale) -> None:
     worst = {path: dict.fromkeys(EXACT_RECORDS, 0.0) for path in PASSES}
     for inputs, model, prior, y in cases(P0_scale):
-        path = "python" if model.r <= 2 and model.d <= 2 else "numpy"
+        path = "python" if model.d <= 2 else "numpy"
         for name, error in exact_errors(inputs, model, prior, y).items():
             worst[path][name] = max(worst[path][name], error)
     print(title)
@@ -45,10 +54,27 @@ def report(title: str, P0_scale) -> None:
         print(f"{name:<8}" + "".join(f"{error:>10.2e}" for error in row))
 
 
+def scaled() -> None:
+    worst, where = 0.0, ""
+    for i in range(DRAWN):
+        rng = np.random.default_rng([90, i])
+        d, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        inputs, model, prior, y = exact_case(rng, d, r)
+        exact = exact_runs(inputs)
+        errors = exact_errors(inputs, model, prior, y, exact)
+        value = max(errors.values()) / (np.finfo(float).eps * conditioning(inputs, exact))
+        if value > worst:
+            worst, where = value, f"seed [90, {i}], d={d}, r={r}, in {max(errors, key=errors.get)}"
+    print(f"worst error / (eps kappa) over {DRAWN} drawn models at the test's P0: "
+          f"{worst:.2f} ({where}); the bound is {SCALED_BOUND}")
+
+
 def main() -> None:
     report("P0 of the test", None)
     print()
     report("P0 of order 1e6", 1e6)
+    print()
+    scaled()
 
 
 if __name__ == "__main__":

@@ -573,12 +573,34 @@ def test_model_rule_errors_exit_2_with_one_section_prefix(tmp_path, capsys, old,
 
 
 def test_numerical_failure_exits_3_with_time_index(tmp_path, capsys):
-    bad = GOOD_CONFIG.replace("V = identity", "V = [[-1.0]]")
+    # W = -3 leaves Q positive at t = 1, under P0 = 1e6, and makes it negative at t = 2
+    bad = GOOD_CONFIG.replace("discount = 0.9", "W = [[-3.0]]")
     config = write_config(tmp_path, bad)
     data = make_series(tmp_path)
     assert main(["filter", "--config", str(config), "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "t=2" in err
+
+
+@pytest.mark.parametrize("r, V", [
+    (1, "[[0.0]]"),
+    (2, "[[0.003305626623116044, -0.0049834247877285605], "
+        "[-0.0049834247877285605, 0.007512803303700776]]"),
+    (1, "[[-1.0]]"),
+    (2, "[[1.0, 2.0], [2.0, 1.0]]"),
+], ids=["zero", "lu-singular", "indefinite-r1", "indefinite-r2"])
+def test_observation_scale_that_is_not_positive_definite_exits_3(tmp_path, capsys, r, V):
+    # V = 0, the rank-1 V that Cholesky still factors, and indefinite V's are
+    # not covariances: a numerical failure at t = 1, exit code 3
+    config = GOOD_CONFIG.replace("V = identity", f"V = {V}").replace(
+        "F = [[1.0]]", f"F = [{[1.0] * r}]").replace("r = 1", f"r = {r}")
+    header = ",".join(f"y{j}_{k}" for j in (1, 2) for k in range(1, r + 1))
+    data = write_data(tmp_path, [",".join(["0.5"] * 2 * r)] * 4, header=header)
+    assert main(["filter", "--config", str(write_config(tmp_path, config)),
+                 "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "t=1: observation scale V is not positive definite" in err
 
 
 def test_both_modes_fail_as_the_updating_mode_does(tmp_path, capsys):

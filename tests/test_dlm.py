@@ -12,9 +12,12 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvdlm as mv
 
@@ -811,11 +814,11 @@ def test_reading_s_after_an_overflowing_run_warns_nothing():
                                      (2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1)],
                          ids=["3-1", "1-2", "2-2", "3-3", "2-2-p1", "3-2-p1", "2-3-p1", "3-3-p1"])
 def test_gain_has_the_bits_of_the_solve(monkeypatch, d, r, p):
-    # the numpy covariance pass calls LAPACK's solve gufunc directly at every
-    # r, without np.linalg.solve's wrapper; it must give what that gives. The
-    # mean pass's A e reads A in the solve's transposed layout: at p = 1,
-    # r >= 2 a contiguous A gives other bits of m. _run would take the
-    # Python-float pass at r <= 2, d <= 2, so the numpy pass is forced.
+    # the batched stage's gain is np.linalg.solve of its Q and of RF, summed
+    # over the rows of F in row order, on the R of either covariance loop
+    # (the numpy loop is forced at d <= 2). The mean pass's A e reads A in
+    # the solve's transposed layout: at p = 1, r >= 2 a contiguous A gives
+    # other bits of m.
     monkeypatch.setattr(mv.dlm, "_covariance_small", mv.dlm._covariance_numpy)
     rng = np.random.default_rng(81)
     model, prior = random_model(rng, d, p, r, use_discount=True), random_prior(rng, d, p)
@@ -824,7 +827,10 @@ def test_gain_has_the_bits_of_the_solve(monkeypatch, d, r, p):
     gain = mv.dlm._schedule(~np.isnan(y), MODES, 1)[2]
     rec = mv.dlm._run(model, prior, y[None], MODES)
     for k in range(50):
-        RF = np.ascontiguousarray(rec["R"][:, k]) @ model.F(k + 1)
+        R, F = rec["R"][:, k], model.F(k + 1)
+        RF = R[..., 0, None] * F[0]
+        for i in range(1, d):
+            RF += R[..., i, None] * F[i]
         want = np.linalg.solve(rec["Q"][:, k], RF.swapaxes(1, 2)).swapaxes(1, 2)
         assert np.array_equal(rec["A"][:, k], want), k
         m = rec["a"][:, k] + want @ np.where(gain[k], rec["e"][:, k], 0.0)
@@ -835,12 +841,11 @@ def test_gain_has_the_bits_of_the_solve(monkeypatch, d, r, p):
                                          (2, 2, False), (1, 2, True), (2, 2, True)],
                          ids=["1", "2", "1-r2", "2-r2", "1-r2-pivot", "2-r2-pivot"])
 def test_python_pass_gain_is_the_exact_gain(d, r, pivot):
-    # at r <= 2, d <= 2 the Python-float pass forms A by its own elimination
-    # without pivoting, which has no solve's bits to match: it is held to the
-    # exact recursion instead, also where an LU with partial pivoting would
-    # swap the rows of Q. The pivot models are near rank 1 in F'RF by design,
-    # so they take P0 of order 1: at P0 up to 1e3 cond(Q) reaches 2e4, and
-    # both passes' gains err by 2.4e-13.
+    # the gain of the batched stage on the Python-float loop's R, held to the
+    # exact recursion, also where an LU with partial pivoting swaps the rows
+    # of Q. The pivot models are near rank 1 in F'RF by design, so they take
+    # P0 of order 1: at P0 up to 1e3 cond(Q) reaches 2e4, and the gains err
+    # by 2.4e-13.
     for seed in range(3):
         rng = np.random.default_rng([81, seed])
         inputs, model, prior, y = exact_case(rng, d, r, 1.0 if pivot else None, pivot)
@@ -855,8 +860,9 @@ def test_python_pass_gain_is_the_exact_gain(d, r, pivot):
 
 
 def test_private_lapack_gufuncs_keep_the_contract_the_kernel_reads():
-    # _covariance_numpy and _check call numpy.linalg._umath_linalg, a private
-    # module; a numpy that changes it fails here by name, not as a wrong FilterError
+    # _covariance_numpy, _factor and _gains (where np.linalg.solve would
+    # raise) call numpy.linalg._umath_linalg, a private module; a numpy that
+    # changes it fails here by name, not as a wrong FilterError
     lapack = mv.dlm._umath_linalg
     rng = np.random.default_rng(84)
     X = rng.standard_normal((4, 3, 3))
@@ -882,28 +888,31 @@ def test_private_lapack_gufuncs_keep_the_contract_the_kernel_reads():
 # ---------------------------------------------------------------------------
 
 MODES = ("new", "classical")
-# (d, r) of the exact-oracle models: the Python-float covariance pass runs
-# those with r <= 2 and d <= 2, the numpy pass the rest
+# (d, r) of the exact-oracle models. The Python-float covariance loop runs
+# those with d <= 2 and the numpy loop the rest; the bounds below keep the
+# split by the models they were set on, d <= 2 with r <= 2 and the rest (the
+# (2, 3) model of seed 15 has a mean that cancels, kappa 3e5 in conditioning()).
 EXACT_SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (3, 2), (2, 3)]
 EXACT_RECORDS = ("a", "R", "f", "Q", "A", "e", "m", "P", "n", "S")
 # Worst normwise relative error of any record at any step over the models of
-# test_every_record_is_close_to_the_exact_recursion. On the numpy pass's
-# models it is 2.0e-12 (in f), and the bound is 10 times that. The Python
-# pass's bound was set at 10 times 1.5e-14 (in e), the worst on its r = 1
-# models before it existed; with r = 2 in the pass and its gain by
-# elimination without pivoting, its worst is 6.0e-14 (in f, at d = 1, r = 2),
-# so the bound stays and keeps a margin of 2.5.
+# test_every_record_is_close_to_the_exact_recursion. On the models outside
+# d, r <= 2 it was 2.0e-12 (in f), and the bound is 10 times that; it is
+# 5.3e-13 with the information form. The bound of the d, r <= 2 models was
+# set at 10 times 1.5e-14 (in e), the worst on the r = 1 ones before their
+# Python-float step existed; with the 2 x 2 gain by elimination it was
+# 6.0e-14, and with the information form it is 1.2e-14.
 EXACT_BOUNDS = {"python": 1.5e-13, "numpy": 2e-11}
 # 10 times the worst gain error over the r = 1 models of
 # test_python_pass_gain_is_the_exact_gain before the pass, 5.4e-15; over all
-# its models, r = 2 and the pivot ones too, the worst is now 4.05e-14 (at
-# d = 2, r = 1), and 1.9e-14 at r = 2
+# its models, r = 2 and the pivot ones too, the worst is now 2.3e-14 (at
+# d = 2, r = 2, a pivot model), from the batched solve on the information
+# form's R
 GAIN_BOUND = 5.4e-14
-# Runs through the two covariance passes differ by at most 2.6e-14 (normwise
+# Runs through the two covariance loops differ by at most 4.2e-14 (normwise
 # relative, any record, step and mode) on the models of
-# test_python_pass_matches_the_numpy_step, r = 1 and r = 2, and by 1.7e-14 on
+# test_python_pass_matches_the_numpy_step, r = 1 and r = 2, and by 7.7e-15 on
 # those of test_both_passes_agree_where_a_pivoting_lu_would_swap; the bound
-# leaves a margin of 19.
+# leaves a margin of 12.
 PASS_BOUND = 5e-13
 
 
@@ -963,27 +972,67 @@ def relative_error(got, want) -> float:
     return 0.0 if diff == 0.0 else math.inf if scale == 0.0 else float(diff / scale)
 
 
-def exact_errors(inputs, model, prior, y) -> dict[str, float]:
+def exact_runs(inputs) -> list[dict]:
+    """:func:`oracles.exact_filter` of the model in each of ``MODES``."""
+    return [oracles.exact_filter(**inputs, mode=mode) for mode in MODES]
+
+
+def exact_errors(inputs, model, prior, y, exact=None) -> dict[str, float]:
     """Worst normwise relative error of each record of a two-mode run, over
-    the steps and modes, against :func:`oracles.exact_filter`. S is compared
-    with the exact N^{1/2} S N^{1/2} divided by sqrt(n_i) sqrt(n_j) in floats."""
+    the steps and modes, against :func:`oracles.exact_filter` (``exact``, its
+    :func:`exact_runs`, when given). S is compared with the exact
+    N^{1/2} S N^{1/2} divided by sqrt(n_i) sqrt(n_j) in floats."""
     rec = mv.dlm._run(model, prior, y[None], MODES)
     S = rec["S"]()[:, :, 0]
     worst = dict.fromkeys(EXACT_RECORDS, 0.0)
-    for k, mode in enumerate(MODES):
-        exact = oracles.exact_filter(**inputs, mode=mode)
+    for k, run in enumerate(exact or exact_runs(inputs)):
         for t in range(len(y)):
-            root = np.sqrt(np.array(exact["n"][t], dtype=float))
-            want_S = np.array(exact["SN"][t], dtype=float) / (root[:, None] * root[None, :])
+            root = np.sqrt(np.array(run["n"][t], dtype=float))
+            want_S = np.array(run["SN"][t], dtype=float) / (root[:, None] * root[None, :])
             for name in EXACT_RECORDS:
                 got = S[k, t] if name == "S" else rec[name][k, t]
-                want = want_S if name == "S" else exact[name][t]
+                want = want_S if name == "S" else run[name][t]
                 worst[name] = max(worst[name], relative_error(got, want))
     return worst
 
 
+def conditioning(inputs, exact) -> float:
+    """kappa = kappa_cov * kappa_mean of a model, read from its exact records
+    in both modes (``exact``, from :func:`exact_runs`), Frobenius norms, max
+    over the steps and modes:
+
+    - kappa_cov = max(||R|| / ||P||, cond_2 Q): the cancellation in
+      P = R - u A Q A' and the conditioning of the gain's solve;
+    - kappa_mean, the cancellation in each sum of the mean step:
+      ||G|| ||m_{t-1}|| / ||a||, ||F|| ||a|| / ||f||,
+      (||y_o|| + ||f_o||) / ||e|| over the observed entries o, and
+      (||a|| + ||m - a||) / ||m||, each at the steps where its record is
+      not 0.
+
+    The gain's error, of order eps kappa_cov, reaches the mean through A e,
+    and each cancellation of the mean step scales it up, so the product
+    bounds the error of every record."""
+    norm = partial(np.linalg.norm, axis=(-2, -1))
+
+    def ratio(num, den):
+        # a record that is exactly 0 at a step has no error there to scale
+        return (num[den > 0.0] / den[den > 0.0]).max(initial=1.0)
+
+    F, G, y = inputs["F"], inputs["G"], inputs["y"]
+    observed = ~np.isnan(y)
+    cov = mean = 1.0
+    for run in exact:
+        R, P, Q, a, f, e, m = (np.array(run[name], dtype=float) for name in "RPQafem")
+        before = np.concatenate([inputs["m0"][None], m[:-1]])
+        spread = norm(np.where(observed, y, 0.0)) + norm(np.where(observed, f, 0.0))
+        cov = max(cov, ratio(norm(R), norm(P)), np.linalg.cond(Q).max())
+        mean = max(mean, ratio(norm(G) * norm(before), norm(a)), ratio(norm(F) * norm(a), norm(f)),
+                   ratio(spread, norm(e)), ratio(norm(a) + norm(m - a), norm(m)))
+    return cov * mean
+
+
 def test_every_record_is_close_to_the_exact_recursion():
-    # 24 models, three of each (d, r) in EXACT_SHAPES, both covariance passes,
+    # 24 models, three of each (d, r) in EXACT_SHAPES, both covariance loops,
     # and two r = 2 models whose Q an LU with partial pivoting would swap
     worst = dict.fromkeys(EXACT_BOUNDS, 0.0)
     cases = [exact_case(np.random.default_rng([86, seed]), *EXACT_SHAPES[seed % len(EXACT_SHAPES)])
@@ -997,11 +1046,56 @@ def test_every_record_is_close_to_the_exact_recursion():
     assert all(worst[path] <= EXACT_BOUNDS[path] for path in worst), worst
 
 
+# error / (eps kappa) of any record of a model, kappa its conditioning(): the
+# worst over 3,000 models drawn like the property's (exact_case at seeds
+# [90, i], d and r uniform in 1..3, the test's P0) was 71.7 before the
+# covariance update took its information form (in Q at d = 3, r = 1, kappa
+# 32; the p99 was 3.1 and the median 0.077), and is 35.2 after it (p99 2.5,
+# median 0.052). The bound keeps a margin of 2.1 over the first.
+SCALED_BOUND = 150
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_every_drawn_record_is_within_its_conditioning(seed, d, r):
+    # the exact-oracle bar over drawn models, both modes: each record's error
+    # scales with the model's conditioning, not with a fixed set of models
+    inputs, model, prior, y = exact_case(np.random.default_rng(seed), d, r)
+    exact = exact_runs(inputs)
+    errors = exact_errors(inputs, model, prior, y, exact)
+    assert errors["n"] == 0.0
+    scaled = max(errors.values()) / (np.finfo(float).eps * conditioning(inputs, exact))
+    assert scaled <= SCALED_BOUND, (scaled, errors)
+
+
+def test_vague_prior_gain_on_the_csv_model_is_exact_to_rounding():
+    # mvdlm filter's benchmark model (d = 1, r = 2, P0 = 1e6) over its first
+    # 12 steps, both modes: with nothing to cancel in P = (1 - u) R +
+    # u (I + R J)^{-1} R, P and Q are exact to rounding. The subtraction
+    # R - u A Q A' lost digits at the first update: 1.7e-10 in P, 8.1e-11 in Q.
+    rng = np.random.default_rng(93)
+    T, p, r = 12, 3, 2
+    y = np.cumsum(0.2 * rng.standard_normal((T, 1, p)), axis=0) + rng.standard_normal((T, r, p))
+    y[rng.random(y.shape) < 0.1] = np.nan
+    assert (np.isnan(y).any(axis=(1, 2)) & ~np.isnan(y).all(axis=(1, 2))).any()
+    inputs = dict(F=np.ones((T, 1, r)), G=np.ones((T, 1, 1)), V=np.tile(np.eye(r), (T, 1, 1)),
+                  delta=0.9, y=y, m0=np.zeros((1, p)), P0=np.array([[1e6]]), S0=np.eye(p),
+                  n0=np.ones(p))
+    model = mv.ModelSpec(d=1, p=p, r=r, F=np.ones((1, r)), G=np.eye(1), V=np.eye(r), discount=0.9)
+    prior = mv.NmiwState(m=np.zeros((1, p)), P=np.array([[1e6]]),
+                         miw=mv.MiwParams(S=np.eye(p), n=np.ones(p), v=float(p)))
+    rec = mv.dlm._run(model, prior, y[None], MODES)
+    for k, exact in enumerate(exact_runs(inputs)):
+        for t in range(T):
+            for name in ("P", "Q"):
+                assert relative_error(rec[name][k, t], exact[name][t]) <= 1e-14, (k, t, name)
+
+
 def test_both_passes_agree_where_a_pivoting_lu_would_swap(monkeypatch):
     # the two pivot models of test_every_record_is_close_to_the_exact_recursion,
     # whose Q an LU with partial pivoting would swap at every step, through
-    # both covariance passes: the Python-float pass eliminates without
-    # pivoting, the numpy pass's solve pivots
+    # both covariance loops: the Python-float loop's 2 x 2 adjugate and the
+    # numpy loop's solve
     for d in (1, 2):
         _, model, prior, y = exact_case(np.random.default_rng([86, 24 + d]), d, 2, 1.0, pivot=True)
         python = mv.dlm._run(model, prior, y[None], MODES)
@@ -1022,8 +1116,8 @@ def test_both_passes_agree_where_a_pivoting_lu_would_swap(monkeypatch):
 @pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (1, 2), (2, 2)], ids=["1", "2", "1-r2", "2-r2"])
 @pytest.mark.parametrize("use_discount", [False, True], ids=["W", "discount"])
 def test_python_pass_matches_the_numpy_step(monkeypatch, d, r, use_discount):
-    # the same models through both covariance passes, both modes, with partly
-    # and fully missing steps; _run takes _covariance_small at r <= 2, d <= 2
+    # the same models through both covariance loops, both modes, with partly
+    # and fully missing steps; _run takes _covariance_small at d <= 2
     rng = np.random.default_rng(87)
     T = 300
     model, prior = random_model(rng, d, 3, r, use_discount), random_prior(rng, d, 3)
@@ -1133,8 +1227,8 @@ def test_states_are_not_checked_again_and_have_the_bits_of_checked_ones(monkeypa
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_forecast_laws_are_not_checked_again_and_have_the_bits_of_checked_ones(monkeypatch, r):
     # the law of T-stacks is built from the run's records without MtParams's
-    # checks: both covariance passes (r <= 2 and r = 3) leave Q and S exactly
-    # symmetric, so every field has the bits of the checked construction
+    # checks: the batched stage leaves Q, and the run S, exactly symmetric at
+    # every r, so every field has the bits of the checked construction
     rng = np.random.default_rng(73)
     model, prior = random_model(rng, d=2, p=3, r=r), random_prior(rng, 2, 3)
     out = mv.filter(model, random_data(rng, 30, r, 3, missing_rate=0.2), prior)
@@ -1258,9 +1352,10 @@ def test_correlation_estimate_errors():
 
 
 def test_filter_error_carries_time_index():
-    bad_v = lambda t: (np.array([[-1.0]]) if t == 3 else np.array([[1.0]]))
+    # W makes R, and so Q, negative at t = 3
+    bad_w = lambda t: (np.array([[-10.0]]) if t == 3 else np.array([[0.1]]))
     model = mv.ModelSpec(d=1, p=2, r=1, F=np.array([[1.0]]), G=np.array([[1.0]]),
-                         V=bad_v, discount=0.9)
+                         V=np.eye(1), W=bad_w)
     data = [mv.MaskedObservation.from_values(np.array([[0.1, 0.2]]))
             for _ in range(5)]
     with pytest.raises(mv.FilterError) as exc:
@@ -1271,11 +1366,11 @@ def test_filter_error_carries_time_index():
 
 
 def test_bad_input_is_raised_before_an_earlier_forecast_failure():
-    # V makes Q non-positive-definite at t = 3; F is NaN at t = 4. The inputs
-    # are checked at entry, so F's error is raised before the loop runs.
-    model = mv.ModelSpec(d=1, p=2, r=1, G=np.eye(1), discount=0.9,
+    # G makes Q overflow at t = 3; F is NaN at t = 4. The inputs are checked
+    # at entry, so F's error is raised before the loop runs.
+    model = mv.ModelSpec(d=1, p=2, r=1, V=np.eye(1), discount=0.9,
                          F=lambda t: np.array([[np.nan if t == 4 else 1.0]]),
-                         V=lambda t: np.array([[-1e9 if t == 3 else 1.0]]))
+                         G=lambda t: np.array([[1e200 if t == 3 else 1.0]]))
     data = np.full((6, 1, 2), 0.5)
     with pytest.raises(mv.FilterError) as exc:
         mv.filter(model, data, mv.default_prior())
@@ -1329,15 +1424,31 @@ def filter_error(model, data, prior, modes=("new",)):
 
 
 def test_exactly_singular_q_is_not_positive_definite():
-    # P = 0 and V = 0 make Q = 0, which the gain solve cannot invert
+    # P = 0 and V = 0 would make Q = 0; V = 0 is not a covariance, and the
+    # entry rule on V fails the run at its first step
     model = scalar_model(v=0.0, delta=1.0)
     exc = filter_error(model, np.ones((3, 1, 1)), scalar_prior(p0=0.0))
-    assert str(exc) == "t=1: forecast scale Q is not positive definite"
+    assert str(exc) == "t=1: observation scale V is not positive definite"
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_q_that_an_lu_finds_exactly_singular_fails_at_its_step(d):
+    # W = -1.5 at t = 2 makes R = 0.5 - 1.5 = -1 in the first state row, so
+    # Q = F'RF + V = 0 exactly there while V is a covariance: np.linalg.solve
+    # raises on such a Q, the gain stage takes LAPACK's gufunc instead, and
+    # the checks report the step
+    W = lambda t: np.diag([-1.5 if t == 2 else 0.0] + [0.0] * (d - 1))
+    model = mv.ModelSpec(d=d, p=1, r=1, F=np.eye(d)[:, :1], G=np.eye(d), V=np.eye(1), W=W)
+    prior = mv.NmiwState(m=np.zeros((d, 1)), P=np.eye(d),
+                         miw=mv.MiwParams(S=np.eye(1), n=np.ones(1), v=1.0))
+    for modes in (("new",), MODES):
+        exc = filter_error(model, np.ones((3, 1, 1)), prior, modes)
+        assert str(exc) == "t=2: forecast scale Q is not positive definite"
 
 
 def count_small_pass(monkeypatch, run=None) -> list:
     """Patch ``_covariance_small`` to run ``run`` (itself by default) and
-    append to the returned list at each call, so a test sees which pass ran."""
+    append to the returned list at each call, so a test sees which loop ran."""
     run, calls = run or mv.dlm._covariance_small, []
     monkeypatch.setattr(mv.dlm, "_covariance_small", lambda *args: calls.append(1) or run(*args))
     return calls
@@ -1346,11 +1457,12 @@ def count_small_pass(monkeypatch, run=None) -> list:
 @pytest.mark.parametrize("d, r", [(1, 1), (2, 1), (1, 2), (2, 2)], ids=["1", "2", "1-r2", "2-r2"])
 @pytest.mark.parametrize("p0, v, message", [
     (1e308, 1.0, "t=1: forecast scale Q is not finite"),
-    (0.0, 0.0, "t=1: forecast scale Q is not positive definite"),
+    (0.0, 0.0, "t=1: observation scale V is not positive definite"),
 ], ids=["overflow", "zero"])
 def test_python_pass_failures_are_raised_at_their_step(monkeypatch, d, r, p0, v, message):
-    # G P G' overflows to inf, or P = 0 and V = 0 make Q exactly 0, in the
-    # Python-float pass; the numpy pass raises the same error at the same t
+    # G P G' overflows to inf in the Python-float loop, and the numpy loop
+    # raises the same error at the same t; V = 0 fails the entry rule on V
+    # before either loop runs
     model = mv.ModelSpec(d=d, p=2, r=r, F=np.ones((d, r)), G=10.0 * np.eye(d),
                          V=v * np.eye(r), discount=1.0)
     prior = mv.NmiwState(m=np.zeros((d, 2)), P=p0 * np.eye(d),
@@ -1359,15 +1471,67 @@ def test_python_pass_failures_are_raised_at_their_step(monkeypatch, d, r, p0, v,
         calls = count_small_pass(monkeypatch, run)
         for modes in (("new",), MODES):
             assert str(filter_error(model, np.ones((3, r, 2)), prior, modes)) == message
-        assert calls == [1, 1]
+        assert calls == ([1, 1] if v else [])
 
 
-# Rank 1: an LU with partial pivoting (the numpy pass's solve) finds it
-# exactly singular, and elimination without pivoting (the Python-float pass)
-# finds a second pivot of 1.04 eps of Q_11. It passes the Cholesky
-# factorization, with a pivot ratio L_11^2 / Q_11 of 1.56 eps.
+# Rank 1: an LU with partial pivoting finds it exactly singular, and
+# elimination without pivoting finds a second pivot of 1.04 eps of V_11. It
+# passes the Cholesky factorization, with a pivot ratio L_11^2 / V_11 of
+# 1.56 eps, so the pivot-ratio rule alone tells it from a covariance.
 V_LU_SINGULAR = np.array([[0.003305626623116044, -0.0049834247877285605],
                           [-0.0049834247877285605, 0.007512803303700776]])
+
+
+# V's that are not covariances: V = 0, the rank-1 V_LU_SINGULAR that
+# Cholesky still factors, and an indefinite V
+NOT_POSITIVE_DEFINITE_V = {
+    "zero": np.zeros((2, 2)),
+    "lu-singular": V_LU_SINGULAR,
+    "indefinite": np.array([[1.0, 2.0], [2.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("form", ["constant", "callable"])
+@pytest.mark.parametrize("kind", list(NOT_POSITIVE_DEFINITE_V))
+def test_observation_scale_that_is_not_positive_definite_fails_at_its_first_step(form, kind):
+    # the entry rule on V, _check's pivot-ratio rule, before the covariance
+    # loops: a constant V fails at t = 1, a callable's at the first t it
+    # returns one, in one mode or two
+    bad = NOT_POSITIVE_DEFINITE_V[kind]
+    V, t = (bad, 1) if form == "constant" else ((lambda t: bad if t >= 3 else np.eye(2)), 3)
+    model = mv.ModelSpec(d=1, p=2, r=2, F=np.ones((1, 2)), G=np.eye(1), V=V, discount=0.9)
+    for modes in (("new",), MODES):
+        exc = filter_error(model, np.ones((5, 2, 2)), mv.default_prior(), modes)
+        assert str(exc) == f"t={t}: observation scale V is not positive definite"
+    with pytest.raises(mv.FilterError) as exc:
+        mv.filter(model, np.ones((5, 2, 2)), mv.default_prior())
+    assert exc.value.t == t
+
+
+@pytest.mark.parametrize("kind", list(NOT_POSITIVE_DEFINITE_V))
+def test_j_stage_fails_a_t_stack_of_v_at_its_first_bad_step(kind):
+    # a T-stack of V, as _run stacks a callable, with the bad V at t = 4 only
+    Vs = np.tile(np.eye(2), (6, 1, 1))
+    Vs[3] = NOT_POSITIVE_DEFINITE_V[kind]
+    with pytest.raises(mv.FilterError) as exc, np.errstate(all="ignore"):
+        mv.dlm._information(np.ones((6, 1, 2)), Vs)
+    assert str(exc.value) == "t=4: observation scale V is not positive definite"
+
+
+def test_j_stage_reads_constant_inputs_once_with_the_bits_of_each_step():
+    # B and J of constant F and V hold one step, with the bits of every
+    # step of the same inputs materialized
+    rng = np.random.default_rng(94)
+    X = rng.standard_normal((3, 3))
+    F, V = rng.standard_normal((2, 3)), X @ X.T + np.eye(3)
+    once = mv.dlm._information(np.broadcast_to(F, (5, 2, 3)), np.broadcast_to(V, (5, 3, 3)))
+    per_step = mv.dlm._information(np.tile(F, (5, 1, 1)), np.tile(V, (5, 1, 1)))
+    for x, y in zip(once, per_step):
+        assert len(x) == 1 and len(y) == 5
+        assert x.tobytes() * 5 == y.tobytes()
+    J = per_step[1]
+    assert np.array_equal(J, J.swapaxes(1, 2))
+    assert np.allclose(J, F @ np.linalg.solve(V, F.T), rtol=1e-13)
 
 
 # c of the failure rule as dlm._PIVOT_C documents it: Q fails where a pivot
@@ -1391,28 +1555,24 @@ def pivot_ratio_v(r, ratio):
                          ids=["1-1", "2-1", "1-2", "2-3", "1-2-lu-singular",
                               "1-2-below-c", "1-3-below-c"])
 def test_late_exactly_singular_q_is_not_positive_definite(monkeypatch, d, r, V3, modes):
-    # P = 0 with discount 1 keeps R = 0, so Q = V, which is singular only at
-    # t = 3. Neither pass stops at a singular Q: a zero pivot, and the numpy
-    # pass's pivoting LU at V_LU_SINGULAR, fill the gain with NaN, so the
-    # checks after the passes must report t = 3, not the non-finite Q of the
-    # steps after it. At V_LU_SINGULAR, and at a pivot ratio just below c eps,
-    # Cholesky factors Q and only the ratio shows it; at V_LU_SINGULAR the
-    # Python-float pass's elimination finds a second pivot of 1.04 eps of
-    # Q_11 and its records stay finite.
+    # P = 0 with discount 1 keeps R = 0, so Q would be V, which is singular
+    # only at t = 3. The entry rule on V reports t = 3 before either
+    # covariance loop runs. At V_LU_SINGULAR, and at a pivot ratio just
+    # below c eps, Cholesky factors V and only the ratio shows it.
     calls = count_small_pass(monkeypatch)
     model = mv.ModelSpec(d=d, p=1, r=r, F=np.ones((d, r)), G=np.eye(d), discount=1.0,
                          V=lambda t: np.broadcast_to(V3, (r, r)) if t == 3 else np.eye(r))
     prior = mv.NmiwState(m=np.zeros((d, 1)), P=np.zeros((d, d)),
                          miw=mv.MiwParams(S=np.eye(1), n=np.ones(1), v=1.0))
     exc = filter_error(model, np.ones((5, r, 1)), prior, modes)
-    assert str(exc) == "t=3: forecast scale Q is not positive definite"
-    assert calls == ([1] if r <= 2 and d <= 2 else [])
+    assert str(exc) == "t=3: observation scale V is not positive definite"
+    assert calls == []
 
 
 def test_q_with_a_pivot_ratio_just_above_c_eps_runs_in_both_passes(monkeypatch):
     # Q = V at t = 3 as above, with 1 - rho^2 one eps on either side of c eps;
-    # the side above runs to the end on the Python-float pass (r = 2) and on
-    # the numpy pass (r = 2 forced, and r = 3)
+    # the side above passes the entry rule on V and runs to the end on the
+    # Python-float loop (d = 1, r = 2 and r = 3) and on the numpy loop (forced)
     eps, c = np.finfo(float).eps, PIVOT_C
     for r in (2, 3):
         below, above = (np.linalg.cholesky(pivot_ratio_v(r, ratio))[1, 1] ** 2 / eps
@@ -1430,22 +1590,22 @@ def test_q_with_a_pivot_ratio_just_above_c_eps_runs_in_both_passes(monkeypatch):
             rec = mv.dlm._run(model, prior, np.ones((1, 5, r, 1)), MODES)
         assert np.array_equal(rec["Q"][:, 2], np.broadcast_to(V3, (2, r, r)))
         assert np.isfinite(rec["m"]).all() and np.isfinite(rec["S"]()).all()
-        assert calls == ([1] if r == 2 else [])
+        assert calls == [1]
 
 
 @pytest.mark.parametrize("modes", [("new",), ("new", "classical"), ("classical", "new")])
-@pytest.mark.parametrize("r, V2, first", [
-    (1, [[-0.9]], [[0.5, np.nan]]),
-    (2, [[-0.6, -1.0], [-1.0, -0.6]], [[0.5, 0.4], [0.3, np.nan]]),
+@pytest.mark.parametrize("r, W2, first", [
+    (1, -1.9, [[0.5, np.nan]]),
+    (2, -1.3, [[0.5, 0.4], [0.3, np.nan]]),
 ], ids=["r1", "r2"])
-def test_q_that_only_the_new_mode_cannot_factor(monkeypatch, r, V2, first, modes):
-    # The partly missing first step shrinks P in the new mode only, so at t = 2
-    # its Q is indefinite (not singular at r = 2) while the classical Q is
-    # positive definite; the classical mode fails only at t = 3. Both runs
-    # take the Python-float pass.
+def test_q_that_only_the_new_mode_cannot_factor(monkeypatch, r, W2, first, modes):
+    # The partly missing first step shrinks P in the new mode only, so at t = 2,
+    # where W is negative, its Q is indefinite (not singular at r = 2) while
+    # the classical Q is positive definite; the classical mode fails only at
+    # t = 3. Both runs take the Python-float loop.
     calls = count_small_pass(monkeypatch)
-    model = mv.ModelSpec(d=1, p=2, r=r, F=np.ones((1, r)), G=np.eye(1), W=np.zeros((1, 1)),
-                         V=lambda t: np.array(V2) if t == 2 else np.eye(r))
+    model = mv.ModelSpec(d=1, p=2, r=r, F=np.ones((1, r)), G=np.eye(1), V=np.eye(r),
+                         W=lambda t: np.array([[W2 if t == 2 else 0.0]]))
     prior = mv.NmiwState(m=np.zeros((1, 2)), P=np.eye(1),
                          miw=mv.MiwParams(S=np.eye(2), n=np.ones(2), v=2.0))
     data = np.array([first] + [[[0.1, 0.2], [0.3, 0.1]][:r]] * 2)
@@ -1456,15 +1616,14 @@ def test_q_that_only_the_new_mode_cannot_factor(monkeypatch, r, V2, first, modes
 
 
 def test_both_covariance_passes_fail_a_digest_model_at_the_same_step(monkeypatch):
-    # Every digest model the Python-float pass takes (d <= 2, r <= 2), run on
-    # it and again with the numpy pass forced: the same outcome, or the same
-    # message at the same t. The passes round differently, so near the failure
-    # rule's threshold only a rule read from Q's factor keeps them together.
+    # Every digest model the Python-float loop takes (d <= 2), run on it and
+    # again with the numpy loop forced: the same outcome, or the same message
+    # at the same t. The loops round differently, so near the failure rule's
+    # threshold only a rule read from Q's factor keeps them together.
     import record_digest
 
     cases = [record_digest.random_case(i) for i in range(record_digest.RANDOM_MODELS)]
-    cases = [case for case in cases + list(record_digest.failing_cases())
-             if case[1].d <= 2 and case[1].r <= 2]
+    cases = [case for case in cases + list(record_digest.failing_cases()) if case[1].d <= 2]
 
     def outcomes():
         found = {}
@@ -1487,10 +1646,10 @@ def test_both_covariance_passes_fail_a_digest_model_at_the_same_step(monkeypatch
 
 
 def test_earlier_residual_failure_wins_over_a_later_indefinite_q():
-    # y - f overflows at t = 2 (nothing is observed at t = 1); V makes Q
-    # negative at t = 4, a step the loop still computes
-    model = mv.ModelSpec(d=1, p=1, r=1, F=np.eye(1), G=np.eye(1), W=0.1 * np.eye(1),
-                         V=lambda t: np.array([[-10.0 if t == 4 else 1.0]]))
+    # y - f overflows at t = 2 (nothing is observed at t = 1); W makes R, and
+    # so Q, negative at t = 4, a step the loop still computes
+    model = mv.ModelSpec(d=1, p=1, r=1, F=np.eye(1), G=np.eye(1), V=np.eye(1),
+                         W=lambda t: np.array([[-10.0 if t == 4 else 0.1]]))
     data = np.array([np.nan, 1e308, 0.0, 0.0, 0.0]).reshape(5, 1, 1)
     exc = filter_error(model, data, scalar_prior(m0=-1e308, p0=1e-6))
     assert str(exc) == "t=2: forecast residual e is not finite"

@@ -10,6 +10,7 @@ sequential mean recursion.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -214,14 +215,36 @@ def same_bits(x, y):
         np.signbit(x[number]), np.signbit(y[number]))
 
 
+def covariance(Fs, Gs, Vs, Ws, c, P0, u):
+    """R, Q, A and P (T x K x ...) of _run's covariance stages: J, the loop
+    that _run takes at d, and the batched stage."""
+    B, J = mv.dlm._information(Fs, Vs)
+    loop = mv.dlm._covariance_small if Gs.shape[1] <= 2 else mv.dlm._covariance_numpy
+    R, P = loop(Gs, Ws, B, J, c, P0, u)
+    return (R, *mv.dlm._gains(Fs, Vs, R), P)
+
+
+def v_failure(*inputs):
+    """The message of the FilterError that the J stage raises on each pair
+    (F, V) of ``inputs``."""
+    messages = []
+    for Fs, Vs in inputs:
+        with pytest.raises(mv.FilterError) as exc, np.errstate(all="ignore"):
+            mv.dlm._information(Fs, Vs)
+        messages.append(str(exc.value))
+    return messages
+
+
 @SETTINGS
 @given(st.integers(1, 2), st.integers(1, 30), st.booleans(), st.booleans(),
        st.sampled_from(["runs", "signed zeros", "overflows", "zero Q"]), st.integers(0, 2**32 - 1))
 def test_one_row_step_has_the_bits_of_the_padded_two_row_step(d, T, varying, use_w, kind, seed):
-    # the r = 1 step of _covariance_small against the r = 2 step on the same
-    # model padded with a zero second column of F and V = diag(v, 1), in both
-    # modes; a model that fails has the same records up to its first failing
-    # step, where Q fails alike
+    # an r = 1 model against the same model padded with a zero second column
+    # of F and V = diag(v, 1), in both modes: J has the same bits, so the
+    # covariance loop gives the same R and P, and the batched stage gives
+    # the same Q and A; a model that fails has the same records up to its
+    # first failing step, where Q fails alike. V = 0 fails the J stage at
+    # t = 1 in both.
     rng = np.random.default_rng(seed)
     Fs, Gs = rng.standard_normal((T, d, 1)), np.eye(d) + 0.3 * rng.standard_normal((T, d, d))
     if not varying:
@@ -240,16 +263,20 @@ def test_one_row_step_has_the_bits_of_the_padded_two_row_step(d, T, varying, use
         Ws = None if Ws is None else np.where(off, -0.0, Ws)
     elif kind == "overflows":  # R grows by about 1e8 a step until it overflows
         Gs, P0 = 1e4 * Gs, 1e270 * P0
-    elif kind == "zero Q":  # P = 0, W = 0 and V = 0 make Q exactly 0 at the first step
+    elif kind == "zero Q":  # V = 0, with P = 0 and W = 0, would make Q exactly 0
         Vs, Ws, P0 = 0.0 * Vs, None, 0.0 * P0
     observed = rng.random((T, 1, 3)) < 0.7
     _, u, _, _ = mv.dlm._schedule(observed, ("new", "classical"), 1)
-    one = mv.dlm._covariance_small(Fs, Gs, Vs, Ws, c, P0, u)
     F2 = np.concatenate([Fs, np.zeros((T, d, 1))], axis=2)
     V2 = np.zeros((T, 2, 2))
     V2[:, 0, 0], V2[:, 1, 1] = Vs[:, 0, 0], 1.0
+    if kind == "zero Q":
+        assert v_failure((Fs, Vs), (F2, V2)) == ["t=1: observation scale V is not positive definite"] * 2
+        return
     with np.errstate(all="ignore"):
-        R, Q, A, P = mv.dlm._covariance_small(F2, Gs, V2, Ws, c, P0, u)
+        assert same_bits(mv.dlm._information(Fs, Vs)[1], mv.dlm._information(F2, V2)[1])
+        one = covariance(Fs, Gs, Vs, Ws, c, P0, u)
+        R, Q, A, P = covariance(F2, Gs, V2, Ws, c, P0, u)
     two = R, Q[..., :1, :1], A[..., :1], P
     q = two[1][..., 0, 0]
     failing = np.flatnonzero(~(np.isfinite(q) & (q > 0)).all(axis=1))
@@ -278,11 +305,14 @@ def _first_failure(Q):
 @given(st.integers(1, 2), st.integers(1, 30), st.booleans(), st.booleans(),
        st.sampled_from(["runs", "signed zeros", "overflows", "zero Q"]), st.integers(0, 2**32 - 1))
 def test_scalar_state_step_has_the_bits_of_the_padded_two_row_state(r, T, varying, use_w, kind, seed):
-    # the d = 1 step of _covariance_small against the d = 2 step on the same
-    # model padded with zeros in the second row and column of F, G, W and P0,
-    # in both modes; a model that fails has the same records up to its first
-    # failing step, where R is the same and Q fails the same check (the
-    # records of a failing run are never returned)
+    # the d = 1 step of the covariance loop against its d = 2 step on the
+    # same model padded with zeros in the second row and column of F, G, W
+    # and P0, in both modes: R and P have the same bits; a model that fails
+    # has them up to its first failing step, where R is the same and Q fails
+    # the same check (the records of a failing run are never returned). Q
+    # and A come from the batched stage, whose sums over d add the padding's
+    # zeros (a -0.0 of Q may turn 0.0) and whose solve has d right-hand
+    # sides. V = 0 fails the J stage at t = 1 in both.
     rng = np.random.default_rng(seed)
     Fs, Gs = rng.standard_normal((T, 1, r)), 1.0 + 0.3 * rng.standard_normal((T, 1, 1))
     B = rng.standard_normal((T, r, r))
@@ -297,36 +327,41 @@ def test_scalar_state_step_has_the_bits_of_the_padded_two_row_state(r, T, varyin
         Ws = None if Ws is None else np.where(rng.random(Ws.shape) < 0.5, -0.0, Ws)
     elif kind == "overflows":  # R grows by about 1e8 a step until it overflows
         Gs, P0 = 1e4 * Gs, 1e270 * P0
-    elif kind == "zero Q":  # P = 0, W = 0 and V = 0 make Q exactly 0 at the first step
+    elif kind == "zero Q":  # V = 0, with P = 0 and W = 0, would make Q exactly 0
         Vs, Ws, P0 = 0.0 * Vs, None, 0.0 * P0
     if not varying:  # constant inputs, as ModelSpec stacks them: stride 0 in time
         Fs, Gs, Vs = (np.broadcast_to(X[0], X.shape) for X in (Fs, Gs, Vs))
         Ws = None if Ws is None else np.broadcast_to(Ws[0], Ws.shape)
     observed = rng.random((T, r, 3)) < 0.7
     _, u, _, _ = mv.dlm._schedule(observed, ("new", "classical"), 1)
-    one = mv.dlm._covariance_small(Fs, Gs, Vs, Ws, c, P0, u)
 
     def pad(X, cols=1):
         return None if X is None else np.pad(X, [(0, 0)] * (X.ndim - 2) + [(0, 1), (0, cols)])
 
-    R, Q, A, P = mv.dlm._covariance_small(pad(Fs, 0), pad(Gs), Vs, pad(Ws), c, pad(P0), u)
-    two = R[..., :1, :1], Q, A[..., :1, :], P[..., :1, :1]
-    t, message = _first_failure(two[1].swapaxes(0, 1))
+    if kind == "zero Q":
+        assert v_failure((Fs, Vs), (pad(Fs, 0), Vs)) == [
+            "t=1: observation scale V is not positive definite"] * 2
+        return
+    with np.errstate(all="ignore"):
+        one = covariance(Fs, Gs, Vs, Ws, c, P0, u)
+        R, Q, _, P = covariance(pad(Fs, 0), pad(Gs), Vs, pad(Ws), c, pad(P0), u)
+    t, message = _first_failure(Q.swapaxes(0, 1))
     assert _first_failure(one[1].swapaxes(0, 1)) == (t, message)
     assert t == T or kind not in ("runs", "signed zeros"), t
-    for name, x, y in zip("RQAP", one, two):
+    for name, x, y in zip("RP", one[::3], (R[..., :1, :1], P[..., :1, :1])):
         assert x.shape == y.shape, name
         assert same_bits(x[:t], y[:t]), name
-    assert same_bits(one[0][:t + 1], two[0][:t + 1])
+    assert same_bits(one[0][:t + 1], R[:t + 1, :, :1, :1])
 
 
 @SETTINGS
 @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 30), st.booleans(),
        st.sampled_from(["runs", "overflows"]), st.integers(0, 2**32 - 1))
 def test_constant_inputs_read_once_have_the_bits_of_inputs_read_per_step(d, r, T, use_w, kind, seed):
-    # _covariance_small converts constant F, G, V and W (stride 0 in time, as
-    # ModelSpec stacks them) to floats once; each of its four (d, r) steps then
-    # has the bits of the same inputs materialized a step at a time
+    # the J stage reads constant F and V once, and the Python-float loop
+    # converts constant G, W and J to floats once (stride 0 in time, as
+    # ModelSpec stacks them); R, Q, A and P then have the bits of the same
+    # inputs materialized a step at a time
     rng = np.random.default_rng(seed)
     B, C = rng.standard_normal((r, r)), rng.standard_normal((d, d))
     F, G = rng.standard_normal((d, r)), np.eye(d) + 0.3 * rng.standard_normal((d, d))
@@ -337,8 +372,9 @@ def test_constant_inputs_read_once_have_the_bits_of_inputs_read_per_step(d, r, T
         G, P0 = 1e4 * G, 1e270 * P0
     constant = [None if X is None else np.broadcast_to(X, (T,) + X.shape) for X in (F, G, V, W)]
     _, u, _, _ = mv.dlm._schedule(rng.random((T, r, 3)) < 0.7, ("new", "classical"), 1)
-    once = mv.dlm._covariance_small(*constant, c, P0, u)
-    per_step = mv.dlm._covariance_small(*(None if X is None else X.copy() for X in constant), c, P0, u)
+    with np.errstate(all="ignore"):
+        once = covariance(*constant, c, P0, u)
+        per_step = covariance(*(None if X is None else X.copy() for X in constant), c, P0, u)
     for name, x, y in zip("RQAP", once, per_step):
         assert same_bits(x, y), name
 
