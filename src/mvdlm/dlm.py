@@ -582,9 +582,11 @@ def _scan(Fs, Gs, A, m, y, obs_cols, gain, out) -> tuple[np.ndarray, ...]:
 
 def _information(Fs, Vs) -> tuple[np.ndarray, np.ndarray]:
     """B = L^{-1} F' (... x r x d) and J = F V^{-1} F' = B'B (... x d x d) of
-    every step, V = L L' by Cholesky, from F and V as T-stacks; or
+    every step, (V + V')/2 = L L' by Cholesky, from F and V as T-stacks; or
     :class:`FilterError` at the first step whose V is not positive definite
-    by the rule of :func:`_factor`, as the paper's V is a covariance.
+    by the rule of :func:`_factor`, as the paper's V is a covariance. The
+    factor reads V's symmetric part, as Q = sym(F'RF + V) of :func:`_gains`
+    does, so a V that is not exactly symmetric acts as that part throughout.
 
     B is one forward substitution over its r rows, and J = :func:`_products`
     of B' and B, so J is exactly symmetric, and a zero column of F with a
@@ -593,14 +595,14 @@ def _information(Fs, Vs) -> tuple[np.ndarray, np.ndarray]:
     and B and J hold one step, else T.
     """
     (T, d, r), (F, V) = Fs.shape, (X[:1] if X.strides[0] == 0 else X for X in (Fs, Vs))
-    chol, failed = _factor(V)
+    chol, failed = _factor((V + V.swapaxes(1, 2)) * 0.5)
     if failed.any():
-        raise FilterError("observation scale V is not positive definite",
-                          t=int(np.argmax(failed)) + 1)
+        raise FilterError("observation scale V is not positive definite", t=1 + int(failed.argmax()))
     B = F.swapaxes(1, 2) * np.ones((len(V), 1, 1))
     for i in range(r):
+        for j in range(i):
+            B[:, i] -= chol[:, i, j, None] * B[:, j]
         B[:, i] /= chol[:, i, i, None]
-        B[:, i + 1:] -= chol[:, i + 1:, i, None] * B[:, i, None]
     return B, _products(B.swapaxes(1, 2), B)
 
 
@@ -628,8 +630,7 @@ def _covariance_numpy(Gs, Ws, B, J, c, P, u) -> np.ndarray:
     """
     (T, d, _), r, K = Gs.shape, B.shape[1], u.shape[1]
     B, J = (np.broadcast_to(X, (T,) + X.shape[1:]) for X in (B, J))
-    RP = np.empty((2, T, K, d, d))
-    P, eye = np.tile(P, (K, 1, 1)), np.eye(min(d, r))
+    RP, P, eye = np.empty((2, T, K, d, d)), np.tile(P, (K, 1, 1)), np.eye(min(d, r))
     for k in range(T):
         GPG = Gs[k] @ P @ Gs[k].T
         if Ws is not None:
@@ -683,15 +684,14 @@ def _covariance_small(Gs, Ws, B, J, c, P, u) -> np.ndarray:
                                 for X in inputs], axis=1)
         step_inputs = partial(Struct(f"{table.shape[1]}d").iter_unpack, table)
     rows, pack, nan = np.empty((K, T, 2, d, d)), Struct(f"{2 * d * d}d").pack_into, float("nan")
-    u = u.reshape(T, K).T
-    for row, u_mode, v_mode in zip(rows, u.tolist(), (1.0 - u).tolist()):
+    for row, u_mode, v_mode in zip(rows, *(x.reshape(T, K).T.tolist() for x in (u, 1.0 - u))):
         steps = zip(range(0, row.nbytes, 16 * d * d), step_inputs(), u_mode, v_mode)
         if d == 1:
             p00 = float(P[0, 0])
-            # + 0.0 stands for the padding's +0 terms where a -0.0 would differ
+            # + 0.0 stands for the padding's +0 terms where a -0.0 would differ;
+            # x * 2.0 is x + x exactly
             for at, (g00, w00, j00), u_t, v_t in steps:
-                x00 = g00 * p00 * g00 + 0.0 + w00
-                r00 = (x00 + x00) / c
+                r00 = (g00 * p00 * g00 + 0.0 + w00) * 2.0 / c
                 p00 = (v_t + u_t / ((1.0 + r00 * j00) or nan)) * r00
                 pack(row, at, r00, p00)
             continue
@@ -714,26 +714,34 @@ def _covariance_small(Gs, Ws, B, J, c, P, u) -> np.ndarray:
 
 
 def _gains(Fs, Vs, R) -> tuple[np.ndarray, np.ndarray]:
-    """Q = sym(F'RF + V) and the gain A = (Q^{-1} (RF)')' (T x K x ...) of
-    every step and mode, from F and V as T-stacks and the R of a covariance
-    loop, in one batched stage.
+    """Q = sym(F'RF + V) and the gain A = RF Q^{-1} (T x K x ...) of every
+    step and mode, from F and V as T-stacks and the R of a covariance loop,
+    in one batched stage.
 
     RF and F'RF are :func:`_products`, so a column of F that is 0 adds exact
-    zeros and leaves the other columns' bits as they are. A is left in the
-    solve's transposed layout: the mean pass's product A e rounds
-    differently on a contiguous A at r >= 2. np.linalg.solve raises where an
-    LU finds some Q exactly singular, a Q that :func:`_check` fails;
-    LAPACK's solve gufunc, the same kernel, gives NaN there instead.
+    zeros and leaves the other columns' bits as they are. A Q = RF is solved
+    by Gaussian elimination on the rows of Q, without pivoting, as Q is
+    symmetric and, where :func:`_check` passes it, positive definite (so its
+    pivots need no search; Higham, ch. 10), then back substitution: each
+    step one elementwise numpy call over every step, mode and row of RF.
+    So each row of A has the bits of its own system at any d, a padded row
+    or column adds exact zeros, and r = 1 is one division. A Q that fails
+    gives inf or NaN in A and raises nothing.
     """
     F = Fs[:, None]
     RF = _products(R, F)
     FRF = _products(F.swapaxes(2, 3), RF) + Vs[:, None]
     Q = (FRF + FRF.swapaxes(2, 3)) * 0.5
-    try:
-        At = np.linalg.solve(Q, RF.swapaxes(2, 3))
-    except np.linalg.LinAlgError:
-        At = _umath_linalg.solve(Q, RF.swapaxes(2, 3))
-    return Q, At.swapaxes(2, 3)
+    U, A, r = Q.copy(), RF, Q.shape[-1]
+    for i in range(r - 1):
+        l = U[..., i + 1:, i] / U[..., i, i, None]
+        U[..., i + 1:, i + 1:] -= l[..., None] * U[..., i, None, i + 1:]
+        A[..., i + 1:] -= A[..., i, None] * l[..., None, :]
+    for i in reversed(range(r)):
+        for j in range(i + 1, r):
+            A[..., i] -= U[..., i, j, None] * A[..., j]
+        A[..., i] /= U[..., i, i, None]
+    return Q, A
 
 
 def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -810,15 +810,33 @@ def test_reading_s_after_an_overflowing_run_warns_nothing():
     assert np.isnan(out.S[1, 0, 1]) and np.isinf(out.S[1, 0, 0])
 
 
+def eliminate(Q, b) -> list:
+    """x of Q x = b on Python floats, by Gaussian elimination on the rows of
+    Q without pivoting, then back substitution, in the order of the gain
+    stage's elementwise steps."""
+    U, x, r = Q.tolist(), b.tolist(), len(b)
+    for i in range(r - 1):
+        for k in range(i + 1, r):
+            l = U[k][i] / U[i][i]
+            for j in range(i + 1, r):
+                U[k][j] -= l * U[i][j]
+            x[k] -= x[i] * l
+    for i in reversed(range(r)):
+        for j in range(i + 1, r):
+            x[i] -= U[i][j] * x[j]
+        x[i] /= U[i][i]
+    return x
+
+
 @pytest.mark.parametrize("d, r, p", [(3, 1, 3), (1, 2, 3), (2, 2, 3), (3, 3, 3),
                                      (2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1)],
                          ids=["3-1", "1-2", "2-2", "3-3", "2-2-p1", "3-2-p1", "2-3-p1", "3-3-p1"])
 def test_gain_has_the_bits_of_the_solve(monkeypatch, d, r, p):
-    # the batched stage's gain is np.linalg.solve of its Q and of RF, summed
-    # over the rows of F in row order, on the R of either covariance loop
-    # (the numpy loop is forced at d <= 2). The mean pass's A e reads A in
-    # the solve's transposed layout: at p = 1, r >= 2 a contiguous A gives
-    # other bits of m.
+    # the batched stage's gain solves its Q for each row of RF, summed over
+    # the rows of F in row order, as that row's own system, with the bits of
+    # the same elimination on Python floats, on the R of either covariance
+    # loop (the numpy loop is forced at d <= 2); the mean pass's A e reads
+    # that A
     monkeypatch.setattr(mv.dlm, "_covariance_small", mv.dlm._covariance_numpy)
     rng = np.random.default_rng(81)
     model, prior = random_model(rng, d, p, r, use_discount=True), random_prior(rng, d, p)
@@ -831,7 +849,7 @@ def test_gain_has_the_bits_of_the_solve(monkeypatch, d, r, p):
         RF = R[..., 0, None] * F[0]
         for i in range(1, d):
             RF += R[..., i, None] * F[i]
-        want = np.linalg.solve(rec["Q"][:, k], RF.swapaxes(1, 2)).swapaxes(1, 2)
+        want = np.array([[eliminate(Q, row) for row in rows] for Q, rows in zip(rec["Q"][:, k], RF)])
         assert np.array_equal(rec["A"][:, k], want), k
         m = rec["a"][:, k] + want @ np.where(gain[k], rec["e"][:, k], 0.0)
         assert np.array_equal(rec["m"][:, k], m), k
@@ -860,9 +878,9 @@ def test_python_pass_gain_is_the_exact_gain(d, r, pivot):
 
 
 def test_private_lapack_gufuncs_keep_the_contract_the_kernel_reads():
-    # _covariance_numpy, _factor and _gains (where np.linalg.solve would
-    # raise) call numpy.linalg._umath_linalg, a private module; a numpy that
-    # changes it fails here by name, not as a wrong FilterError
+    # _covariance_numpy and _factor call numpy.linalg._umath_linalg, a
+    # private module, where np.linalg would raise; a numpy that changes it
+    # fails here by name, not as a wrong FilterError
     lapack = mv.dlm._umath_linalg
     rng = np.random.default_rng(84)
     X = rng.standard_normal((4, 3, 3))
@@ -904,15 +922,15 @@ EXACT_RECORDS = ("a", "R", "f", "Q", "A", "e", "m", "P", "n", "S")
 EXACT_BOUNDS = {"python": 1.5e-13, "numpy": 2e-11}
 # 10 times the worst gain error over the r = 1 models of
 # test_python_pass_gain_is_the_exact_gain before the pass, 5.4e-15; over all
-# its models, r = 2 and the pivot ones too, the worst is now 2.3e-14 (at
-# d = 2, r = 2, a pivot model), from the batched solve on the information
-# form's R
+# its models, r = 2 and the pivot ones too, the worst is now 1.2e-14 (at
+# d = 2, r = 2, a pivot model), from the batched stage's elimination on the
+# information form's R
 GAIN_BOUND = 5.4e-14
-# Runs through the two covariance loops differ by at most 4.2e-14 (normwise
+# Runs through the two covariance loops differ by at most 3.1e-14 (normwise
 # relative, any record, step and mode) on the models of
-# test_python_pass_matches_the_numpy_step, r = 1 and r = 2, and by 7.7e-15 on
+# test_python_pass_matches_the_numpy_step, r = 1 and r = 2, and by 8.1e-15 on
 # those of test_both_passes_agree_where_a_pivoting_lu_would_swap; the bound
-# leaves a margin of 12.
+# leaves a margin of 16.
 PASS_BOUND = 5e-13
 
 
@@ -1435,8 +1453,8 @@ def test_exactly_singular_q_is_not_positive_definite():
 def test_q_that_an_lu_finds_exactly_singular_fails_at_its_step(d):
     # W = -1.5 at t = 2 makes R = 0.5 - 1.5 = -1 in the first state row, so
     # Q = F'RF + V = 0 exactly there while V is a covariance: np.linalg.solve
-    # raises on such a Q, the gain stage takes LAPACK's gufunc instead, and
-    # the checks report the step
+    # would raise on such a Q, the gain stage's elimination gives inf or NaN,
+    # and the checks report the step
     W = lambda t: np.diag([-1.5 if t == 2 else 0.0] + [0.0] * (d - 1))
     model = mv.ModelSpec(d=d, p=1, r=1, F=np.eye(d)[:, :1], G=np.eye(d), V=np.eye(1), W=W)
     prior = mv.NmiwState(m=np.zeros((d, 1)), P=np.eye(d),
@@ -1532,6 +1550,28 @@ def test_j_stage_reads_constant_inputs_once_with_the_bits_of_each_step():
     J = per_step[1]
     assert np.array_equal(J, J.swapaxes(1, 2))
     assert np.allclose(J, F @ np.linalg.solve(V, F.T), rtol=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_an_asymmetric_v_acts_as_its_symmetric_part(d):
+    # the J stage factors (V + V')/2, the V that Q = sym(F'RF + V) reads, so a
+    # fully observed step keeps P = R - A Q A' for the Q and A a run returns,
+    # in either covariance loop. Read by its lower triangle, V would be I.
+    V = np.array([[1.0, 0.9], [0.0, 1.0]])
+    rng = np.random.default_rng(95)
+    F, G = rng.standard_normal((d, 2)), np.eye(d) + 0.1 * rng.standard_normal((d, d))
+    prior = mv.NmiwState(m=np.zeros((d, 1)), P=np.eye(d),
+                         miw=mv.MiwParams(S=np.eye(1), n=np.ones(1), v=1.0))
+    y = rng.standard_normal((6, 2, 1))
+    records = []
+    for scale in (V, 0.5 * (V + V.T)):
+        model = mv.ModelSpec(d=d, p=1, r=2, F=F, G=G, V=scale, discount=0.9)
+        records.append(mv.dlm._run(model, prior, y[None], ("new",)))
+    R, Q, A, P = (records[0][name][0] for name in "RQAP")
+    for t in range(6):
+        assert relative_error(P[t], R[t] - A[t] @ Q[t] @ A[t].T) <= 1e-13, t
+        for name in "RQAP":
+            assert relative_error(records[0][name][0, t], records[1][name][0, t]) <= 1e-13, (name, t)
 
 
 # c of the failure rule as dlm._PIVOT_C documents it: Q fails where a pivot

@@ -305,14 +305,13 @@ def _first_failure(Q):
 @given(st.integers(1, 2), st.integers(1, 30), st.booleans(), st.booleans(),
        st.sampled_from(["runs", "signed zeros", "overflows", "zero Q"]), st.integers(0, 2**32 - 1))
 def test_scalar_state_step_has_the_bits_of_the_padded_two_row_state(r, T, varying, use_w, kind, seed):
-    # the d = 1 step of the covariance loop against its d = 2 step on the
-    # same model padded with zeros in the second row and column of F, G, W
-    # and P0, in both modes: R and P have the same bits; a model that fails
-    # has them up to its first failing step, where R is the same and Q fails
-    # the same check (the records of a failing run are never returned). Q
-    # and A come from the batched stage, whose sums over d add the padding's
-    # zeros (a -0.0 of Q may turn 0.0) and whose solve has d right-hand
-    # sides. V = 0 fails the J stage at t = 1 in both.
+    # a d = 1 model against the same model padded with zeros in the second
+    # row and column of F, G, W and P0, in both modes: the covariance loop's
+    # d = 1 step gives the R and P of its d = 2 step, and the batched stage
+    # the same Q and first row of A; a model that fails has the same records
+    # up to its first failing step, where R is the same and Q fails the same
+    # check (the records of a failing run are never returned). V = 0 fails
+    # the J stage at t = 1 in both.
     rng = np.random.default_rng(seed)
     Fs, Gs = rng.standard_normal((T, 1, r)), 1.0 + 0.3 * rng.standard_normal((T, 1, 1))
     B = rng.standard_normal((T, r, r))
@@ -344,14 +343,15 @@ def test_scalar_state_step_has_the_bits_of_the_padded_two_row_state(r, T, varyin
         return
     with np.errstate(all="ignore"):
         one = covariance(Fs, Gs, Vs, Ws, c, P0, u)
-        R, Q, _, P = covariance(pad(Fs, 0), pad(Gs), Vs, pad(Ws), c, pad(P0), u)
-    t, message = _first_failure(Q.swapaxes(0, 1))
+        R, Q, A, P = covariance(pad(Fs, 0), pad(Gs), Vs, pad(Ws), c, pad(P0), u)
+    two = R[..., :1, :1], Q, A[..., :1, :], P[..., :1, :1]
+    t, message = _first_failure(two[1].swapaxes(0, 1))
     assert _first_failure(one[1].swapaxes(0, 1)) == (t, message)
     assert t == T or kind not in ("runs", "signed zeros"), t
-    for name, x, y in zip("RP", one[::3], (R[..., :1, :1], P[..., :1, :1])):
+    for name, x, y in zip("RQAP", one, two):
         assert x.shape == y.shape, name
         assert same_bits(x[:t], y[:t]), name
-    assert same_bits(one[0][:t + 1], R[:t + 1, :, :1, :1])
+    assert same_bits(one[0][:t + 1], two[0][:t + 1])
 
 
 @SETTINGS
