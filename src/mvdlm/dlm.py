@@ -725,8 +725,8 @@ def _gains(Fs, Vs, R) -> tuple[np.ndarray, np.ndarray]:
     pivots need no search; Higham, ch. 10), then back substitution: each
     step one elementwise numpy call over every step, mode and row of RF.
     So each row of A has the bits of its own system at any d, a padded row
-    or column adds exact zeros, and r = 1 is one division. A Q that fails
-    gives inf or NaN in A and raises nothing.
+    or column adds exact zeros, and r = 1 is one division. A singular Q
+    gives inf or NaN in A, and nothing raises.
     """
     F = Fs[:, None]
     RF = _products(R, F)
@@ -734,9 +734,9 @@ def _gains(Fs, Vs, R) -> tuple[np.ndarray, np.ndarray]:
     Q = (FRF + FRF.swapaxes(2, 3)) * 0.5
     U, A, r = Q.copy(), RF, Q.shape[-1]
     for i in range(r - 1):
-        l = U[..., i + 1:, i] / U[..., i, i, None]
-        U[..., i + 1:, i + 1:] -= l[..., None] * U[..., i, None, i + 1:]
-        A[..., i + 1:] -= A[..., i, None] * l[..., None, :]
+        ratio = U[..., i + 1:, i] / U[..., i, i, None]
+        U[..., i + 1:, i + 1:] -= ratio[..., None] * U[..., i, None, i + 1:]
+        A[..., i + 1:] -= A[..., i, None] * ratio[..., None, :]
     for i in reversed(range(r)):
         for j in range(i + 1, r):
             A[..., i] -= U[..., i, j, None] * A[..., j]

@@ -817,10 +817,10 @@ def eliminate(Q, b) -> list:
     U, x, r = Q.tolist(), b.tolist(), len(b)
     for i in range(r - 1):
         for k in range(i + 1, r):
-            l = U[k][i] / U[i][i]
+            ratio = U[k][i] / U[i][i]
             for j in range(i + 1, r):
-                U[k][j] -= l * U[i][j]
-            x[k] -= x[i] * l
+                U[k][j] -= ratio * U[i][j]
+            x[k] -= x[i] * ratio
     for i in reversed(range(r)):
         for j in range(i + 1, r):
             x[i] -= U[i][j] * x[j]
