@@ -9,9 +9,10 @@ every other module imports this one.
 :func:`symmetrize` and :func:`cholesky_lower` serve :mod:`mvdlm.distributions`,
 which solves against the lower Cholesky factor and takes log determinants
 from its diagonal (``_log_det``); no inverse is formed. ``_corr`` turns a
-stack of covariance scales into correlations. The filter's numpy loop and
-checks call LAPACK's solve and Cholesky gufuncs directly. Diagonal matrices (dof counts,
-observation masks) are carried as 1-d arrays of their diagonal entries.
+stack of covariance scales into correlations. The filter's numpy loop, its
+V check and its Q checks call LAPACK's solve and Cholesky gufuncs directly.
+Diagonal matrices (dof counts, observation masks) are carried as 1-d arrays
+of their diagonal entries.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def symmetrize(a) -> np.ndarray:
     included; the distributions and :func:`cholesky_lower` apply it to
     matrices that are symmetric in exact arithmetic but not in floating
     point. Where A + A' overflows, the entry is A/2 + A'/2, finite for finite
-    entries. The filter's covariance stages do not call it: they write this
-    average into their Q and P rows.
+    entries. The filter's covariance stages do not call it: they symmetrize
+    their R, Q and P rows themselves.
     """
     a = _shaped(a, ("...", "p", "p"), "matrix")
     at = a.swapaxes(-1, -2)
