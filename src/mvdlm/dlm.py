@@ -950,7 +950,7 @@ def _summarize(rec: dict) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     observed = rec["observed"]
     partly = np.flatnonzero(observed.any(axis=(1, 2)) & ~observed.all(axis=(1, 2)))
     corr = _corr(rec["S"]()[:, partly], *np.triu_indices(observed.shape[2], 1)).swapaxes(1, 2)
-    return tuple(int(k) + 1 for k in partly), _msse(rec["std_err"], observed), corr
+    return tuple((partly + 1).tolist()), _msse(rec["std_err"], observed), corr
 
 
 def _msse(std_err: np.ndarray, observed: np.ndarray) -> np.ndarray:

@@ -17,16 +17,30 @@ fully missing steps) and the failing models of ``tests/test_dlm.py``, with a
 late failure at d = 8, p = 40. Every input is drawn from numpy's seeded
 generator, and the script reads only ``dlm._run``, ``dlm._series_output``
 and the public model and state classes, so it runs on older trees too.
-pytest does not collect it.
+
+Then one line per file that the CLI writes, and per stdout, on a few fixed
+seeds: ``mvdlm filter --mode both`` on a p = 3, r = 2 series with missing
+cells written ``NA``, empty and ``na``, and ``mvdlm simulate`` on the
+replication study, each line the file's SHA-256 or the exit code and
+stderr of a run that fails. The script writes the input CSV itself, with
+``repr``, and calls only ``cli.main``, so both trees read the same input and
+any output byte that moves shows. pytest does not collect it.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 import mvdlm as mv
+from mvdlm import cli
 
 RANDOM_MODELS = 300
+CLI_SEEDS = (0, 1, 7)
 RECORDS = ("a", "R", "f", "Q", "A", "e", "std_err", "m", "P", "n")
 MODES = ("new", "classical")
 
@@ -157,10 +171,106 @@ def failing_cases():
             _prior(np.zeros((d, p)), p0 * np.eye(d), p), y
 
 
+FILTER_INI = """\
+[model]
+d = 1
+p = 3
+r = 2
+F = [[1.0, 1.0]]
+G = identity
+V = identity
+discount = 0.9
+
+[prior]
+m0 = zeros
+P0 = 1e6
+S0 = identity
+N0 = 1.0
+"""
+
+SIMULATE_INI = """\
+[model]
+d = 1
+p = 2
+r = 1
+F = [[1.0]]
+G = identity
+V = identity
+discount = 0.5
+
+[prior]
+m0 = zeros
+P0 = 1e6
+S0 = identity
+N0 = 1.0
+
+[simulate]
+T = 300
+corr = 0.8
+seed = {seed}
+replications = 3
+pattern = {{24: [2], 60: [1, 2], 257: [1], 280: [2]}}
+"""
+
+
+def filter_csv(seed: int) -> str:
+    """The text of a 600-row p = 3, r = 2 series, about 10% of its cells
+    missing and written ``NA``, empty or ``na``, and every 250th row missing."""
+    rng = np.random.default_rng([40, seed])
+    y = np.cumsum(rng.standard_normal((600, 6)) * 0.2, axis=0) + rng.standard_normal((600, 6))
+    y *= 10.0 ** rng.integers(-3, 4)
+    missing = rng.random(y.shape) < 0.1
+    missing[249::250] = True
+    marks = rng.choice(["NA", "", "na"], size=y.shape)
+    lines = [",".join(f"y{j}_{k}" for j in range(1, 4) for k in range(1, 3))]
+    lines += [",".join(mark if gone else repr(x) for x, gone, mark in zip(row, gaps, marked))
+              for row, gaps, marked in zip(y.tolist(), missing, marks)]
+    return "\n".join(lines) + "\n"
+
+
+def cli_runs():
+    """``(label, argv, files)`` of each CLI run, in a fresh directory each:
+    argv names its files relative to that directory."""
+    for seed in CLI_SEEDS:
+        yield (f"cli filter seed={seed}",
+               ["filter", "--config", "run.ini", "--data", "data.csv", "--mode", "both",
+                "--out", "records.csv"],
+               {"run.ini": FILTER_INI, "data.csv": filter_csv(seed)})
+        yield (f"cli simulate seed={seed}",
+               ["simulate", "--config", "run.ini", "--out", "out"],
+               {"run.ini": SIMULATE_INI.format(seed=seed)})
+
+
+def cli_digests(argv, files) -> list[tuple[str, str]]:
+    """``(name, digest)`` of stdout and of every file a run of ``cli.main``
+    writes, or of its exit code and stderr if it fails."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in files.items():
+                Path(name).write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if code:
+                return [("exit", f"{code}: {err.getvalue().strip()}")]
+            written = sorted(path for path in Path().rglob("*")
+                             if path.is_file() and path.name not in files)
+            return [("stdout", hashlib.sha256(out.getvalue().encode()).hexdigest())] + [
+                (path.as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+                for path in written]
+        finally:
+            os.chdir(cwd)
+
+
 def main() -> None:
     cases = [random_case(i) for i in range(RANDOM_MODELS)]
     for label, model, prior, y in cases + list(failing_cases()):
         print(f"{label}: {digest(model, prior, y)}")
+    for label, argv, files in cli_runs():
+        for name, value in cli_digests(argv, files):
+            print(f"{label} {name}: {value}")
 
 
 if __name__ == "__main__":

@@ -363,6 +363,24 @@ def test_a_file_of_numbers_and_na_takes_the_c_reader(tmp_path):
     assert table.tobytes() == values.transpose(0, 2, 1).reshape(50, 6).tobytes()
 
 
+def test_a_file_of_numbers_and_empty_or_na_cells_takes_the_c_reader(tmp_path):
+    # empty cells (first, inner and last in a row) and na in every case, CRLF
+    values = np.random.default_rng(5).standard_normal((50, 2, 3))
+    values[values > 1.0] = np.nan
+    values[0, 0, 0] = values[1, 1, 2] = values[2, 0, 1] = np.nan
+    table = values.transpose(0, 2, 1).reshape(50, 6)
+    markers = iter(["na", "Na", "nA", "NA"] * table.size)
+    lines = [",".join(("" if t < 3 else next(markers)) if math.isnan(x) else repr(x) for x in row)
+             + "\r\n" for t, row in enumerate(table.tolist())]
+    assert lines[0].startswith(",") and lines[1].endswith(",\r\n") and ",," in "".join(lines)
+    (tmp_path / "data.csv").write_text("y1_1,y1_2,y2_1,y2_2,y3_1,y3_2\r\n" + "".join(lines),
+                                       newline="")
+    read = mv.cli._read_rows(lines, 6)
+    assert read is not None
+    assert read.tobytes() == table.tobytes()
+    assert parse_csv(tmp_path / "data.csv").tobytes() == values.tobytes()
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_write_csv_rejects_infinity(tmp_path, value):
     # parse_csv cannot read an infinite cell back, so none is written
@@ -431,6 +449,41 @@ def test_csv_round_trip_preserves_masks_and_values(tmp_path):
     write_csv(path, values)
     back = parse_csv(path)
     assert np.array_equal(back, values, equal_nan=True)
+
+
+# finite floats that stress a formatter: subnormals, signed zeros and the extremes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 9999999999.0, 1e10]
+
+
+@st.composite
+def float_tables(draw, rows, cols):
+    """A rows x cols float table: numbers with exponents to +-300 from a drawn
+    seed, then a few drawn cells, NaN, subnormals and signed zeros included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 301, (rows, cols))
+    table[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan
+    cells = st.sampled_from(EDGE_FLOATS) | st.floats(allow_infinity=False)
+    for i, j, x in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                                           cells), max_size=8)):
+        table[i, j] = x
+    return table
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_write_csv_files_read_back_bit_for_bit(tmp_path, data):
+    # %r cells, across the writer's 256-row blocks, through both readers
+    T, r, p = (data.draw(st.sampled_from(sizes)) for sizes in ([1, 2, 255, 256, 257, 520],
+                                                                [1, 2, 3], [1, 2, 3]))
+    values = data.draw(float_tables(T, r * p)).reshape(T, r, p)
+    path = tmp_path / "data.csv"
+    write_csv(path, values)
+    want = np.where(np.isnan(values), np.nan, values).tobytes()
+    assert parse_csv(path).tobytes() == want
+    with mock.patch.object(mv.cli, "_read_rows", lambda lines, n: None):
+        assert parse_csv(path).tobytes() == want
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +733,32 @@ def test_table_writer_matches_row_by_row_formatting(tmp_path):
         for row in table)
     assert path.read_bytes() == want.encode()
     assert "NA,NA,NA,-0\r\n" in want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_table_writer_writes_the_bytes_of_row_by_row_formatting(tmp_path, data):
+    # a %d t column and %.10g cells against "%.10g" % x, NA where not finite
+    from mvdlm.cli import _write_table
+    rows = data.draw(st.sampled_from([1, 2, 255, 256, 257, 511, 512, 513, 700]))
+    cols = data.draw(st.integers(1, 4))
+    table = data.draw(float_tables(rows, cols))
+    # infinities in a few rows, so that some blocks hold one and some do not
+    for i, j, x in data.draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                                st.integers(0, cols - 1),
+                                                st.sampled_from([np.inf, -np.inf])), max_size=3)):
+        table[i, j] = x
+    t = data.draw(st.lists(st.integers(-10**10 + 1, 10**10 - 1), min_size=rows, max_size=rows)
+                  | st.just(list(range(1, rows + 1))))
+    table = np.column_stack([np.array(t, dtype=float), table])
+    header = ["t"] + [f"c{j}" for j in range(cols)]
+    path = tmp_path / "table.csv"
+    _write_table(path, header, table, ["%d"] + ["%.10g"] * cols)
+    want = ",".join(header) + "\r\n" + "".join(
+        ",".join("%.10g" % x if math.isfinite(x) else "NA" for x in row) + "\r\n"
+        for row in table.tolist())
+    assert path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
