@@ -54,7 +54,6 @@ import argparse
 import ast
 import configparser
 import csv
-import io
 import math
 import re
 import sys
@@ -316,54 +315,26 @@ def parse_csv(path: str | Path) -> np.ndarray:
 
 def _read_rows(lines: list[str], n: int) -> np.ndarray | None:
     """The data lines as a table of n columns by numpy's C reader, or None
-    unless it provably equals the rows of :func:`parse_csv`'s loop.
-
-    The reader reads the lines with each missing cell of :func:`_nan_cells`
-    rewritten as ``nan``. Its table is taken where every line is one row of n
-    cells (the reader skips a blank line, which the loop rejects), none is
-    infinite and the count of NaN entries is the count of rewritten cells:
-    each of those reads as NaN, so no other cell does. Every other cell is
-    left as it is: one that reads as NaN (``nan``) fails the count, and one
-    that the loop reads as missing in another form (``" NA "``, blank) or as
-    an error (``-NA``, a quote, a comment, ``1_0``) fails the reader's float
-    parse.
-    """
-    if not lines:
+    unless it provably equals the rows of :func:`parse_csv`'s loop: every line
+    is one row of n cells (the reader skips a blank line, which the loop
+    rejects), an entry is NaN only where an ``NA`` cell was read as ``nan``,
+    and none is infinite. A signed ``NA`` would read as NaN, so it gives None
+    too. A quote, a comment and any other cell that the loop reads otherwise
+    fail the reader's float parse."""
+    text = "".join(lines)
+    if not lines or "-NA" in text or "+NA" in text:
         return None
-    text, rewritten = _nan_cells("".join(lines).encode())
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # lines that are all blank read as no data
-            table = np.loadtxt(io.BytesIO(text), delimiter=",", comments=None, ndmin=2,
-                               encoding="utf-8")
+            table = np.loadtxt((line.replace("NA", "nan") for line in lines),
+                               delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if (table.shape != (len(lines), n) or np.isinf(table).any()
-            or np.count_nonzero(np.isnan(table)) != rewritten):
+            or np.count_nonzero(np.isnan(table)) != text.count("NA")):
         return None
     return table
-
-
-def _nan_cells(text: bytes) -> tuple[bytes, int]:
-    """``text`` with ``nan`` written into each cell that :func:`parse_csv`'s
-    loop reads as missing in one of two forms, empty beside a comma or
-    exactly ``na`` in any case, and the count of those cells."""
-    data = np.frombuffer(text, np.uint8)
-    cut = data == ord(",")
-    cut |= data == ord("\n")
-    cut |= data == ord("\r")
-    cut = np.flatnonzero(cut)
-    # cell i runs from byte start[i] up to byte stop[i], which ends it
-    start, stop = np.concatenate([[0], cut + 1]), np.concatenate([cut, [len(data)]])
-    # the zero bytes between CR and LF are no cell: an empty cell touches a comma
-    by_comma = np.concatenate([[False], data[cut] == ord(","), [False]])
-    empty = start[(start == stop) & (by_comma[:-1] | by_comma[1:])]
-    two = start[stop - start == 2]
-    na = two[(data[two] | 0x20 == ord("n")) & (data[two + 1] | 0x20 == ord("a"))] + 2
-    text = np.insert(data, np.concatenate([np.repeat(empty, 3), na]),
-                     np.concatenate([np.tile(np.frombuffer(b"nan", np.uint8), len(empty)),
-                                     np.full(len(na), ord("n"), np.uint8)]))
-    return text.tobytes(), len(empty) + len(na)
 
 
 def _column_names(p: int, r: int, prefix: str) -> list[str]:
@@ -378,7 +349,8 @@ def write_csv(path: str | Path, values: np.ndarray) -> None:
     :func:`mvdlm.filter`; for anything else no file is written."""
     values = dlm._observations(values)
     T, r, p = values.shape
-    _write_table(path, _column_names(p, r, "y"), values.transpose(0, 2, 1).reshape(T, p * r), "%r")
+    _write_table(path, _column_names(p, r, "y"), values.transpose(0, 2, 1).reshape(T, p * r),
+                 ["%r"] * (p * r))
 
 
 def _format(x: float) -> str:
@@ -408,12 +380,11 @@ def _write_records(path: Path, output: dlm.FilterOutput) -> None:
     _write_table(path, header, table, ["%d"] + ["%.10g"] * (len(header) - 1))
 
 
-def _write_table(path: Path, header: list[str], table: np.ndarray,
-                 cells: str | list[str] = "%.10g") -> None:
+def _write_table(path: Path, header: list[str], table: np.ndarray, cells: list[str]) -> None:
     """Write a float table as CSV: the header line, then each row with its
-    cells formatted by ``cells`` (one format for every column, or one per
-    column: ``%.10g`` for records, ``%r`` to round-trip) and NA where a value
-    is not finite, every line ending CRLF.
+    cells formatted by ``cells``, one format per column (``%.10g`` for
+    records, ``%r`` to round-trip), and NA where a value is not finite, every
+    line ending CRLF.
 
     Rows are formatted 256 at a time into bytes, in one ``%`` pass per block;
     a pass over the whole table would hold all of its text at once. ``bytes
@@ -423,8 +394,6 @@ def _write_table(path: Path, header: list[str], table: np.ndarray,
     write a 1-based ``t`` column as ``%d``: for every integer below 1e10 it
     gives the bytes of ``%.10g``, and formats faster.
     """
-    if isinstance(cells, str):
-        cells = [cells] * len(header)
     fmt = ",".join(cells).encode() + b"\r\n"
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
