@@ -9,8 +9,8 @@ discard-the-whole-vector filter over many seeds.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,8 @@ class LocalLevelConfig:
     def __post_init__(self):
         object.__setattr__(self, "T", _count(self.T, "T"))
         object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
-        if not -1.0 < _shaped(self.corr, (), "corr") < 1.0:
+        object.__setattr__(self, "corr", float(_shaped(self.corr, (), "corr")))
+        if not -1.0 < self.corr < 1.0:
             raise DomainError(f"correlation must lie in (-1, 1), got {self.corr}")
         for name in ("obs_var", "level_var"):
             pair = tuple(_shaped(getattr(self, name), (2,), name).tolist())
@@ -57,31 +58,33 @@ class LocalLevelConfig:
 
 
 def gen_local_level(cfg: LocalLevelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Generate levels and data, each T x 2.
+    """Generate levels and data, each T x 2, at ``cfg.seed`` by ``_draws``.
 
     levels[t] = levels[t-1] + zeta_t with independent zeta components,
     data[t] = levels[t] + eps_t with corr(eps_1, eps_2) = cfg.corr. The
     starting level is standard normal. Draw order (start, level noise,
     observation noise) is fixed, so a seed pins the whole path.
     """
-    rng = np.random.default_rng(cfg.seed)
+    return next(_draws(cfg, (cfg.seed,)))
+
+
+def _draws(cfg: LocalLevelConfig, seeds: Iterable[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Levels and data at each seed in turn, from ``cfg`` read and its noise factored once."""
     v1, v2 = cfg.obs_var
     # the product of the roots only where v1 * v2 overflows: elsewhere the
     # root of the product keeps the bits of every earlier run
     c = cfg.corr * (np.sqrt(v1 * v2) if np.isfinite(v1 * v2) else np.sqrt(v1) * np.sqrt(v2))
-    eps_cov = np.array([[v1, c], [c, v2]])
-    L = np.linalg.cholesky(eps_cov)
-
-    start = rng.standard_normal(2)
-    try:
-        zeta = rng.standard_normal((cfg.T, 2)) * np.sqrt(np.asarray(cfg.level_var))
-        eps = rng.standard_normal((cfg.T, 2)) @ L.T
-    except (ValueError, MemoryError) as exc:  # numpy refuses or fails the T x 2 arrays
-        raise DomainError(f"cannot draw a series of T={cfg.T} steps: {exc}") from exc
-
-    levels = start + np.cumsum(zeta, axis=0)
-    data = levels + eps
-    return levels, data
+    L = np.linalg.cholesky(np.array([[v1, c], [c, v2]]))
+    level_sd = np.sqrt(np.asarray(cfg.level_var))
+    for rng in map(np.random.default_rng, seeds):
+        start = rng.standard_normal(2)
+        try:
+            zeta = rng.standard_normal((cfg.T, 2)) * level_sd
+            eps = rng.standard_normal((cfg.T, 2)) @ L.T
+        except (ValueError, MemoryError) as exc:  # numpy refuses or fails the T x 2 arrays
+            raise DomainError(f"cannot draw a series of T={cfg.T} steps: {exc}") from exc
+        levels = start + np.cumsum(zeta, axis=0)
+        yield levels, levels + eps
 
 
 @dataclass(frozen=True)
@@ -206,11 +209,11 @@ def replicate_experiment(
 ) -> ExperimentSummary:
     """Run both filter modes over many seeded replications and aggregate.
 
-    Replication i reuses ``cfg`` with seed ``cfg.seed + i``. All replications
-    share the missing pattern, so both modes filter them all together in one
-    batched pass. The correlation estimates come from the masked-update
-    posterior at each partially missing time (the classical filter has not
-    updated at those times at all).
+    Replication i is ``gen_local_level``'s draw at seed ``cfg.seed + i``, bit
+    for bit, all drawn by ``_draws`` from ``cfg`` as checked once. Both modes
+    filter them together in one batched pass (they share the pattern). The
+    correlation estimates come from the masked-update posterior at each
+    partially missing time (the classical filter has not updated then).
 
     The study's own rules are checked before anything is drawn: the model is
     the bivariate local level's shape (p = 2, r = 1), and the pattern names
@@ -229,7 +232,7 @@ def replicate_experiment(
     if prior is None:
         prior = default_prior(p=2, d=model.d)
 
-    y = np.stack([gen_local_level(replace(cfg, seed=cfg.seed + i))[1] for i in range(M)])
+    y = np.stack([data for _, data in _draws(cfg, range(cfg.seed, cfg.seed + M))])
     y = apply_missing(y, pattern)
     rec = dlm._run(model, prior, y, dlm._MODES)
     partial_times, (msse_new, msse_classical), corr = dlm._summarize(rec)

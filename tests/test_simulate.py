@@ -1,4 +1,5 @@
 """Data generation and the two-mode replication study."""
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -262,13 +263,6 @@ def test_hundred_replications_recover_noise_correlation():
                        summary.msse_classical.mean(axis=0))
 
 
-def _rel_close(got, want, tol=1e-10):
-    got, want = np.asarray(got), np.asarray(want)
-    scale = float(np.nanmax(np.abs(want))) if want.size else 0.0
-    return got.shape == want.shape and np.allclose(
-        got, want, rtol=tol, atol=tol * scale, equal_nan=True)
-
-
 def test_study_summary_keeps_no_scale_stack_of_all_replications():
     # the S stack of 400 replications takes 2.6 MB; replication 0's two runs
     # hold 6.4 kB of it
@@ -284,6 +278,8 @@ def test_study_summary_keeps_no_scale_stack_of_all_replications():
 
 
 def test_batched_study_matches_separate_filter_runs():
+    # bit for bit: the study draws every seed in one routine and filters all M
+    # together, against one config, one draw and one filter run per replication
     M = 20
     cfg = mv.LocalLevelConfig(T=100, corr=0.8, seed=3)
     pattern = mv.DEFAULT_MISSING_PATTERN
@@ -294,13 +290,53 @@ def test_batched_study_matches_separate_filter_runs():
     for i in range(M):
         _, data = mv.gen_local_level(replace(cfg, seed=cfg.seed + i))
         observations = mv.apply_missing(data, pattern)
+        if i == 0:
+            assert np.array_equal(summary.first_y, observations, equal_nan=True)
         for mode, (study_msse, first) in studies.items():
             out = mv.filter(model, observations, prior, mode=mode)
-            assert _rel_close(study_msse[i], mv.msse(out)), (i, mode)
+            assert np.array_equal(study_msse[i], mv.msse(out)), (i, mode)
             if mode == "new":
                 corr = [mv.correlation_estimate(out.states[t - 1], 0, 1)
                         for t in summary.partial_times]
-                assert _rel_close(summary.partial_corr[i], corr), i
+                assert np.array_equal(summary.partial_corr[i], corr), i
             if i == 0:
-                for name in ("f", "m", "S", "n"):
-                    assert _rel_close(getattr(first, name), getattr(out, name)), (mode, name)
+                for name in ("a", "R", "f", "Q", "A", "e", "std_err", "m", "P", "S", "n"):
+                    assert np.array_equal(getattr(first, name), getattr(out, name),
+                                          equal_nan=True), (mode, name)
+
+
+def test_study_checks_the_config_and_factors_the_noise_once(monkeypatch):
+    # M replications used to rebuild the config, and factor its noise, M times
+    cfg = mv.LocalLevelConfig(T=60, corr=0.8, seed=5)
+    checks, factors = [], []
+    post_init, cholesky = mv.LocalLevelConfig.__post_init__, np.linalg.cholesky
+    monkeypatch.setattr(mv.LocalLevelConfig, "__post_init__",
+                        lambda self: checks.append(self) or post_init(self))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(a) or cholesky(a))
+    for M in (1, 6):
+        checks.clear()
+        factors.clear()
+        mv.replicate_experiment(M, cfg, SMALL_PATTERN)
+        assert (len(checks), len(factors)) == (0, 1), M
+
+
+def test_a_series_too_long_to_draw_is_a_domain_error():
+    # numpy refuses the T x 2 shape ("Maximum allowed dimension exceeded")
+    # before it allocates anything
+    cfg = mv.LocalLevelConfig(T=10**30)
+    message = re.escape(f"cannot draw a series of T={10**30} steps: ")
+    with pytest.raises(mv.DomainError, match=message):
+        mv.gen_local_level(cfg)
+    with pytest.raises(mv.DomainError, match=message):
+        mv.replicate_experiment(2, cfg, mv.MissingPattern({}))
+
+
+def test_config_stores_an_array_correlation_as_a_float():
+    # an array correlation used to be stored as given, so the frozen config
+    # could not be hashed
+    cfg = mv.LocalLevelConfig(T=10, corr=np.array(0.8))
+    plain = mv.LocalLevelConfig(T=10, corr=0.8)
+    assert type(cfg.corr) is float
+    assert cfg == plain and hash(cfg) == hash(plain)
+    for got, want in zip(mv.gen_local_level(cfg), mv.gen_local_level(plain)):
+        assert np.array_equal(got, want)
