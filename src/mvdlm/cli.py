@@ -40,9 +40,11 @@ pattern within T steps and two variables that leaves neither missing at
 every t) belong to ``replicate_experiment``: ``mvdlm simulate`` reports
 them, and ``mvdlm filter`` does not apply them.
 
-Data CSV: one row per time, header ``y<j>`` for r = 1 or ``y<j>_<k>`` for
-r >= 2 (variable j, replicate k, both 1-based). Empty cells or ``NA`` (any
-case) are missing.
+Data CSV: UTF-8, one row per time, header ``y<j>`` for r = 1 or ``y<j>_<k>``
+for r >= 2 (variable j, replicate k, both 1-based), one form for the whole
+header and each pair once. Empty cells or ``NA`` (any case) are missing; a
+bad cell is named by its row and its own header cell. A byte that is not
+UTF-8 is a decode error wherever it is in the file.
 
 Exit codes: 0 success, 2 configuration or input error (an unreadable file
 included), 3 numerical failure.
@@ -60,6 +62,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -229,8 +232,8 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(model=model, prior=prior, mode=mode, simulate=simulate)
 
 
-_R1_NAME = re.compile(r"^y(\d+)$")
-_RK_NAME = re.compile(r"^y(\d+)_(\d+)$")
+# a header cell: y<j> for r = 1, y<j>_<k> for r >= 2
+_NAME = re.compile(r"y(\d+)(?:_(\d+))?")
 _MISSING = {"", "na"}
 
 
@@ -246,43 +249,35 @@ def parse_csv(path: str | Path) -> np.ndarray:
     i = 0  # the last record read: the csv module fails the next one
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise ParseError("empty file", row=1) from None
             header = [h.strip() for h in header]
-            if all(_R1_NAME.match(h) for h in header):
-                pairs = [(int(_R1_NAME.match(h).group(1)), 1) for h in header]
-            elif all(_RK_NAME.match(h) for h in header):
-                pairs = [tuple(int(g) for g in _RK_NAME.match(h).groups()) for h in header]
-            else:
+            names = [_NAME.fullmatch(h) for h in header]
+            # one form for the whole header, and at least one cell
+            if {name and name[2] is None for name in names} not in ({True}, {False}):
                 raise ParseError(
                     "header must name columns y<j> (r = 1) or y<j>_<k> (r >= 2)", row=1
                 )
+            pairs = [(int(name[1]), int(name[2] or 1)) for name in names]
             p = max(j for j, _ in pairs)
             r = max(k for _, k in pairs)
-            expected = {(j, k) for j in range(1, p + 1) for k in range(1, r + 1)}
-            if set(pairs) != expected or len(pairs) != len(expected):
+            # the count first: the set of pairs is then no larger than the header
+            if len(pairs) != p * r or set(pairs) != set(product(range(1, p + 1), range(1, r + 1))):
                 raise ParseError(
                     f"header must cover every variable/replicate pair once for p={p}, r={r}", row=1
                 )
-            try:
-                # decoded chunk by chunk, as the loop reads them
-                lines = fh.readlines()
-            except UnicodeDecodeError:
-                # the loop reports a malformed row before the undecodable chunk
-                fh.seek(0)
-                next(reader)
-                lines = None
-            rows = None if lines is None else _read_rows(lines, len(header))
+            # a byte that is not UTF-8 fails here, wherever it is in the body
+            lines = fh.readlines()
+            rows = _read_rows(lines, len(header))
             if rows is None:
                 rows = []
-                for i, row in enumerate(reader if lines is None else csv.reader(lines), start=2):
+                for i, row in enumerate(csv.reader(lines), start=2):
                     if len(row) != len(header):
                         raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=i)
                     cells = []
-                    for cell, (j, k) in zip(row, pairs):
+                    for cell, column in zip(row, header):
                         text = cell.strip()
                         if text.lower() in _MISSING:
                             cells.append(math.nan)
@@ -296,7 +291,7 @@ def parse_csv(path: str | Path) -> np.ndarray:
                                 f"cannot parse {text!r} as a finite number (leave the cell empty or "
                                 "write NA for a missing value)",
                                 row=i,
-                                column=f"y{j}_{k}" if r > 1 else f"y{j}",
+                                column=column,
                             )
                         cells.append(value)
                     rows.append(cells)

@@ -60,7 +60,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .distributions import MiwParams, MtParams
-from .errors import ConfigError, DimensionMismatch, DomainError, FilterError, MvdlmError
+from .errors import DimensionMismatch, DomainError, FilterError, MvdlmError
 from .linalg import _checked, _corr, _count, _real, _shaped
 
 __all__ = [
@@ -104,9 +104,8 @@ class ModelSpec:
     def __post_init__(self):
         self.d, self.p, self.r = (_count(getattr(self, name), name) for name in "dpr")
         if (self.W is None) == (self.discount is None):
-            raise ConfigError(
-                "exactly one of an explicit evolution scale W and a discount factor must be given",
-                section="model",
+            raise DomainError(
+                "exactly one of an explicit evolution scale W and a discount factor must be given"
             )
         if self.discount is not None:
             delta = float(_shaped(self.discount, (), "discount"))
@@ -246,24 +245,19 @@ def _unchecked(cls, **fields):
 
 class _StepView(Sequence):
     """Read-only sequence over time steps that builds each item on access (a
-    slice gives a tuple of them)."""
+    slice gives a tuple of them). It indexes as ``range(T)`` does."""
 
     def __init__(self, T: int, build: Callable[[int], object]):
-        self._T = T
+        self._steps = range(T)
         self._build = build
 
     def __len__(self) -> int:
-        return self._T
+        return len(self._steps)
 
     def __getitem__(self, t):
         if isinstance(t, slice):
-            return tuple(self._build(k) for k in range(*t.indices(self._T)))
-        t = operator.index(t)
-        if t < 0:
-            t += self._T
-        if not 0 <= t < self._T:
-            raise IndexError(f"time index out of range for {self._T} steps")
-        return self._build(t)
+            return tuple(map(self._build, self._steps[t]))
+        return self._build(self._steps[t])
 
 
 @dataclass(eq=False)
@@ -588,22 +582,29 @@ def _information(Fs, Vs) -> tuple[np.ndarray, np.ndarray]:
     factor reads V's symmetric part, as Q = sym(F'RF + V) of :func:`_gains`
     does, so a V that is not exactly symmetric acts as that part throughout.
 
-    B is one forward substitution over its r rows, and J = :func:`_products`
+    B is one :func:`_forward` over its r rows, and J = :func:`_products`
     of B' and B, so J is exactly symmetric, and a zero column of F with a
     unit row of V adds exact zeros. Where F and V are both constant (stride
     0 in time, as :meth:`ModelSpec._stack` gives them) they are read once,
     and B and J hold one step, else T.
     """
-    (T, d, r), (F, V) = Fs.shape, (X[:1] if X.strides[0] == 0 else X for X in (Fs, Vs))
+    F, V = (X[:1] if X.strides[0] == 0 else X for X in (Fs, Vs))
     chol, failed = _factor((V + V.swapaxes(1, 2)) * 0.5)
     if failed.any():
         raise FilterError("observation scale V is not positive definite", t=1 + int(failed.argmax()))
-    B = F.swapaxes(1, 2) * np.ones((len(V), 1, 1))
-    for i in range(r):
-        for j in range(i):
-            B[:, i] -= chol[:, i, j, None] * B[:, j]
-        B[:, i] /= chol[:, i, i, None]
+    B = _forward(chol, F.swapaxes(1, 2) * np.ones((len(V), 1, 1)))
     return B, _products(B.swapaxes(1, 2), B)
+
+
+def _forward(L, X) -> np.ndarray:
+    """X = L^{-1} X in place, for lower triangular L (... x n x n) and X
+    (... x n x m), by forward substitution over the n rows of X for the
+    whole stack at once: row i is X_i less L_ij x_j for j = 0, ..., i - 1
+    in turn, divided by L_ii. L is already triangular, so no LU is run."""
+    for i in range(X.shape[-2]):
+        X[..., i, :] /= L[..., i, i, None]
+        X[..., i + 1:, :] -= L[..., i + 1:, i, None] * X[..., i, None, :]
+    return X
 
 
 def _products(X, Y) -> np.ndarray:
@@ -785,9 +786,7 @@ def _scale(chol, e, update, gain, observed, n0) -> tuple[np.ndarray, np.ndarray]
     columns that the mode moves (``gain``, K x T x 1 x M p): with nn_t =
     outer(sqrt(n_t), sqrt(n_t)), :func:`_stack` builds S_t = (S0 * nn_0 + C_1
     + ... + C_t) / nn_t on first read; Z is r/p its size.
-    Z is one forward substitution over the r rows of L for all steps at once:
-    row i is e_i less L_ij z_j for j = 0, ..., i - 1 in turn, divided by L_ii.
-    L is already triangular, so no LU is run.
+    Z is one :func:`_forward` over the r rows of L for all steps at once.
 
     n and Z are allocated here, not in :func:`_run`'s buffer of records:
     every series output keeps a view of n, and of Z until its S is read,
@@ -806,9 +805,7 @@ def _scale(chol, e, update, gain, observed, n0) -> tuple[np.ndarray, np.ndarray]
     # and _check has left every factor finite with a positive diagonal.
     Z = np.zeros(e.shape)
     np.copyto(Z, e, where=update[:, :, None, None])
-    for i in range(r):
-        Z[:, :, i] /= chol[:, :, i, i, None]
-        Z[:, :, i + 1:] -= chol[:, :, i + 1:, i, None] * Z[:, :, i, None]
+    _forward(chol, Z)
     Z *= gain
     return n, Z.reshape(K, T, r, Mp // p, p)
 

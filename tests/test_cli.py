@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -222,6 +223,14 @@ def test_inputs_are_decoded_as_utf8(tmp_path, capsys):
     assert main(["filter", "--config", str(config), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot decode data file") and str(data) in err, err
+    # the whole body is decoded before any row is read: a bad cell at row 3
+    # does not hide a byte that is not UTF-8 thousands of rows later
+    rows = ["1.0,2.0"] * 2002
+    rows[1], rows[-1] = "abc,2.0", "1.0,2.\udcff"
+    data.write_bytes(("y1,y2\n" + "\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+    assert main(["filter", "--config", str(config), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot decode data file") and str(data) in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +256,50 @@ def test_parse_csv_replicate_headers(tmp_path):
     assert np.isnan(values[1, 1, 0]) and np.isnan(values[1, 1, 1])
 
 
-def test_parse_csv_bad_header(tmp_path):
-    path = write_data(tmp_path, ["1,2"], header="y1,z2")
-    with pytest.raises(mv.ParseError):
+@pytest.mark.parametrize("header", ["y1,z2", "y1,y2_1", ""], ids=["name", "forms", "blank"])
+def test_parse_csv_bad_header(tmp_path, capsys, header):
+    # a blank first line is a header of no cells; it used to end in a
+    # ValueError traceback and exit code 1
+    path = write_data(tmp_path, ["1,2"], header=header)
+    message = "header must name columns y<j> (r = 1) or y<j>_<k> (r >= 2)"
+    with pytest.raises(mv.ParseError) as exc:
         parse_csv(path)
+    assert (exc.value.row, exc.value.column, str(exc.value)) == (1, None, f"row 1: {message}")
+    assert main(["filter", "--config", str(write_config(tmp_path, GOOD_CONFIG)),
+                 "--data", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: row 1: {message}\n"
 
 
-def test_parse_csv_incomplete_header_coverage(tmp_path):
-    path = write_data(tmp_path, ["1,2"], header="y1,y3")
-    with pytest.raises(mv.ParseError):
-        parse_csv(path)
+@pytest.mark.parametrize("header,p,r", [
+    ("y1,y3", 3, 1), ("y1_1,y1_1", 1, 1), ("y1,y200000", 200_000, 1), ("y1_1,y1_200000", 1, 200_000),
+])
+def test_parse_csv_incomplete_header_coverage(tmp_path, header, p, r):
+    # the header's count of cells is checked before its pairs: an index far
+    # beyond it allocates nothing in proportion to it
+    path = write_data(tmp_path, ["1,2"], header=header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mv.ParseError) as exc:
+            parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"row 1: header must cover every variable/replicate pair once for p={p}, r={r}"
+    assert peak < 2**20, peak
 
 
-def test_parse_csv_bad_cell_reports_row_and_column(tmp_path):
-    path = write_data(tmp_path, ["1.0,2.0", "x,2.0"])
+@pytest.mark.parametrize("header,row,column", [
+    ("y1,y2", "x,2.0", "y1"),
+    ("y1_1,y2_1", "1.0,abc", "y2_1"),
+    (" y01 ,y2", "x,2.0", "y01"),
+])
+def test_parse_csv_bad_cell_reports_row_and_column(tmp_path, header, row, column):
+    # the column is the header's own cell, stripped
+    path = write_data(tmp_path, ["1.0,2.0", row], header=header)
     with pytest.raises(mv.ParseError) as exc:
         parse_csv(path)
     assert exc.value.row == 3  # 1-based file row (header is row 1)
-    assert "y1" in str(exc.value)
+    assert exc.value.column == column
 
 
 @pytest.mark.parametrize("header,first,row,column", [
@@ -587,7 +622,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, bad)
     data = make_series(tmp_path)
     assert main(["filter", "--config", str(config), "--data", str(data)]) == 2
-    assert "discount" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: [model]: exactly one of an explicit evolution scale W "
+                                       "and a discount factor must be given\n")
 
 
 @pytest.mark.parametrize("old,new,words", [
